@@ -1,6 +1,6 @@
 # Convenience targets; everything is plain dune underneath.
 
-.PHONY: all build test check bench bench-fast bench-smoke scale-smoke shard-smoke serve-smoke fuzz-smoke health-smoke explain-smoke slo-smoke cover-smoke artifacts examples clean
+.PHONY: all build test check bench bench-fast bench-smoke scale-smoke shard-smoke serve-smoke fuzz-smoke health-smoke explain-smoke slo-smoke cover-smoke perf-map-smoke artifacts examples clean
 
 all: build
 
@@ -23,6 +23,7 @@ check:
 	$(MAKE) serve-smoke
 	$(MAKE) slo-smoke
 	$(MAKE) cover-smoke
+	$(MAKE) perf-map-smoke
 
 bench:
 	dune exec bench/main.exe
@@ -99,6 +100,15 @@ cover-smoke:
 	  --metrics _artifacts/cover_metrics.json --out-dir _artifacts
 	test -s _artifacts/partial-map-ft-100-b0.3.json
 	dune exec bench/main.exe -- --only coverage --fast --no-bechamel
+
+# The mapper's merge path at full benchmark size: one traced map-r32
+# run of the performance benchmark (64 hosts, radix 32, where replicate
+# merging dominates). It exits non-zero unless the traced map replays
+# the untraced one exactly (probes, explorations, created and live
+# vertices), the layer self-times sum to the traced wall within 5%, and
+# the map is isomorphic to N - F.
+perf-map-smoke:
+	sh bench/perf/run.sh --workload map-r32 --seed 1 --trace 1
 
 # The provenance ledger end to end: explain a Figure-3 switch and a
 # route (with the evidence DOT), attribute a map diff to the probes

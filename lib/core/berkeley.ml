@@ -81,7 +81,7 @@ let service_of_network net ~mapper =
    on-line mapper over the event-driven simulator. Returns
    (explorations, elapsed_ns, trace) and leaves the model stabilised
    but unpruned. *)
-let explore_service ?(expand = fun _ -> true) ?probe_budget ?tick ~policy
+let explore_service ?expand ?probe_budget ?tick ~policy
     ~depth_used ~record_trace sv model seeds =
   let frontier : Model.vid San_util.Fifo.t = San_util.Fifo.create () in
   List.iter (San_util.Fifo.add frontier) seeds;
@@ -106,7 +106,10 @@ let explore_service ?(expand = fun _ -> true) ?probe_budget ?tick ~policy
     go 0
   in
   let probe_pair v turn =
-    let probe = Model.probe_string model v @ [ turn ] in
+    (* The child keeps [rev_probe], one cell on top of [v]'s route; the
+       forward copy is only for sending. *)
+    let rev_probe = turn :: Model.rev_probe model v in
+    let probe = List.rev rev_probe in
     let try_host () =
       let resp = with_retries (fun () -> sv.sv_host_probe ~turns:probe) in
       if Why.on () then
@@ -115,7 +118,7 @@ let explore_service ?(expand = fun _ -> true) ?probe_budget ?tick ~policy
              ~resp:(resp_string resp));
       match resp with
       | Network.Host name ->
-        ignore (Model.add_host_vertex model ~parent:v ~turn ~probe ~name);
+        ignore (Model.add_host_vertex model ~parent:v ~turn ~rev_probe ~name);
         true
       | Network.Switch | Network.Nothing -> false
     in
@@ -127,7 +130,7 @@ let explore_service ?(expand = fun _ -> true) ?probe_budget ?tick ~policy
              ~resp:(resp_string resp));
       match resp with
       | Network.Switch ->
-        let child = Model.add_switch_vertex model ~parent:v ~turn ~probe in
+        let child = Model.add_switch_vertex model ~parent:v ~turn ~rev_probe in
         San_util.Fifo.add frontier child;
         true
       | Network.Host _ | Network.Nothing -> false
@@ -184,16 +187,20 @@ let explore_service ?(expand = fun _ -> true) ?probe_budget ?tick ~policy
       match San_util.Fifo.next_element frontier with
       | None -> ()
       | Some v ->
-        let path = Model.probe_string model v in
-        let within_depth = List.length path < depth_used in
+        let within_depth = Model.probe_length model v < depth_used in
         (if within_depth && Model.is_live model v then begin
-        (* A replicate of an explored class is not skipped outright:
-           each worm holds the wires of its own path, so a member
-           reached by a different route can probe into slots the first
-           member physically could not (its worm would have collided
-           with itself). Probing only the still-unknown slots keeps
-           the heuristic's savings while recovering that evidence. *)
-        if expand path then begin
+          (* A replicate of an explored class is not skipped outright:
+             each worm holds the wires of its own path, so a member
+             reached by a different route can probe into slots the first
+             member physically could not (its worm would have collided
+             with itself). Probing only the still-unknown slots keeps
+             the heuristic's savings while recovering that evidence. *)
+          let expanded =
+            match expand with
+            | None -> true
+            | Some f -> f (Model.probe_string model v)
+          in
+          if expanded then begin
             if not (policy.skip_explored && Model.is_explored model v) then
               explore ~fill_only:false v
             else explore ~fill_only:true v

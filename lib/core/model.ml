@@ -25,7 +25,9 @@ type edge = {
 type vertex = {
   v_id : vid;
   v_kind : vkind;
-  v_probe : San_simnet.Route.t;
+  v_rprobe : San_simnet.Route.t;
+      (* creating probe, last turn first: shares its parent's tail *)
+  v_plen : int; (* length of v_rprobe *)
   mutable parent : vid; (* union-find; self when canonical *)
   mutable pshift : int; (* own slot + pshift = parent slot *)
   mutable slots : edge list array; (* canonical vertices only *)
@@ -42,7 +44,6 @@ type t = {
   mutable nverts : int;
   host_names : (string, vid) Hashtbl.t;
   mergelist : vid Queue.t;
-  mutable all_edges : edge list;
   mutable n_edges_created : int;
   mutable n_edges_live : int;
   mutable n_verts_live : int;
@@ -58,23 +59,44 @@ let vertex t v =
   if v < 0 || v >= t.nverts then fail "no vertex %d" v;
   t.verts.(v)
 
-(* Union-find lookup accumulating frame shifts, with path compression. *)
-let rec find t v =
-  let vx = t.verts.(v) in
-  if vx.parent = v then (v, 0)
-  else begin
-    let r, s = find t vx.parent in
-    if vx.parent <> r then begin
-      vx.pshift <- vx.pshift + s;
-      vx.parent <- r
-    end;
-    (r, vx.pshift)
-  end
+(* Union-find root with full path compression, in two allocation-free
+   passes: the first walks to the root summing [pshift], the second
+   points every vertex on the chain straight at the root with its total
+   shift. Afterwards [v] is the root or a direct child of it, so its own
+   [pshift] is its frame shift. Absorb chains can be as long as the
+   number of merges, so neither pass recurses. *)
+let compress t v =
+  let r = ref v and total = ref 0 in
+  while t.verts.(!r).parent <> !r do
+    let x = t.verts.(!r) in
+    total := !total + x.pshift;
+    r := x.parent
+  done;
+  let root = !r in
+  let cur = ref v and rem = ref !total in
+  while !cur <> root do
+    let x = t.verts.(!cur) in
+    let next = x.parent and s = x.pshift in
+    x.parent <- root;
+    x.pshift <- !rem;
+    rem := !rem - s;
+    cur := next
+  done;
+  root
 
-let canonical t v = fst (find t v)
-let frame_shift t v = snd (find t v)
+(* Most lookups hit a root or a vertex already pointing at one, and
+   return without writing. *)
+let find t v =
+  let p = t.verts.(v).parent in
+  if p = v || t.verts.(p).parent = p then p else compress t v
 
-let alloc t kind probe =
+let canonical = find
+
+let frame_shift t v =
+  let root = find t v in
+  if root = v then 0 else t.verts.(v).pshift
+
+let alloc t kind rprobe =
   let id = t.nverts in
   let nslots, s_base =
     match kind with
@@ -85,7 +107,8 @@ let alloc t kind probe =
     {
       v_id = id;
       v_kind = kind;
-      v_probe = probe;
+      v_rprobe = rprobe;
+      v_plen = List.length rprobe;
       parent = id;
       pshift = 0;
       slots = Array.make nslots [];
@@ -132,9 +155,23 @@ let slot_add xv i e =
 
 let live_slot_edges l = List.filter (fun e -> not e.e_dead) l
 
+(* Allocation-free slot tests: any live edge, any dead one, and at
+   least two live (a conflict the merge loop must resolve). *)
+let rec has_live = function
+  | [] -> false
+  | e :: rest -> (not e.e_dead) || has_live rest
+
+let rec has_dead = function
+  | [] -> false
+  | e :: rest -> e.e_dead || has_dead rest
+
+let rec two_live = function
+  | [] -> false
+  | e :: rest -> if e.e_dead then two_live rest else has_live rest
+
 (* Attach a fresh edge between two canonical (vertex, slot) ends and
    queue any slot conflict it creates. *)
-let add_edge t (va, ia) (vb, ib) =
+let add_edge t va ia vb ib =
   let xa = vertex t va and xb = vertex t vb in
   if va = vb && ia = ib then fail "edge from slot (%d,%d) to itself" va ia;
   let e =
@@ -142,15 +179,37 @@ let add_edge t (va, ia) (vb, ib) =
   in
   t.n_edges_created <- t.n_edges_created + 1;
   t.n_edges_live <- t.n_edges_live + 1;
-  t.all_edges <- e :: t.all_edges;
   narrow_window t xa ia;
   narrow_window t xb ib;
   slot_add xa ia e;
-  if List.length (live_slot_edges (slot_get xa ia)) > 1 then
-    Queue.add va t.mergelist;
+  if two_live (slot_get xa ia) then Queue.add va t.mergelist;
   slot_add xb ib e;
-  if List.length (live_slot_edges (slot_get xb ib)) > 1 then
-    Queue.add vb t.mergelist
+  if two_live (slot_get xb ib) then Queue.add vb t.mergelist
+
+(* Move the live edges of [absorb]'s slot [i] to [keep]'s slot
+   [i + shift]. A top-level function rather than a closure: a merge
+   visits every slot, and must not allocate per slot. *)
+let rec rehome t ~keep ~absorb xk i ~shift = function
+  | [] -> ()
+  | e :: rest ->
+    if not e.e_dead then begin
+      let tgt = i + shift in
+      if e.ea = absorb && e.ia = i then begin
+        e.ea <- keep;
+        e.ia <- tgt
+      end;
+      if e.eb = absorb && e.ib = i then begin
+        e.eb <- keep;
+        e.ib <- tgt
+      end;
+      if e.ea = e.eb && e.ia = e.ib then
+        fail "merge wires slot (%d,%d) to itself" e.ea e.ia;
+      (* A self-edge of [absorb] is visited from both of its slots;
+         insert it only once per slot. *)
+      if not (List.memq e (slot_get xk tgt)) then slot_add xk tgt e;
+      if two_live (slot_get xk tgt) then Queue.add keep t.mergelist
+    end;
+    rehome t ~keep ~absorb xk i ~shift rest
 
 (* Merge canonical [absorb] into canonical [keep]; [shift] converts
    absorb-frame slots into keep-frame slots. [why], when provenance is
@@ -180,31 +239,9 @@ let do_merge ?why t ~keep ~absorb ~shift =
        data-center-scale runs (only canonical vertices carry slots). *)
     let a_slots = xa.slots and a_base = xa.s_base in
     xa.slots <- [||];
-    Array.iteri
-      (fun idx edges ->
-        let i = idx - a_base in
-        let tgt = i + shift in
-        List.iter
-          (fun e ->
-            if not e.e_dead then begin
-              if e.ea = absorb && e.ia = i then begin
-                e.ea <- keep;
-                e.ia <- tgt
-              end;
-              if e.eb = absorb && e.ib = i then begin
-                e.eb <- keep;
-                e.ib <- tgt
-              end;
-              if e.ea = e.eb && e.ia = e.ib then
-                fail "merge wires slot (%d,%d) to itself" e.ea e.ia;
-              (* A self-edge of [absorb] is visited from both of its
-                 slots; insert it only once per slot. *)
-              if not (List.memq e (slot_get xk tgt)) then slot_add xk tgt e;
-              if List.length (live_slot_edges (slot_get xk tgt)) > 1 then
-                Queue.add keep t.mergelist
-            end)
-          edges)
-      a_slots;
+    for idx = 0 to Array.length a_slots - 1 do
+      rehome t ~keep ~absorb xk (idx - a_base) ~shift a_slots.(idx)
+    done;
     xa.parent <- keep;
     xa.pshift <- shift;
     t.n_verts_live <- t.n_verts_live - 1;
@@ -235,13 +272,37 @@ let kill_edge t e =
     Why.note_edge_dead ~eid:e.eid
   end
 
-let endpoints_key e =
-  let p1 = (e.ea, e.ia) and p2 = (e.eb, e.ib) in
-  if p1 <= p2 then (p1, p2) else (p2, p1)
+(* Two edges are one wire when they join the same pair of slots. *)
+let same_wire e f =
+  (e.ea = f.ea && e.ia = f.ia && e.eb = f.eb && e.ib = f.ib)
+  || (e.ea = f.eb && e.ia = f.ib && e.eb = f.ea && e.ib = f.ia)
 
-(* Process one canonical vertex: deduplicate its slots and fire the
-   first slot-conflict deduction found, if any.  Returns true if a
-   merge fired (the caller re-queues and restarts). *)
+let rec has_wire e = function
+  | [] -> false
+  | f :: rest -> same_wire e f || has_wire e rest
+
+(* The live edges of a slot in slot order, each wire once: a later copy
+   of a wire (the same actual cable found twice) is killed. Conflicting
+   slots hold a handful of edges, so a linear scan beats hashing. *)
+let rec dedup_slot t kept = function
+  | [] -> List.rev kept
+  | e :: rest ->
+    if e.e_dead then dedup_slot t kept rest
+    else if has_wire e kept then begin
+      kill_edge t e;
+      dedup_slot t kept rest
+    end
+    else dedup_slot t (e :: kept) rest
+
+(* Process one canonical vertex: drop dead edges from its slots,
+   deduplicate the conflicting ones and fire the first slot-conflict
+   deduction found, in slot order, if any. Returns true if a merge
+   fired (the caller re-queues and restarts). A slot with at most one
+   live edge can neither conflict nor hold a duplicate, so it is only
+   rewritten when it holds a dead edge, which costs at most one cell.
+   Dropping those keeps the slot scans short: without it, the edges
+   killed on a much-replicated wire pile up in the slot at its other
+   end. *)
 let process_vertex t c =
   let xc = vertex t c in
   let fired = ref false in
@@ -249,28 +310,12 @@ let process_vertex t c =
   let idx = ref 0 in
   while (not !fired) && !idx < nslots do
     let i = !idx - xc.s_base in
-    (match xc.slots.(!idx) with
-    | [] -> ()
-    | l ->
-      (* Drop dead edges and duplicates (same actual wire found twice). *)
-      let seen = Hashtbl.create 4 in
-      let deduped =
-        List.filter
-          (fun e ->
-            if e.e_dead then false
-            else begin
-              let key = endpoints_key e in
-              if Hashtbl.mem seen key then begin
-                kill_edge t e;
-                false
-              end
-              else begin
-                Hashtbl.add seen key ();
-                true
-              end
-            end)
-          l
-      in
+    let l = xc.slots.(!idx) in
+    if not (two_live l) then begin
+      if has_dead l then xc.slots.(!idx) <- live_slot_edges l
+    end
+    else begin
+      let deduped = dedup_slot t [] l in
       xc.slots.(!idx) <- deduped;
       (match deduped with
       | e1 :: e2 :: _ ->
@@ -300,7 +345,8 @@ let process_vertex t c =
         in
         do_merge ?why t ~keep:w1 ~absorb:w2 ~shift:(j1 - j2);
         fired := true
-      | [ _ ] | [] -> ()));
+      | [ _ ] | [] -> ())
+    end;
     incr idx
   done;
   !fired
@@ -308,7 +354,7 @@ let process_vertex t c =
 let run_merge_loop t =
   while not (Queue.is_empty t.mergelist) do
     let v = Queue.take t.mergelist in
-    let c, _ = find t v in
+    let c = find t v in
     let xc = vertex t c in
     if not xc.dead then
       if process_vertex t c then Queue.add c t.mergelist
@@ -323,7 +369,6 @@ let create ~mapper_name ~radix =
       nverts = 0;
       host_names = Hashtbl.create 64;
       mergelist = Queue.create ();
-      all_edges = [];
       n_edges_created = 0;
       n_edges_live = 0;
       n_verts_live = 0;
@@ -337,7 +382,7 @@ let create ~mapper_name ~radix =
   Hashtbl.replace t.host_names mapper_name h;
   (* The mapper's single cable necessarily leads to a switch; the
      probe enters that switch at its frame's slot 0. *)
-  add_edge t (s, 0) (h, 0);
+  add_edge t s 0 h 0;
   if Why.on () then begin
     Why.reset ();
     let dh =
@@ -363,10 +408,11 @@ let create ~mapper_name ~radix =
   end;
   t
 
-let add_switch_vertex t ~parent ~turn ~probe =
-  let p, s = find t parent in
-  let child = alloc t Vswitch probe in
-  add_edge t (p, turn + s) (child, 0);
+let add_switch_vertex t ~parent ~turn ~rev_probe =
+  let p = find t parent in
+  let s = frame_shift t parent in
+  let child = alloc t Vswitch rev_probe in
+  add_edge t p (turn + s) child 0;
   if Why.on () then begin
     let did =
       Why.deduce ~rule:"switch_reached"
@@ -384,10 +430,11 @@ let add_switch_vertex t ~parent ~turn ~probe =
   run_merge_loop t;
   child
 
-let add_host_vertex t ~parent ~turn ~probe ~name =
-  let p, s = find t parent in
-  let child = alloc t (Vhost name) probe in
-  add_edge t (p, turn + s) (child, 0);
+let add_host_vertex t ~parent ~turn ~rev_probe ~name =
+  let p = find t parent in
+  let s = frame_shift t parent in
+  let child = alloc t (Vhost name) rev_probe in
+  add_edge t p (turn + s) child 0;
   if Why.on () then begin
     let did =
       Why.deduce ~rule:"host_reached"
@@ -405,8 +452,8 @@ let add_host_vertex t ~parent ~turn ~probe ~name =
   (match Hashtbl.find_opt t.host_names name with
   | None -> Hashtbl.replace t.host_names name child
   | Some old ->
-    let oc, _ = find t old in
-    let cc, _ = find t child in
+    let oc = find t old in
+    let cc = find t child in
     if oc <> cc then begin
       let why =
         if Why.on () then
@@ -426,23 +473,26 @@ let add_host_vertex t ~parent ~turn ~probe ~name =
   child
 
 let kind t v = (vertex t v).v_kind
-let probe_string t v = (vertex t v).v_probe
+let probe_string t v = List.rev (vertex t v).v_rprobe
+let rev_probe t v = (vertex t v).v_rprobe
+let probe_length t v = (vertex t v).v_plen
 let is_explored t v = (vertex t (canonical t v)).explored
 let set_explored t v = (vertex t (canonical t v)).explored <- true
 let is_live t v = not (vertex t (canonical t v)).dead
 
-let slot_occupied t v i =
-  let c, _ = find t v in
-  live_slot_edges (slot_get (vertex t c) i) <> []
+let slot_occupied t v i = has_live (slot_get (vertex t (find t v)) i)
 
 let turn_slot t v turn = turn + frame_shift t v
 
-let neighbor_end_via t v ~slot =
-  let c, _ = find t v in
-  let xc = vertex t c in
-  match live_slot_edges (slot_get xc slot) with
+let rec first_live = function
   | [] -> None
-  | e :: _ ->
+  | e :: rest -> if e.e_dead then first_live rest else Some e
+
+let neighbor_end_via t v ~slot =
+  let c = find t v in
+  match first_live (slot_get (vertex t c) slot) with
+  | None -> None
+  | Some e ->
     let far, fslot =
       if e.ea = c && e.ia = slot then (e.eb, e.ib) else (e.ea, e.ia)
     in
@@ -454,9 +504,41 @@ let neighbor_via t v ~turn =
   Option.map fst (neighbor_end_via t v ~slot:(turn_slot t v turn))
 
 let offset_window t v =
-  let c, _ = find t v in
-  let xc = vertex t c in
+  let xc = vertex t (find t v) in
   (xc.wlo, xc.whi)
+
+let window_admits t v ~slot =
+  let xc = vertex t (find t v) in
+  xc.wlo + slot <= t.m_radix - 1 && xc.whi + slot >= 0
+
+let live_canonicals t =
+  let acc = ref [] in
+  for v = t.nverts - 1 downto 0 do
+    let xv = t.verts.(v) in
+    if xv.parent = v && not xv.dead then acc := v :: !acc
+  done;
+  !acc
+
+(* Every live edge once, newest first (the order the export and the
+   prune ledger follow), each taken at its [ea] end. The model keeps no
+   list of all edges: the replicate edges that merging kills are
+   referenced only by stale slot lists, so most of them are freed
+   while the map is still being explored. *)
+let live_edge_list t =
+  let acc = ref [] in
+  for v = 0 to t.nverts - 1 do
+    let xv = t.verts.(v) in
+    if xv.parent = v && not xv.dead then
+      Array.iteri
+        (fun idx l ->
+          let i = idx - xv.s_base in
+          List.iter
+            (fun e ->
+              if (not e.e_dead) && e.ea = v && e.ia = i then acc := e :: !acc)
+            l)
+        xv.slots
+  done;
+  List.sort (fun e f -> compare f.eid e.eid) !acc
 
 let incident_edges t c =
   let xc = vertex t (canonical t c) in
@@ -502,19 +584,24 @@ let kill_root_switch t =
    O(V+E) pass instead of a BFS per cable, which is what lets PRUNE run
    on 10k-host fabrics. [whole_components] captures the hostless-cycle
    case: there any switch-switch cable, bridge or not, separates the
-   entire component from all hosts. *)
+   entire component from all hosts. The pass runs over the live classes
+   only, numbered in vid order: absorbed replicates carry no edges and
+   on large fabrics outnumber the live classes by orders of magnitude. *)
 let prune t =
-  let live = List.filter (fun e -> not e.e_dead) t.all_edges in
+  let live = live_edge_list t in
   if live <> [] then begin
+    let nodes = Array.of_list (live_canonicals t) in
+    let index = Hashtbl.create (Array.length nodes) in
+    Array.iteri (fun i v -> Hashtbl.replace index v i) nodes;
     let earr = Array.of_list live in
-    let edge_u = Array.map (fun e -> e.ea) earr in
-    let edge_v = Array.map (fun e -> e.eb) earr in
+    let edge_u = Array.map (fun e -> Hashtbl.find index e.ea) earr in
+    let edge_v = Array.map (fun e -> Hashtbl.find index e.eb) earr in
     let is_switch v =
       match (vertex t v).v_kind with Vswitch -> true | Vhost _ -> false
     in
     let in_f, sep =
-      Dense.separation ~nodes:t.nverts ~edge_u ~edge_v
-        ~is_host:(fun v -> not (is_switch v))
+      Dense.separation ~nodes:(Array.length nodes) ~edge_u ~edge_v
+        ~is_host:(fun i -> not (is_switch nodes.(i)))
         ~candidate:(fun id ->
           let e = earr.(id) in
           e.ea <> e.eb && is_switch e.ea && is_switch e.eb)
@@ -523,11 +610,10 @@ let prune t =
     (* One ledger entry per condemned region, citing the separating
        cable, as the per-edge formulation produced. *)
     let groups = Hashtbl.create 8 in
-    for v = t.nverts - 1 downto 0 do
-      let xv = t.verts.(v) in
-      if in_f.(v) && xv.parent = v && not xv.dead then
-        Hashtbl.replace groups sep.(v)
-          (v :: Option.value ~default:[] (Hashtbl.find_opt groups sep.(v)))
+    for i = Array.length nodes - 1 downto 0 do
+      if in_f.(i) then
+        Hashtbl.replace groups sep.(i)
+          (nodes.(i) :: Option.value ~default:[] (Hashtbl.find_opt groups sep.(i)))
     done;
     let keys = List.sort compare (Hashtbl.fold (fun k _ a -> k :: a) groups []) in
     List.iter
@@ -563,14 +649,6 @@ let created_vertices t = t.nverts
 let live_vertices t = t.n_verts_live
 let created_edges t = t.n_edges_created
 let live_edges t = t.n_edges_live
-
-let live_canonicals t =
-  let acc = ref [] in
-  for v = t.nverts - 1 downto 0 do
-    let xv = t.verts.(v) in
-    if xv.parent = v && not xv.dead then acc := v :: !acc
-  done;
-  !acc
 
 let to_graph t =
   let g = Graph.create ~radix:t.m_radix () in
@@ -613,11 +691,9 @@ let to_graph t =
   let base v = Option.value ~default:0 (Hashtbl.find_opt base_of v) in
   List.iter
     (fun e ->
-      if not e.e_dead then begin
-        let na = Hashtbl.find node_of e.ea and nb = Hashtbl.find node_of e.eb in
-        Graph.connect g (na, e.ia - base e.ea) (nb, e.ib - base e.eb)
-      end)
-    t.all_edges;
+      let na = Hashtbl.find node_of e.ea and nb = Hashtbl.find node_of e.eb in
+      Graph.connect g (na, e.ia - base e.ea) (nb, e.ib - base e.eb))
+    (live_edge_list t);
   g
 
 let check_invariants t =
@@ -642,22 +718,22 @@ let check_invariants t =
               l)
           xv.slots)
       (live_canonicals t);
+    (* Edges are found through their [ea] slot, so a live edge missing
+       from it shows up as a counter mismatch. *)
     let live_count = ref 0 in
     List.iter
       (fun e ->
-        if not e.e_dead then begin
-          incr live_count;
-          let check_end (v, i) =
-            let xv = vertex t v in
-            if xv.parent <> v then fail "edge %d endpoint %d not canonical" e.eid v;
-            if xv.dead then fail "edge %d endpoint %d is dead" e.eid v;
-            if not (List.memq e (slot_get xv i)) then
-              fail "edge %d missing from slot (%d,%d)" e.eid v i
-          in
-          check_end (e.ea, e.ia);
-          check_end (e.eb, e.ib)
-        end)
-      t.all_edges;
+        incr live_count;
+        let check_end (v, i) =
+          let xv = vertex t v in
+          if xv.parent <> v then fail "edge %d endpoint %d not canonical" e.eid v;
+          if xv.dead then fail "edge %d endpoint %d is dead" e.eid v;
+          if not (List.memq e (slot_get xv i)) then
+            fail "edge %d missing from slot (%d,%d)" e.eid v i
+        in
+        check_end (e.ea, e.ia);
+        check_end (e.eb, e.ib))
+      (live_edge_list t);
     if !live_count <> t.n_edges_live then
       fail "live edge counter %d vs actual %d" t.n_edges_live !live_count;
     if List.length (live_canonicals t) <> t.n_verts_live then

@@ -51,13 +51,16 @@ val radix : t -> int
 
 (** {1 Growth} *)
 
-val add_switch_vertex : t -> parent:vid -> turn:int -> probe:San_simnet.Route.t -> vid
+val add_switch_vertex :
+  t -> parent:vid -> turn:int -> rev_probe:San_simnet.Route.t -> vid
 (** Record a successful switch-probe: a fresh switch vertex joined to
-    [(parent, turn)]. Runs any merge deductions the new edge enables
-    (a slot conflict at the parent). *)
+    [(parent, turn)]. [rev_probe] is the probe that found it, last turn
+    first — normally [turn :: rev_probe t parent], so a child shares
+    its parent's route and keeps one cell of its own. Runs any merge
+    deductions the new edge enables (a slot conflict at the parent). *)
 
 val add_host_vertex :
-  t -> parent:vid -> turn:int -> probe:San_simnet.Route.t -> name:string -> vid
+  t -> parent:vid -> turn:int -> rev_probe:San_simnet.Route.t -> name:string -> vid
 (** Record a successful host-probe. If a host vertex with this name
     already exists the two are unified (hosts are unique), and the
     merge loop runs to stabilisation — identity information propagates
@@ -75,7 +78,14 @@ val frame_shift : t -> vid -> int
 
 val kind : t -> vid -> vkind
 val probe_string : t -> vid -> San_simnet.Route.t
-(** The probe that created this particular vertex (not its class). *)
+(** The probe that created this particular vertex (not its class),
+    first turn first. Builds a fresh list. *)
+
+val rev_probe : t -> vid -> San_simnet.Route.t
+(** The stored creating probe, last turn first; shared, not copied. *)
+
+val probe_length : t -> vid -> int
+(** Length of the creating probe, in constant time. *)
 
 val is_explored : t -> vid -> bool
 (** Whether any member of the class has been explored. *)
@@ -107,6 +117,11 @@ val offset_window : t -> vid -> int * int
 (** Feasible range of the class's actual entry port (the paper's
     §3.3.3 heuristic state): every known slot [i] implies the offset
     lies in [[-i, radix-1-i]]. *)
+
+val window_admits : t -> vid -> slot:int -> bool
+(** Whether some offset in the class's {!offset_window} puts canonical
+    [slot] on a real port ([0 <= offset + slot < radix]). Allocates
+    nothing, unlike {!offset_window}. *)
 
 val degree : t -> vid -> int
 (** Live edges incident to the class (a same-switch edge counts once). *)

@@ -2,10 +2,7 @@ let turn_order ~radix =
   List.concat (List.init (radix - 1) (fun i -> [ i + 1; -(i + 1) ]))
 
 let provably_illegal model v ~turn =
-  let lo, hi = Model.offset_window model v in
-  let slot = Model.turn_slot model v turn in
-  (* Feasible iff some offset o in [lo, hi] has 0 <= o + slot < radix. *)
-  lo + slot > Model.radix model - 1 || hi + slot < 0
+  not (Model.window_admits model v ~slot:(Model.turn_slot model v turn))
 
 let already_known model v ~turn =
   Model.slot_occupied model v (Model.turn_slot model v turn)

@@ -27,17 +27,20 @@ let splice model turns consumed name =
   (* The root switch's frame 0 is its port towards the mapper host. *)
   let v = ref (Model.root_switch model) in
   let entry = ref 0 in
+  (* The coupon prefix walked so far, last turn first. *)
+  let rev_prefix = ref [] in
   let class_slot turn = Model.turn_slot model !v (!entry + turn) in
   for i = 0 to consumed - 2 do
     let turn = arr.(i) in
+    rev_prefix := turn :: !rev_prefix;
     match Model.neighbor_end_via model !v ~slot:(class_slot turn) with
     | Some (w, wslot) ->
       v := w;
       entry := wslot
     | None ->
-      let probe = Array.to_list (Array.sub arr 0 (i + 1)) in
       let w =
-        Model.add_switch_vertex model ~parent:!v ~turn:(!entry + turn) ~probe
+        Model.add_switch_vertex model ~parent:!v ~turn:(!entry + turn)
+          ~rev_probe:!rev_prefix
       in
       fresh := w :: !fresh;
       v := w;
@@ -48,10 +51,9 @@ let splice model turns consumed name =
     match Model.neighbor_end_via model !v ~slot:(class_slot final) with
     | Some _ -> ()
     | None ->
-      let probe = Array.to_list (Array.sub arr 0 consumed) in
       ignore
-        (Model.add_host_vertex model ~parent:!v ~turn:(!entry + final) ~probe
-           ~name)
+        (Model.add_host_vertex model ~parent:!v ~turn:(!entry + final)
+           ~rev_probe:(final :: !rev_prefix) ~name)
   end;
   List.rev !fresh
 

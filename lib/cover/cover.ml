@@ -289,12 +289,12 @@ let run ?(policy = Berkeley.faithful) ?(depth = Berkeley.Oracle)
     let shortest_path members =
       List.fold_left
         (fun best v ->
-          let p = Model.probe_string model v in
           match best with
-          | Some b when List.length b <= List.length p -> best
-          | _ -> Some p)
+          | Some b when Model.probe_length model b <= Model.probe_length model v ->
+            best
+          | _ -> Some v)
         None members
-      |> Option.value ~default:[]
+      |> Option.fold ~none:[] ~some:(Model.probe_string model)
     in
     let class_list =
       Hashtbl.fold (fun c members acc -> (c, List.sort compare members) :: acc)

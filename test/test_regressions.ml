@@ -34,8 +34,8 @@ let test_neighbor_end_via_is_merge_stable () =
      the far vertex's class is re-framed by a later merge. *)
   let m = Model.create ~mapper_name:"root" ~radix:8 in
   let s = Model.root_switch m in
-  let a = Model.add_switch_vertex m ~parent:s ~turn:1 ~probe:[ 1 ] in
-  let b = Model.add_switch_vertex m ~parent:s ~turn:2 ~probe:[ 2 ] in
+  let a = Model.add_switch_vertex m ~parent:s ~turn:1 ~rev_probe:[ 1 ] in
+  let b = Model.add_switch_vertex m ~parent:s ~turn:2 ~rev_probe:[ 2 ] in
   (* Look across s's slot 1 before any merging. *)
   let far, far_rel =
     Option.get (Model.neighbor_end_via m s ~slot:(Model.turn_slot m s 1))
@@ -43,8 +43,8 @@ let test_neighbor_end_via_is_merge_stable () =
   Alcotest.(check int) "far vertex is a" (Model.canonical m a) (Model.canonical m far);
   (* Now merge a and b (replicates seen through a shared host at
      offset-consistent turns), re-framing one of them. *)
-  ignore (Model.add_host_vertex m ~parent:a ~turn:1 ~probe:[ 1; 1 ] ~name:"h");
-  ignore (Model.add_host_vertex m ~parent:b ~turn:3 ~probe:[ 2; 3 ] ~name:"h");
+  ignore (Model.add_host_vertex m ~parent:a ~turn:1 ~rev_probe:[ 1; 1 ] ~name:"h");
+  ignore (Model.add_host_vertex m ~parent:b ~turn:3 ~rev_probe:[ 3; 2 ] ~name:"h");
   Alcotest.(check int) "a and b merged" (Model.canonical m a) (Model.canonical m b);
   (* The stored (far, far_rel) still addresses the edge to s. *)
   let slot_now = far_rel + Model.frame_shift m far in
