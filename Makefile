@@ -127,14 +127,21 @@ explain-smoke:
 	test -s _artifacts/why-C-leaf0.dot
 
 # The telemetry stack end to end: health dashboard with a link cut,
-# exporting a Chrome trace and a Prometheus exposition file. Outputs
-# land under _artifacts/ (gitignored) with the other smoke artifacts.
+# exporting a Chrome trace and a Prometheus exposition file, then a
+# seeded daemon run with the same cut whose per-epoch output must show
+# the coverage alert raised at the cut epoch and cleared at the next.
+# Outputs land under _artifacts/ (gitignored) with the other smoke
+# artifacts.
 health-smoke:
 	mkdir -p _artifacts
 	dune exec bin/san_map.exe -- health -t star:3 --epochs 2 --schedule 1:cut \
 	  --chrome-trace _artifacts/smoke_trace.json \
 	  --prom _artifacts/smoke_metrics.prom
 	test -s _artifacts/smoke_trace.json && test -s _artifacts/smoke_metrics.prom
+	dune exec bin/san_map.exe -- daemon -t star:3 --epochs 3 --seed 1 \
+	  --schedule 1:cut --out-dir "" > _artifacts/smoke_daemon.txt
+	grep -q 'alert raised: coverage (epoch 1)' _artifacts/smoke_daemon.txt
+	grep -q 'alert cleared: coverage (epoch 2)' _artifacts/smoke_daemon.txt
 
 # The reproduction record: full test log and full harness output.
 artifacts:

@@ -1302,7 +1302,7 @@ let load_matrix_section () =
       let schedule = Result.get_ok (Schedule.parse script) in
       List.iter
         (fun offered ->
-          let converge = San_slo.Digest.create () in
+          let converge = San_obs.Digest.create () in
           let drops = ref [] in
           let degraded = ref 0 in
           let unexplained = ref 0 in
@@ -1344,7 +1344,7 @@ let load_matrix_section () =
             | Ok o ->
               List.iter
                 (fun (i : Daemon.incident) ->
-                  San_slo.Digest.add converge i.Daemon.converge_ns)
+                  San_obs.Digest.add converge i.Daemon.converge_ns)
                 o.Daemon.incidents;
               List.iter
                 (fun (r : Daemon.epoch_report) ->
@@ -1357,13 +1357,13 @@ let load_matrix_section () =
               unexplained := !unexplained + u
           done;
           if !unexplained > 0 then gate_failed := true;
-          let q p = San_slo.Digest.quantile converge p /. 1e6 in
+          let q p = San_obs.Digest.quantile converge p /. 1e6 in
           let drop95 = San_util.Summary.percentile !drops 0.95 in
           T.add_row t
             [
               fname;
               Printf.sprintf "%.1f" offered;
-              string_of_int (San_slo.Digest.count converge);
+              string_of_int (San_obs.Digest.count converge);
               string_of_int !degraded;
               Printf.sprintf "%.0f" (q 0.5);
               Printf.sprintf "%.0f" (q 0.95);
@@ -1375,7 +1375,7 @@ let load_matrix_section () =
           csv_rows :=
             [
               fname; Printf.sprintf "%.2f" offered;
-              string_of_int (San_slo.Digest.count converge);
+              string_of_int (San_obs.Digest.count converge);
               string_of_int !degraded;
               Printf.sprintf "%.3f" (q 0.5); Printf.sprintf "%.3f" (q 0.95);
               Printf.sprintf "%.3f" (q 0.99); Printf.sprintf "%.4f" drop95;
@@ -1388,14 +1388,14 @@ let load_matrix_section () =
                   ("faults", J.Str fname);
                   ("offered", J.Num offered);
                   ("seeds", J.int seeds);
-                  ("incidents", J.int (San_slo.Digest.count converge));
+                  ("incidents", J.int (San_obs.Digest.count converge));
                   ("degraded_epochs", J.int !degraded);
                   ("unexplained_degraded", J.int !unexplained);
-                  ("converge_p50_ns", J.Num (San_slo.Digest.quantile converge 0.5));
-                  ("converge_p95_ns", J.Num (San_slo.Digest.quantile converge 0.95));
-                  ("converge_p99_ns", J.Num (San_slo.Digest.quantile converge 0.99));
+                  ("converge_p50_ns", J.Num (San_obs.Digest.quantile converge 0.5));
+                  ("converge_p95_ns", J.Num (San_obs.Digest.quantile converge 0.95));
+                  ("converge_p99_ns", J.Num (San_obs.Digest.quantile converge 0.99));
                   ("drop_p95", J.Num drop95);
-                  ("digest", San_slo.Digest.to_json converge);
+                  ("digest", San_obs.Digest.to_json converge);
                 ] )
             :: !entries)
         loads)
@@ -2078,7 +2078,7 @@ let serving_section () =
   let baseline_table = San_routing.Routes.compute g in
   let s_before, rep = storm baseline_table in
   let p99_before = occupied_p99 s_before in
-  let drop_ns = San_slo.Digest.quantile rep.San_slo.Load.r_latency 0.5 in
+  let drop_ns = San_obs.Digest.quantile rep.San_slo.Load.r_latency 0.5 in
   let prefer u v =
     List.fold_left
       (fun acc (port, (w, _)) ->

@@ -1209,11 +1209,15 @@ let pp_epoch_report (r : San_service.Daemon.epoch_report) =
       l.San_slo.Load.r_offered l.San_slo.Load.r_injected
       l.San_slo.Load.r_drop_rate l.San_slo.Load.r_loss_per_crossing);
   List.iter
-    (fun a -> Format.printf "           ! slo raised: %s@." a)
-    r.Daemon.slo_raised;
+    (fun a ->
+      Format.printf "           ! alert raised: %s (epoch %d)@." a
+        r.Daemon.epoch)
+    r.Daemon.alerts_raised;
   List.iter
-    (fun a -> Format.printf "           . slo cleared: %s@." a)
-    r.Daemon.slo_cleared
+    (fun a ->
+      Format.printf "           . alert cleared: %s (epoch %d)@." a
+        r.Daemon.epoch)
+    r.Daemon.alerts_cleared
 
 let run_daemon spec seed epochs schedule scenario load lpat slo retries shards
     quiet out_dir trace metrics chrome prom =
@@ -1288,13 +1292,17 @@ let link_name g ((a, pa), (b, pb)) =
 
 let print_dashboard spec schedule (o : San_service.Daemon.outcome) fabric =
   let open San_service in
-  let module H = San_telemetry.Health in
-  let h = o.Daemon.health in
+  let module Slo = San_slo.Slo in
+  let sampled =
+    List.filter_map
+      (fun (r : Daemon.epoch_report) ->
+        Option.map (fun s -> (r, s)) r.Daemon.sample)
+      o.Daemon.reports
+  in
   let spark name f unit_ =
-    let series = List.map f h.H.r_samples in
-    match series with
+    match List.map f sampled with
     | [] -> ()
-    | _ ->
+    | series ->
       let last = List.nth series (List.length series - 1) in
       Format.printf "  %-12s %s  last %.2f%s@." name
         (San_util.Tablefmt.sparkline ~width:60 series)
@@ -1303,51 +1311,51 @@ let print_dashboard spec schedule (o : San_service.Daemon.outcome) fabric =
   Format.printf "fabric health: %s over %d epochs%s@." spec
     (List.length o.Daemon.reports)
     (if schedule = "" then "" else Printf.sprintf " (schedule %s)" schedule);
-  spark "coverage" (fun s -> s.H.coverage) "";
-  spark "drop rate" (fun s -> s.H.probe_drop_rate) "";
-  spark "delta bytes" (fun s -> float_of_int s.H.delta_bytes) " B";
-  spark "epoch ms" (fun s -> s.H.epoch_ms) " ms";
-  (match h.H.r_history with
-  | [] -> Format.printf "alerts: none@."
-  | alerts ->
-    let t =
-      San_util.Tablefmt.create
-        ~header:[ "alert"; "metric"; "raised"; "cleared"; "worst" ]
-    in
-    List.iter
-      (fun (a : H.alert) ->
+  spark "coverage" (fun (_, s) -> s.Slo.s_coverage) "";
+  spark "drop rate" (fun (_, s) -> s.Slo.s_probe_drop_rate) "";
+  spark "delta bytes"
+    (fun (r, _) ->
+      match r.Daemon.dist with
+      | Some d -> float_of_int d.Delta.sent_bytes
+      | None -> 0.0)
+    " B";
+  spark "epoch sim ms" (fun (_, s) -> s.Slo.s_epoch_ns /. 1e6) " ms";
+  (* One row per alert an objective raised, or one row for an
+     objective that never alerted. *)
+  let t =
+    San_util.Tablefmt.create
+      ~header:
+        [ "alert"; "objective"; "burn"; "bad/eligible"; "raised"; "cleared";
+          "worst" ]
+  in
+  List.iter
+    (fun (st : Slo.status) ->
+      let row ledger =
         San_util.Tablefmt.add_row t
-          [
-            a.H.a_rule.H.rule_name;
-            H.metric_name a.H.a_rule.H.metric;
-            string_of_int a.H.raised_epoch;
-            (match a.H.cleared_epoch with
-            | Some e -> string_of_int e
-            | None -> "ACTIVE");
-            Printf.sprintf "%.3f" a.H.worst;
-          ])
-      alerts;
-    San_util.Tablefmt.print ~title:"alerts" t);
-  (match o.Daemon.slo with
-  | [] -> ()
-  | statuses ->
-    let module Slo = San_slo.Slo in
-    let t =
-      San_util.Tablefmt.create
-        ~header:[ "objective"; "burn"; "bad/eligible"; "streak"; "state" ]
-    in
-    List.iter
-      (fun (st : Slo.status) ->
-        San_util.Tablefmt.add_row t
-          [
-            Slo.to_string st.Slo.st_objective;
-            Printf.sprintf "%.2f" st.Slo.st_burn_rate;
-            Printf.sprintf "%d/%d" st.Slo.st_bad st.Slo.st_eligible;
-            string_of_int st.Slo.st_streak;
-            (if st.Slo.st_alerting then "ALERTING" else "ok");
-          ])
-      statuses;
-    San_util.Tablefmt.print ~title:"slo burn" t);
+          ([
+             st.Slo.st_objective.Slo.name;
+             Slo.to_string st.Slo.st_objective;
+             Printf.sprintf "%.2f" st.Slo.st_burn_rate;
+             Printf.sprintf "%d/%d" st.Slo.st_bad st.Slo.st_eligible;
+           ]
+          @ ledger)
+      in
+      match st.Slo.st_alerts with
+      | [] -> row [ "-"; "-"; "-" ]
+      | alerts ->
+        List.iter
+          (fun (a : Slo.alert) ->
+            row
+              [
+                string_of_int a.Slo.raised_epoch;
+                (match a.Slo.cleared_epoch with
+                | Some e -> string_of_int e
+                | None -> "ACTIVE");
+                Printf.sprintf "%.3f" a.Slo.worst;
+              ])
+          alerts)
+    o.Daemon.slo;
+  San_util.Tablefmt.print ~title:"alerts" t;
   match o.Daemon.map with
   | None -> ()
   | Some g ->
@@ -1702,7 +1710,7 @@ let run_serve spec seed queries dsts check load lpat trace metrics =
           (* A drop costs one median redelivery; occupancy and queueing
              are already nanoseconds, so the units agree. *)
           let drop_ns =
-            San_slo.Digest.quantile rep.San_slo.Load.r_latency 0.5
+            San_obs.Digest.quantile rep.San_slo.Load.r_latency 0.5
           in
           Format.printf
             "traffic: %s load %.2f — loss %.4f/crossing, drop cost %.0f ns@."

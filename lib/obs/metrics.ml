@@ -1,4 +1,4 @@
-(* A registry of named counters, gauges and log-scale histograms.
+(* A registry of named counters, gauges and histograms (named Digests).
 
    Instruments are created on first use and zeroed in place by [reset],
    so handles cached by instrumented modules stay valid across the
@@ -7,22 +7,9 @@
 type counter = { c_name : string; mutable c_value : int }
 type gauge = { g_name : string; mutable g_value : float }
 
-(* Log-scale histogram: observations are binned at geometric bucket
-   boundaries gamma^i with gamma = 2^(1/8) (~9% relative resolution),
-   the scheme DDSketch/HDR use. Non-positive observations land in a
-   dedicated zero bucket. *)
-let gamma = Float.pow 2.0 0.125
-let log_gamma = Float.log gamma
-
-type histogram = {
-  h_name : string;
-  mutable h_count : int;
-  mutable h_sum : float;
-  mutable h_min : float;
-  mutable h_max : float;
-  mutable h_zero : int;
-  h_buckets : (int, int) Hashtbl.t;
-}
+(* A histogram is a named Digest: one binning and one quantile rule
+   for the registry, shard merges and SLO windows alike. *)
+type histogram = { h_name : string; h_digest : Digest.t }
 
 type t = {
   counters : (string, counter) Hashtbl.t;
@@ -53,15 +40,7 @@ let gauge t name =
 
 let histogram t name =
   find_or t.histograms name (fun () ->
-      {
-        h_name = name;
-        h_count = 0;
-        h_sum = 0.0;
-        h_min = infinity;
-        h_max = neg_infinity;
-        h_zero = 0;
-        h_buckets = Hashtbl.create 64;
-      })
+      { h_name = name; h_digest = Digest.create () })
 
 (* Counters are monotonic: a negative increment (or a value driven
    below zero by one) is always an accounting bug upstream, so debug
@@ -86,46 +65,20 @@ let set g v = g.g_value <- v
 let gauge_value g = g.g_value
 let gauge_name g = g.g_name
 
-let bucket_of v = int_of_float (Float.floor (Float.log v /. log_gamma))
-
-let observe h v =
-  h.h_count <- h.h_count + 1;
-  h.h_sum <- h.h_sum +. v;
-  if v < h.h_min then h.h_min <- v;
-  if v > h.h_max then h.h_max <- v;
-  if v <= 0.0 then h.h_zero <- h.h_zero + 1
-  else
-    let b = bucket_of v in
-    Hashtbl.replace h.h_buckets b
-      (1 + Option.value ~default:0 (Hashtbl.find_opt h.h_buckets b))
-
-let histogram_count h = h.h_count
+let observe h v = Digest.add h.h_digest v
+let histogram_count h = Digest.count h.h_digest
 let histogram_name h = h.h_name
+let digest h = h.h_digest
 
 let reset t =
   Hashtbl.iter (fun _ c -> c.c_value <- 0) t.counters;
   Hashtbl.iter (fun _ g -> g.g_value <- 0.0) t.gauges;
-  Hashtbl.iter
-    (fun _ h ->
-      h.h_count <- 0;
-      h.h_sum <- 0.0;
-      h.h_min <- infinity;
-      h.h_max <- neg_infinity;
-      h.h_zero <- 0;
-      Hashtbl.reset h.h_buckets)
-    t.histograms
+  Hashtbl.iter (fun _ h -> Digest.clear h.h_digest) t.histograms
 
 (* ------------------------------------------------------------------ *)
 (* Snapshots                                                           *)
 
-type hist_snapshot = {
-  hs_count : int;
-  hs_sum : float;
-  hs_min : float;
-  hs_max : float;
-  hs_zero : int;
-  hs_buckets : (int * int) list; (* sorted by bucket index *)
-}
+type hist_snapshot = Digest.t
 
 type snapshot = {
   s_counters : (string * int) list;
@@ -142,54 +95,23 @@ let snapshot t =
     s_counters = sorted_bindings t.counters (fun c -> c.c_value);
     s_gauges = sorted_bindings t.gauges (fun g -> g.g_value);
     s_histograms =
-      sorted_bindings t.histograms (fun h ->
-          {
-            hs_count = h.h_count;
-            hs_sum = h.h_sum;
-            hs_min = h.h_min;
-            hs_max = h.h_max;
-            hs_zero = h.h_zero;
-            hs_buckets =
-              Hashtbl.fold (fun b n acc -> (b, n) :: acc) h.h_buckets []
-              |> List.sort compare;
-          });
+      sorted_bindings t.histograms (fun h -> Digest.copy h.h_digest);
   }
 
 (* [diff ~before ~after]: activity between two snapshots of the same
-   registry. Counters and histogram populations subtract; gauges keep
-   the later value; a histogram's min/max are taken from [after] (the
-   window extremes are not recoverable from summaries).
-
-   Instruments restart when [reset] runs mid-window, and a restarted
-   instrument must not subtract: the after-side population IS the
-   window's activity. The telltale is any count going backwards —
-   a counter below its before value, or a histogram whose total, zero
-   bucket or any individual bucket shrank (the "only new buckets
-   appeared" window: the old population vanished with the reset, so
-   naive subtraction reported negative counts against a bucket list
-   holding only the new bins). *)
+   registry. Counters subtract and histograms take [Digest.diff];
+   gauges keep the later value. An instrument that [reset] restarted
+   mid-window must not subtract — its after-side value IS the window's
+   activity — so a counter that went backwards adopts its after value,
+   as [Digest.diff] does for a histogram whose counts shrank. *)
 let diff ~before ~after =
-  let base assoc name = Option.value ~default:0 (List.assoc_opt name assoc) in
-  let sub_buckets older newer =
-    List.filter_map
-      (fun (b, n) ->
-        let d = n - Option.value ~default:0 (List.assoc_opt b older) in
-        if d > 0 then Some (b, d) else None)
-      newer
-  in
-  let restarted h0 h =
-    h.hs_count < h0.hs_count
-    || h.hs_zero < h0.hs_zero
-    || List.exists
-         (fun (b, n0) ->
-           Option.value ~default:0 (List.assoc_opt b h.hs_buckets) < n0)
-         h0.hs_buckets
-  in
   {
     s_counters =
       List.map
         (fun (name, v) ->
-          let d = v - base before.s_counters name in
+          let d =
+            v - Option.value ~default:0 (List.assoc_opt name before.s_counters)
+          in
           (name, if d < 0 then v else d))
         after.s_counters;
     s_gauges = after.s_gauges;
@@ -198,57 +120,9 @@ let diff ~before ~after =
         (fun (name, h) ->
           match List.assoc_opt name before.s_histograms with
           | None -> (name, h)
-          | Some h0 when restarted h0 h -> (name, h)
-          | Some h0 ->
-            ( name,
-              {
-                hs_count = h.hs_count - h0.hs_count;
-                hs_sum = h.hs_sum -. h0.hs_sum;
-                hs_min = h.hs_min;
-                hs_max = h.hs_max;
-                hs_zero = h.hs_zero - h0.hs_zero;
-                hs_buckets = sub_buckets h0.hs_buckets h.hs_buckets;
-              } ))
+          | Some h0 -> (name, Digest.diff ~before:h0 ~after:h))
         after.s_histograms;
   }
-
-(* Quantile by cumulative walk over the zero bucket then the sorted
-   log buckets; a bucket answers with its geometric midpoint, clamped
-   to the observed extremes. *)
-let quantile_of hs q =
-  if hs.hs_count = 0 then 0.0
-  else begin
-    let rank =
-      max 1 (int_of_float (Float.ceil (q *. float_of_int hs.hs_count)))
-    in
-    if rank <= hs.hs_zero then 0.0
-    else begin
-      let rec walk seen = function
-        | [] -> hs.hs_max
-        | (b, n) :: rest ->
-          let seen = seen + n in
-          if seen >= rank then
-            Float.pow gamma (float_of_int b +. 0.5)
-          else walk seen rest
-      in
-      let v = walk hs.hs_zero hs.hs_buckets in
-      Float.min hs.hs_max (Float.max hs.hs_min v)
-    end
-  end
-
-let quantile h q =
-  quantile_of
-    {
-      hs_count = h.h_count;
-      hs_sum = h.h_sum;
-      hs_min = h.h_min;
-      hs_max = h.h_max;
-      hs_zero = h.h_zero;
-      hs_buckets =
-        Hashtbl.fold (fun b n acc -> (b, n) :: acc) h.h_buckets []
-        |> List.sort compare;
-    }
-    q
 
 let counter_in snap name = List.assoc_opt name snap.s_counters
 let gauge_in snap name = List.assoc_opt name snap.s_gauges
@@ -263,13 +137,13 @@ let to_json snap =
     ( name,
       J.Obj
         [
-          ("count", J.int hs.hs_count);
-          ("sum", J.Num hs.hs_sum);
-          ("min", J.Num (if hs.hs_count = 0 then 0.0 else hs.hs_min));
-          ("max", J.Num (if hs.hs_count = 0 then 0.0 else hs.hs_max));
-          ("p50", J.Num (quantile_of hs 0.50));
-          ("p90", J.Num (quantile_of hs 0.90));
-          ("p99", J.Num (quantile_of hs 0.99));
+          ("count", J.int (Digest.count hs));
+          ("sum", J.Num (Digest.sum hs));
+          ("min", J.Num (if Digest.is_empty hs then 0.0 else Digest.min hs));
+          ("max", J.Num (if Digest.is_empty hs then 0.0 else Digest.max hs));
+          ("p50", J.Num (Digest.quantile hs 0.50));
+          ("p90", J.Num (Digest.quantile hs 0.90));
+          ("p99", J.Num (Digest.quantile hs 0.99));
         ] )
   in
   J.Obj
@@ -289,7 +163,7 @@ let pp ppf snap =
     snap.s_gauges;
   List.iter
     (fun (n, hs) ->
-      Format.fprintf ppf "%s: n=%d sum=%g p50=%g p90=%g p99=%g@." n hs.hs_count
-        hs.hs_sum (quantile_of hs 0.50) (quantile_of hs 0.90)
-        (quantile_of hs 0.99))
+      Format.fprintf ppf "%s: n=%d sum=%g p50=%g p90=%g p99=%g@." n
+        (Digest.count hs) (Digest.sum hs) (Digest.quantile hs 0.50)
+        (Digest.quantile hs 0.90) (Digest.quantile hs 0.99))
     snap.s_histograms

@@ -1,10 +1,11 @@
-(** Named counters, gauges and log-scale histograms.
+(** Named counters, gauges and histograms.
 
     The mapping experiments are accounting experiments — probe counts,
     hit ratios, latency distributions — so the registry is the shared
     vocabulary every layer reports into. Instruments are created on
     first use; [reset] zeroes values in place, keeping cached handles
-    valid across per-run resets. *)
+    valid across per-run resets. A histogram is a named {!Digest}, so
+    its binning, quantiles and exact merges are the digest's. *)
 
 type t
 (** A registry. *)
@@ -39,31 +40,21 @@ val gauge_value : gauge -> float
 val gauge_name : gauge -> string
 
 val observe : histogram -> float -> unit
-(** Record one observation. Non-positive values go to a dedicated zero
-    bucket; positive values are binned at geometric boundaries
-    [2^(i/8)] (~9% relative resolution). *)
+(** Record one observation ({!Digest.add}). *)
 
 val histogram_count : histogram -> int
 val histogram_name : histogram -> string
 
-val quantile : histogram -> float -> float
-(** [quantile h q] for [q] in [0,1]: the geometric midpoint of the
-    bucket holding the rank-[q] observation, clamped to the observed
-    min/max. 0 when the histogram is empty. *)
+val digest : histogram -> Digest.t
+(** The live digest behind the histogram. *)
 
 val reset : t -> unit
 (** Zero every instrument in place (handles remain valid). *)
 
 (** {1 Snapshots} *)
 
-type hist_snapshot = {
-  hs_count : int;
-  hs_sum : float;
-  hs_min : float;
-  hs_max : float;
-  hs_zero : int;
-  hs_buckets : (int * int) list;
-}
+type hist_snapshot = Digest.t
+(** A copy taken at snapshot time; nothing mutates it. *)
 
 type snapshot = {
   s_counters : (string * int) list;
@@ -75,19 +66,12 @@ val snapshot : t -> snapshot
 (** An immutable view, name-sorted. *)
 
 val diff : before:snapshot -> after:snapshot -> snapshot
-(** Activity between two snapshots of the same registry: counters and
-    histogram populations subtract, gauges keep the later value, and a
-    histogram's min/max come from [after] (window extremes are not
-    recoverable from summaries).
-
-    An instrument that restarted mid-window (a {!reset} between the
-    snapshots: its counter went backwards, or a histogram's total,
-    zero bucket or any individual bucket shrank) is reported as its
-    [after] state wholesale — everything since the reset is the
-    window's activity — so deltas are never negative even when the
-    window holds only new buckets. *)
-
-val quantile_of : hist_snapshot -> float -> float
+(** Activity between two snapshots of the same registry: counters
+    subtract, histograms take {!Digest.diff}, gauges keep the later
+    value. An instrument that restarted mid-window (a {!reset} between
+    the snapshots: its counter went backwards, or a histogram's counts
+    shrank) is reported as its [after] state wholesale, so deltas are
+    never negative. *)
 
 val counter_in : snapshot -> string -> int option
 val gauge_in : snapshot -> string -> float option

@@ -43,11 +43,9 @@ type epoch_report = {
   hosts_total : int;
   hosts_covered : int;
   epoch_ns : float;
-  health : San_telemetry.Health.sample option;
+  sample : San_slo.Slo.sample option;
   alerts_raised : string list;
   alerts_cleared : string list;
-  slo_raised : string list;
-  slo_cleared : string list;
 }
 
 type outcome = {
@@ -60,7 +58,6 @@ type outcome = {
   total_probes : int;
   delta_bytes : int;
   full_bytes : int;
-  health : San_telemetry.Health.report;
   slo : San_slo.Slo.status list;
 }
 
@@ -115,7 +112,7 @@ let run ?(config = default_config) ?(schedule = Schedule.empty)
        the schedule cuts (and vice versa). *)
     let load_rng = San_util.Prng.create (config.seed lxor 0x10AD) in
     let traffic_rng = San_util.Prng.create (config.seed lxor 0x7AFF1C) in
-    let slo = San_slo.Slo.create config.slos in
+    let slo = San_slo.Slo.create (San_slo.Slo.health @ config.slos) in
     (* Cumulative simulated clock for the phase timeline: epochs abut,
        each epoch's detect/verify/remap/distribute spans laid end to
        end. *)
@@ -134,7 +131,6 @@ let run ?(config = default_config) ?(schedule = Schedule.empty)
         incident_acc = 0.0;
       }
     in
-    let health = San_telemetry.Health.create () in
     let reports = ref [] in
     let incidents = ref [] in
     let remaps = ref 0 in
@@ -427,11 +423,11 @@ let run ?(config = default_config) ?(schedule = Schedule.empty)
         San_obs.Obs.set_gauge "daemon.coverage"
           (float_of_int hosts_covered /. float_of_int hosts_total);
       if st.phase = Degraded then San_obs.Obs.count "daemon.degraded_epochs";
-      (* Fabric health: one sample per steady-state epoch. Cold start
-         is skipped on purpose — the bootstrap ships every slice by
+      (* One alert sample per steady-state epoch. Cold start is
+         skipped on purpose — the bootstrap ships every slice by
          definition, and alerting on it would make every run open with
          a spurious incident. *)
-      let health_sample, alerts_raised, alerts_cleared =
+      let sample, alerts_raised, alerts_cleared =
         match !verdict with
         | Cold_start -> (None, [], [])
         | _ ->
@@ -465,32 +461,6 @@ let run ?(config = default_config) ?(schedule = Schedule.empty)
           in
           let sample =
             {
-              San_telemetry.Health.epoch = e;
-              coverage;
-              convergence_epochs =
-                (match st.incident_start with
-                | Some d -> e - d + 1
-                | None -> 0);
-              delta_bytes =
-                (match !dist_report with
-                | Some rep -> rep.Delta.sent_bytes
-                | None -> 0);
-              missed_slices;
-              probe_drop_rate;
-              epoch_ms = epoch_ns /. 1e6;
-            }
-          in
-          let raised, cleared = San_telemetry.Health.observe health sample in
-          (Some sample, raised, cleared)
-      in
-      (* SLOs watch the same steady-state epochs as health: a cold
-         start has no contract to breach. *)
-      let slo_raised, slo_cleared =
-        match (!verdict, health_sample) with
-        | Cold_start, _ | _, None -> ([], [])
-        | _, Some hs ->
-          San_slo.Slo.observe slo
-            {
               San_slo.Slo.s_epoch = e;
               s_load =
                 (match !load_report with
@@ -501,9 +471,18 @@ let run ?(config = default_config) ?(schedule = Schedule.empty)
               s_drop_rate =
                 (match !load_report with
                 | Some r -> r.San_slo.Load.r_drop_rate
-                | None -> hs.San_telemetry.Health.probe_drop_rate);
-              s_coverage = hs.San_telemetry.Health.coverage;
+                | None -> probe_drop_rate);
+              s_coverage = coverage;
+              s_convergence_epochs =
+                (match st.incident_start with
+                | Some d -> e - d + 1
+                | None -> 0);
+              s_missed_slices = missed_slices;
+              s_probe_drop_rate = probe_drop_rate;
             }
+          in
+          let raised, cleared = San_slo.Slo.observe slo sample in
+          (Some sample, raised, cleared)
       in
       let report =
         {
@@ -522,11 +501,9 @@ let run ?(config = default_config) ?(schedule = Schedule.empty)
           hosts_total;
           hosts_covered;
           epoch_ns;
-          health = health_sample;
+          sample;
           alerts_raised;
           alerts_cleared;
-          slo_raised;
-          slo_cleared;
         }
       in
       San_obs.Obs.emit
@@ -558,7 +535,6 @@ let run ?(config = default_config) ?(schedule = Schedule.empty)
         total_probes = !total_probes;
         delta_bytes = !delta_bytes;
         full_bytes = !full_bytes;
-        health = San_telemetry.Health.report health;
         slo = San_slo.Slo.status slo;
       }
   end

@@ -24,11 +24,12 @@
     ["daemon.converge_ns"] histogram of the global registry.
 
     Every non-cold-start epoch additionally feeds one
-    {!San_telemetry.Health.sample} (coverage, convergence,
-    distribution bytes, missed slices, drop rate) into a sliding
-    health window whose rules raise and clear typed alerts —
-    {!San_obs.Trace.Alert_raised} / [Alert_cleared] trace events plus
-    the [health] blocks of the reports below. *)
+    {!San_slo.Slo.sample} (coverage, convergence, missed slices, drop
+    rates, simulated epoch time) into one alert tracker holding the
+    fabric-health rules ({!San_slo.Slo.health}) followed by the
+    configured SLOs. Its alerts raise and clear as
+    {!San_obs.Trace.Alert_raised} / [Alert_cleared] trace events and
+    show in the reports below. *)
 
 open San_topology
 
@@ -73,12 +74,11 @@ type epoch_report = {
   hosts_total : int;  (** hosts in the daemon's current map *)
   hosts_covered : int;  (** hosts whose installed slice is current *)
   epoch_ns : float;  (** simulated work this epoch *)
-  health : San_telemetry.Health.sample option;
-      (** [None] only for cold-start epochs, which are not anomalies *)
-  alerts_raised : string list;  (** health rules that raised this epoch *)
+  sample : San_slo.Slo.sample option;
+      (** what the alert tracker saw; [None] only for cold-start
+          epochs, which are not anomalies *)
+  alerts_raised : string list;  (** objectives that raised this epoch *)
   alerts_cleared : string list;
-  slo_raised : string list;  (** SLO burn alerts raised this epoch *)
-  slo_cleared : string list;
 }
 
 type outcome = {
@@ -93,11 +93,9 @@ type outcome = {
   full_bytes : int;
       (** what shipping full slices on every distribution would have
           cost — the delta savings baseline *)
-  health : San_telemetry.Health.report;
-      (** the health window at exit: per-epoch samples, active alerts
-          and the full alert history ({!San_telemetry.Health}) *)
   slo : San_slo.Slo.status list;
-      (** burn-rate status of every configured objective at exit *)
+      (** every tracked objective at exit — the health rules, then the
+          configured SLOs — with its burn rate and alert ledger *)
 }
 
 type config = {
@@ -125,8 +123,8 @@ type config = {
           feeds the epoch's probe {!San_simnet.Network} — verification
           and remapping genuinely contend with the traffic *)
   slos : San_slo.Slo.objective list;
-      (** convergence SLOs tracked over steady-state epochs; burn-rate
-          alerts ride the same trace-event stream as health alerts *)
+      (** convergence SLOs tracked over steady-state epochs, after the
+          health rules in the same tracker *)
 }
 
 val default_config : config

@@ -16,7 +16,7 @@ type shard_report = {
   s_elapsed_ns : float;
   s_map_nodes : int;
   s_stale : bool;
-  s_probe_cost : San_slo.Digest.t;
+  s_probe_cost : San_obs.Digest.t;
 }
 
 type result = {
@@ -31,7 +31,7 @@ type result = {
   sum_ns : float;
   merge_ns : float;
   coordinator : string;
-  probe_cost : San_slo.Digest.t;
+  probe_cost : San_obs.Digest.t;
       (** the shards' probe-cost digests merged — composition is exact,
           so this equals the digest of the whole run's probe costs *)
 }
@@ -92,8 +92,8 @@ let probe_cost_digest ~before =
   let after = San_obs.Metrics.snapshot Obs.registry in
   let window = San_obs.Metrics.diff ~before ~after in
   match San_obs.Metrics.histogram_in window "net.probe_cost_ns" with
-  | Some hs -> San_slo.Digest.of_hist_snapshot hs
-  | None -> San_slo.Digest.create ()
+  | Some hs -> hs
+  | None -> San_obs.Digest.create ()
 
 let run ?(seed = 0) ?root ?mappers ?responding ?policy ?params ?traffic
     ?(epoch = 1) ?stale g ~shards =
@@ -245,6 +245,6 @@ let run ?(seed = 0) ?root ?mappers ?responding ?policy ?params ?traffic
         merge_ns;
         coordinator;
         probe_cost =
-          San_slo.Digest.merge_all
+          San_obs.Digest.merge_all
             (List.map (fun r -> r.s_probe_cost) reports);
       }

@@ -35,7 +35,7 @@ type shard_report = {
   s_elapsed_ns : float;  (** simulated mapper time for this shard *)
   s_map_nodes : int;  (** nodes in the trimmed view; 0 = shard failed *)
   s_stale : bool;
-  s_probe_cost : San_slo.Digest.t;
+  s_probe_cost : San_obs.Digest.t;
       (** this shard's probe-cost distribution as a mergeable quantile
           digest (empty when observability is off) *)
 }
@@ -52,7 +52,7 @@ type result = {
   sum_ns : float;  (** total work across shards + merge *)
   merge_ns : float;  (** coordinator merge time (measured, in ns) *)
   coordinator : string;  (** coordinator shard's mapper host *)
-  probe_cost : San_slo.Digest.t;
+  probe_cost : San_obs.Digest.t;
       (** the per-shard digests merged: digest merge is exact, so
           fleet percentiles compose from shard percentiles without
           shipping raw samples *)

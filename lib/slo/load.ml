@@ -64,7 +64,7 @@ type report = {
   r_mean_crossings : float;
   r_drop_rate : float;
   r_loss_per_crossing : float;
-  r_latency : Digest.t;
+  r_latency : San_obs.Digest.t;
   r_sim_ns : float;
 }
 
@@ -108,7 +108,7 @@ let drive ?(rng = Prng.create 7) ?(params = San_simnet.Params.default)
       r_mean_crossings = 0.0;
       r_drop_rate = 0.0;
       r_loss_per_crossing = 0.0;
-      r_latency = Digest.create ();
+      r_latency = San_obs.Digest.create ();
       r_sim_ns = 0.0;
     }
   else begin
@@ -162,7 +162,9 @@ let drive ?(rng = Prng.create 7) ?(params = San_simnet.Params.default)
     done;
     San_simnet.Event_sim.run sim;
     let stats = San_simnet.Event_sim.stats sim in
-    let latency = Digest.of_list (San_simnet.Event_sim.latencies sim) in
+    let latency =
+      San_obs.Digest.of_list (San_simnet.Event_sim.latencies sim)
+    in
     let inj = float_of_int stats.San_simnet.Event_sim.injected in
     let mean_crossings =
       if !injected = 0 then 0.0 else float_of_int !crossings /. float_of_int !injected
@@ -227,7 +229,7 @@ let report_to_json r =
       ("mean_crossings", J.Num r.r_mean_crossings);
       ("drop_rate", J.Num r.r_drop_rate);
       ("loss_per_crossing", J.Num r.r_loss_per_crossing);
-      ("latency", Digest.to_json r.r_latency);
+      ("latency", San_obs.Digest.to_json r.r_latency);
       ("sim_ns", J.Num r.r_sim_ns);
     ]
 

@@ -44,7 +44,7 @@ type report = {
   r_drop_rate : float;
   r_loss_per_crossing : float;
       (** p such that an h-crossing worm survives with (1-p)^h *)
-  r_latency : Digest.t;  (** delivery latency digest (ns) *)
+  r_latency : San_obs.Digest.t;  (** delivery latency digest (ns) *)
   r_sim_ns : float;  (** when the last worm resolved *)
 }
 

@@ -1,28 +1,43 @@
-(* Declarative convergence SLOs with error-budget burn-rate tracking.
+(* Declarative SLOs with error-budget burn-rate tracking — the one
+   alert engine.
 
    An objective reads like the sentence an operator would write: "p99
    convergence below 200 simulated ms at offered load up to 0.3". The
    quantile fixes the error budget — p99 tolerates 1% bad epochs — and
    the tracker turns a sliding window of epoch samples into a burn
    rate: (bad fraction among eligible epochs) / budget. Burn 1.0 means
-   exactly spending the budget; sustained burn above 1.0 raises an
-   alert (Trace.Alert_raised with an "slo:" prefix, like the health
-   rules), and the first window back under 1.0 clears it. Burn rates
-   are also published as gauges, so the Prometheus exposition carries
-   [san_slo_*] series without extra plumbing.
+   exactly spending the budget; burn held at or above 1.0 for
+   [for_epochs] epochs raises an alert (Trace.Alert_raised named after
+   the objective), and the first epoch back under 1.0 clears it. Burn
+   rates are also published as gauges, so the Prometheus exposition
+   carries [san_slo_*] series without extra plumbing.
+
+   A threshold-for-N-epochs health rule is the window-1 case: burn is
+   1/budget on a breach and 0 otherwise, so the alert follows the
+   breaches exactly.
 
    Epochs louder than [max_load] are out of contract and never charged
    against the budget; convergence objectives are charged only on
    epochs that actually had an incident to converge from (an epoch
    with nothing to detect says nothing about detection speed). *)
 
-type metric = Converge_ns | Epoch_ns | Drop_rate | Coverage
+type metric =
+  | Converge_ns
+  | Epoch_ns
+  | Drop_rate
+  | Coverage
+  | Convergence_epochs
+  | Missed_slices
+  | Probe_drop_rate
 
 let metric_to_string = function
   | Converge_ns -> "converge"
   | Epoch_ns -> "epoch"
   | Drop_rate -> "drop"
   | Coverage -> "coverage"
+  | Convergence_epochs -> "convergence_epochs"
+  | Missed_slices -> "missed_slices"
+  | Probe_drop_rate -> "probe_drop_rate"
 
 let metric_of_string = function
   | "converge" | "converge_ns" -> Some Converge_ns
@@ -119,6 +134,19 @@ let defaults =
     objective ~quantile:0.95 ~metric:Coverage ~cmp:Above 0.5;
   ]
 
+(* Threshold rules over a one-epoch window (see the header): the p50
+   quantile only sets the burn of a breach to 2. *)
+let health =
+  let rule ?(for_epochs = 1) name metric cmp limit =
+    objective ~name ~quantile:0.5 ~window:1 ~for_epochs ~metric ~cmp limit
+  in
+  [
+    rule "coverage" Coverage Above 1.0;
+    rule "missed_slices" Missed_slices Below 0.0;
+    rule "slow_convergence" Convergence_epochs Below 2.0;
+    rule ~for_epochs:2 "probe_drops" Probe_drop_rate Below 0.25;
+  ]
+
 type sample = {
   s_epoch : int;
   s_load : float;  (* offered load this epoch, 0 when quiescent *)
@@ -126,7 +154,12 @@ type sample = {
   s_epoch_ns : float;
   s_drop_rate : float;
   s_coverage : float;
+  s_convergence_epochs : int;
+  s_missed_slices : int;
+  s_probe_drop_rate : float;
 }
+
+type alert = { raised_epoch : int; cleared_epoch : int option; worst : float }
 
 type status = {
   st_objective : objective;
@@ -135,19 +168,25 @@ type status = {
   st_burn_rate : float;
   st_streak : int;
   st_alerting : bool;
+  st_alerts : alert list;
 }
 
 type tracked = {
   o : objective;
-  mutable bads : bool list;  (* newest first, length <= window *)
+  mutable values : float list;  (* eligible values, newest first *)
   mutable streak : int;
-  mutable alerting : bool;
+  mutable ledger : alert list;  (* newest first; an active alert heads it *)
 }
 
 type t = { slos : tracked list }
 
 let create objectives =
-  { slos = List.map (fun o -> { o; bads = []; streak = 0; alerting = false }) objectives }
+  {
+    slos =
+      List.map
+        (fun o -> { o; values = []; streak = 0; ledger = [] })
+        objectives;
+  }
 
 let value_of o s =
   match o.metric with
@@ -155,6 +194,15 @@ let value_of o s =
   | Epoch_ns -> Some s.s_epoch_ns
   | Drop_rate -> Some s.s_drop_rate
   | Coverage -> Some s.s_coverage
+  | Convergence_epochs -> Some (float_of_int s.s_convergence_epochs)
+  | Missed_slices -> Some (float_of_int s.s_missed_slices)
+  | Probe_drop_rate -> Some s.s_probe_drop_rate
+
+let is_bad o v = match o.cmp with Below -> v > o.limit | Above -> v < o.limit
+
+(* The more extreme of two breaching values. *)
+let worse o a b =
+  match o.cmp with Below -> Float.max a b | Above -> Float.min a b
 
 let take n xs =
   let rec go n = function
@@ -164,49 +212,59 @@ let take n xs =
   go n xs
 
 let burn_of tr =
-  let eligible = List.length tr.bads in
-  let bad = List.length (List.filter Fun.id tr.bads) in
+  let eligible = List.length tr.values in
+  let bad = List.length (List.filter (is_bad tr.o) tr.values) in
   let burn =
     if eligible = 0 then 0.0
     else float_of_int bad /. float_of_int eligible /. budget tr.o
   in
   (eligible, bad, burn)
 
-let alert_name tr = "slo:" ^ tr.o.name
+(* The ledger's head, while it is still open. *)
+let active tr =
+  match tr.ledger with
+  | ({ cleared_epoch = None; _ } as a) :: older -> Some (a, older)
+  | _ -> None
 
-(* Feed one epoch; returns (raised, cleared) alert names. *)
+(* Feed one epoch; returns (raised, cleared) objective names. *)
 let observe t s =
   let raised = ref [] and cleared = ref [] in
   List.iter
     (fun tr ->
-      (if s.s_load <= tr.o.max_load then
-         match value_of tr.o s with
-         | None -> ()
-         | Some v ->
-           let bad =
-             match tr.o.cmp with Below -> v > tr.o.limit | Above -> v < tr.o.limit
-           in
-           tr.bads <- take tr.o.window (bad :: tr.bads));
+      let fresh =
+        if s.s_load <= tr.o.max_load then value_of tr.o s else None
+      in
+      Option.iter
+        (fun v -> tr.values <- take tr.o.window (v :: tr.values))
+        fresh;
       let _, _, burn = burn_of tr in
       if San_obs.Obs.on () then
         San_obs.Obs.set_gauge ("slo." ^ tr.o.name ^ ".burn_rate") burn;
-      if burn >= 1.0 && tr.bads <> [] then begin
+      let name = tr.o.name and epoch = s.s_epoch in
+      if burn >= 1.0 then begin
         tr.streak <- tr.streak + 1;
-        if (not tr.alerting) && tr.streak >= tr.o.for_epochs then begin
-          tr.alerting <- true;
-          raised := alert_name tr :: !raised;
-          San_obs.Obs.emit
-            (San_obs.Trace.Alert_raised { name = alert_name tr; epoch = s.s_epoch })
-        end
+        match (active tr, fresh) with
+        | Some (a, older), Some v when is_bad tr.o v ->
+          tr.ledger <- { a with worst = worse tr.o a.worst v } :: older
+        | Some _, _ -> ()
+        | None, _ when tr.streak >= tr.o.for_epochs ->
+          (* burn >= 1 means the window holds a breaching value *)
+          let bads = List.filter (is_bad tr.o) tr.values in
+          let worst = List.fold_left (worse tr.o) (List.hd bads) bads in
+          tr.ledger <-
+            { raised_epoch = epoch; cleared_epoch = None; worst } :: tr.ledger;
+          raised := name :: !raised;
+          San_obs.Obs.emit (San_obs.Trace.Alert_raised { name; epoch })
+        | None, _ -> ()
       end
       else begin
         tr.streak <- 0;
-        if tr.alerting then begin
-          tr.alerting <- false;
-          cleared := alert_name tr :: !cleared;
-          San_obs.Obs.emit
-            (San_obs.Trace.Alert_cleared { name = alert_name tr; epoch = s.s_epoch })
-        end
+        match active tr with
+        | Some (a, older) ->
+          tr.ledger <- { a with cleared_epoch = Some epoch } :: older;
+          cleared := name :: !cleared;
+          San_obs.Obs.emit (San_obs.Trace.Alert_cleared { name; epoch })
+        | None -> ()
       end)
     t.slos;
   (List.rev !raised, List.rev !cleared)
@@ -221,25 +279,10 @@ let status t =
         st_bad = bad;
         st_burn_rate = burn;
         st_streak = tr.streak;
-        st_alerting = tr.alerting;
+        st_alerting = active tr <> None;
+        st_alerts = List.rev tr.ledger;
       })
     t.slos
-
-let status_to_json sts =
-  let module J = San_util.Json in
-  J.Arr
-    (List.map
-       (fun st ->
-         J.Obj
-           [
-             ("slo", J.Str (to_string st.st_objective));
-             ("name", J.Str st.st_objective.name);
-             ("eligible", J.int st.st_eligible);
-             ("bad", J.int st.st_bad);
-             ("burn_rate", J.Num st.st_burn_rate);
-             ("alerting", J.Bool st.st_alerting);
-           ])
-       sts)
 
 let pp_status ppf st =
   Format.fprintf ppf "%-24s burn %5.2f (%d/%d bad)%s"

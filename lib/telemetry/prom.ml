@@ -45,10 +45,10 @@ let of_snapshot ?(prefix = default_prefix) (s : Metrics.snapshot) =
       List.iter
         (fun (label, q) ->
           add "%s{quantile=\"%s\"} %s\n" n label
-            (num (Metrics.quantile_of h q)))
+            (num (San_obs.Digest.quantile h q)))
         [ ("0.5", 0.5); ("0.9", 0.9); ("0.99", 0.99) ];
-      add "%s_sum %s\n" n (num h.Metrics.hs_sum);
-      add "%s_count %d\n" n h.Metrics.hs_count)
+      add "%s_sum %s\n" n (num (San_obs.Digest.sum h));
+      add "%s_count %d\n" n (San_obs.Digest.count h))
     s.Metrics.s_histograms;
   Buffer.contents buf
 

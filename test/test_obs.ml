@@ -1,6 +1,8 @@
-(* The observability subsystem: histogram quantiles, ring-buffer
-   overflow, JSON-lines round-trips, and agreement between trace
-   events, the metrics registry and the Stats compatibility view. *)
+(* The observability subsystem: histogram quantiles, digest merge
+   algebra (merge of digests equals the digest of the concatenated
+   streams, exactly), ring-buffer overflow, JSON-lines round-trips,
+   and agreement between trace events, the metrics registry and the
+   Stats compatibility view. *)
 
 open San_obs
 open San_topology
@@ -14,6 +16,8 @@ let close ?(rel = 0.10) msg expected got =
     (Printf.sprintf "%s: expected ~%g, got %g" msg expected got)
     true ok
 
+let quantile h q = Digest.quantile (Metrics.digest h) q
+
 (* ------------------------------------------------------------------ *)
 (* Metrics                                                             *)
 
@@ -23,9 +27,9 @@ let test_hist_quantiles_uniform () =
   for i = 1 to 1000 do
     Metrics.observe h (float_of_int i)
   done;
-  close "p50 of 1..1000" 500.0 (Metrics.quantile h 0.50);
-  close "p90 of 1..1000" 900.0 (Metrics.quantile h 0.90);
-  close "p99 of 1..1000" 990.0 (Metrics.quantile h 0.99);
+  close "p50 of 1..1000" 500.0 (quantile h 0.50);
+  close "p90 of 1..1000" 900.0 (quantile h 0.90);
+  close "p99 of 1..1000" 990.0 (quantile h 0.99);
   Alcotest.(check int) "count" 1000 (Metrics.histogram_count h)
 
 let test_hist_quantiles_exponential () =
@@ -38,22 +42,22 @@ let test_hist_quantiles_exponential () =
   for _ = 1 to 10 do
     Metrics.observe h 1.0e6
   done;
-  close "p50 skewed" 10.0 (Metrics.quantile h 0.50);
-  close "p90 skewed" 10.0 (Metrics.quantile h 0.90);
-  close "p99.5 skewed" 1.0e6 (Metrics.quantile h 0.995)
+  close "p50 skewed" 10.0 (quantile h 0.50);
+  close "p90 skewed" 10.0 (quantile h 0.90);
+  close "p99.5 skewed" 1.0e6 (quantile h 0.995)
 
 let test_hist_zero_and_clamp () =
   let r = Metrics.create () in
   let h = Metrics.histogram r "z" in
   List.iter (Metrics.observe h) [ 0.0; 0.0; 0.0; 42.0; 43.0 ];
   Alcotest.(check (float 1e-9)) "p50 lands in the zero bucket" 0.0
-    (Metrics.quantile h 0.50);
+    (quantile h 0.50);
   (* The top quantile must clamp to the observed max, not a bucket
      boundary above it. *)
   Alcotest.(check bool) "p99 clamped to max" true
-    (Metrics.quantile h 0.99 <= 43.0);
+    (quantile h 0.99 <= 43.0);
   Alcotest.(check (float 1e-9)) "empty histogram quantile" 0.0
-    (Metrics.quantile (Metrics.histogram r "empty") 0.5)
+    (quantile (Metrics.histogram r "empty") 0.5)
 
 let test_registry_snapshot_diff () =
   let r = Metrics.create () in
@@ -77,8 +81,9 @@ let test_registry_snapshot_diff () =
   (match Metrics.histogram_in d "h" with
   | None -> Alcotest.fail "histogram missing from diff"
   | Some hs ->
-    Alcotest.(check int) "histogram delta count" 2 hs.Metrics.hs_count;
-    Alcotest.(check (float 1e-6)) "histogram delta sum" 500.0 hs.Metrics.hs_sum);
+    Alcotest.(check int) "histogram delta count" 2 (Digest.count hs);
+    Alcotest.(check (float 1e-6)) "histogram delta sum" 500.0
+      (Digest.sum hs));
   (* reset zeroes in place: the old handle keeps working. *)
   Metrics.reset r;
   Alcotest.(check int) "reset zeroes counters" 0 (Metrics.counter_value c);
@@ -99,7 +104,7 @@ let test_metrics_to_json () =
       (Option.bind (San_util.Json.member "probes" counters) San_util.Json.to_int)
 
 (* Pin the quantile corner cases: these behaviors are part of the
-   exporter contract (Prometheus summaries call quantile_of on
+   exporter contract (Prometheus summaries call Digest.quantile on
    whatever the run produced, including nothing at all). *)
 let test_hist_quantile_edges () =
   let r = Metrics.create () in
@@ -110,7 +115,7 @@ let test_hist_quantile_edges () =
       Alcotest.(check (float 1e-9))
         (Printf.sprintf "empty q=%g" q)
         0.0
-        (Metrics.quantile h_empty q))
+        (quantile h_empty q))
     [ 0.0; 0.5; 1.0 ];
   (* single observation: min/max clamping pins every quantile to it *)
   let h_one = Metrics.histogram r "one" in
@@ -120,7 +125,7 @@ let test_hist_quantile_edges () =
       Alcotest.(check (float 1e-9))
         (Printf.sprintf "single obs q=%g" q)
         42.0
-        (Metrics.quantile h_one q))
+        (quantile h_one q))
     [ 0.0; 0.5; 1.0 ];
   (* all-zero observations land in the zero bucket *)
   let h_zero = Metrics.histogram r "zeros" in
@@ -132,14 +137,14 @@ let test_hist_quantile_edges () =
       Alcotest.(check (float 1e-9))
         (Printf.sprintf "all-zero q=%g" q)
         0.0
-        (Metrics.quantile h_zero q))
+        (quantile h_zero q))
     [ 0.0; 0.5; 1.0 ];
   (* q=0 and q=1 clamp into the observed [min,max]; the answer is a
      geometric bucket midpoint, so it lands within one bucket (~9%
      relative) of the true extreme, never outside it *)
   let h = Metrics.histogram r "spread" in
   List.iter (Metrics.observe h) [ 3.0; 17.0; 1000.0 ];
-  let q0 = Metrics.quantile h 0.0 and q1 = Metrics.quantile h 1.0 in
+  let q0 = quantile h 0.0 and q1 = quantile h 1.0 in
   Alcotest.(check bool) "q=0 within a bucket of the min" true
     (q0 >= 3.0 && q0 <= 3.0 *. 1.10);
   Alcotest.(check bool) "q=1 within a bucket of the max" true
@@ -156,7 +161,7 @@ let test_hist_json_finite () =
   Metrics.observe h (-2.5);
   (* non-positive observations land in the zero bucket *)
   Alcotest.(check (float 1e-9))
-    "negative obs p99" 0.0 (Metrics.quantile h 0.99);
+    "negative obs p99" 0.0 (quantile h 0.99);
   let before = Metrics.snapshot r in
   let after = Metrics.snapshot r in
   let window = Metrics.diff ~before ~after in
@@ -211,13 +216,15 @@ let test_diff_restart_adopts_after () =
     "restarted counter adopts after-value" (Some 2)
     (Metrics.counter_in d "probes");
   let hs = Option.get (Metrics.histogram_in d "lat") in
-  Alcotest.(check int) "restarted histogram adopts after-count" 1 hs.hs_count;
-  Alcotest.(check int) "no negative zero bucket" 0 hs.hs_zero;
+  Alcotest.(check int) "restarted histogram adopts after-count" 1
+    (Digest.count hs);
+  Alcotest.(check int) "no negative zero bucket" 0 (Digest.zero_count hs);
   List.iter
     (fun (b, n) ->
       if n < 0 then Alcotest.failf "bucket %d has negative delta %d" b n)
-    hs.hs_buckets;
-  Alcotest.(check (float 1e-9)) "sum is the post-reset sum" 5.0 hs.hs_sum;
+    (Digest.buckets hs);
+  Alcotest.(check (float 1e-9)) "sum is the post-reset sum" 5.0
+    (Digest.sum hs);
   (* same reset, but the post-reset window re-populates an OLD bucket
      past its before-count: that looks like plain growth per-bucket,
      and the shrunken zero bucket is the only restart telltale *)
@@ -229,8 +236,9 @@ let test_diff_restart_adopts_after () =
   List.iter (Metrics.observe h2) [ 50.0; 51.0; 52.0 ];
   let d2 = Metrics.diff ~before:before2 ~after:(Metrics.snapshot r) in
   let hs2 = Option.get (Metrics.histogram_in d2 "zeroes") in
-  Alcotest.(check int) "zero-bucket shrink detected as restart" 3 hs2.hs_count;
-  Alcotest.(check int) "adopted zero bucket" 0 hs2.hs_zero
+  Alcotest.(check int) "zero-bucket shrink detected as restart" 3
+    (Digest.count hs2);
+  Alcotest.(check int) "adopted zero bucket" 0 (Digest.zero_count hs2)
 
 (* A diff window with no reset still subtracts (the restart detection
    must not misfire on plain growth). *)
@@ -243,8 +251,145 @@ let test_diff_plain_growth_still_subtracts () =
   Metrics.observe h 200.0;
   let d = Metrics.diff ~before ~after:(Metrics.snapshot r) in
   let hs = Option.get (Metrics.histogram_in d "lat") in
-  Alcotest.(check int) "window count is the delta" 2 hs.hs_count;
-  Alcotest.(check (float 1e-9)) "window sum is the delta" 300.0 hs.hs_sum
+  Alcotest.(check int) "window count is the delta" 2 (Digest.count hs);
+  Alcotest.(check (float 1e-9)) "window sum is the delta" 300.0
+    (Digest.sum hs)
+
+(* ------------------------------------------------------------------ *)
+(* Digest merge algebra                                                *)
+
+(* Deterministic pseudo-random samples without depending on the global
+   Random state. *)
+let samples seed n =
+  let rng = San_util.Prng.create seed in
+  List.init n (fun _ -> San_util.Prng.float rng 1e6)
+
+(* Equality up to float addition order: bucket counts and quantiles
+   must agree exactly, [sum] only to rounding (merge adds partial sums
+   in a different order than streaming). *)
+let digests_equal msg a b =
+  Alcotest.(check int) (msg ^ ": count") (Digest.count a) (Digest.count b);
+  close ~rel:1e-9 (msg ^ ": sum") (Digest.sum a) (Digest.sum b);
+  List.iter
+    (fun q ->
+      close ~rel:1e-9
+        (Printf.sprintf "%s: q%.2f" msg q)
+        (Digest.quantile a q) (Digest.quantile b q))
+    [ 0.0; 0.25; 0.5; 0.9; 0.95; 0.99; 1.0 ]
+
+let test_merge_is_concat () =
+  let xs = samples 1 700 and ys = samples 2 300 in
+  let merged = Digest.merge (Digest.of_list xs) (Digest.of_list ys) in
+  digests_equal "merge = concat" merged (Digest.of_list (xs @ ys))
+
+let test_merge_commutes_and_associates () =
+  let a = Digest.of_list (samples 3 100)
+  and b = Digest.of_list (samples 4 200)
+  and c = Digest.of_list (samples 5 50) in
+  digests_equal "commute" (Digest.merge a b) (Digest.merge b a);
+  digests_equal "associate"
+    (Digest.merge (Digest.merge a b) c)
+    (Digest.merge a (Digest.merge b c));
+  digests_equal "merge_all" (Digest.merge_all [ a; b; c ])
+    (Digest.merge (Digest.merge a b) c)
+
+let test_merge_empty_identity () =
+  let a = Digest.of_list (samples 6 120) in
+  digests_equal "empty right" a (Digest.merge a (Digest.create ()));
+  digests_equal "empty left" a (Digest.merge (Digest.create ()) a);
+  Alcotest.(check bool) "empty is empty" true
+    (Digest.is_empty (Digest.merge_all []))
+
+let test_merge_does_not_mutate () =
+  let a = Digest.of_list (samples 7 40) in
+  let before = San_util.Json.to_string (Digest.to_json a) in
+  ignore (Digest.merge a (Digest.of_list (samples 8 40)));
+  Alcotest.(check string) "left argument untouched" before
+    (San_util.Json.to_string (Digest.to_json a))
+
+let test_quantile_accuracy () =
+  (* 1..10_000: the rank-q element is known exactly, the digest must
+     answer within its guaranteed relative error. *)
+  let d = Digest.create () in
+  for i = 1 to 10_000 do
+    Digest.add d (float_of_int i)
+  done;
+  List.iter
+    (fun q ->
+      close ~rel:Digest.relative_error
+        (Printf.sprintf "p%02.0f of 1..10k" (q *. 100.))
+        (q *. 10_000.0) (Digest.quantile d q))
+    [ 0.5; 0.9; 0.95; 0.99 ];
+  (* Extremes answer a bucket midpoint clamped into [min, max], so
+     they too are within the guaranteed error of the true extremes. *)
+  close ~rel:0.05 "p0 near min" 1.0 (Digest.quantile d 0.0);
+  close ~rel:0.05 "p100 near max" 10_000.0 (Digest.quantile d 1.0)
+
+let test_zero_and_negative_bucket () =
+  (* Non-positive values share one zero bucket that answers 0.0; the
+     geometric buckets only resolve positive values. *)
+  let d = Digest.of_list [ -5.0; 0.0; 0.0; 10.0 ] in
+  Alcotest.(check int) "count" 4 (Digest.count d);
+  Alcotest.(check (float 0.0)) "p0 answers from the zero bucket" 0.0
+    (Digest.quantile d 0.0);
+  Alcotest.(check (float 0.0)) "p50 still in the zero bucket" 0.0
+    (Digest.quantile d 0.5);
+  close ~rel:0.05 "p100 near max" 10.0 (Digest.quantile d 1.0)
+
+let test_quantile_empty_and_single () =
+  (* The serving/bench paths take p99 of whatever a run produced,
+     including nothing: an empty digest must answer 0.0 (never index
+     out of range or leak vmin = +inf), and a one-sample digest must
+     answer that sample exactly at every q via the [vmin, vmax]
+     clamp. *)
+  let e = Digest.create () in
+  List.iter
+    (fun q ->
+      Alcotest.(check (float 0.0))
+        (Printf.sprintf "empty q=%g" q)
+        0.0 (Digest.quantile e q))
+    [ 0.0; 0.5; 0.99; 1.0 ];
+  (match Digest.of_json (Digest.to_json e) with
+  | None -> Alcotest.fail "empty digest JSON did not parse back"
+  | Some e' -> Alcotest.(check int) "empty roundtrip count" 0 (Digest.count e'));
+  let one = Digest.of_list [ 42.0 ] in
+  List.iter
+    (fun q ->
+      Alcotest.(check (float 1e-9))
+        (Printf.sprintf "single q=%g" q)
+        42.0 (Digest.quantile one q))
+    [ 0.0; 0.5; 0.99; 1.0 ]
+
+let test_json_roundtrip () =
+  let d = Digest.of_list (samples 9 500) in
+  match Digest.of_json (Digest.to_json d) with
+  | None -> Alcotest.fail "digest JSON did not parse back"
+  | Some d' -> digests_equal "json roundtrip" d d'
+
+(* A registry histogram is a digest, so per-registry snapshots merge
+   exactly: two registries fed [xs] and [ys] merge into what one
+   registry fed [xs @ ys] holds, bucket for bucket. *)
+let test_registry_snapshots_merge_exactly () =
+  let fed name vs =
+    let r = Metrics.create () in
+    List.iter (Metrics.observe (Metrics.histogram r name)) vs;
+    Option.get (Metrics.histogram_in (Metrics.snapshot r) name)
+  in
+  let xs = samples 10 800 and ys = samples 11 300 in
+  let merged = Digest.merge (fed "w" xs) (fed "w" ys) in
+  let whole = fed "w" (xs @ ys) in
+  Alcotest.(check int) "count" (Digest.count whole) (Digest.count merged);
+  close ~rel:1e-9 "sum" (Digest.sum whole) (Digest.sum merged);
+  Alcotest.(check (float 0.0)) "min" (Digest.min whole) (Digest.min merged);
+  Alcotest.(check (float 0.0)) "max" (Digest.max whole) (Digest.max merged);
+  Alcotest.(check (list (pair int int)))
+    "buckets" (Digest.buckets whole) (Digest.buckets merged);
+  List.iter
+    (fun q ->
+      Alcotest.(check (float 0.0))
+        (Printf.sprintf "p%g" (q *. 100.0))
+        (Digest.quantile whole q) (Digest.quantile merged q))
+    [ 0.5; 0.9; 0.99 ]
 
 (* ------------------------------------------------------------------ *)
 (* Trace ring buffer                                                   *)
@@ -410,9 +555,9 @@ let test_mapper_trace_matches_stats () =
   | None -> Alcotest.fail "probe cost histogram missing"
   | Some hs ->
     Alcotest.(check int) "every probe cost observed"
-      (Stats.total_probes st) hs.Metrics.hs_count;
+      (Stats.total_probes st) (Digest.count hs);
     close ~rel:1e-9 "cost sum is the serialized time" st.Stats.serial_time_ns
-      hs.Metrics.hs_sum);
+      (Digest.sum hs));
   (* Replicate merges were traced: created - live = merged away. *)
   let merges =
     count (function Trace.Replicate_merged _ -> true | _ -> false)
@@ -536,6 +681,24 @@ let () =
           Alcotest.test_case "snapshot and diff" `Quick
             test_registry_snapshot_diff;
           Alcotest.test_case "to_json parses back" `Quick test_metrics_to_json;
+        ] );
+      ( "digest",
+        [
+          Alcotest.test_case "merge = concat" `Quick test_merge_is_concat;
+          Alcotest.test_case "commutes/associates" `Quick
+            test_merge_commutes_and_associates;
+          Alcotest.test_case "empty identity" `Quick
+            test_merge_empty_identity;
+          Alcotest.test_case "merge pure" `Quick test_merge_does_not_mutate;
+          Alcotest.test_case "quantile accuracy" `Quick
+            test_quantile_accuracy;
+          Alcotest.test_case "zero bucket" `Quick
+            test_zero_and_negative_bucket;
+          Alcotest.test_case "empty and single-sample quantiles" `Quick
+            test_quantile_empty_and_single;
+          Alcotest.test_case "json roundtrip" `Quick test_json_roundtrip;
+          Alcotest.test_case "registry snapshots merge exactly" `Quick
+            test_registry_snapshots_merge_exactly;
         ] );
       ( "trace",
         [

@@ -1,8 +1,6 @@
-(* The SLO observatory: digest merge algebra (merge of digests equals
-   the digest of the concatenated streams, exactly), quantile accuracy
-   within the guaranteed relative error, JSON round-trips, load-window
-   coupling, and burn-rate alerts raising and clearing under a
-   scripted load ramp. *)
+(* The SLO observatory and alert engine: load-window coupling,
+   burn-rate alerts raising and clearing under a scripted load ramp,
+   and the fabric-health rules as one-epoch-window objectives. *)
 
 open San_slo
 
@@ -12,136 +10,12 @@ let close ?(rel = 0.10) msg expected got =
     (Printf.sprintf "%s: expected ~%g, got %g" msg expected got)
     true ok
 
-(* Deterministic pseudo-random samples without depending on the global
-   Random state. *)
-let samples seed n =
-  let rng = San_util.Prng.create seed in
-  List.init n (fun _ -> San_util.Prng.float rng 1e6)
-
-(* ------------------------------------------------------------------ *)
-(* Digest merge algebra                                                *)
-
-(* Equality up to float addition order: bucket counts and quantiles
-   must agree exactly, [sum] only to rounding (merge adds partial sums
-   in a different order than streaming). *)
-let digests_equal msg a b =
-  Alcotest.(check int) (msg ^ ": count") (Digest.count a) (Digest.count b);
-  close ~rel:1e-9 (msg ^ ": sum") (Digest.sum a) (Digest.sum b);
-  List.iter
-    (fun q ->
-      close ~rel:1e-9
-        (Printf.sprintf "%s: q%.2f" msg q)
-        (Digest.quantile a q) (Digest.quantile b q))
-    [ 0.0; 0.25; 0.5; 0.9; 0.95; 0.99; 1.0 ]
-
-let test_merge_is_concat () =
-  let xs = samples 1 700 and ys = samples 2 300 in
-  let merged = Digest.merge (Digest.of_list xs) (Digest.of_list ys) in
-  digests_equal "merge = concat" merged (Digest.of_list (xs @ ys))
-
-let test_merge_commutes_and_associates () =
-  let a = Digest.of_list (samples 3 100)
-  and b = Digest.of_list (samples 4 200)
-  and c = Digest.of_list (samples 5 50) in
-  digests_equal "commute" (Digest.merge a b) (Digest.merge b a);
-  digests_equal "associate"
-    (Digest.merge (Digest.merge a b) c)
-    (Digest.merge a (Digest.merge b c));
-  digests_equal "merge_all" (Digest.merge_all [ a; b; c ])
-    (Digest.merge (Digest.merge a b) c)
-
-let test_merge_empty_identity () =
-  let a = Digest.of_list (samples 6 120) in
-  digests_equal "empty right" a (Digest.merge a (Digest.create ()));
-  digests_equal "empty left" a (Digest.merge (Digest.create ()) a);
-  Alcotest.(check bool) "empty is empty" true
-    (Digest.is_empty (Digest.merge_all []))
-
-let test_merge_does_not_mutate () =
-  let a = Digest.of_list (samples 7 40) in
-  let before = San_util.Json.to_string (Digest.to_json a) in
-  ignore (Digest.merge a (Digest.of_list (samples 8 40)));
-  Alcotest.(check string) "left argument untouched" before
-    (San_util.Json.to_string (Digest.to_json a))
-
-let test_quantile_accuracy () =
-  (* 1..10_000: the rank-q element is known exactly, the digest must
-     answer within its guaranteed relative error. *)
-  let d = Digest.create () in
-  for i = 1 to 10_000 do
-    Digest.add d (float_of_int i)
-  done;
-  List.iter
-    (fun q ->
-      close ~rel:Digest.relative_error
-        (Printf.sprintf "p%02.0f of 1..10k" (q *. 100.))
-        (q *. 10_000.0) (Digest.quantile d q))
-    [ 0.5; 0.9; 0.95; 0.99 ];
-  (* Extremes answer a bucket midpoint clamped into [min, max], so
-     they too are within the guaranteed error of the true extremes. *)
-  close ~rel:0.05 "p0 near min" 1.0 (Digest.quantile d 0.0);
-  close ~rel:0.05 "p100 near max" 10_000.0 (Digest.quantile d 1.0)
-
-let test_zero_and_negative_bucket () =
-  (* Non-positive values share one zero bucket that answers 0.0; the
-     geometric buckets only resolve positive values. *)
-  let d = Digest.of_list [ -5.0; 0.0; 0.0; 10.0 ] in
-  Alcotest.(check int) "count" 4 (Digest.count d);
-  Alcotest.(check (float 0.0)) "p0 answers from the zero bucket" 0.0
-    (Digest.quantile d 0.0);
-  Alcotest.(check (float 0.0)) "p50 still in the zero bucket" 0.0
-    (Digest.quantile d 0.5);
-  close ~rel:0.05 "p100 near max" 10.0 (Digest.quantile d 1.0)
-
-let test_quantile_empty_and_single () =
-  (* The serving/bench paths take p99 of whatever a run produced,
-     including nothing: an empty digest must answer 0.0 (never index
-     out of range or leak vmin = +inf), and a one-sample digest must
-     answer that sample exactly at every q via the [vmin, vmax]
-     clamp. *)
-  let e = Digest.create () in
-  List.iter
-    (fun q ->
-      Alcotest.(check (float 0.0))
-        (Printf.sprintf "empty q=%g" q)
-        0.0 (Digest.quantile e q))
-    [ 0.0; 0.5; 0.99; 1.0 ];
-  (match Digest.of_json (Digest.to_json e) with
-  | None -> Alcotest.fail "empty digest JSON did not parse back"
-  | Some e' -> Alcotest.(check int) "empty roundtrip count" 0 (Digest.count e'));
-  let one = Digest.of_list [ 42.0 ] in
-  List.iter
-    (fun q ->
-      Alcotest.(check (float 1e-9))
-        (Printf.sprintf "single q=%g" q)
-        42.0 (Digest.quantile one q))
-    [ 0.0; 0.5; 0.99; 1.0 ]
-
-let test_json_roundtrip () =
-  let d = Digest.of_list (samples 9 500) in
-  match Digest.of_json (Digest.to_json d) with
-  | None -> Alcotest.fail "digest JSON did not parse back"
-  | Some d' -> digests_equal "json roundtrip" d d'
-
-let test_adopts_hist_snapshot () =
-  (* A registry histogram window adopted as a digest answers the same
-     quantiles: both sides share the gamma-bucket scheme. *)
-  let r = San_obs.Metrics.create () in
-  let h = San_obs.Metrics.histogram r "w" in
-  let xs = samples 10 800 in
-  List.iter (San_obs.Metrics.observe h) xs;
-  let snap = San_obs.Metrics.snapshot r in
-  let hs =
-    Option.get (San_obs.Metrics.histogram_in snap "w")
-  in
-  digests_equal "adopted snapshot" (Digest.of_hist_snapshot hs)
-    (Digest.of_list xs)
-
 (* ------------------------------------------------------------------ *)
 (* SLO burn rate under a scripted ramp                                 *)
 
 let sample ?(epoch = 0) ?(load = 0.1) ?converge ?(epoch_ns = 1e6)
-    ?(drop = 0.0) ?(coverage = 1.0) () =
+    ?(drop = 0.0) ?(coverage = 1.0) ?(convergence = 0) ?(missed = 0)
+    ?(probe_drop = 0.0) () =
   {
     Slo.s_epoch = epoch;
     s_load = load;
@@ -149,6 +23,9 @@ let sample ?(epoch = 0) ?(load = 0.1) ?converge ?(epoch_ns = 1e6)
     s_epoch_ns = epoch_ns;
     s_drop_rate = drop;
     s_coverage = coverage;
+    s_convergence_epochs = convergence;
+    s_missed_slices = missed;
+    s_probe_drop_rate = probe_drop;
   }
 
 let test_burn_raise_and_clear () =
@@ -180,7 +57,7 @@ let test_burn_raise_and_clear () =
   done;
   let raised, _ = feed 8 0.9 in
   Alcotest.(check (list string)) "second burning epoch raises"
-    [ "slo:drop" ] raised;
+    [ "drop" ] raised;
   let st = List.hd (Slo.status t) in
   Alcotest.(check bool) "alerting" true st.Slo.st_alerting;
   Alcotest.(check bool)
@@ -195,7 +72,7 @@ let test_burn_raise_and_clear () =
     let _, c = feed e 0.05 in
     cleared := !cleared @ c
   done;
-  Alcotest.(check (list string)) "recovery clears" [ "slo:drop" ] !cleared;
+  Alcotest.(check (list string)) "recovery clears" [ "drop" ] !cleared;
   let st = List.hd (Slo.status t) in
   Alcotest.(check bool) "not alerting after clear" false st.Slo.st_alerting
 
@@ -228,7 +105,7 @@ let test_converge_charged_only_on_incidents () =
   Alcotest.(check int) "quiet epochs not charged" 0
     (List.hd (Slo.status t)).Slo.st_eligible;
   let raised, _ = Slo.observe t (sample ~epoch:5 ~converge:500.0 ()) in
-  Alcotest.(check (list string)) "slow incident raises" [ "slo:cvg" ] raised
+  Alcotest.(check (list string)) "slow incident raises" [ "cvg" ] raised
 
 let test_coverage_is_lower_bound () =
   let o =
@@ -237,7 +114,7 @@ let test_coverage_is_lower_bound () =
   in
   let t = Slo.create [ o ] in
   let raised, _ = Slo.observe t (sample ~coverage:0.2 ()) in
-  Alcotest.(check (list string)) "low coverage raises" [ "slo:cov" ] raised
+  Alcotest.(check (list string)) "low coverage raises" [ "cov" ] raised
 
 let test_parse_roundtrip () =
   List.iter
@@ -266,6 +143,73 @@ let test_parse_roundtrip () =
     Slo.defaults
 
 (* ------------------------------------------------------------------ *)
+(* Health rules: threshold-for-N-epochs as one-epoch windows           *)
+
+let rule ?(quantile = 0.5) ?(for_epochs = 1) name metric cmp limit =
+  Slo.objective ~name ~quantile ~window:1 ~for_epochs ~metric ~cmp limit
+
+let alerting t = List.filter (fun st -> st.Slo.st_alerting) (Slo.status t)
+
+let test_health_for_epochs_streak () =
+  (* a for_epochs=2 rule ignores a single bad epoch but fires on the
+     streak, and clears on the first good epoch *)
+  let t =
+    Slo.create [ rule ~for_epochs:2 "drops" Slo.Probe_drop_rate Slo.Below 0.25 ]
+  in
+  let feed epoch drop = Slo.observe t (sample ~epoch ~probe_drop:drop ()) in
+  let r1, c1 = feed 1 0.5 in
+  Alcotest.(check (list string)) "one bad epoch is weather" [] r1;
+  Alcotest.(check (list string)) "nothing to clear" [] c1;
+  let r2, _ = feed 2 0.0 in
+  Alcotest.(check (list string)) "streak broken, still quiet" [] r2;
+  let _ = feed 3 0.5 in
+  let r4, _ = feed 4 0.6 in
+  Alcotest.(check (list string)) "second consecutive breach raises"
+    [ "drops" ] r4;
+  Alcotest.(check int) "alert is active" 1 (List.length (alerting t));
+  let r5, c5 = feed 5 0.7 in
+  Alcotest.(check (list string)) "no re-raise while active" [] r5;
+  Alcotest.(check (list string)) "not cleared while breaching" [] c5;
+  let _, c6 = feed 6 0.0 in
+  Alcotest.(check (list string)) "first good epoch clears" [ "drops" ] c6;
+  Alcotest.(check int) "no active alerts left" 0 (List.length (alerting t));
+  match (List.hd (Slo.status t)).Slo.st_alerts with
+  | [ a ] ->
+    Alcotest.(check int) "raised on the streak's second epoch" 4
+      a.Slo.raised_epoch;
+    Alcotest.(check bool) "cleared at 6" true (a.Slo.cleared_epoch = Some 6);
+    Alcotest.(check (float 1e-9)) "worst value tracked" 0.7 a.Slo.worst
+  | l -> Alcotest.failf "expected one alert in history, got %d" (List.length l)
+
+let test_health_below_rule_and_window () =
+  (* the quantile only scales a breach's burn: p99 alerts on the same
+     epochs as p50 *)
+  let t =
+    Slo.create [ rule ~quantile:0.99 "coverage" Slo.Coverage Slo.Above 1.0 ]
+  in
+  let r1, _ = Slo.observe t (sample ~epoch:1 ~coverage:0.8 ()) in
+  Alcotest.(check (list string)) "below threshold raises immediately"
+    [ "coverage" ] r1;
+  let _, c2 = Slo.observe t (sample ~epoch:2 ~coverage:1.0 ()) in
+  Alcotest.(check (list string)) "full coverage clears" [ "coverage" ] c2;
+  List.iter (fun e -> ignore (Slo.observe t (sample ~epoch:e ()))) [ 3; 4; 5 ];
+  Alcotest.(check int) "window keeps only the trailing epoch" 1
+    (List.hd (Slo.status t)).Slo.st_eligible
+
+let test_health_emits_trace_events () =
+  San_obs.Obs.set_enabled true;
+  San_obs.Obs.reset ();
+  Fun.protect ~finally:(fun () -> San_obs.Obs.set_enabled false) @@ fun () ->
+  let t = Slo.create [ rule "missed" Slo.Missed_slices Slo.Below 0.0 ] in
+  ignore (Slo.observe t (sample ~epoch:7 ~missed:2 ()));
+  ignore (Slo.observe t (sample ~epoch:8 ()));
+  let evs = San_obs.Trace.events San_obs.Obs.tracer in
+  Alcotest.(check bool) "raise hits the tracer" true
+    (List.mem (San_obs.Trace.Alert_raised { name = "missed"; epoch = 7 }) evs);
+  Alcotest.(check bool) "clear hits the tracer" true
+    (List.mem (San_obs.Trace.Alert_cleared { name = "missed"; epoch = 8 }) evs)
+
+(* ------------------------------------------------------------------ *)
 (* Load windows on a live graph                                        *)
 
 let test_load_drive_and_coupling () =
@@ -284,7 +228,7 @@ let test_load_drive_and_coupling () =
     && r.Load.r_loss_per_crossing <= 0.5);
   Alcotest.(check int) "latency digest counts deliveries"
     r.Load.r_delivered
-    (Digest.count r.Load.r_latency);
+    (San_obs.Digest.count r.Load.r_latency);
   match Load.traffic_of_report r (San_util.Prng.create 12) with
   | None ->
     Alcotest.(check bool) "no traffic only when lossless" true
@@ -310,7 +254,7 @@ let test_daemon_under_load_runs_slos () =
   | Error e -> Alcotest.failf "daemon: %s" e
   | Ok o ->
     Alcotest.(check int) "one status per objective"
-      (List.length Slo.defaults)
+      (List.length Slo.health + List.length Slo.defaults)
       (List.length o.San_service.Daemon.slo);
     let loaded =
       List.filter
@@ -324,24 +268,6 @@ let test_daemon_under_load_runs_slos () =
 let () =
   Alcotest.run "san_slo"
     [
-      ( "digest",
-        [
-          Alcotest.test_case "merge = concat" `Quick test_merge_is_concat;
-          Alcotest.test_case "commutes/associates" `Quick
-            test_merge_commutes_and_associates;
-          Alcotest.test_case "empty identity" `Quick
-            test_merge_empty_identity;
-          Alcotest.test_case "merge pure" `Quick test_merge_does_not_mutate;
-          Alcotest.test_case "quantile accuracy" `Quick
-            test_quantile_accuracy;
-          Alcotest.test_case "zero bucket" `Quick
-            test_zero_and_negative_bucket;
-          Alcotest.test_case "empty and single-sample quantiles" `Quick
-            test_quantile_empty_and_single;
-          Alcotest.test_case "json roundtrip" `Quick test_json_roundtrip;
-          Alcotest.test_case "adopts hist snapshot" `Quick
-            test_adopts_hist_snapshot;
-        ] );
       ( "slo",
         [
           Alcotest.test_case "burn raises and clears" `Quick
@@ -353,6 +279,15 @@ let () =
             test_coverage_is_lower_bound;
           Alcotest.test_case "spec grammar roundtrips" `Quick
             test_parse_roundtrip;
+        ] );
+      ( "health",
+        [
+          Alcotest.test_case "for-epochs streak semantics" `Quick
+            test_health_for_epochs_streak;
+          Alcotest.test_case "below rule and window bound" `Quick
+            test_health_below_rule_and_window;
+          Alcotest.test_case "alerts hit the tracer" `Quick
+            test_health_emits_trace_events;
         ] );
       ( "load",
         [

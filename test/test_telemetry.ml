@@ -3,6 +3,8 @@ open San_telemetry
 module Obs = San_obs.Obs
 module Trace = San_obs.Trace
 module Metrics = San_obs.Metrics
+module Digest = San_obs.Digest
+module Slo = San_slo.Slo
 module Event_sim = San_simnet.Event_sim
 
 let with_obs f =
@@ -109,15 +111,16 @@ let test_prom_roundtrip () =
   (* summaries carry the exact count and sum, and the library's own
      quantiles *)
   let hs = List.assoc "probe.latency_ns" snap.Metrics.s_histograms in
-  Alcotest.(check (float 0.0)) "summary count" (float_of_int hs.Metrics.hs_count)
+  Alcotest.(check (float 0.0)) "summary count"
+    (float_of_int (Digest.count hs))
     (find "san_probe_latency_ns_count");
-  Alcotest.(check (float 0.0)) "summary sum" hs.Metrics.hs_sum
+  Alcotest.(check (float 0.0)) "summary sum" (Digest.sum hs)
     (find "san_probe_latency_ns_sum");
   List.iter
     (fun (label, q) ->
       Alcotest.(check (float 0.0))
         ("quantile " ^ label)
-        (Metrics.quantile_of hs q)
+        (Digest.quantile hs q)
         (find (Printf.sprintf "san_probe_latency_ns{quantile=%S}" label)))
     [ ("0.5", 0.5); ("0.9", 0.9); ("0.99", 0.99) ]
 
@@ -267,104 +270,6 @@ let test_dot_heat_renders () =
   Alcotest.(check bool) "heat map colors wires" true
     (Astring.String.is_infix ~affix:"color=" dot)
 
-(* ---------- health window ---------- *)
-
-let sample ?(coverage = 1.0) ?(convergence = 0) ?(delta = 0) ?(missed = 0)
-    ?(drop = 0.0) epoch =
-  {
-    Health.epoch;
-    coverage;
-    convergence_epochs = convergence;
-    delta_bytes = delta;
-    missed_slices = missed;
-    probe_drop_rate = drop;
-    epoch_ms = 1.0;
-  }
-
-let test_health_for_epochs_streak () =
-  (* a for_epochs=2 rule ignores a single bad epoch but fires on the
-     streak, and clears on the first good epoch *)
-  let rules =
-    [
-      {
-        Health.rule_name = "drops";
-        metric = Health.Probe_drop_rate;
-        cmp = Health.Above;
-        threshold = 0.25;
-        for_epochs = 2;
-      };
-    ]
-  in
-  let h = Health.create ~rules () in
-  let r1, c1 = Health.observe h (sample ~drop:0.5 1) in
-  Alcotest.(check (list string)) "one bad epoch is weather" [] r1;
-  Alcotest.(check (list string)) "nothing to clear" [] c1;
-  let r2, _ = Health.observe h (sample ~drop:0.0 2) in
-  Alcotest.(check (list string)) "streak broken, still quiet" [] r2;
-  let _ = Health.observe h (sample ~drop:0.5 3) in
-  let r4, _ = Health.observe h (sample ~drop:0.6 4) in
-  Alcotest.(check (list string)) "second consecutive breach raises"
-    [ "drops" ] r4;
-  Alcotest.(check int) "alert is active" 1 (List.length (Health.active h));
-  let r5, c5 = Health.observe h (sample ~drop:0.7 5) in
-  Alcotest.(check (list string)) "no re-raise while active" [] r5;
-  Alcotest.(check (list string)) "not cleared while breaching" [] c5;
-  let _, c6 = Health.observe h (sample ~drop:0.0 6) in
-  Alcotest.(check (list string)) "first good epoch clears" [ "drops" ] c6;
-  Alcotest.(check int) "no active alerts left" 0
-    (List.length (Health.active h));
-  match (Health.report h).Health.r_history with
-  | [ a ] ->
-    Alcotest.(check int) "raised on the streak's second epoch" 4
-      a.Health.raised_epoch;
-    Alcotest.(check bool) "cleared at 6" true (a.Health.cleared_epoch = Some 6);
-    Alcotest.(check (float 1e-9)) "worst value tracked" 0.7 a.Health.worst
-  | l -> Alcotest.failf "expected one alert in history, got %d" (List.length l)
-
-let test_health_below_rule_and_window () =
-  let rules =
-    [
-      {
-        Health.rule_name = "coverage";
-        metric = Health.Coverage;
-        cmp = Health.Below;
-        threshold = 1.0;
-        for_epochs = 1;
-      };
-    ]
-  in
-  let h = Health.create ~window:3 ~rules () in
-  let r1, _ = Health.observe h (sample ~coverage:0.8 1) in
-  Alcotest.(check (list string)) "below threshold raises immediately"
-    [ "coverage" ] r1;
-  let _, c2 = Health.observe h (sample ~coverage:1.0 2) in
-  Alcotest.(check (list string)) "full coverage clears" [ "coverage" ] c2;
-  List.iter (fun e -> ignore (Health.observe h (sample e))) [ 3; 4; 5 ];
-  Alcotest.(check (list int)) "window keeps the trailing 3 epochs" [ 3; 4; 5 ]
-    (List.map (fun s -> s.Health.epoch) (Health.samples h))
-
-let test_health_emits_trace_events () =
-  with_obs @@ fun () ->
-  let rules =
-    [
-      {
-        Health.rule_name = "missed";
-        metric = Health.Missed_slices;
-        cmp = Health.Above;
-        threshold = 0.0;
-        for_epochs = 1;
-      };
-    ]
-  in
-  let h = Health.create ~rules () in
-  ignore (Health.observe h (sample ~missed:2 7));
-  ignore (Health.observe h (sample 8));
-  let evs = Trace.events Obs.tracer in
-  Alcotest.(check bool) "raise hits the tracer" true
-    (List.mem (Trace.Alert_raised { name = "missed"; epoch = 7 }) evs);
-  Alcotest.(check bool) "clear hits the tracer" true
-    (List.mem (Trace.Alert_cleared { name = "missed"; epoch = 8 }) evs)
-
 (* ---------- daemon alerting end to end ---------- *)
 
 let test_daemon_link_cut_alerts () =
@@ -392,22 +297,25 @@ let test_daemon_link_cut_alerts () =
   Alcotest.(check (list int)) "cleared on the next verified epoch" [ 3 ]
     coverage_cleared;
   let cov_alerts =
-    List.filter
-      (fun a -> a.Health.a_rule.Health.rule_name = "coverage")
-      o.San_service.Daemon.health.Health.r_history
+    List.concat_map
+      (fun st ->
+        if st.Slo.st_objective.Slo.name = "coverage" then st.Slo.st_alerts
+        else [])
+      o.San_service.Daemon.slo
   in
   (match cov_alerts with
   | [ a ] ->
-    Alcotest.(check int) "report raised epoch" 2 a.Health.raised_epoch;
+    Alcotest.(check int) "report raised epoch" 2 a.Slo.raised_epoch;
     Alcotest.(check bool) "report cleared epoch" true
-      (a.Health.cleared_epoch = Some 3);
+      (a.Slo.cleared_epoch = Some 3);
     Alcotest.(check bool) "worst coverage is a real dip" true
-      (a.Health.worst < 1.0)
+      (a.Slo.worst < 1.0)
   | l ->
     Alcotest.failf "expected one coverage alert in history, got %d"
       (List.length l));
   Alcotest.(check int) "nothing left active" 0
-    (List.length o.San_service.Daemon.health.Health.r_active);
+    (List.length
+       (List.filter (fun st -> st.Slo.st_alerting) o.San_service.Daemon.slo));
   (* the per-epoch reports carry the same story *)
   let by_epoch e =
     List.find (fun r -> r.San_service.Daemon.epoch = e) o.San_service.Daemon.reports
@@ -422,7 +330,8 @@ let test_daemon_quiet_run_no_alerts () =
   let g, _ = Generators.now_c () in
   let o = Result.get_ok (San_service.Daemon.run ~epochs:4 g) in
   Alcotest.(check int) "no alerts on a healthy fabric" 0
-    (List.length o.San_service.Daemon.health.Health.r_history);
+    (List.length
+       (List.concat_map (fun st -> st.Slo.st_alerts) o.San_service.Daemon.slo));
   Alcotest.(check bool) "no alert events traced" true
     (List.for_all
        (fun ev ->
@@ -432,7 +341,10 @@ let test_daemon_quiet_run_no_alerts () =
        (Trace.events Obs.tracer));
   (* every warm epoch sampled *)
   Alcotest.(check int) "one sample per warm epoch" 3
-    (List.length o.San_service.Daemon.health.Health.r_samples)
+    (List.length
+       (List.filter
+          (fun r -> r.San_service.Daemon.sample <> None)
+          o.San_service.Daemon.reports))
 
 (* ---------- sparklines ---------- *)
 
@@ -475,15 +387,6 @@ let () =
           Alcotest.test_case "global slot wiring" `Quick
             test_fabric_global_slot;
           Alcotest.test_case "dot heat rendering" `Quick test_dot_heat_renders;
-        ] );
-      ( "health",
-        [
-          Alcotest.test_case "for-epochs streak semantics" `Quick
-            test_health_for_epochs_streak;
-          Alcotest.test_case "below rule and window bound" `Quick
-            test_health_below_rule_and_window;
-          Alcotest.test_case "alerts hit the tracer" `Quick
-            test_health_emits_trace_events;
         ] );
       ( "daemon",
         [
