@@ -1,6 +1,6 @@
 # Convenience targets; everything is plain dune underneath.
 
-.PHONY: all build test check bench bench-fast bench-smoke scale-smoke shard-smoke serve-smoke fuzz-smoke health-smoke explain-smoke slo-smoke cover-smoke perf-map-smoke artifacts examples clean
+.PHONY: all build test check bench bench-fast bench-smoke scale-smoke shard-smoke serve-smoke fuzz-smoke health-smoke explain-smoke slo-smoke cover-smoke perf-map-smoke perf-converge-smoke artifacts examples clean
 
 all: build
 
@@ -24,6 +24,7 @@ check:
 	$(MAKE) slo-smoke
 	$(MAKE) cover-smoke
 	$(MAKE) perf-map-smoke
+	$(MAKE) perf-converge-smoke
 
 bench:
 	dune exec bench/main.exe
@@ -109,6 +110,15 @@ cover-smoke:
 # the map is isomorphic to N - F.
 perf-map-smoke:
 	sh bench/perf/run.sh --workload map-r32 --seed 1 --trace 1
+
+# The daemon's incident path at full benchmark size: one traced
+# converge-ft400 run (a 400-host fat-tree losing one link). It exits
+# non-zero unless the traced incident replays the daemon's epoch 1
+# exactly (probes, simulated convergence, delta bytes, unchanged
+# hosts, final map), the layer self-times sum to the traced wall
+# within 5%, and the daemon ends Stable with a verified map.
+perf-converge-smoke:
+	sh bench/perf/run.sh --workload converge-ft400 --seed 1 --trace 1
 
 # The provenance ledger end to end: explain a Figure-3 switch and a
 # route (with the evidence DOT), attribute a map diff to the probes

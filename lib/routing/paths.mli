@@ -28,13 +28,39 @@ type t
 
 val compute : ?cache_limit:int -> Updown.t -> t
 (** Set up lazy per-destination distances; no path computation happens
-    until {!distance} or {!node_path} asks about a destination.
+    until {!distance} or a route query asks about a destination.
     [cache_limit] (default 64, minimum 1) bounds how many destination
     distance vectors stay resident; the oldest is evicted first. *)
 
 val distance : t -> src:Graph.node -> dst:Graph.node -> int option
 (** Compliant hop distance, [None] if unreachable without an illegal
     turn. *)
+
+val route_into :
+  ?rng:San_util.Prng.t ->
+  ?prefer:(Graph.node -> Graph.node -> float) ->
+  t ->
+  src:Graph.node ->
+  dst:Graph.node ->
+  buf:int array ->
+  int
+(** The route compiler: walk one shortest compliant path from [src] to
+    [dst] along the cached distance vector and write its turn string
+    (at each switch, exit port minus entry port; nothing for leaving a
+    host) into [buf]. Returns the turn count, or [-1] when no
+    compliant path exists. [buf] needs [Graph.num_nodes] slots. Each
+    hop scans the node's port array in place, so the walk allocates
+    nothing beyond a first-touch distance vector.
+
+    Deterministic by default: the first port leading one hop closer,
+    which is the first shortest continuation in port order and, over
+    parallel wires to it, the lowest port. [prefer u v] biases the
+    choice instead — the hop with the least penalty wins, port order
+    breaking exact ties — which is how traffic-aware serving steers
+    equal-cost multipath away from hot links. [rng] overrides both
+    with the paper's uniform load-balancing: one draw per hop over the
+    closer ports while walking, then one draw per hop over the
+    parallel wires joining the chosen nodes. *)
 
 val node_path :
   ?rng:San_util.Prng.t ->
@@ -43,13 +69,7 @@ val node_path :
   src:Graph.node ->
   dst:Graph.node ->
   Graph.node list option
-(** A shortest compliant node sequence [src; ...; dst]. Deterministic
-    by default: ties between equal-length continuations go to the
-    first in port order. [prefer u v] biases the choice instead —
-    among shortest continuations the hop with the least penalty wins
-    (port order still breaks exact penalty ties), which is how
-    traffic-aware serving steers equal-cost multipath away from hot
-    links. [rng] overrides both with the paper's uniform
-    load-balancing pick. *)
+(** The node sequence [src; ...; dst] the compiler walks for the same
+    arguments (with [rng], before its wire draws). *)
 
 val updown : t -> Updown.t

@@ -1,103 +1,106 @@
 open San_topology
 open San_simnet
 
+(* Dense table: the route from host slot [s] to host slot [d] sits at
+   [routes.(s * nh + d)], slots numbering hosts by ascending id, so
+   scanning the array visits pairs in (src, dst) order. [None] marks
+   the diagonal and unreachable pairs. *)
 type t = {
   rt_graph : Graph.t;
   rt_ud : Updown.t;
-  table : (Graph.node * Graph.node, Route.t) Hashtbl.t;
-  missing : (Graph.node * Graph.node) list;
+  hosts : Graph.node array;
+  host_slot : int array; (* node -> slot; -1 for switches *)
+  routes : Route.t option array;
 }
 
 let graph t = t.rt_graph
 let updown t = t.rt_ud
 
-(* Choose a wire from u to v, uniformly over parallels when [rng]. *)
-let pick_wire ?rng g u v =
-  let candidates =
-    List.filter (fun (_, (w, _)) -> w = v) (Graph.wired_ports g u)
-  in
-  match (rng, candidates) with
-  | _, [] -> None
-  | None, c :: _ -> Some c
-  | Some rng, l -> Some (List.nth l (San_util.Prng.int rng (List.length l)))
-
-(* Translate a node path h0, s1, ..., sk, h1 into a turn string: the
-   turn at each switch is (exit port - entry port). *)
-let turns_of_path ?rng g = function
-  | [] | [ _ ] -> Some []
-  | src :: rest ->
-    let rec go prev entry_port acc = function
-      | [] -> Some (List.rev acc)
-      | next :: more -> (
-        match pick_wire ?rng g prev next with
-        | None -> None
-        | Some (exit_port, (_, far_port)) ->
-          let acc =
-            if Graph.is_host g prev then acc (* leaving the source host *)
-            else (exit_port - entry_port) :: acc
-          in
-          go next far_port acc more)
-    in
-    go src 0 [] rest
-
 let compute ?rng ?prefer ?root ?ignore_hosts ?labeling g =
   San_obs.Obs.with_span "routes.compute" (fun () ->
       let ud = Updown.build ?root ?ignore_hosts ?labeling g in
       let pt = Paths.compute ud in
-      let table = Hashtbl.create 256 in
-      let missing = ref [] in
-      let hosts = Graph.hosts g in
+      let hosts = Array.of_list (Graph.hosts g) in
+      let nh = Array.length hosts in
+      let host_slot = Array.make (Graph.num_nodes g) (-1) in
+      Array.iteri (fun slot h -> host_slot.(h) <- slot) hosts;
+      let routes = Array.make (nh * nh) None in
+      let buf = Array.make (Graph.num_nodes g + 1) 0 in
+      let pairs = ref 0 in
       (* Destination-major so each destination's distance vector is
          computed once and served straight from the Paths cache. *)
-      List.iter
-        (fun dst ->
-          List.iter
-            (fun src ->
-              if src <> dst then
-                match Paths.node_path ?rng ?prefer pt ~src ~dst with
-                | None -> missing := (src, dst) :: !missing
-                | Some path -> (
-                  match turns_of_path ?rng g path with
-                  | None -> missing := (src, dst) :: !missing
-                  | Some turns -> Hashtbl.replace table (src, dst) turns))
+      Array.iteri
+        (fun d dst ->
+          Array.iteri
+            (fun s src ->
+              if s <> d then
+                match Paths.route_into ?rng ?prefer pt ~src ~dst ~buf with
+                | -1 -> ()
+                | len ->
+                  let turns = ref [] in
+                  for i = len - 1 downto 0 do
+                    turns := buf.(i) :: !turns
+                  done;
+                  routes.((s * nh) + d) <- Some !turns;
+                  incr pairs)
             hosts)
         hosts;
       if San_obs.Obs.on () then begin
-        San_obs.Obs.count ~by:(Hashtbl.length table) "routes.pairs";
-        San_obs.Obs.count ~by:(List.length !missing) "routes.unreachable";
-        Hashtbl.iter
-          (fun _ turns ->
-            San_obs.Obs.observe "routes.turns" (float_of_int (List.length turns)))
-          table;
-        San_obs.Obs.emit
-          (San_obs.Trace.Route_computed
-             {
-               pairs = Hashtbl.length table;
-               unreachable = List.length !missing;
-             })
+        let unreachable = (nh * (nh - 1)) - !pairs in
+        San_obs.Obs.count ~by:!pairs "routes.pairs";
+        San_obs.Obs.count ~by:unreachable "routes.unreachable";
+        Array.iter
+          (Option.iter (fun turns ->
+               San_obs.Obs.observe "routes.turns"
+                 (float_of_int (List.length turns))))
+          routes;
+        San_obs.Obs.emit (San_obs.Trace.Route_computed { pairs = !pairs; unreachable })
       end;
-      { rt_graph = g; rt_ud = ud; table; missing = !missing })
+      { rt_graph = g; rt_ud = ud; hosts; host_slot; routes })
 
-let route t ~src ~dst = Hashtbl.find_opt t.table (src, dst)
+let route t ~src ~dst =
+  let n = Array.length t.host_slot in
+  if src < 0 || dst < 0 || src >= n || dst >= n then None
+  else
+    let s = t.host_slot.(src) and d = t.host_slot.(dst) in
+    if s < 0 || d < 0 then None else t.routes.((s * Array.length t.hosts) + d)
+
+(* Every route in (src, dst) order. *)
+let iter t f =
+  let nh = Array.length t.hosts in
+  Array.iteri
+    (fun i -> Option.iter (f t.hosts.(i / nh) t.hosts.(i mod nh)))
+    t.routes
 
 let all t =
-  Hashtbl.fold (fun (s, d) r acc -> (s, d, r) :: acc) t.table []
-  |> List.sort compare
+  let nh = Array.length t.hosts in
+  let acc = ref [] in
+  for i = Array.length t.routes - 1 downto 0 do
+    match t.routes.(i) with
+    | Some r -> acc := (t.hosts.(i / nh), t.hosts.(i mod nh), r) :: !acc
+    | None -> ()
+  done;
+  !acc
 
-let unreachable_pairs t = List.sort compare t.missing
+let unreachable_pairs t =
+  let nh = Array.length t.hosts in
+  let acc = ref [] in
+  for i = Array.length t.routes - 1 downto 0 do
+    if t.routes.(i) = None && i / nh <> i mod nh then
+      acc := (t.hosts.(i / nh), t.hosts.(i mod nh)) :: !acc
+  done;
+  !acc
 
 type length_stats = { pairs : int; min_len : int; avg_len : float; max_len : int }
 
 let length_stats t =
   let n = ref 0 and mn = ref max_int and mx = ref 0 and sum = ref 0 in
-  Hashtbl.iter
-    (fun _ r ->
+  iter t (fun _ _ r ->
       let len = List.length r in
       incr n;
       mn := min !mn len;
       mx := max !mx len;
-      sum := !sum + len)
-    t.table;
+      sum := !sum + len);
   if !n = 0 then { pairs = 0; min_len = 0; avg_len = 0.0; max_len = 0 }
   else
     {
@@ -109,18 +112,17 @@ let length_stats t =
 
 let channel_loads t =
   let loads = Hashtbl.create 256 in
-  Hashtbl.iter
-    (fun (src, _) turns ->
+  iter t (fun src _ turns ->
       let trace = Worm.eval t.rt_graph ~src ~turns in
       List.iter
         (fun (h : Worm.hop) ->
           let k = h.Worm.exit_end in
           Hashtbl.replace loads k
             (1 + Option.value ~default:0 (Hashtbl.find_opt loads k)))
-        trace.Worm.hops)
-    t.table;
+        trace.Worm.hops);
   Hashtbl.fold (fun k v acc -> (k, v) :: acc) loads []
-  |> List.sort (fun (_, a) (_, b) -> compare b a)
+  |> List.sort (fun (k1, a) (k2, b) ->
+         match Int.compare b a with 0 -> compare k1 k2 | c -> c)
 
 let verify_delivery ?against t =
   let target = Option.value against ~default:t.rt_graph in
@@ -128,41 +130,39 @@ let verify_delivery ?against t =
     if target == t.rt_graph then Some n
     else Graph.host_by_name target (Graph.name t.rt_graph n)
   in
-  let problems = ref [] in
-  Hashtbl.iter
-    (fun (src, dst) turns ->
+  let problems = ref 0 and first = ref "" in
+  let problem msg =
+    incr problems;
+    if !first = "" then first := Lazy.force msg
+  in
+  iter t (fun src dst turns ->
       match (translate src, translate dst) with
       | Some s, Some d -> (
         let trace = Worm.eval target ~src:s ~turns in
         match trace.Worm.outcome with
         | Worm.Arrived h when h = d -> ()
         | outcome ->
-          problems :=
-            Format.asprintf "route %s->%s (%a): %a" (Graph.name target s)
-              (Graph.name t.rt_graph dst) Route.pp turns Worm.pp_outcome outcome
-            :: !problems)
+          problem
+            (lazy
+              (Format.asprintf "route %s->%s (%a): %a" (Graph.name target s)
+                 (Graph.name t.rt_graph dst) Route.pp turns Worm.pp_outcome
+                 outcome)))
       | None, _ | _, None ->
-        problems :=
-          Printf.sprintf "hosts of pair (%d,%d) missing from target" src dst
-          :: !problems)
-    t.table;
-  match !problems with
-  | [] -> Ok ()
-  | p :: _ ->
-    Error (Printf.sprintf "%d bad routes; first: %s" (List.length !problems) p)
+        problem
+          (lazy (Printf.sprintf "hosts of pair (%d,%d) missing from target" src dst)));
+  if !problems = 0 then Ok ()
+  else Error (Printf.sprintf "%d bad routes; first: %s" !problems !first)
 
 let verify_updown t =
   let problems = ref 0 in
   let first = ref "" in
-  Hashtbl.iter
-    (fun (src, _) turns ->
+  iter t (fun src _ turns ->
       let trace = Worm.eval t.rt_graph ~src ~turns in
       let path = Worm.path_nodes t.rt_graph ~src trace in
       if not (Updown.valid_path t.rt_ud path) then begin
         incr problems;
         if !first = "" then
           first := Format.asprintf "route from %d: %a" src Route.pp turns
-      end)
-    t.table;
+      end);
   if !problems = 0 then Ok ()
   else Error (Printf.sprintf "%d non-compliant routes; first: %s" !problems !first)

@@ -23,36 +23,30 @@ val compute :
   Graph.t ->
   t
 (** Orient the graph (UP*/DOWN* orientation), compute compliant
-    per-destination distances lazily, and derive one turn route per
-    ordered host pair. Deterministic by default — identical fabrics
-    yield byte-identical tables (ties go to the first shortest
-    continuation and wire in port order), so independent daemons
-    mapping the same network never see spurious delta churn. [prefer u v] steers equal-cost
-    multipath toward least-penalty hops (traffic-aware tables); [rng]
-    is the explicit opt-in for the paper's randomized spreading over
-    equal paths and parallel wires. *)
+    per-destination distances lazily, and compile one turn route per
+    ordered host pair with {!Paths.route_into}. Deterministic by
+    default — identical fabrics yield byte-identical tables (ties go to
+    the first shortest continuation and wire in port order), so
+    independent daemons mapping the same network never see spurious
+    delta churn. [prefer u v] steers equal-cost multipath toward
+    least-penalty hops (traffic-aware tables); [rng] is the explicit
+    opt-in for the paper's randomized spreading over equal paths and
+    parallel wires. *)
 
 val graph : t -> Graph.t
 val updown : t -> Updown.t
 
-val turns_of_path :
-  ?rng:San_util.Prng.t -> Graph.t -> Graph.node list -> Route.t option
-(** Translate a node path [h0; s1; ...; sk; h1] into the turn string a
-    worm would follow: at each switch, exit port minus entry port.
-    Deterministic (lowest exit port) over parallel wires unless [rng]
-    asks for uniform spreading; [None] if consecutive nodes are not
-    wired. The serving plane reuses this to compile per-destination
-    tables. *)
-
 val route : t -> src:Graph.node -> dst:Graph.node -> Route.t option
 (** The turn string from [src] to [dst]; [None] when no compliant path
-    exists or for [src = dst]. *)
+    exists, for [src = dst], and when either end is not a host of the
+    graph. Two slot reads and one table read: the table is dense,
+    indexed by host slot. *)
 
 val all : t -> (Graph.node * Graph.node * Route.t) list
-(** Every computed route. *)
+(** Every computed route, in ascending [(src, dst)] order. *)
 
 val unreachable_pairs : t -> (Graph.node * Graph.node) list
-(** Ordered host pairs with no compliant route (empty on connected
+(** Ordered host pairs with no compliant route, ascending (empty on connected
     maps — UP*/DOWN* always connects a connected graph). *)
 
 type length_stats = { pairs : int; min_len : int; avg_len : float; max_len : int }
@@ -61,8 +55,8 @@ val length_stats : t -> length_stats
 
 val channel_loads : t -> (Graph.wire_end * int) list
 (** Number of routes crossing each directed channel (identified by its
-    exit wire end), descending — exposes the root-congestion effect
-    the paper notes for UP*/DOWN*. *)
+    exit wire end), by load descending, then by wire end ascending —
+    exposes the root-congestion effect the paper notes for UP*/DOWN*. *)
 
 val verify_delivery : ?against:Graph.t -> t -> (unit, string) result
 (** Check every route's worm reaches the intended host. [against]

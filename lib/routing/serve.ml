@@ -1,12 +1,20 @@
 open San_topology
 
 module Pool = struct
+  (* (turn, suffix cell) -> cell, hashed without the generic C hash. *)
+  module Index = Hashtbl.Make (struct
+    type t = int * int
+
+    let equal ((a : int), (b : int)) (c, d) = a = c && b = d
+    let hash (turn, next) = ((next * 31) + turn) land max_int
+  end)
+
   type t = {
     mutable turn : int array;
     mutable next : int array;
     mutable depth : int array;
     mutable n : int;
-    index : (int * int, int) Hashtbl.t;
+    index : int Index.t;
     mutable entries : int;
     mutable turns_total : int;
     mutable max_depth : int;
@@ -18,7 +26,7 @@ module Pool = struct
       next = Array.make 64 (-1);
       depth = Array.make 64 0;
       n = 0;
-      index = Hashtbl.create 64;
+      index = Index.create 64;
       entries = 0;
       turns_total = 0;
       max_depth = 0;
@@ -39,7 +47,7 @@ module Pool = struct
     end
 
   let intern t turn next =
-    match Hashtbl.find_opt t.index (turn, next) with
+    match Index.find_opt t.index (turn, next) with
     | Some c -> c
     | None ->
       grow t;
@@ -48,21 +56,25 @@ module Pool = struct
       t.turn.(c) <- turn;
       t.next.(c) <- next;
       t.depth.(c) <- 1 + (if next < 0 then 0 else t.depth.(next));
-      Hashtbl.add t.index (turn, next) c;
+      Index.add t.index (turn, next) c;
       c
 
-  (* Intern back to front so the cell chain reads the route forward:
-     a cell is the head turn, its [next] the shared remainder. *)
-  let add t turns =
-    let arr = Array.of_list turns in
+  (* Intern [buf.(0 .. len-1)] back to front so the cell chain reads
+     the route forward: a cell is the head turn, its [next] the shared
+     remainder. *)
+  let add_prefix t buf len =
     let idx = ref (-1) in
-    for i = Array.length arr - 1 downto 0 do
-      idx := intern t arr.(i) !idx
+    for i = len - 1 downto 0 do
+      idx := intern t buf.(i) !idx
     done;
     t.entries <- t.entries + 1;
-    t.turns_total <- t.turns_total + Array.length arr;
-    if Array.length arr > t.max_depth then t.max_depth <- Array.length arr;
+    t.turns_total <- t.turns_total + len;
+    if len > t.max_depth then t.max_depth <- len;
     !idx
+
+  let add t turns =
+    let arr = Array.of_list turns in
+    add_prefix t arr (Array.length arr)
 
   let write t idx buf =
     let j = ref idx and pos = ref 0 in
@@ -103,6 +115,7 @@ type t = {
   order : Graph.node Queue.t;
   cache_limit : int;
   mutable dst_builds : int;
+  scratch : int array; (* one compiled turn string *)
 }
 
 let no_route = -2
@@ -124,6 +137,7 @@ let create ?(cache_limit = 64) ?root ?ignore_hosts ?labeling ?prefer g =
     order = Queue.create ();
     cache_limit = max 1 cache_limit;
     dst_builds = 0;
+    scratch = Array.make (Graph.num_nodes g + 1) 0;
   }
 
 let graph t = t.sv_graph
@@ -135,12 +149,10 @@ let build_table t dst =
       Array.iteri
         (fun slot src ->
           if src <> dst then
-            match Paths.node_path ?prefer:t.prefer t.paths ~src ~dst with
-            | None -> ()
-            | Some path -> (
-              match Routes.turns_of_path t.sv_graph path with
-              | None -> ()
-              | Some turns -> table.(slot) <- Pool.add t.pool turns))
+            let buf = t.scratch in
+            match Paths.route_into ?prefer:t.prefer t.paths ~src ~dst ~buf with
+            | -1 -> ()
+            | len -> table.(slot) <- Pool.add_prefix t.pool buf len)
         t.hosts;
       if Queue.length t.order >= t.cache_limit then
         Hashtbl.remove t.tables (Queue.pop t.order);

@@ -6,15 +6,23 @@ type tables = San_simnet.Route.t Smap.t Smap.t
 
 let empty = Smap.empty
 
+(* One slice per source host, built whole and added once; a host with
+   no route at all holds no slice. *)
 let of_routes table =
   let g = San_routing.Routes.graph table in
+  let hosts = Graph.hosts g in
   List.fold_left
-    (fun acc (src, dst, turns) ->
-      let name = Graph.name g src in
-      let slice = Option.value ~default:Smap.empty (Smap.find_opt name acc) in
-      Smap.add name (Smap.add (Graph.name g dst) turns slice) acc)
-    Smap.empty
-    (San_routing.Routes.all table)
+    (fun acc src ->
+      let slice =
+        List.fold_left
+          (fun slice dst ->
+            match San_routing.Routes.route table ~src ~dst with
+            | Some turns -> Smap.add (Graph.name g dst) turns slice
+            | None -> slice)
+          Smap.empty hosts
+      in
+      if Smap.is_empty slice then acc else Smap.add (Graph.name g src) slice acc)
+    Smap.empty hosts
 
 let hosts t = List.map fst (Smap.bindings t)
 
@@ -74,7 +82,7 @@ let slice_of_host ~installed owner fresh_slice =
       Smap.fold
         (fun dst turns ((n, b) as acc) ->
           match Smap.find_opt dst old_slice with
-          | Some old_turns when old_turns = turns -> acc
+          | Some old_turns when List.equal Int.equal old_turns turns -> acc
           | _ -> (n + 1, b + D.entry_bytes turns))
         fresh_slice (0, 0)
     in
@@ -100,8 +108,7 @@ let slice_of_host ~installed owner fresh_slice =
           packed_bytes;
         }
 
-let plan ~installed table =
-  let fresh = of_routes table in
+let plan_fresh ~installed fresh =
   let slices =
     List.map
       (fun (owner, fresh_slice) -> slice_of_host ~installed owner fresh_slice)
@@ -117,6 +124,8 @@ let plan ~installed table =
       List.length (List.filter (fun s -> s.kind = Unchanged) slices);
   }
 
+let plan ~installed table = plan_fresh ~installed (of_routes table)
+
 (* ------------------------------------------------------------------ *)
 
 type report = {
@@ -130,7 +139,10 @@ type report = {
 let distribute ?params ?retries ?traffic ~installed table ~actual ~leader =
   let map = San_routing.Routes.graph table in
   let leader_name = Graph.name actual leader in
-  let p = plan ~installed table in
+  (* The fresh ledger is built once: it feeds the plan and, for the
+     delivered hosts, becomes the installed one. *)
+  let fresh = of_routes table in
+  let p = plan_fresh ~installed fresh in
   let to_ship =
     List.filter (fun s -> s.kind <> Unchanged && s.owner <> leader_name) p.slices
   in
@@ -151,7 +163,6 @@ let distribute ?params ?retries ?traffic ~installed table ~actual ~leader =
   with
   | Error _ as e -> e
   | Ok dist ->
-    let fresh = of_routes table in
     let missed_names =
       List.map (fun node -> Graph.name map node) dist.D.missed
     in

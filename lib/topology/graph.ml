@@ -151,6 +151,8 @@ let wired_ports t n =
   done;
   !acc
 
+let peer t n p = t.infos.(n).peers.(p)
+
 let free_ports t n =
   let i = info t n in
   let acc = ref [] in

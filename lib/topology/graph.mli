@@ -84,6 +84,12 @@ val wires : t -> (wire_end * wire_end) list
 val wired_ports : t -> node -> (port * wire_end) list
 (** The wired ports of a node with their peers, in port order. *)
 
+val peer : t -> node -> port -> wire_end option
+(** The far end of the wire plugged into port [p] of [n], if any.
+    Unlike {!wired_ports} it allocates nothing, so hot loops can scan
+    [0 .. ports_of n - 1] in place. Unchecked: [n] and [p] must be in
+    range. *)
+
 val free_ports : t -> node -> port list
 
 val fold_nodes : t -> init:'a -> f:('a -> node -> 'a) -> 'a

@@ -149,6 +149,84 @@ let test_channel_loads_congestion () =
     Alcotest.(check bool) "meaningful load" true (load > 10)
   | [] -> Alcotest.fail "no loads"
 
+let test_channel_loads_tie_order () =
+  (* Every channel of a 3-leaf star carries exactly two routes, so the
+     order is decided by the tie-break alone: wire end ascending. *)
+  let g = Generators.star ~leaves:3 () in
+  Alcotest.(check (list (pair (pair int int) int))) "ties by wire end"
+    [
+      ((0, 0), 2); ((0, 1), 2); ((0, 2), 2); ((1, 0), 2); ((1, 1), 2);
+      ((2, 0), 2); ((3, 0), 2); ((3, 1), 2); ((4, 0), 2); ((5, 0), 2);
+      ((5, 1), 2); ((6, 0), 2);
+    ]
+    (Routes.channel_loads (Routes.compute g));
+  (* Mixed loads: heaviest first, ties still by wire end. *)
+  let g, _ = Generators.now_c () in
+  let loads = Routes.channel_loads (Routes.compute g) in
+  Alcotest.(check bool) "load descending, then wire end" true
+    (loads = List.sort (fun (w, a) (w', b) -> compare (b, w) (a, w')) loads)
+
+(* ---------- golden tables ---------- *)
+
+let table_digest table =
+  Routes.all table
+  |> List.map (fun (src, dst, turns) ->
+         Printf.sprintf "%d %d %s\n" src dst
+           (String.concat "," (List.map string_of_int turns)))
+  |> String.concat "" |> Digest.string |> Digest.to_hex
+
+let test_golden_tables () =
+  (* MD5 of every route, pinned for the default, penalty-steered and
+     randomized compilers so a change to path or wire selection shows
+     up as a changed table. *)
+  let prefer u v = float_of_int (((u * 31) + (v * 17)) mod 7) in
+  List.iter
+    (fun (spec, default, preferred, random) ->
+      let g =
+        match San_fabric.Fabric.parse spec with
+        | Ok p -> p.San_fabric.Fabric.p_build ~seed:1
+        | Error e -> Alcotest.fail e
+      in
+      let check mode want table =
+        Alcotest.(check string) (spec ^ " " ^ mode) want (table_digest table)
+      in
+      check "default" default (Routes.compute g);
+      check "prefer" preferred (Routes.compute ~prefer g);
+      check "rng" random (Routes.compute ~rng:(San_util.Prng.create 7) g))
+    [
+      ( "ft-100",
+        "0fb2087b9cde87a9eb258831cf0c9a06",
+        "d54fed5e99ea4c634e2e429a47ae75cb",
+        "a625381b2357d9e1e821368794c87b52" );
+      ( "now-cab",
+        "5ea8effaa6fb59c5a4b2774868236963",
+        "d0dad6842c848faa3ab9e64095003465",
+        "90d2312c4bb516f1a5f9d470a6855638" );
+    ]
+
+let test_dense_table_edges () =
+  let g, _ = Generators.now_c () in
+  let table = Routes.compute g in
+  let h0 = List.nth (Graph.hosts g) 0 and h1 = List.nth (Graph.hosts g) 1 in
+  let s = List.hd (Graph.switches g) and past = Graph.num_nodes g in
+  Alcotest.(check bool) "a host pair routes" true
+    (Routes.route table ~src:h0 ~dst:h1 <> None);
+  List.iter
+    (fun (what, src, dst) ->
+      Alcotest.(check bool) what true (Routes.route table ~src ~dst = None))
+    [
+      ("src = dst", h0, h0);
+      ("switch source", s, h1);
+      ("switch destination", h0, s);
+      ("negative source", -1, h1);
+      ("negative destination", h0, -1);
+      ("source past the graph", past, h1);
+      ("destination past the graph", h0, past);
+    ];
+  let all = Routes.all table in
+  Alcotest.(check bool) "all in (src, dst) order" true
+    (all = List.sort compare all)
+
 let test_route_lengths_bounded () =
   let g, _ = Generators.now_cab () in
   let table = Routes.compute g in
@@ -402,6 +480,10 @@ let () =
           Alcotest.test_case "deterministic" `Quick test_routes_deterministic_without_rng;
           Alcotest.test_case "load balance" `Quick test_load_balance_spreads;
           Alcotest.test_case "root congestion" `Quick test_channel_loads_congestion;
+          Alcotest.test_case "channel load tie order" `Quick
+            test_channel_loads_tie_order;
+          Alcotest.test_case "golden tables" `Quick test_golden_tables;
+          Alcotest.test_case "dense table edges" `Quick test_dense_table_edges;
           Alcotest.test_case "length bounds" `Quick test_route_lengths_bounded;
           Alcotest.test_case "map drives actual" `Quick test_map_routes_drive_actual;
           Alcotest.test_case "myricom map acyclic" `Slow
