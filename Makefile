@@ -1,6 +1,6 @@
 # Convenience targets; everything is plain dune underneath.
 
-.PHONY: all build test check bench bench-fast bench-smoke scale-smoke shard-smoke serve-smoke fuzz-smoke health-smoke explain-smoke slo-smoke cover-smoke perf-map-smoke perf-converge-smoke artifacts examples clean
+.PHONY: all build test check bench bench-fast bench-smoke scale-smoke shard-smoke serve-smoke fuzz-smoke health-smoke explain-smoke slo-smoke cover-smoke perf-map-smoke perf-converge-smoke artifacts csv examples clean
 
 all: build
 
