@@ -115,9 +115,8 @@ let fabric_spec spec =
   | _ -> None
 
 (* The graph plus a suggested fixed exploration depth when the spec is
-   a generated fabric: at data-center scale the oracle bound's per-node
-   min-cost flow is infeasible, and the generator knows a safe depth
-   analytically. *)
+   a generated fabric: the generator knows a safe depth analytically,
+   and above [oracle_feasible]'s size it replaces the oracle bound. *)
 let build spec seed =
   let fabric p = (p.San_fabric.Fabric.p_build ~seed, p.San_fabric.Fabric.p_depth) in
   match fabric_spec spec with
@@ -175,14 +174,15 @@ let host g = function
     | h :: _ -> h
     | [] -> failwith "topology has no hosts")
 
-(* Above this size the all-pairs diameter and the oracle's per-node
-   flow computation stop being interactive; the fabric generator's
-   suggested depth replaces them. *)
+(* Above this size the generator's suggested depth replaces the oracle.
+   The oracle is cheap at this scale (ft-1k's Q+D+1 takes about 0.25 s);
+   the threshold stays because moving it would change which depth, and
+   so which probe counts, every large CLI map has. *)
 let oracle_feasible g = Graph.num_nodes g <= 2000
 
-(* An explicit depth wins; else the exact oracle bound whenever its flow
-   computation is affordable (surplus depth multiplies replicates on
-   multipath fabrics, it is never free); else the generator's hint. *)
+(* An explicit depth wins; else the exact oracle bound whenever
+   [oracle_feasible] (surplus depth multiplies replicates on multipath
+   fabrics, it is never free); else the generator's hint. *)
 let depth t explicit =
   match (explicit, t.hint) with
   | Some d, _ -> San_mapper.Berkeley.Fixed d

@@ -1,60 +1,88 @@
-let bfs_distances g src =
-  let n = Graph.num_nodes g in
-  let dist = Array.make n max_int in
-  dist.(src) <- 0;
-  let q = Queue.create () in
-  Queue.add src q;
-  while not (Queue.is_empty q) do
-    let u = Queue.take q in
-    let du = dist.(u) in
-    List.iter
-      (fun (_, (v, _)) ->
-        if dist.(v) = max_int then begin
-          dist.(v) <- du + 1;
-          Queue.add v q
-        end)
-      (Graph.wired_ports g u)
+(* The one breadth-first search. Sources sit in [queue.(first ..
+   last-1)] with [dist] 0, and every node not yet reached has [dist]
+   [max_int]. Ports are scanned in place through [Graph.peer], in port
+   order, so nothing is allocated. Returns the new tail: [queue.(first ..
+   tail-1)] holds the sources and every node they reach, in visiting
+   order (nondecreasing distance). *)
+let bfs g ~dist ~queue ~first ~last =
+  let head = ref first and tail = ref last in
+  while !head < !tail do
+    let u = queue.(!head) in
+    incr head;
+    let du = dist.(u) + 1 in
+    for p = 0 to Graph.ports_of g u - 1 do
+      match Graph.peer g u p with
+      | Some (w, _) when dist.(w) = max_int ->
+        dist.(w) <- du;
+        queue.(!tail) <- w;
+        incr tail
+      | Some _ | None -> ()
+    done
   done;
+  !tail
+
+let bfs_arrays g =
+  let n = Graph.num_nodes g in
+  (Array.make n max_int, Array.make n 0)
+
+(* BFS from one source into [dist]/[queue]; returns the tail. *)
+let bfs_from g ~dist ~queue src =
+  dist.(src) <- 0;
+  queue.(0) <- src;
+  bfs g ~dist ~queue ~first:0 ~last:1
+
+let bfs_distances g src =
+  let dist, queue = bfs_arrays g in
+  ignore (bfs_from g ~dist ~queue src);
   dist
 
 let distance g a b =
   let d = (bfs_distances g a).(b) in
   if d = max_int then None else Some d
 
-let eccentricity g n =
-  Array.fold_left
-    (fun acc d -> if d = max_int then acc else max acc d)
-    0 (bfs_distances g n)
+(* The last node visited is the farthest; resetting just the visited
+   nodes leaves [dist] all [max_int] for the next source. *)
+let eccentricity_into g ~dist ~queue src =
+  let tail = bfs_from g ~dist ~queue src in
+  let ecc = dist.(queue.(tail - 1)) in
+  for i = 0 to tail - 1 do
+    dist.(queue.(i)) <- max_int
+  done;
+  ecc
+
+let eccentricity g src =
+  let dist, queue = bfs_arrays g in
+  eccentricity_into g ~dist ~queue src
 
 let diameter g =
-  Graph.fold_nodes g ~init:0 ~f:(fun acc n -> max acc (eccentricity g n))
+  let dist, queue = bfs_arrays g in
+  Graph.fold_nodes g ~init:0 ~f:(fun acc n ->
+      max acc (eccentricity_into g ~dist ~queue n))
 
+let sorted_slice queue first tail =
+  let a = Array.sub queue first (tail - first) in
+  Array.sort compare a;
+  Array.to_list a
+
+(* Components are disjoint, so one [dist] marks every node seen and
+   each search appends its component to [queue] after the last. *)
 let components g =
-  let n = Graph.num_nodes g in
-  let seen = Array.make n false in
-  let comps = ref [] in
-  for start = 0 to n - 1 do
-    if not seen.(start) then begin
-      let dist = bfs_distances g start in
-      let comp = ref [] in
-      for v = n - 1 downto 0 do
-        if dist.(v) <> max_int && not seen.(v) then begin
-          seen.(v) <- true;
-          comp := v :: !comp
-        end
-      done;
-      comps := !comp :: !comps
+  let dist, queue = bfs_arrays g in
+  let comps = ref [] and last = ref 0 in
+  for start = 0 to Graph.num_nodes g - 1 do
+    if dist.(start) = max_int then begin
+      dist.(start) <- 0;
+      queue.(!last) <- start;
+      let tail = bfs g ~dist ~queue ~first:!last ~last:(!last + 1) in
+      comps := sorted_slice queue !last tail :: !comps;
+      last := tail
     end
   done;
   List.rev !comps
 
 let component_of g n =
-  let dist = bfs_distances g n in
-  let acc = ref [] in
-  for v = Array.length dist - 1 downto 0 do
-    if dist.(v) <> max_int then acc := v :: !acc
-  done;
-  !acc
+  let dist, queue = bfs_arrays g in
+  sorted_slice queue 0 (bfs_from g ~dist ~queue n)
 
 let is_connected g =
   Graph.num_nodes g <= 1 || List.length (components g) = 1
@@ -66,25 +94,16 @@ let farthest_switch_from_hosts g ~ignore =
   match (Graph.switches g, considered_hosts) with
   | [], _ | _, [] -> None
   | sws, hs ->
-    (* Multi-source BFS from all considered hosts at once. *)
-    let n = Graph.num_nodes g in
-    let dist = Array.make n max_int in
-    let q = Queue.create () in
-    List.iter
-      (fun h ->
-        dist.(h) <- 0;
-        Queue.add h q)
-      hs;
-    while not (Queue.is_empty q) do
-      let u = Queue.take q in
-      List.iter
-        (fun (_, (v, _)) ->
-          if dist.(v) = max_int then begin
-            dist.(v) <- dist.(u) + 1;
-            Queue.add v q
-          end)
-        (Graph.wired_ports g u)
-    done;
+    let dist, queue = bfs_arrays g in
+    let last =
+      List.fold_left
+        (fun i h ->
+          dist.(h) <- 0;
+          queue.(i) <- h;
+          i + 1)
+        0 hs
+    in
+    let (_ : int) = bfs g ~dist ~queue ~first:0 ~last in
     let best =
       List.fold_left
         (fun best s ->
@@ -97,16 +116,19 @@ let farthest_switch_from_hosts g ~ignore =
     in
     Option.map fst best
 
+(* Visiting order is nondecreasing distance, so the runs of equal
+   distance along [queue] are the histogram, already ascending. *)
 let hop_histogram g src =
-  let dist = bfs_distances g src in
-  let tbl = Hashtbl.create 16 in
-  Array.iter
-    (fun d ->
-      if d <> max_int then
-        Hashtbl.replace tbl d (1 + Option.value ~default:0 (Hashtbl.find_opt tbl d)))
-    dist;
-  Hashtbl.fold (fun d c acc -> (d, c) :: acc) tbl []
-  |> List.sort compare
+  let dist, queue = bfs_arrays g in
+  let tail = bfs_from g ~dist ~queue src in
+  let acc = ref [] in
+  for i = tail - 1 downto 0 do
+    let d = dist.(queue.(i)) in
+    match !acc with
+    | (d', c) :: rest when d' = d -> acc := (d, c + 1) :: rest
+    | _ -> acc := (d, 1) :: !acc
+  done;
+  !acc
 
 (* Weighted link ranking: the telemetry layer scores each wire (by
    occupancy, transit counts, route loads, ...) and this orders them

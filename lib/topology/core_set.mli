@@ -42,10 +42,20 @@ val q_of : Graph.t -> root:Graph.node -> Graph.node -> int option
     leave [v] by different wires (no mid-route turn-0). [None] when no
     such trail exists even via the two-trails-to-any-hosts fallback,
     which can only overestimate the true [Q(v)] — a safe direction for
-    a search depth. *)
+    a search depth.
+
+    The flow is solved on a residual arena of flat [int] arrays built
+    once per graph: partially applied, [q_of g ~root] builds the
+    forced-root arena (and the fallback's on first need), and each
+    [v] it is then given costs two shortest-path passes — a 0-1 BFS,
+    then Dijkstra on costs reduced by the BFS distances, both with a
+    bucket queue — O(V + E) and no allocation. A one-off [q_of g ~root
+    v] also pays O(V + E) to build the arena.
+    @raise Invalid_argument if [root] is not a host. *)
 
 val q_bound : Graph.t -> root:Graph.node -> int
-(** [Q] = max of [q_of] over the core. 0 for degenerate graphs. *)
+(** [Q] = max of [q_of] over the core, from one arena: O(V·(V + E)).
+    0 for degenerate graphs. *)
 
 val search_depth : Graph.t -> root:Graph.node -> int
 (** The oracle exploration depth [Q + D + 1]. *)

@@ -287,6 +287,97 @@ let lemma1_prop =
         (fun v -> f.(v) || Core_set.q_of g ~root v <> None)
         (Graph.nodes g))
 
+(* ---------- Q(v) against the flow reference ---------- *)
+
+(* Every core node's Q(v), answered by one partially applied [q_of]
+   (so one arena serves them all), equals the flow reference's. Returns
+   how many nodes took the reference's any-host fallback. *)
+let check_q_reference ~what g ~root =
+  let in_f = Core_set.separated_set g in
+  let q = Core_set.q_of g ~root in
+  List.fold_left
+    (fun fallbacks v ->
+      if in_f.(v) then fallbacks
+      else begin
+        let expect, fell_back =
+          match Q_reference.flow g ~root ~force_root:true v with
+          | Some _ as q -> (q, false)
+          | None -> (Q_reference.flow g ~root ~force_root:false v, true)
+        in
+        let got = q v in
+        if got <> expect then
+          Alcotest.failf "%s: Q(%d) = %a, reference %a" what v
+            Fmt.(Dump.option int) got Fmt.(Dump.option int) expect;
+        if fell_back then fallbacks + 1 else fallbacks
+      end)
+    0 (Graph.nodes g)
+
+let fabric name =
+  match San_fabric.Fabric.parse name with
+  | Ok p -> p.San_fabric.Fabric.p_build ~seed:1
+  | Error e -> Alcotest.fail e
+
+(* A partition, as after a cut: the second star's nodes cannot reach
+   the root, so only the two-trails-to-any-hosts fallback defines Q. *)
+let partitioned () =
+  let g = Graph.create () in
+  let s0 = Graph.add_switch g () and s1 = Graph.add_switch g () in
+  List.iteri
+    (fun i s ->
+      let h = Graph.add_host g ~name:(Printf.sprintf "h%d" i) in
+      Graph.connect g (h, 0) (s, i mod 2))
+    [ s0; s0; s1; s1 ];
+  (g, s1)
+
+let test_q_reference_pinned () =
+  List.iter
+    (fun name ->
+      let g = fabric name in
+      let root = List.hd (Graph.hosts g) in
+      Alcotest.(check int) (name ^ ": forced-root arena only") 0
+        (check_q_reference ~what:name g ~root))
+    [ "now-c"; "now-ca"; "now-cab"; "ft-100"; "ft-1k-degraded";
+      "levels=3,radix=16,edge=50,hosts=8" ];
+  let g, s1 = partitioned () in
+  let root = List.hd (Graph.hosts g) in
+  Alcotest.(check int) "partition: fallback arena for s1 and its hosts" 3
+    (check_q_reference ~what:"partition" g ~root);
+  Alcotest.(check (option int)) "Q(s1) via two hosts" (Some 2)
+    (Core_set.q_of g ~root s1)
+
+(* The oracle depth of the headline fabric is cheap enough to pin: it
+   is the preset's own suggested depth. *)
+let test_ft1k_oracle_depth () =
+  let g = fabric "ft-1k" in
+  let root = Option.get (Graph.host_by_name g "h0") in
+  Alcotest.(check int) "Q" 12 (Core_set.q_bound g ~root);
+  Alcotest.(check int) "D" 10 (Analysis.diameter g);
+  Alcotest.(check (option int)) "Q+D+1 is the preset's depth"
+    (Option.get (San_fabric.Fabric.find_preset "ft-1k")).p_depth
+    (Some (Core_set.search_depth g ~root))
+
+(* The fuzzer's fabrics, rooted at each case's mapper, then again with
+   one seeded link removed: the graph a remap sees after an incident. *)
+let test_q_reference_fuzz () =
+  let fallbacks = ref 0 in
+  for seed = 0 to 999 do
+    let c = San_check.Fuzz_gen.gen ~seed in
+    match San_check.Fuzz_gen.mapper_node c with
+    | None -> ()
+    | Some root ->
+      let g = c.San_check.Fuzz_gen.graph in
+      let what = Printf.sprintf "fuzz case %d" seed in
+      fallbacks := !fallbacks + check_q_reference ~what g ~root;
+      if Graph.num_wires g > 0 then begin
+        let rng = San_util.Prng.create seed in
+        let cut = Faults.remove_random_links ~rng g ~count:1 in
+        fallbacks :=
+          !fallbacks + check_q_reference ~what:(what ^ " cut") cut ~root
+      end
+  done;
+  Alcotest.(check bool) "some cases need the fallback arena" true
+    (!fallbacks > 0)
+
 (* ---------- min-cost flow ---------- *)
 
 let test_flow_simple () =
@@ -682,6 +773,11 @@ let () =
           Alcotest.test_case "Q undefined in F" `Quick test_q_undefined_in_f;
           Alcotest.test_case "Q direction reuse" `Quick test_q_direction_reuse;
           qcheck lemma1_prop;
+          Alcotest.test_case "Q equals flow reference" `Quick
+            test_q_reference_pinned;
+          Alcotest.test_case "Q equals flow reference on fuzz cases" `Quick
+            test_q_reference_fuzz;
+          Alcotest.test_case "ft-1k oracle depth" `Quick test_ft1k_oracle_depth;
         ] );
       ( "flow",
         [
