@@ -1,6 +1,6 @@
 # Convenience targets; everything is plain dune underneath.
 
-.PHONY: all build test check bench bench-fast bench-smoke scale-smoke shard-smoke serve-smoke fuzz-smoke health-smoke explain-smoke slo-smoke cover-smoke perf-map-smoke perf-converge-smoke artifacts csv examples clean
+.PHONY: all build test check bench bench-fast bench-smoke scale-smoke shard-smoke serve-smoke fuzz-smoke health-smoke explain-smoke slo-smoke cover-smoke perf-map-smoke perf-map-ft1k-smoke perf-converge-smoke artifacts csv examples clean
 
 all: build
 
@@ -24,6 +24,7 @@ check:
 	$(MAKE) slo-smoke
 	$(MAKE) cover-smoke
 	$(MAKE) perf-map-smoke
+	$(MAKE) perf-map-ft1k-smoke
 	$(MAKE) perf-converge-smoke
 
 bench:
@@ -110,6 +111,15 @@ cover-smoke:
 # the map is isomorphic to N - F.
 perf-map-smoke:
 	sh bench/perf/run.sh --workload map-r32 --seed 1 --trace 1
+
+# The probe path at full benchmark size: one traced map-ft1k run (1,000
+# hosts, 361,004 probes at seed 1, where worm evaluation and turn
+# planning dominate). Same gates as perf-map-smoke — exact replay of
+# the untraced map, layer self-times summing to the wall, a map
+# isomorphic to N - F — plus the obs and why overhead guards: the map
+# re-run with each sink on must verify and send the same probes.
+perf-map-ft1k-smoke:
+	sh bench/perf/run.sh --workload map-ft1k --seed 1 --trace 1
 
 # The daemon's incident path at full benchmark size: one traced
 # converge-ft400 run (a 400-host fat-tree losing one link). It exits

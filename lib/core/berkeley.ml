@@ -35,6 +35,10 @@ let exhaustive =
 
 type depth = Oracle | Fixed of int
 
+(* Simulated time spent probing, in a flat float field so adding to it
+   allocates nothing. *)
+type clock = { mutable ns : float }
+
 type trace_point = {
   step : int;
   created_nodes : int;
@@ -85,7 +89,7 @@ let explore_service ?expand ?probe_budget ?tick ~policy
     ~depth_used ~record_trace sv model seeds =
   let frontier : Model.vid San_util.Fifo.t = San_util.Fifo.create () in
   List.iter (San_util.Fifo.add frontier) seeds;
-  let elapsed = ref 0.0 in
+  let elapsed = { ns = 0.0 } in
   let explorations = ref 0 in
   let probes_sent = ref 0 in
   let trace = ref [] in
@@ -93,51 +97,51 @@ let explore_service ?expand ?probe_budget ?tick ~policy
   let budget_left () =
     match probe_budget with None -> true | Some b -> !probes_sent < b
   in
-  let with_retries send =
-    (* One initial attempt plus up to [retries] re-sends on silence. *)
-    let rec go attempt =
-      let (resp : Network.response), cost = send () in
-      incr probes_sent;
-      elapsed := !elapsed +. cost;
-      match resp with
-      | Network.Nothing when attempt < policy.retries -> go (attempt + 1)
-      | r -> r
+  (* One initial attempt plus up to [retries] re-sends on silence. *)
+  let rec send ~host probe attempt =
+    let (resp : Network.response), cost =
+      if host then sv.sv_host_probe ~turns:probe
+      else sv.sv_switch_probe ~turns:probe
     in
-    go 0
+    incr probes_sent;
+    elapsed.ns <- elapsed.ns +. cost;
+    match resp with
+    | Network.Nothing when attempt < policy.retries ->
+      send ~host probe (attempt + 1)
+    | r -> r
   in
+  let record ~host probe resp =
+    if Why.on () then
+      ignore
+        (Why.record_probe
+           ~kind:(if host then Why.Host_probe else Why.Switch_probe)
+           ~turns:probe ~resp:(resp_string resp))
+  in
+  (* One probe of one kind for [turn] out of [v]; true when it answered,
+     which is exactly when the model changed. The child keeps
+     [rev_probe], one cell on top of [v]'s route; the forward copy is
+     only for sending. *)
+  let try_probe ~host v turn rev_probe probe =
+    let resp = send ~host probe 0 in
+    record ~host probe resp;
+    match resp with
+    | Network.Host name when host ->
+      ignore (Model.add_host_vertex model ~parent:v ~turn ~rev_probe ~name);
+      true
+    | Network.Switch when not host ->
+      let child = Model.add_switch_vertex model ~parent:v ~turn ~rev_probe in
+      San_util.Fifo.add frontier child;
+      true
+    | Network.Host _ | Network.Switch | Network.Nothing -> false
+  in
+  (* Sends the probes for one turn out of [v]: the policy's first kind,
+     then the other if the first found nothing. *)
   let probe_pair v turn =
-    (* The child keeps [rev_probe], one cell on top of [v]'s route; the
-       forward copy is only for sending. *)
     let rev_probe = turn :: Model.rev_probe model v in
     let probe = List.rev rev_probe in
-    let try_host () =
-      let resp = with_retries (fun () -> sv.sv_host_probe ~turns:probe) in
-      if Why.on () then
-        ignore
-          (Why.record_probe ~kind:Why.Host_probe ~turns:probe
-             ~resp:(resp_string resp));
-      match resp with
-      | Network.Host name ->
-        ignore (Model.add_host_vertex model ~parent:v ~turn ~rev_probe ~name);
-        true
-      | Network.Switch | Network.Nothing -> false
-    in
-    let try_switch () =
-      let resp = with_retries (fun () -> sv.sv_switch_probe ~turns:probe) in
-      if Why.on () then
-        ignore
-          (Why.record_probe ~kind:Why.Switch_probe ~turns:probe
-             ~resp:(resp_string resp));
-      match resp with
-      | Network.Switch ->
-        let child = Model.add_switch_vertex model ~parent:v ~turn ~rev_probe in
-        San_util.Fifo.add frontier child;
-        true
-      | Network.Host _ | Network.Nothing -> false
-    in
-    if policy.host_probe_first then (
-      if not (try_host ()) then ignore (try_switch ()))
-    else if not (try_switch ()) then ignore (try_host ())
+    let host = policy.host_probe_first in
+    try_probe ~host v turn rev_probe probe
+    || try_probe ~host:(not host) v turn rev_probe probe
   in
   let explore ~fill_only v =
     if San_obs.Obs.on () then begin
@@ -146,15 +150,24 @@ let explore_service ?expand ?probe_budget ?tick ~policy
         (float_of_int (San_util.Fifo.length frontier))
     end;
     Model.set_explored model v;
-    List.iter
-      (fun turn ->
-        let skip =
-          ((fill_only || policy.skip_known)
-          && Probe_order.already_known model v ~turn)
-          || (policy.window_pruning && Probe_order.provably_illegal model v ~turn)
-        in
-        if not skip then probe_pair v turn)
-      turn_order;
+    (* Turn planning reads [v]'s class through its canonical vertex and
+       frame shift, resolved here and again only after a probe that
+       changed the model: a new vertex can merge and re-frame [v]. *)
+    let check_known = fill_only || policy.skip_known in
+    let c = ref (Model.canonical model v) in
+    let shift = ref (Model.frame_shift model v) in
+    for i = 0 to Array.length turn_order - 1 do
+      let turn = turn_order.(i) in
+      let slot = turn + !shift in
+      let skip =
+        (check_known && Probe_order.already_known model !c ~slot)
+        || (policy.window_pruning && Probe_order.provably_illegal model !c ~slot)
+      in
+      if (not skip) && probe_pair v turn then begin
+        c := Model.canonical model v;
+        shift := Model.frame_shift model v
+      end
+    done;
     incr explorations;
     if record_trace then
       trace :=
@@ -165,7 +178,7 @@ let explore_service ?expand ?probe_budget ?tick ~policy
           live_edges = Model.live_edges model;
           frontier_length = San_util.Fifo.length frontier;
           hosts_found = Model.known_hosts model;
-          elapsed_ns = !elapsed;
+          elapsed_ns = elapsed.ns;
         }
         :: !trace;
     match tick with
@@ -223,11 +236,8 @@ let explore_service ?expand ?probe_budget ?tick ~policy
      switch), on an unwired cable it dies (retract the assumption). *)
   let root = Model.root_switch model in
   if Model.is_live model root && Model.degree model root <= 1 then begin
-    let resp = with_retries (fun () -> sv.sv_host_probe ~turns:[ 0 ]) in
-    if Why.on () then
-      ignore
-        (Why.record_probe ~kind:Why.Host_probe ~turns:[ 0 ]
-           ~resp:(resp_string resp));
+    let resp = send ~host:true [ 0 ] 0 in
+    record ~host:true [ 0 ] resp;
     match resp with
     | Network.Host _ ->
       if Why.on () then begin
@@ -246,7 +256,7 @@ let explore_service ?expand ?probe_budget ?tick ~policy
       end
     | Network.Switch | Network.Nothing -> Model.kill_root_switch model
   end;
-  (!explorations, !elapsed, List.rev !trace)
+  (!explorations, elapsed.ns, List.rev !trace)
 
 let explore_from ?expand ?probe_budget ?tick ~policy ~depth_used ~record_trace
     net ~mapper model seeds =

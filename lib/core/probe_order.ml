@@ -1,8 +1,8 @@
 let turn_order ~radix =
-  List.concat (List.init (radix - 1) (fun i -> [ i + 1; -(i + 1) ]))
+  Array.init (2 * (radix - 1)) (fun i ->
+      let m = (i / 2) + 1 in
+      if i land 1 = 0 then m else -m)
 
-let provably_illegal model v ~turn =
-  not (Model.window_admits model v ~slot:(Model.turn_slot model v turn))
+let provably_illegal model c ~slot = not (Model.window_admits model c ~slot)
 
-let already_known model v ~turn =
-  Model.slot_occupied model v (Model.turn_slot model v turn)
+let already_known model c ~slot = Model.slot_occupied model c slot

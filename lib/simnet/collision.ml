@@ -4,83 +4,91 @@ let model_to_string = function
   | Circuit -> "circuit"
   | Cut_through -> "cut-through"
 
+(* Generation stamps indexed by directed channel id: [seen.(id) = gen]
+   means the current probe has used channel [id]; cut-through also
+   keeps the hop index of that use in [last]. A new probe bumps [gen],
+   which forgets every earlier probe's marks at once. *)
+type stamps = {
+  mutable seen : int array;
+  mutable last : int array;
+  mutable gen : int;
+}
+
+let stamps () = { seen = [||]; last = [||]; gen = 0 }
+
+let fresh s =
+  s.gen <- s.gen + 1;
+  s.gen
+
+(* Channel ids come from whatever graph the walk crossed, so the arrays
+   grow on first sight of a larger id rather than being sized up front. *)
+let ensure s id =
+  if id >= Array.length s.seen then begin
+    let n = max (id + 1) (2 * Array.length s.seen) in
+    let seen = Array.make n 0 and last = Array.make n 0 in
+    Array.blit s.seen 0 seen 0 (Array.length s.seen);
+    Array.blit s.last 0 last 0 (Array.length s.last);
+    s.seen <- seen;
+    s.last <- last
+  end
+
 (* A directed channel is identified by the wire end the head exits
-   through; an undirected wire by the canonically ordered end pair. *)
-let directed_id (h : Worm.hop) = h.exit_end
+   through, [node * radix + port]; an undirected wire by the smaller of
+   its two end ids. *)
+let directed_id (w : Worm.walk) j = (w.exit_node.(j) * w.radix) + w.exit_port.(j)
 
-let undirected_id (h : Worm.hop) =
-  if h.exit_end <= h.entry_end then (h.exit_end, h.entry_end)
-  else (h.entry_end, h.exit_end)
+let undirected_id (w : Worm.walk) j =
+  let a = directed_id w j
+  and b = (w.entry_node.(j) * w.radix) + w.entry_port.(j) in
+  if a <= b then a else b
 
-(* The hop at which the path first reuses a channel (under [key]'s
-   notion of identity) — the place the self-collision happens. *)
-let find_duplicate key hops =
-  let tbl = Hashtbl.create 16 in
-  List.find_opt
-    (fun h ->
-      let id = key h in
-      if Hashtbl.mem tbl id then true
-      else begin
-        Hashtbl.add tbl id ();
-        false
-      end)
-    hops
+(* The first of hops [0, upto) that reuses a channel (under [id]'s
+   notion of identity) — the place the self-collision happens — or -1. *)
+let first_repeat s (w : Worm.walk) ~undirected ~upto =
+  let gen = fresh s in
+  let found = ref (-1) and j = ref 0 in
+  while !found < 0 && !j < upto do
+    let id = if undirected then undirected_id w !j else directed_id w !j in
+    ensure s id;
+    if s.seen.(id) = gen then found := !j
+    else begin
+      s.seen.(id) <- gen;
+      incr j
+    end
+  done;
+  !found
 
 (* Cut-through: the head enters channel c for hop index i at time
    i * hop_latency; the tail clears it [drain] later.  A reuse at hop
    j > i blocks iff the head returns before the tail cleared. *)
-let cut_through_blocking_hop params (trace : Worm.trace) =
-  let hops = Array.of_list trace.hops in
-  let drain =
-    Params.worm_drain_ns params ~route_flits:(Array.length hops)
-  in
-  if drain <= 0.0 then None
+let cut_through_blocking_hop s params (w : Worm.walk) =
+  let drain = Params.worm_drain_ns params ~route_flits:w.nhops in
+  if drain <= 0.0 then -1
   else begin
-    let last_use = Hashtbl.create 16 in
-    let blocked = ref None in
-    Array.iteri
-      (fun j h ->
-        let id = directed_id h in
-        (match Hashtbl.find_opt last_use id with
-        | Some i ->
-          let gap = float_of_int (j - i) *. Params.hop_latency_ns params in
-          if gap < drain && !blocked = None then blocked := Some h
-        | None -> ());
-        Hashtbl.replace last_use id j)
-      hops;
+    let gen = fresh s and hop_ns = Params.hop_latency_ns params in
+    let blocked = ref (-1) and j = ref 0 in
+    while !blocked < 0 && !j < w.nhops do
+      let id = directed_id w !j in
+      ensure s id;
+      if s.seen.(id) = gen
+         && float_of_int (!j - s.last.(id)) *. hop_ns < drain
+      then blocked := !j
+      else begin
+        s.seen.(id) <- gen;
+        s.last.(id) <- !j;
+        incr j
+      end
+    done;
     !blocked
   end
 
-(* A blocking self-collision is charged to the directed channel the
-   head was exiting through when it stepped on its own tail. *)
-let record fabric hop =
-  match hop with
-  | None -> false
-  | Some (h : Worm.hop) ->
-    (match fabric with
-    | Some f -> San_telemetry.Fabric_stats.collision f h.exit_end
-    | None -> ());
-    true
-
-let host_probe_blocks ?fabric model params (trace : Worm.trace) =
-  let fabric =
-    match fabric with
-    | Some _ as f -> f
-    | None -> San_telemetry.Fabric_stats.current ()
-  in
+let host_blocking_hop s model params (w : Worm.walk) =
   match model with
-  | Circuit -> record fabric (find_duplicate directed_id trace.hops)
-  | Cut_through -> record fabric (cut_through_blocking_hop params trace)
+  | Circuit -> first_repeat s w ~undirected:false ~upto:w.nhops
+  | Cut_through -> cut_through_blocking_hop s params w
 
-let switch_probe_blocks ?fabric model params ~forward_hops (trace : Worm.trace)
-    =
-  let fabric =
-    match fabric with
-    | Some _ as f -> f
-    | None -> San_telemetry.Fabric_stats.current ()
-  in
+let switch_blocking_hop s model params ~forward_hops (w : Worm.walk) =
   match model with
-  | Circuit ->
-    let forward = List.filteri (fun i _ -> i < forward_hops) trace.hops in
-    record fabric (find_duplicate undirected_id forward)
-  | Cut_through -> record fabric (cut_through_blocking_hop params trace)
+  | Circuit -> first_repeat s w ~undirected:true
+      ~upto:(if forward_hops < w.nhops then forward_hops else w.nhops)
+  | Cut_through -> cut_through_blocking_hop s params w

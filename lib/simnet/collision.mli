@@ -18,23 +18,30 @@
       survive.
 
     A blocked worm deadlocks on itself and is destroyed by the
-    hardware; the mapper simply observes a timeout. *)
+    hardware; the mapper simply observes a timeout. Both models read a
+    {!Worm.walk} and allocate nothing; charging the collision to a
+    channel is the caller's business ({!Network} does it). *)
 
 type model = Circuit | Cut_through
 
 val model_to_string : model -> string
 
-val host_probe_blocks :
-  ?fabric:San_telemetry.Fabric_stats.t -> model -> Params.t -> Worm.trace ->
-  bool
-(** Does this host-probe worm block on itself? A blocking collision is
-    charged to the directed channel where the head stepped on its tail
-    in [fabric] (default: the process-wide
-    {!San_telemetry.Fabric_stats.current} slot, if installed). *)
+type stamps
+(** Per-channel marks reused across probes: a generation stamp per
+    directed channel id [node * radix + port] (and, for cut-through,
+    the hop index of its last use). One per {!Network}; they grow to
+    the largest channel id seen. *)
 
-val switch_probe_blocks :
-  ?fabric:San_telemetry.Fabric_stats.t -> model -> Params.t ->
-  forward_hops:int -> Worm.trace -> bool
-(** Does this loopback worm block on itself? [forward_hops] is the
-    number of wire crossings of the outbound half (k+1 for a probe of
-    k turns). Collision attribution as in {!host_probe_blocks}. *)
+val stamps : unit -> stamps
+
+val host_blocking_hop : stamps -> model -> Params.t -> Worm.walk -> int
+(** The hop at which this host-probe worm steps on its own tail — the
+    first reuse in hop order that blocks under [model] — or [-1] when
+    it does not block. *)
+
+val switch_blocking_hop :
+  stamps -> model -> Params.t -> forward_hops:int -> Worm.walk -> int
+(** The same for a loopback worm. [forward_hops] is the number of wire
+    crossings of the outbound half (k+1 for a probe of k turns); under
+    {!Circuit} only those are checked, and for wire identity in either
+    direction. *)

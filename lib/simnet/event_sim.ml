@@ -53,6 +53,7 @@ type t = {
   channels : channel option array; (* indexed by dense channel id *)
   late_channels : (Graph.wire_end, channel) Hashtbl.t;
       (* ports added to the graph after create (daemon world) *)
+  walk : Worm.walk; (* every injected route is evaluated into this *)
   mutable worms : worm array;
   mutable nworms : int;
   mutable clock : float;
@@ -79,6 +80,7 @@ let create ?(params = Params.default) ?fabric graph =
     dense;
     channels = Array.make (Dense.num_channels dense) None;
     late_channels = Hashtbl.create 16;
+    walk = Worm.walk ();
     worms = [||];
     nworms = 0;
     clock = 0.0;
@@ -118,19 +120,18 @@ let schedule t ~at ev = San_util.Heap.add t.events ~priority:at ev
 let inject t ~at_ns ~src ~turns ?payload_bytes () =
   if not (Graph.is_host t.graph src) then
     invalid_arg "Event_sim.inject: source must be a host";
-  let trace = Worm.eval t.graph ~src ~turns in
+  let wk = t.walk in
+  Worm.fill wk t.graph ~src ~turns ~mirror:false;
   let path =
-    Array.of_list (List.map (fun (h : Worm.hop) -> h.Worm.exit_end) trace.hops)
+    Array.init wk.nhops (fun j -> (wk.exit_node.(j), wk.exit_port.(j)))
   in
   let final =
-    match trace.Worm.outcome with
-    | Worm.Arrived dst -> Deliver dst
-    | o -> Die o
+    match Worm.outcome wk with Worm.Arrived dst -> Deliver dst | o -> Die o
   in
   let payload =
     Option.value payload_bytes ~default:t.params.Params.probe_payload_bytes
   in
-  let len_bytes = payload + List.length turns in
+  let len_bytes = payload + wk.route_len in
   let len_ns = float_of_int len_bytes /. Params.bytes_per_ns t.params in
   let span =
     max 1

@@ -13,6 +13,9 @@ type t = {
   run_bias : float;
   net_stats : Stats.t;
   net_fabric : San_telemetry.Fabric_stats.t option;
+      (* resolved once at create; collisions and transits both go here *)
+  net_walk : Worm.walk; (* every probe is evaluated into this one walk *)
+  net_stamps : Collision.stamps;
 }
 
 let create ?(model = Collision.Circuit) ?(params = Params.default)
@@ -46,6 +49,8 @@ let create ?(model = Collision.Circuit) ?(params = Params.default)
       (match fabric with
       | Some _ as f -> f
       | None -> San_telemetry.Fabric_stats.current ());
+    net_walk = Worm.walk ();
+    net_stamps = Collision.stamps ();
   }
 
 (* Cross-traffic: a probe survives each wire crossing independently.
@@ -75,15 +80,37 @@ let reset_stats t = Stats.reset t.net_stats
    crossing the worm actually made transits the forward channel (the
    hop's exit end); a hit means the reply retraced, transiting each
    reverse channel (the hop's entry end) too. *)
-let fabric_transits t ?(reply = false) (trace : Worm.trace) =
+let fabric_transits t ~reply (w : Worm.walk) =
   match t.net_fabric with
   | None -> ()
   | Some f ->
-    List.iter
-      (fun (h : Worm.hop) ->
-        San_telemetry.Fabric_stats.transit f h.Worm.exit_end;
-        if reply then San_telemetry.Fabric_stats.transit f h.Worm.entry_end)
-      trace.hops
+    for j = 0 to w.nhops - 1 do
+      San_telemetry.Fabric_stats.transit f (w.exit_node.(j), w.exit_port.(j));
+      if reply then
+        San_telemetry.Fabric_stats.transit f (w.entry_node.(j), w.entry_port.(j))
+    done
+
+(* A blocking self-collision is charged, in the network's own table, to
+   the directed channel the head was exiting through when it stepped on
+   its tail. *)
+let blocked t (w : Worm.walk) j =
+  if j < 0 then false
+  else begin
+    (match t.net_fabric with
+    | Some f ->
+      San_telemetry.Fabric_stats.collision f (w.exit_node.(j), w.exit_port.(j))
+    | None -> ());
+    true
+  end
+
+let host_blocks t w =
+  blocked t w
+    (Collision.host_blocking_hop t.net_stamps t.net_model t.net_params w)
+
+let switch_blocks t w ~forward_hops =
+  blocked t w
+    (Collision.switch_blocking_hop t.net_stamps t.net_model t.net_params
+       ~forward_hops w)
 
 let probe_cost_hit t ~hops =
   let p = t.net_params in
@@ -122,153 +149,98 @@ let account t ~(kind : San_obs.Trace.probe_kind) ~hit ~cost =
     San_obs.Obs.emit (San_obs.Trace.Probe_sent { kind; hit; cost_ns = cost })
   end
 
+(* Charge a finished probe: its cost ([hops] wire crossings in all on
+   a hit, the timeout otherwise), the channels it crossed (and on a hit
+   whose reply retraces its path, their reverse channels), and the
+   accounting. *)
+let settle t w ~kind ~hit ~hops ~reply =
+  let cost =
+    jittered t (if hit then probe_cost_hit t ~hops else probe_cost_miss t)
+  in
+  fabric_transits t ~reply:(hit && reply) w;
+  account t ~kind ~hit ~cost;
+  cost
+
 let host_probe t ~src ~turns =
-  let trace = Worm.eval t.net_graph ~src ~turns:(Route.host_probe turns) in
-  let success =
-    match trace.outcome with
-    | Worm.Arrived h ->
-      if
-        Collision.host_probe_blocks ?fabric:t.net_fabric t.net_model
-          t.net_params trace
-      then None
-      else if t.responding h then Some (Graph.name t.net_graph h)
-      else None
-    | Worm.Illegal_turn _ | Worm.No_such_wire _ | Worm.Hit_host_too_soon _
-    | Worm.Stranded _ | Worm.Unwired_source ->
-      None
+  let w = t.net_walk in
+  Worm.fill w t.net_graph ~src ~turns ~mirror:false;
+  let hit =
+    w.stop = Worm.Stop_arrived
+    && (not (host_blocks t w))
+    && t.responding w.stop_node
+    && survives_traffic t ~crossings:(2 * w.nhops)
   in
-  let success =
-    match success with
-    | Some name when survives_traffic t ~crossings:(2 * List.length trace.hops)
-      ->
-      Some name
-    | Some _ | None -> None
+  (* Round trip: the reply retraces the same number of wire crossings
+     in the opposite direction. *)
+  let cost =
+    settle t w ~kind:San_obs.Trace.Host ~hit ~hops:(2 * w.nhops) ~reply:true
   in
-  match success with
-  | Some name ->
-    (* Round trip: the reply retraces the same number of wire
-       crossings in the opposite direction. *)
-    let hops = 2 * List.length trace.hops in
-    let cost = jittered t (probe_cost_hit t ~hops) in
-    fabric_transits t ~reply:true trace;
-    account t ~kind:San_obs.Trace.Host ~hit:true ~cost;
-    (Host name, cost)
-  | None ->
-    let cost = jittered t (probe_cost_miss t) in
-    fabric_transits t trace;
-    account t ~kind:San_obs.Trace.Host ~hit:false ~cost;
-    (Nothing, cost)
+  ((if hit then Host (Graph.name t.net_graph w.stop_node) else Nothing), cost)
 
 let walk_probe t ~src ~turns =
-  let trace = Worm.eval t.net_graph ~src ~turns in
-  let answer =
-    match trace.outcome with
-    | Worm.Arrived h when t.responding h ->
-      Some (Graph.name t.net_graph h, List.length turns, List.length trace.hops)
-    | Worm.Hit_host_too_soon (idx, h) when t.responding h ->
-      (* The §6 firmware tweak: the host reads the early worm and
-         answers with its identity and the consumed prefix length. *)
-      Some (Graph.name t.net_graph h, idx, List.length trace.hops)
-    | Worm.Arrived _ | Worm.Hit_host_too_soon _ | Worm.Illegal_turn _
-    | Worm.No_such_wire _ | Worm.Stranded _ | Worm.Unwired_source ->
-      None
+  let w = t.net_walk in
+  Worm.fill w t.net_graph ~src ~turns ~mirror:false;
+  let hit =
+    (match w.stop with
+    | Worm.Stop_arrived | Worm.Stop_host_too_soon ->
+      (* The §6 firmware tweak: a host the worm reached early reads it
+         and answers with its identity and the consumed prefix length. *)
+      t.responding w.stop_node
+    | Worm.Stop_illegal_turn | Worm.Stop_no_such_wire | Worm.Stop_stranded
+    | Worm.Stop_unwired ->
+      false)
+    && (not (host_blocks t w))
+    && survives_traffic t ~crossings:(2 * w.nhops)
+  in
+  let cost =
+    settle t w ~kind:San_obs.Trace.Walk ~hit ~hops:(2 * w.nhops) ~reply:true
   in
   let answer =
-    match answer with
-    | Some _
-      when Collision.host_probe_blocks ?fabric:t.net_fabric t.net_model
-             t.net_params trace ->
-      None
-    | a -> a
+    if hit then Some (Graph.name t.net_graph w.stop_node, w.stop_index)
+    else None
   in
-  let answer =
-    match answer with
-    | Some (name, consumed, hops)
-      when survives_traffic t ~crossings:(2 * hops) ->
-      Some (name, consumed)
-    | Some _ | None -> None
-  in
-  match answer with
-  | Some (name, consumed) ->
-    let cost = jittered t (probe_cost_hit t ~hops:(2 * List.length trace.hops)) in
-    fabric_transits t ~reply:true trace;
-    account t ~kind:San_obs.Trace.Walk ~hit:true ~cost;
-    (Some (name, consumed), cost)
-  | None ->
-    let cost = jittered t (probe_cost_miss t) in
-    fabric_transits t trace;
-    account t ~kind:San_obs.Trace.Walk ~hit:false ~cost;
-    (None, cost)
+  (answer, cost)
 
 let loop_probe t ~src ~turns ~turn =
-  let trace = Worm.eval t.net_graph ~src ~turns in
-  let answer =
-    match trace.outcome with
-    | Worm.Arrived _ | Worm.Illegal_turn _ | Worm.No_such_wire _
-    | Worm.Hit_host_too_soon _ | Worm.Unwired_source ->
+  let w = t.net_walk in
+  Worm.fill w t.net_graph ~src ~turns ~mirror:false;
+  let re_entry =
+    match w.stop with
+    | Worm.Stop_stranded ->
+      (* The worm's head sits at the stranding switch, which it entered
+         through the last hop's entry end. *)
+      let sw = w.stop_node in
+      let out_port = w.entry_port.(w.nhops - 1) + turn in
+      if out_port < 0 || out_port >= Graph.radix t.net_graph then None
+      else (
+        match Graph.peer t.net_graph sw out_port with
+        | Some (peer, q) when peer = sw -> Some (q - out_port)
+        | Some _ | None -> None)
+    | Worm.Stop_arrived | Worm.Stop_illegal_turn | Worm.Stop_no_such_wire
+    | Worm.Stop_host_too_soon | Worm.Stop_unwired ->
       None
-    | Worm.Stranded sw -> (
-      (* The worm's head sits at [sw], which it entered through the
-         last hop's entry end. *)
-      match List.rev trace.hops with
-      | [] -> None
-      | last :: _ ->
-        let _, in_port = last.Worm.entry_end in
-        let out_port = in_port + turn in
-        if out_port < 0 || out_port >= Graph.radix t.net_graph then None
-        else (
-          match Graph.neighbor t.net_graph (sw, out_port) with
-          | Some (peer, q) when peer = sw -> Some (q - out_port)
-          | Some _ | None -> None))
   in
-  let answer =
-    match answer with
-    | Some d
-      when survives_traffic t ~crossings:(2 * (List.length trace.hops + 1)) ->
-      Some d
-    | Some _ | None -> None
+  let hops = 2 * (w.nhops + 1) in
+  let hit =
+    match re_entry with
+    | Some _ -> survives_traffic t ~crossings:hops
+    | None -> false
   in
-  match answer with
-  | Some d ->
-    let cost = jittered t (probe_cost_hit t ~hops:(2 * (List.length trace.hops + 1))) in
-    fabric_transits t ~reply:true trace;
-    account t ~kind:San_obs.Trace.Loop ~hit:true ~cost;
-    (Some d, cost)
-  | None ->
-    let cost = jittered t (probe_cost_miss t) in
-    fabric_transits t trace;
-    account t ~kind:San_obs.Trace.Loop ~hit:false ~cost;
-    (None, cost)
+  let cost = settle t w ~kind:San_obs.Trace.Loop ~hit ~hops ~reply:true in
+  ((if hit then re_entry else None), cost)
 
 let switch_probe t ~src ~turns =
-  let route = Route.switch_probe turns in
-  let trace = Worm.eval t.net_graph ~src ~turns:route in
-  let forward_hops = List.length turns + 1 in
-  let success =
-    match trace.outcome with
-    | Worm.Arrived h ->
-      h = src
-      && not
-           (Collision.switch_probe_blocks ?fabric:t.net_fabric t.net_model
-              t.net_params ~forward_hops trace)
-    | Worm.Illegal_turn _ | Worm.No_such_wire _ | Worm.Hit_host_too_soon _
-    | Worm.Stranded _ | Worm.Unwired_source ->
-      false
+  let w = t.net_walk in
+  Worm.fill w t.net_graph ~src ~turns ~mirror:true;
+  let hit =
+    w.stop = Worm.Stop_arrived
+    && w.stop_node = src
+    && (not (switch_blocks t w ~forward_hops:(w.route_len + 1)))
+    && survives_traffic t ~crossings:w.nhops
   in
-  let success =
-    success && survives_traffic t ~crossings:(List.length trace.hops)
+  (* A loopback probe's route already contains its own retrace, so the
+     forward pass over the walk is the whole journey. *)
+  let cost =
+    settle t w ~kind:San_obs.Trace.Switch ~hit ~hops:w.nhops ~reply:false
   in
-  if success then begin
-    let cost = jittered t (probe_cost_hit t ~hops:(List.length trace.hops)) in
-    (* A loopback probe's route already contains its own retrace, so
-       the forward pass over [trace.hops] is the whole journey. *)
-    fabric_transits t trace;
-    account t ~kind:San_obs.Trace.Switch ~hit:true ~cost;
-    (Switch, cost)
-  end
-  else begin
-    let cost = jittered t (probe_cost_miss t) in
-    fabric_transits t trace;
-    account t ~kind:San_obs.Trace.Switch ~hit:false ~cost;
-    (Nothing, cost)
-  end
+  ((if hit then Switch else Nothing), cost)

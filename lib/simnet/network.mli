@@ -38,8 +38,15 @@ val create :
     with the given probability per wire crossing. [fabric] is the
     per-channel counter table every probe's wire crossings, collisions
     and replies are attributed to (default: the process-wide
-    {!San_telemetry.Fabric_stats.current} slot; when neither is set,
-    per-channel accounting is off). *)
+    {!San_telemetry.Fabric_stats.current} slot, read once here; a table
+    installed later sees nothing of this network; when neither is set,
+    per-channel accounting is off).
+
+    Every probe is evaluated into one walk the network owns
+    ({!Worm.fill}): with observability and per-channel accounting off,
+    a probe allocates only its returned pair and the re-boxed
+    {!Stats.t} time, whatever the route length. A network is not re-entrant: a
+    [responding] predicate must not probe the network it belongs to. *)
 
 val graph : t -> Graph.t
 val stats : t -> Stats.t

@@ -12,35 +12,148 @@ type outcome =
 
 type trace = { hops : hop list; outcome : outcome }
 
+type stop =
+  | Stop_arrived
+  | Stop_illegal_turn
+  | Stop_no_such_wire
+  | Stop_host_too_soon
+  | Stop_stranded
+  | Stop_unwired
+
+type walk = {
+  mutable route : int array;
+  mutable route_len : int;
+  mutable mirror : bool;
+  mutable radix : int;
+  mutable exit_node : int array;
+  mutable exit_port : int array;
+  mutable entry_node : int array;
+  mutable entry_port : int array;
+  mutable nhops : int;
+  mutable stop : stop;
+  mutable stop_index : int;
+  mutable stop_node : Graph.node;
+}
+
+let walk () =
+  {
+    route = Array.make 32 0;
+    route_len = 0;
+    mirror = false;
+    radix = 0;
+    exit_node = Array.make 64 0;
+    exit_port = Array.make 64 0;
+    entry_node = Array.make 64 0;
+    entry_port = Array.make 64 0;
+    nhops = 0;
+    stop = Stop_unwired;
+    stop_index = 0;
+    stop_node = 0;
+  }
+
+(* An int buffer of at least [n] cells, keeping its contents. *)
+let grow a n =
+  if Array.length a >= n then a
+  else begin
+    let b = Array.make (max n (2 * Array.length a)) 0 in
+    Array.blit a 0 b 0 (Array.length a);
+    b
+  end
+
+(* Copy the turn string into the route buffer, checking the alphabet on
+   the way; the loopback mirror adds only 0 and negations, so checking
+   the forward half checks the whole route. A top-level loop, so loading
+   allocates no closure. *)
+let rec load w ~radix i = function
+  | [] -> w.route_len <- i
+  | a :: rest ->
+    if a <= -radix || a >= radix then
+      invalid_arg "Worm.eval: turn outside the radix alphabet";
+    if i >= Array.length w.route then w.route <- grow w.route (i + 1);
+    Array.unsafe_set w.route i a;
+    load w ~radix (i + 1) rest
+
+let route_length w = if w.mirror then (2 * w.route_len) + 1 else w.route_len
+
+(* Turn [i] of the route as sent: the buffer itself, or for a loopback
+   [a1..ak 0 -ak..-a1] read in place around the bounce. *)
+let turn_at w i =
+  let k = w.route_len in
+  if i < k then Array.unsafe_get w.route i
+  else if i = k then 0
+  else -Array.unsafe_get w.route ((2 * k) - i)
+
+let finish w stop ~index ~node =
+  w.stop <- stop;
+  w.stop_index <- index;
+  w.stop_node <- node
+
+let push w n p n' p' =
+  let j = w.nhops in
+  w.exit_node.(j) <- n;
+  w.exit_port.(j) <- p;
+  w.entry_node.(j) <- n';
+  w.entry_port.(j) <- p';
+  w.nhops <- j + 1
+
+let rec step w g ~total node in_port idx =
+  if idx = total then
+    finish w (if Graph.is_host g node then Stop_arrived else Stop_stranded)
+      ~index:idx ~node
+  else if Graph.is_host g node then finish w Stop_host_too_soon ~index:idx ~node
+  else
+    let out_port = in_port + turn_at w idx in
+    if out_port < 0 || out_port >= w.radix then
+      finish w Stop_illegal_turn ~index:idx ~node
+    else
+      match Graph.peer g node out_port with
+      | None -> finish w Stop_no_such_wire ~index:idx ~node
+      | Some (next, q) ->
+        push w node out_port next q;
+        step w g ~total next q (idx + 1)
+
+let fill w g ~src ~turns ~mirror =
+  if not (Graph.is_host g src) then
+    invalid_arg "Worm.eval: source must be a host";
+  let radix = Graph.radix g in
+  load w ~radix 0 turns;
+  w.mirror <- mirror;
+  w.radix <- radix;
+  w.nhops <- 0;
+  let total = route_length w in
+  if Array.length w.exit_node < total + 1 then begin
+    w.exit_node <- grow w.exit_node (total + 1);
+    w.exit_port <- grow w.exit_port (total + 1);
+    w.entry_node <- grow w.entry_node (total + 1);
+    w.entry_port <- grow w.entry_port (total + 1)
+  end;
+  match Graph.peer g src 0 with
+  | None -> finish w Stop_unwired ~index:0 ~node:src
+  | Some (first, q) ->
+    push w src 0 first q;
+    step w g ~total first q 0
+
+let outcome w =
+  match w.stop with
+  | Stop_arrived -> Arrived w.stop_node
+  | Stop_illegal_turn -> Illegal_turn w.stop_index
+  | Stop_no_such_wire -> No_such_wire w.stop_index
+  | Stop_host_too_soon -> Hit_host_too_soon (w.stop_index, w.stop_node)
+  | Stop_stranded -> Stranded w.stop_node
+  | Stop_unwired -> Unwired_source
+
+let hop w j =
+  {
+    exit_end = (w.exit_node.(j), w.exit_port.(j));
+    entry_end = (w.entry_node.(j), w.entry_port.(j));
+  }
+
+let trace_of w = { hops = List.init w.nhops (hop w); outcome = outcome w }
+
 let eval g ~src ~turns =
-  if not (Graph.is_host g src) then invalid_arg "Worm.eval: source must be a host";
-  if not (Route.valid ~radix:(Graph.radix g) turns) then
-    invalid_arg "Worm.eval: turn outside the radix alphabet";
-  match Graph.neighbor g (src, 0) with
-  | None -> { hops = []; outcome = Unwired_source }
-  | Some first ->
-    let hops = ref [ { exit_end = (src, 0); entry_end = first } ] in
-    let finish outcome = { hops = List.rev !hops; outcome } in
-    let rec step pos idx remaining =
-      let node, in_port = pos in
-      match remaining with
-      | [] ->
-        if Graph.is_host g node then finish (Arrived node)
-        else finish (Stranded node)
-      | turn :: rest ->
-        if Graph.is_host g node then finish (Hit_host_too_soon (idx, node))
-        else
-          let out_port = in_port + turn in
-          if out_port < 0 || out_port >= Graph.radix g then
-            finish (Illegal_turn idx)
-          else (
-            match Graph.neighbor g (node, out_port) with
-            | None -> finish (No_such_wire idx)
-            | Some next ->
-              hops := { exit_end = (node, out_port); entry_end = next } :: !hops;
-              step next (idx + 1) rest)
-    in
-    step first 0 turns
+  let w = walk () in
+  fill w g ~src ~turns ~mirror:false;
+  trace_of w
 
 let path_nodes _g ~src trace =
   src :: List.map (fun h -> fst h.entry_end) trace.hops

@@ -9,10 +9,11 @@
     directions of a wire summed) is done against a graph at query
     time, so one table can survive a daemon run whose world evolves.
 
-    Producers ({!San_simnet.Event_sim}, {!San_simnet.Collision},
-    {!San_simnet.Network}) resolve the table once at creation from the
-    process-wide {!current} slot, so the disabled path costs one
-    [option] match per accounting site. *)
+    Producers ({!San_simnet.Event_sim}, {!San_simnet.Network}) resolve
+    the table once at creation from the process-wide {!current} slot
+    and report only there — a network's transits, collisions and
+    replies all land in the table it was created with — so the
+    disabled path costs one [option] match per accounting site. *)
 
 open San_topology
 

@@ -77,6 +77,20 @@ let test_c_regression_pins () =
   Alcotest.(check int) "C myricom probes pinned" 1983
     (San_myricom.Myricom.total rm.San_myricom.Myricom.counts)
 
+(* From A-h1, a probe that answers in the middle of a switch's
+   exploration triggers merges that re-frame the switch's class; the
+   turns left must be planned against the new class and frame (a
+   planner that kept the old ones sends 1,771 probes and creates 429
+   vertices). *)
+let test_ca_reframe_pins () =
+  let g, _ = Generators.now_ca () in
+  let mapper = Option.get (Graph.host_by_name g "A-h1") in
+  let r = San_mapper.Berkeley.run (San_simnet.Network.create g) ~mapper in
+  Alcotest.(check int) "C+A probes pinned" 1772 (San_mapper.Berkeley.total_probes r);
+  Alcotest.(check int) "explorations pinned" 323 r.San_mapper.Berkeley.explorations;
+  Alcotest.(check int) "created vertices pinned" 428
+    r.San_mapper.Berkeley.created_vertices
+
 (* ---------- worm/analysis cross-checks ---------- *)
 
 (* The worm evaluator agrees with BFS distance: a shortest compliant
@@ -292,6 +306,8 @@ let () =
         [
           Alcotest.test_case "NOW" `Quick test_now_regression_pins;
           Alcotest.test_case "C" `Quick test_c_regression_pins;
+          Alcotest.test_case "C+A re-framed explorations" `Quick
+            test_ca_reframe_pins;
         ] );
       ( "cross-checks",
         [

@@ -238,20 +238,22 @@ let test_probe_routes_shared () =
   Alcotest.(check (list int)) "root switch route" [] (Model.probe_string m s)
 
 let test_probe_order () =
-  Alcotest.(check (list int)) "alternating magnitudes"
-    [ 1; -1; 2; -2; 3; -3 ]
-    (List.filteri (fun i _ -> i < 6) (Probe_order.turn_order ~radix:8));
+  Alcotest.(check (array int)) "alternating magnitudes"
+    [| 1; -1; 2; -2; 3; -3 |]
+    (Array.sub (Probe_order.turn_order ~radix:8) 0 6);
   Alcotest.(check int) "14 turns for radix 8" 14
-    (List.length (Probe_order.turn_order ~radix:8));
+    (Array.length (Probe_order.turn_order ~radix:8));
   let m = Model.create ~mapper_name:"root" ~radix:8 in
   let s = Model.root_switch m in
   ignore (Model.add_switch_vertex m ~parent:s ~turn:7 ~rev_probe:[ 7 ]);
-  (* Offset pinned to 0: negative turns provably illegal. *)
+  (* Offset pinned to 0: negative turns provably illegal. The root is
+     canonical with frame shift 0, so a turn is its own slot. *)
+  Alcotest.(check int) "root frame shift" 0 (Model.frame_shift m s);
   Alcotest.(check bool) "turn -1 provably illegal" true
-    (Probe_order.provably_illegal m s ~turn:(-1));
+    (Probe_order.provably_illegal m s ~slot:(-1));
   Alcotest.(check bool) "turn 3 feasible" false
-    (Probe_order.provably_illegal m s ~turn:3);
-  Alcotest.(check bool) "turn 7 known" true (Probe_order.already_known m s ~turn:7)
+    (Probe_order.provably_illegal m s ~slot:3);
+  Alcotest.(check bool) "turn 7 known" true (Probe_order.already_known m s ~slot:7)
 
 let () =
   Alcotest.run "san_mapper.model"

@@ -175,26 +175,43 @@ let triangle () =
   Graph.connect g (s2, 3) (s0, 3);
   (g, h0)
 
+(* A walk of the one evaluator, and whether the collision model says
+   it blocks. *)
+let walk_of ?(mirror = false) g ~src ~turns =
+  let w = Worm.walk () in
+  Worm.fill w g ~src ~turns ~mirror;
+  w
+
+let host_blocks model params w =
+  Collision.host_blocking_hop (Collision.stamps ()) model params w >= 0
+
+let switch_blocks model params ~forward_hops w =
+  Collision.switch_blocking_hop (Collision.stamps ()) model params ~forward_hops w
+  >= 0
+
 let test_circuit_host_probe_same_direction_blocks () =
   let g, h0 = triangle () in
   (* Around the triangle twice in the same direction, then to h1:
      turns around: s0 in0 out1; s1 in1 out2; s2 in2 out3; s0 in3 out1
      (turn -2); s1 in1 out7 -> h1. First lap then reuse edge s0->s1. *)
   let lap_then_host = [ 1; 1; 1; -2; 6 ] in
-  let t = Worm.eval g ~src:h0 ~turns:lap_then_host in
-  (match t.Worm.outcome with
+  let w = walk_of g ~src:h0 ~turns:lap_then_host in
+  (match Worm.outcome w with
   | Worm.Arrived _ -> ()
   | o -> Alcotest.failf "should structurally arrive, got %a" Worm.pp_outcome o);
   Alcotest.(check bool) "circuit blocks same-direction reuse" true
-    (Collision.host_probe_blocks Collision.Circuit Params.default t);
+    (host_blocks Collision.Circuit Params.default w);
+  Alcotest.(check int) "blocking hop is the first reuse" 4
+    (Collision.host_blocking_hop (Collision.stamps ()) Collision.Circuit
+       Params.default w);
   Alcotest.(check bool) "cut-through with tiny worm survives" false
-    (Collision.host_probe_blocks Collision.Cut_through Params.default t)
+    (host_blocks Collision.Cut_through Params.default w)
 
 let test_circuit_simple_path_ok () =
   let g, h0 = triangle () in
-  let t = Worm.eval g ~src:h0 ~turns:[ 1; 6 ] in
+  let w = walk_of g ~src:h0 ~turns:[ 1; 6 ] in
   Alcotest.(check bool) "simple path never blocks" false
-    (Collision.host_probe_blocks Collision.Circuit Params.default t)
+    (host_blocks Collision.Circuit Params.default w)
 
 let test_circuit_switch_probe_either_direction_blocks () =
   let g, h0 = triangle () in
@@ -206,30 +223,29 @@ let test_circuit_switch_probe_either_direction_blocks () =
      distinct edges; then -2 crosses s0->s1 again: either-direction
      reuse means undirected reuse; test with forward path 1,1,1,-2. *)
   let turns = [ 1; 1; 1; -2 ] in
-  let t = Worm.eval g ~src:h0 ~turns:(Route.switch_probe turns) in
+  let w = walk_of ~mirror:true g ~src:h0 ~turns in
   Alcotest.(check bool) "switch probe blocked on undirected reuse" true
-    (Collision.switch_probe_blocks Collision.Circuit Params.default
-       ~forward_hops:(List.length turns + 1) t)
+    (switch_blocks Collision.Circuit Params.default
+       ~forward_hops:(List.length turns + 1) w)
 
 let test_switch_probe_clean_loop_ok () =
   let g, h0 = triangle () in
   let turns = [ 1; 1 ] in
-  let t = Worm.eval g ~src:h0 ~turns:(Route.switch_probe turns) in
-  (match t.Worm.outcome with
+  let w = walk_of ~mirror:true g ~src:h0 ~turns in
+  (match Worm.outcome w with
   | Worm.Arrived n -> Alcotest.(check int) "home" h0 n
   | o -> Alcotest.failf "unexpected %a" Worm.pp_outcome o);
   Alcotest.(check bool) "clean loopback not blocked (circuit)" false
-    (Collision.switch_probe_blocks Collision.Circuit Params.default
-       ~forward_hops:3 t)
+    (switch_blocks Collision.Circuit Params.default ~forward_hops:3 w)
 
 let test_cut_through_blocks_big_worm () =
   let g, h0 = triangle () in
   (* A worm longer than the per-port buffering with a short return gap
      must step on its own tail. *)
   let params = { Params.default with Params.probe_payload_bytes = 10_000 } in
-  let t = Worm.eval g ~src:h0 ~turns:[ 1; 1; 1; -2; 6 ] in
+  let w = walk_of g ~src:h0 ~turns:[ 1; 1; 1; -2; 6 ] in
   Alcotest.(check bool) "fat worm blocks in cut-through" true
-    (Collision.host_probe_blocks Collision.Cut_through params t)
+    (host_blocks Collision.Cut_through params w)
 
 let test_drain_model () =
   Alcotest.(check (float 1e-9)) "small worm fully buffered" 0.0
@@ -338,6 +354,250 @@ let response_consistency_prop =
       | Network.Nothing, _ -> true
       | Network.Switch, _ -> false)
 
+(* ---------- the one evaluator against the list reference ---------- *)
+
+module Fabric_stats = San_telemetry.Fabric_stats
+
+(* A turn string that mostly follows real wires (so worms arrive,
+   strand, loop back over their own channels and collide), with the
+   occasional turn drawn from the whole alphabet. *)
+let random_turns rng g ~src ~len =
+  let radix = Graph.radix g in
+  let any () = San_util.Prng.int_in rng (-(radix - 1)) (radix - 1) in
+  let rec go pos k acc =
+    if k = 0 then List.rev acc
+    else
+      let follow =
+        match pos with
+        | Some (node, in_port) when San_util.Prng.int rng 8 > 0 -> (
+          match Graph.wired_ports g node with
+          | [] -> None
+          | ports ->
+            let p, peer =
+              List.nth ports (San_util.Prng.int rng (List.length ports))
+            in
+            Some (p - in_port, peer))
+        | Some _ | None -> None
+      in
+      match follow with
+      | Some (turn, peer) -> go (Some peer) (k - 1) (turn :: acc)
+      | None -> go None (k - 1) (any () :: acc)
+  in
+  go (Graph.neighbor g (src, 0)) len []
+
+let hop_option (w : Worm.walk) j = if j < 0 then None else Some (Worm.hop w j)
+
+(* Worm level: the walk's read-out, and the hop each collision model
+   blocks at, equal the reference for plain and mirrored routes. *)
+let check_walks ~what g stamps model params ~src ~turns =
+  let w = Worm.walk () in
+  Worm.fill w g ~src ~turns ~mirror:false;
+  let ref_trace = Worm_reference.eval g ~src ~turns in
+  if Worm.trace_of w <> ref_trace || Worm.eval g ~src ~turns <> ref_trace then
+    Alcotest.failf "%s: walk of %s differs" what (Route.to_string turns);
+  if
+    hop_option w (Collision.host_blocking_hop stamps model params w)
+    <> Worm_reference.host_blocking_hop model params ref_trace
+  then
+    Alcotest.failf "%s: host blocking hop of %s differs" what
+      (Route.to_string turns);
+  Worm.fill w g ~src ~turns ~mirror:true;
+  let loop = Route.switch_probe turns in
+  let ref_loop = Worm_reference.eval g ~src ~turns:loop in
+  if Worm.trace_of w <> ref_loop then
+    Alcotest.failf "%s: mirrored walk of %s differs" what (Route.to_string turns);
+  let forward_hops = List.length turns + 1 in
+  if
+    hop_option w
+      (Collision.switch_blocking_hop stamps model params ~forward_hops w)
+    <> Worm_reference.switch_blocking_hop model params ~forward_hops ref_loop
+  then
+    Alcotest.failf "%s: switch blocking hop of %s differs" what
+      (Route.to_string turns)
+
+(* Every channel either table has touched, in both tables. *)
+let check_tables ~what g a b =
+  for n = 0 to Graph.num_nodes g - 1 do
+    for p = 0 to Graph.ports_of g n - 1 do
+      if Fabric_stats.port_stat a (n, p) <> Fabric_stats.port_stat b (n, p) then
+        Alcotest.failf "%s: fabric counters of channel (%d,%d) differ" what n p
+    done
+  done
+
+let fat_worms = { Params.default with Params.probe_payload_bytes = 400 }
+
+let test_reference_agreement () =
+  let probes = ref 0 and collisions = ref 0 in
+  for seed = 0 to 149 do
+    let case = San_check.Fuzz_gen.gen ~seed:(seed * 7919) in
+    let g = case.San_check.Fuzz_gen.graph in
+    let hosts = Array.of_list (Graph.hosts g) in
+    let silent = case.San_check.Fuzz_gen.silent in
+    let responding h = not (List.mem (Graph.name g h) silent) in
+    let rng = San_util.Prng.create (seed + 1) in
+    if Array.length hosts > 0 then
+      List.iter
+        (fun (model, params) ->
+          let what =
+            Printf.sprintf "case %d, %s, %d-byte payload" seed
+              (Collision.model_to_string model) params.Params.probe_payload_bytes
+          in
+          (* The network resolves the installed table at creation. *)
+          let table = Fabric_stats.create () in
+          let ref_table = Fabric_stats.create () in
+          Fabric_stats.install table;
+          let net =
+            Fun.protect ~finally:Fabric_stats.uninstall (fun () ->
+                Network.create ~model ~params ~responding g)
+          in
+          let rnet =
+            Worm_reference.net ~model ~params ~responding ~fabric:ref_table g
+          in
+          let expect = Stats.create () in
+          let tally ~host ~hit cost =
+            if host then begin
+              expect.Stats.host_probes <- expect.Stats.host_probes + 1;
+              if hit then expect.Stats.host_hits <- expect.Stats.host_hits + 1
+            end
+            else begin
+              expect.Stats.switch_probes <- expect.Stats.switch_probes + 1;
+              if hit then expect.Stats.switch_hits <- expect.Stats.switch_hits + 1
+            end;
+            Stats.add_time expect cost
+          in
+          let stamps = Collision.stamps () in
+          for _ = 1 to 40 do
+            let src = San_util.Prng.choose rng hosts in
+            let turns = random_turns rng g ~src ~len:(San_util.Prng.int rng 12) in
+            check_walks ~what g stamps model params ~src ~turns;
+            let same pp a b =
+              if a <> b then
+                Alcotest.failf "%s: %s of %s: %s, reference %s" what "probe"
+                  (Route.to_string turns) (pp a) (pp b)
+            in
+            let show_resp = function
+              | Network.Host n, c -> Printf.sprintf "host %s %.1f" n c
+              | Network.Switch, c -> Printf.sprintf "switch %.1f" c
+              | Network.Nothing, c -> Printf.sprintf "nothing %.1f" c
+            in
+            incr probes;
+            (match San_util.Prng.int rng 4 with
+            | 0 ->
+              let r = Network.host_probe net ~src ~turns in
+              same show_resp r (Worm_reference.host_probe rnet ~src ~turns);
+              tally ~host:true ~hit:(fst r <> Network.Nothing) (snd r)
+            | 1 ->
+              let r = Network.switch_probe net ~src ~turns in
+              same show_resp r (Worm_reference.switch_probe rnet ~src ~turns);
+              tally ~host:false ~hit:(fst r <> Network.Nothing) (snd r)
+            | 2 ->
+              let ((a, c) as r) = Network.walk_probe net ~src ~turns in
+              same
+                (fun (a, c) ->
+                  match a with
+                  | Some (n, k) -> Printf.sprintf "%s after %d, %.1f" n k c
+                  | None -> Printf.sprintf "none %.1f" c)
+                r
+                (Worm_reference.walk_probe rnet ~src ~turns);
+              tally ~host:true ~hit:(a <> None) c
+            | _ ->
+              let r = Graph.radix g - 1 in
+              let turn = San_util.Prng.int_in rng (-r) r in
+              let ((a, c) as r) = Network.loop_probe net ~src ~turns ~turn in
+              same
+                (fun (a, c) ->
+                  match a with
+                  | Some d -> Printf.sprintf "re-entry %+d, %.1f" d c
+                  | None -> Printf.sprintf "none %.1f" c)
+                r
+                (Worm_reference.loop_probe rnet ~src ~turns ~turn);
+              tally ~host:false ~hit:(a <> None) c)
+          done;
+          if Network.stats net <> expect then
+            Alcotest.failf "%s: Stats differ" what;
+          check_tables ~what g table ref_table;
+          List.iter
+            (fun l -> collisions := !collisions + l.Fabric_stats.l_collisions)
+            (Fabric_stats.links table g))
+        [
+          (Collision.Circuit, Params.default);
+          (Collision.Cut_through, Params.default);
+          (Collision.Cut_through, fat_worms);
+        ]
+  done;
+  Alcotest.(check bool)
+    (Printf.sprintf "%d probes, %d collisions compared" !probes !collisions)
+    true
+    (!probes > 10_000 && !collisions > 100)
+
+(* With obs, why and per-channel accounting off, a warm probe allocates
+   only its returned pair — the same few words for a one-hop probe as
+   for one that crosses a dozen wires. *)
+let test_probe_allocation_pin () =
+  Alcotest.(check bool) "telemetry off" true
+    (not (San_obs.Obs.on ()) && (not (San_why.Why.on ()))
+    && Fabric_stats.current () = None);
+  let p = Option.get (San_fabric.Fabric.find_preset "ft-100") in
+  let g = p.San_fabric.Fabric.p_build ~seed:1 in
+  let net = Network.create g in
+  let src = List.hd (Graph.hosts g) in
+  let routes =
+    List.filter_map
+      (fun (s, _, turns) -> if s = src then Some turns else None)
+      (San_routing.Routes.all (San_routing.Routes.compute g))
+  in
+  let len_of turns = List.length turns in
+  let shortest = List.fold_left (fun m r -> min m (len_of r)) max_int routes in
+  let longest = List.fold_left (fun m r -> max m (len_of r)) 0 routes in
+  let of_len n = List.filter (fun r -> len_of r = n) routes in
+  (* Misses that ping-pong between two switches (turn 0 bounces back
+     out of the entry port) for a dozen crossings before colliding. *)
+  let ping_pong r = List.hd r :: List.init 12 (fun _ -> 0) in
+  let words_per send probes =
+    let probes = Array.of_list probes in
+    let n = Array.length probes and reps = 50 in
+    for i = 0 to n - 1 do
+      ignore (send probes.(i))
+    done;
+    let w0 = Gc.minor_words () in
+    for _ = 1 to reps do
+      for i = 0 to n - 1 do
+        ignore (send probes.(i))
+      done
+    done;
+    (Gc.minor_words () -. w0) /. float_of_int (reps * n)
+  in
+  let host turns = Network.host_probe net ~src ~turns in
+  let switch turns = Network.switch_probe net ~src ~turns in
+  let check_pin what send ~short ~long ~bound =
+    let ws = words_per send short and wl = words_per send long in
+    (* Reading the counter boxes a float or two per measurement. *)
+    Alcotest.(check (float 0.1)) (what ^ ": independent of route length") ws wl;
+    Alcotest.(check bool)
+      (Printf.sprintf "%s: %.2f words per probe, at most %.0f" what ws bound)
+      true (ws <= bound +. 0.1)
+  in
+  (* [(Host name, cost)] is the pair (3 words), the [Host] block (2)
+     and the boxed cost (2). The other 2 words are the boxed float
+     [Stats.serial_time_ns] holds, re-boxed by every probe because
+     [Stats.t] mixes int and float fields. *)
+  check_pin "host hits" host ~short:(of_len shortest) ~long:(of_len longest)
+    ~bound:9.0;
+  (* [(Nothing, cost)] / [(Switch, cost)]: the pair and the boxed cost,
+     plus the [Stats] time. *)
+  check_pin "host misses" host
+    ~short:(List.map (fun r -> r @ [ 1 ]) (of_len shortest))
+    ~long:(List.map ping_pong (of_len longest)) ~bound:7.0;
+  check_pin "switch hits" switch
+    ~short:(List.map (fun r -> [ List.hd r ]) (of_len longest))
+    ~long:
+      (List.map
+         (fun r -> List.filteri (fun i _ -> i < len_of r - 1) r)
+         (of_len longest))
+    ~bound:7.0;
+  check_pin "switch misses" switch ~short:(of_len shortest)
+    ~long:(List.map ping_pong (of_len longest)) ~bound:7.0
+
 let () =
   Alcotest.run "san_simnet"
     [
@@ -378,5 +638,12 @@ let () =
           Alcotest.test_case "embedded slowdown" `Quick
             test_network_embedded_slowdown;
           qcheck response_consistency_prop;
+        ] );
+      ( "reference",
+        [
+          Alcotest.test_case "walks, collisions and probes agree" `Quick
+            test_reference_agreement;
+          Alcotest.test_case "probe allocation pin" `Quick
+            test_probe_allocation_pin;
         ] );
     ]

@@ -262,6 +262,41 @@ let test_fabric_global_slot () =
     (Event_sim.stats sim).Event_sim.hops_acquired
     (Fabric_stats.total_transits fabric)
 
+(* A network resolves its table once, at creation: one installed later
+   sees neither that network's transits nor its collisions, and a
+   network created while it is installed records both there. *)
+let test_fabric_network_resolves_once () =
+  let g = Graph.create () in
+  let s0 = Graph.add_switch g () and s1 = Graph.add_switch g () in
+  let s2 = Graph.add_switch g () in
+  let h0 = Graph.add_host g ~name:"h0" and h1 = Graph.add_host g ~name:"h1" in
+  Graph.connect g (h0, 0) (s0, 0);
+  Graph.connect g (h1, 0) (s1, 7);
+  Graph.connect g (s0, 1) (s1, 1);
+  Graph.connect g (s1, 2) (s2, 2);
+  Graph.connect g (s2, 3) (s0, 3);
+  (* Once round the triangle, then over s0 -> s1 again: a circuit worm
+     blocks on its own tail at channel (s0, 1). *)
+  let lap = [ 1; 1; 1; -2; 6 ] in
+  let probe net =
+    match San_simnet.Network.host_probe net ~src:h0 ~turns:lap with
+    | San_simnet.Network.Nothing, _ -> ()
+    | _ -> Alcotest.fail "the lap must collide"
+  in
+  let before = San_simnet.Network.create g in
+  let late = Fabric_stats.create () in
+  with_fabric late @@ fun () ->
+  probe before;
+  Alcotest.(check int) "no transits from a network created before" 0
+    (Fabric_stats.total_transits late);
+  Alcotest.(check bool) "no collision either" true
+    (Fabric_stats.port_stat late (s0, 1) = None);
+  probe (San_simnet.Network.create g);
+  Alcotest.(check int) "a network created after records its transits" 6
+    (Fabric_stats.total_transits late);
+  Alcotest.(check int) "and its collision" 1
+    (Option.get (Fabric_stats.port_stat late (s0, 1))).Fabric_stats.collisions
+
 let test_dot_heat_renders () =
   let g, fabric, _ = storm_fabric () in
   let dot = Dot.to_string ~heat:(Fabric_stats.heat fabric g) g in
@@ -386,6 +421,8 @@ let () =
             test_fabric_links_cover_transits;
           Alcotest.test_case "global slot wiring" `Quick
             test_fabric_global_slot;
+          Alcotest.test_case "network resolves its table once" `Quick
+            test_fabric_network_resolves_once;
           Alcotest.test_case "dot heat rendering" `Quick test_dot_heat_renders;
         ] );
       ( "daemon",
