@@ -156,18 +156,25 @@ let explore_service ?expand ?probe_budget ?tick ~policy
     let check_known = fill_only || policy.skip_known in
     let c = ref (Model.canonical model v) in
     let shift = ref (Model.frame_shift model v) in
-    for i = 0 to Array.length turn_order - 1 do
-      let turn = turn_order.(i) in
-      let slot = turn + !shift in
-      let skip =
-        (check_known && Probe_order.already_known model !c ~slot)
-        || (policy.window_pruning && Probe_order.provably_illegal model !c ~slot)
-      in
-      if (not skip) && probe_pair v turn then begin
-        c := Model.canonical model v;
-        shift := Model.frame_shift model v
-      end
-    done;
+    (* When both skips apply, one mask test tells whether any turn
+       survives them; if none does, the loop would send no probe. *)
+    if
+      (not (check_known && policy.window_pruning))
+      || Model.has_open_turn model !c ~shift:!shift
+    then
+      for i = 0 to Array.length turn_order - 1 do
+        let turn = turn_order.(i) in
+        let slot = turn + !shift in
+        let skip =
+          (check_known && Probe_order.already_known model !c ~slot)
+          || policy.window_pruning
+             && Probe_order.provably_illegal model !c ~slot
+        in
+        if (not skip) && probe_pair v turn then begin
+          c := Model.canonical model v;
+          shift := Model.frame_shift model v
+        end
+      done;
     incr explorations;
     if record_trace then
       trace :=
@@ -196,37 +203,36 @@ let explore_service ?expand ?probe_budget ?tick ~policy
      which is always exempt. *)
   let rec drain () =
     if not (budget_left ()) then ()
-    else
-      match San_util.Fifo.next_element frontier with
-      | None -> ()
-      | Some v ->
-        let within_depth = Model.probe_length model v < depth_used in
-        (if within_depth && Model.is_live model v then begin
-          (* A replicate of an explored class is not skipped outright:
-             each worm holds the wires of its own path, so a member
-             reached by a different route can probe into slots the first
-             member physically could not (its worm would have collided
-             with itself). Probing only the still-unknown slots keeps
-             the heuristic's savings while recovering that evidence. *)
-          let expanded =
-            match expand with
-            | None -> true
-            | Some f -> f (Model.probe_string model v)
-          in
-          if expanded then begin
-            if not (policy.skip_explored && Model.is_explored model v) then
-              explore ~fill_only:false v
-            else explore ~fill_only:true v
-          end
-          else if Model.is_explored model v then
-            (* Beyond the exploration scope, replicates of explored
-               classes still fill in the slots self-collision blocked on
-               the short path: without this, a scope-edge switch whose
-               only in-scope route retraces the worm's own wires is never
-               discovered. Unexplored classes stay unexpanded stubs. *)
-            explore ~fill_only:true v
-        end);
-        drain ()
+    else if not (San_util.Fifo.is_empty frontier) then begin
+      let v = San_util.Fifo.pop frontier in
+      let within_depth = Model.probe_length model v < depth_used in
+      (if within_depth && Model.is_live model v then begin
+        (* A replicate of an explored class is not skipped outright:
+           each worm holds the wires of its own path, so a member
+           reached by a different route can probe into slots the first
+           member physically could not (its worm would have collided
+           with itself). Probing only the still-unknown slots keeps
+           the heuristic's savings while recovering that evidence. *)
+        let expanded =
+          match expand with
+          | None -> true
+          | Some f -> f (Model.probe_string model v)
+        in
+        if expanded then begin
+          if not (policy.skip_explored && Model.is_explored model v) then
+            explore ~fill_only:false v
+          else explore ~fill_only:true v
+        end
+        else if Model.is_explored model v then
+          (* Beyond the exploration scope, replicates of explored
+             classes still fill in the slots self-collision blocked on
+             the short path: without this, a scope-edge switch whose
+             only in-scope route retraces the worm's own wires is never
+             discovered. Unexplored classes stay unexpanded stubs. *)
+          explore ~fill_only:true v
+      end);
+      drain ()
+    end
   in
   drain ();
   (* The root switch is the one vertex the model assumes rather than

@@ -103,6 +103,14 @@ val turn_slot : t -> vid -> int -> int
 (** Canonical slot addressed by probing [turn] out of vertex [v]:
     [turn + frame_shift t v]. *)
 
+val has_open_turn : t -> vid -> shift:int -> bool
+(** [has_open_turn t c ~shift] — does some non-zero turn out of a
+    member of switch class [c] (canonical) at frame shift [shift]
+    address a slot that is vacant and that the class's
+    {!offset_window} admits? When none does, an exploration that skips
+    known and provably illegal turns would send no probe. One mask
+    test per 63 slots; allocates nothing. *)
+
 val neighbor_via : t -> vid -> turn:int -> vid option
 (** The vertex on the far side of the (unique, post-stabilisation) edge
     in the slot [turn] addresses, if that slot is wired. *)
@@ -134,7 +142,13 @@ val kill_root_switch : t -> unit
 
 val run_merge_loop : t -> unit
 (** Drain the mergelist: apply slot-conflict deductions until no more
-    can fire. Called internally by the growth functions; public for
+    can fire. A queued class is examined only at its {e dirty} slots
+    (those an edge was added to while already wired), lowest first.
+    Called internally by the growth functions; public for tests. *)
+
+val enqueue : t -> vid -> unit
+(** Put [v]'s class on the mergelist, as a merge does for the class it
+    keeps; the next {!run_merge_loop} re-examines it. Public for
     tests. *)
 
 val prune : t -> unit
@@ -165,4 +179,7 @@ val live_edges : t -> int
 val check_invariants : t -> (unit, string) result
 (** Structural self-check used by property tests: slot tables and edge
     endpoints agree, no dead edge is referenced, windows are
-    non-empty, merged vertices resolve to live representatives. *)
+    non-empty, merged vertices resolve to live representatives. The
+    slot masks agree with the slots: a live bit is set exactly when
+    its slot holds a live edge, every slot holding two live edges is
+    dirty, and absorbed and dead vertices carry no bits. *)

@@ -9,6 +9,11 @@ type 'a t
 val create : unit -> 'a t
 val add : 'a t -> 'a -> unit
 val next_element : 'a t -> 'a option
+
+val pop : 'a t -> 'a
+(** The first element, removed, without the option {!next_element}
+    allocates. @raise Queue.Empty on an empty queue. *)
+
 val peek : 'a t -> 'a option
 val length : 'a t -> int
 val is_empty : 'a t -> bool
