@@ -1,6 +1,6 @@
 # Convenience targets; everything is plain dune underneath.
 
-.PHONY: all build test check bench bench-fast bench-smoke scale-smoke shard-smoke serve-smoke fuzz-smoke health-smoke explain-smoke slo-smoke cover-smoke perf-map-smoke perf-map-ft1k-smoke perf-converge-smoke artifacts csv examples clean
+.PHONY: all build test check bench bench-fast bench-smoke scale-smoke shard-smoke serve-smoke fuzz-smoke health-smoke explain-smoke slo-smoke cover-smoke perf-map-smoke perf-map-ft1k-smoke perf-converge-smoke perf-serve-smoke artifacts csv examples clean
 
 all: build
 
@@ -26,6 +26,7 @@ check:
 	$(MAKE) perf-map-smoke
 	$(MAKE) perf-map-ft1k-smoke
 	$(MAKE) perf-converge-smoke
+	$(MAKE) perf-serve-smoke
 
 bench:
 	dune exec bench/main.exe
@@ -123,13 +124,25 @@ perf-map-ft1k-smoke:
 	sh bench/perf/run.sh --workload map-ft1k --seed 1 --trace 1
 
 # The daemon's incident path at full benchmark size: one traced
-# converge-ft400 run (a 400-host fat-tree losing one link). It exits
-# non-zero unless the traced incident replays the daemon's epoch 1
-# exactly (probes, simulated convergence, delta bytes, unchanged
-# hosts, final map), the layer self-times sum to the traced wall
-# within 5%, and the daemon ends Stable with a verified map.
+# converge-ft400 run (a 400-host fat-tree losing one link; the remap's
+# exploration and probes about half of the traced incident,
+# Routes.compute about a quarter, the oracle depth search and
+# Delta.distribute about a tenth each). It exits non-zero unless the
+# traced incident replays the daemon's epoch 1 exactly (probes,
+# simulated convergence, delta bytes, unchanged hosts, final map), the
+# layer self-times sum to the traced wall within 5%, and the daemon
+# ends Stable with a verified map.
 perf-converge-smoke:
 	sh bench/perf/run.sh --workload converge-ft400 --seed 1 --trace 1
+
+# The route-serving plane at full benchmark size: one traced serve-ft1k
+# run (64 cold per-destination compiles on ft-1k, then 400,000 warm
+# lookups). It exits non-zero unless every query is answered, the warm
+# lookups allocate exactly zero words each, a 100-source sample of the
+# served routes is deadlock-free, and the layer self-times sum to the
+# traced wall within 5%.
+perf-serve-smoke:
+	sh bench/perf/run.sh --workload serve-ft1k --seed 1 --trace 1
 
 # The provenance ledger end to end: explain a Figure-3 switch and a
 # route (with the evidence DOT), attribute a map diff to the probes

@@ -15,6 +15,12 @@ type t = {
   nodes : int array;
   exits : int array;
   queue : int array; (* the BFS frontier, reused across destinations *)
+  (* The default walk's exit port per state toward [memo_dst], -1 until
+     first taken. For a fixed destination a state's exit depends on the
+     state alone (it is [dist - 1] hops out), so walks from every source
+     share it; the memo is cleared when the destination changes. *)
+  memo : int array;
+  mutable memo_dst : Graph.node;
 }
 
 let updown t = t.pt_ud
@@ -37,6 +43,8 @@ let compute ?(cache_limit = default_cache_limit) ud =
     nodes = Array.make (n + 1) 0;
     exits = Array.make (n + 1) 0;
     queue = Array.make (2 * n) 0;
+    memo = Array.make (2 * n) (-1);
+    memo_dst = -1;
   }
 
 (* Distances to [dst] from every state, by one backward BFS over the
@@ -46,9 +54,9 @@ let compute ?(cache_limit = default_cache_limit) ud =
    frontier at 0, so the array directly holds the compliant distance to
    the destination node. *)
 let to_dst t dst =
-  match Hashtbl.find_opt t.cache dst with
-  | Some dist -> dist
-  | None ->
+  match Hashtbl.find t.cache dst with
+  | dist -> dist
+  | exception Not_found ->
     let ud = t.pt_ud in
     let g = Updown.graph ud in
     let dist = Array.make t.nstates inf in
@@ -161,19 +169,40 @@ let choose_exit ?rng ?prefer ud dist state node want =
     done;
     !best
 
+(* The default exit of [state], through the memo (which must be on
+   [dist]'s destination). *)
+let memo_exit t dist state node want =
+  let p = t.memo.(state) in
+  if p >= 0 then p
+  else begin
+    let p = nth_closer t.pt_ud dist state node want 0 in
+    t.memo.(state) <- p;
+    p
+  end
+
 (* Walk one shortest compliant path from [src] to [dst] into the
    scratch buffers, returning its hop count, or -1 when there is none.
-   [nodes.(hops)] is [dst]. *)
+   [nodes.(hops)] is [dst]. Only the default walk reads and fills the
+   exit memo; [rng] and [prefer] walks choose at every hop, so seeded
+   draws are consumed one per hop in walk order. *)
 let walk ?rng ?prefer t ~src ~dst =
   let dist = to_dst t dst in
   let total = dist.(state_up src) in
   if total >= inf then -1
   else begin
     let ud = t.pt_ud in
+    let memo = match (rng, prefer) with None, None -> true | _ -> false in
+    if memo && t.memo_dst <> dst then begin
+      Array.fill t.memo 0 t.nstates (-1);
+      t.memo_dst <- dst
+    end;
     let state = ref (state_up src) in
     for i = 0 to total - 1 do
       let node = !state / 2 and want = total - i - 1 in
-      let p = choose_exit ?rng ?prefer ud dist !state node want in
+      let p =
+        if memo then memo_exit t dist !state node want
+        else choose_exit ?rng ?prefer ud dist !state node want
+      in
       t.nodes.(i) <- node;
       t.exits.(i) <- p;
       state := successor ud dist !state node want p
@@ -207,7 +236,7 @@ let route_into ?rng ?prefer t ~src ~dst ~buf =
   let hops = walk ?rng ?prefer t ~src ~dst in
   if hops < 0 then -1
   else begin
-    Option.iter (fun rng -> draw_wires rng t hops) rng;
+    (match rng with Some rng -> draw_wires rng t hops | None -> ());
     (* At each switch the turn is exit port minus entry port; leaving
        a host emits nothing. *)
     let g = Updown.graph t.pt_ud in

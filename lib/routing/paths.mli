@@ -50,7 +50,13 @@ val route_into :
     host) into [buf]. Returns the turn count, or [-1] when no
     compliant path exists. [buf] needs [Graph.num_nodes] slots. Each
     hop scans the node's port array in place, so the walk allocates
-    nothing beyond a first-touch distance vector.
+    nothing beyond a first-touch distance vector. The default walk
+    memoises each state's exit port for the current destination (one
+    [2 · num_nodes] array, cleared when the destination changes), so
+    compiling a destination's routes from every source scans each
+    state's ports once; callers compiling many pairs go
+    destination-major to keep it warm. The memo never changes a
+    route.
 
     Deterministic by default: the first port leading one hop closer,
     which is the first shortest continuation in port order and, over

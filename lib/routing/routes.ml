@@ -28,7 +28,8 @@ let compute ?rng ?prefer ?root ?ignore_hosts ?labeling g =
       let buf = Array.make (Graph.num_nodes g + 1) 0 in
       let pairs = ref 0 in
       (* Destination-major so each destination's distance vector is
-         computed once and served straight from the Paths cache. *)
+         computed once and served straight from the Paths cache, and
+         its exit memo stays warm across sources. *)
       Array.iteri
         (fun d dst ->
           Array.iteri

@@ -12,8 +12,11 @@ let root t = t.ud_root
 let label t n = t.labels.(n)
 let relabeled t = t.ud_relabeled
 
-(* Total order on nodes: smaller is closer to the root. *)
-let before t u v = (t.labels.(u), u) < (t.labels.(v), v)
+(* Total order on nodes: smaller is closer to the root. The (label, id)
+   pair order on two int compares: no tuples, no polymorphic compare. *)
+let before t u v =
+  let lu = t.labels.(u) and lv = t.labels.(v) in
+  lu < lv || (lu = lv && u < v)
 
 let is_up t u v = before t v u
 

@@ -1,35 +1,83 @@
 open San_topology
 module Smap = Map.Make (String)
+module Sset = Set.Make (String)
 module D = San_routing.Distribute
+module Routes = San_routing.Routes
+module Pool = San_routing.Serve.Pool
 
-type tables = San_simnet.Route.t Smap.t Smap.t
+(* One host's slice, dense: [routes.(j)] is its route to [names.(j)],
+   [None] where the slice holds no entry. [names] is the name-sorted
+   host list of the table the row came from, one array shared by every
+   row of that table (and reused by later tables with the same hosts),
+   so rows of one generation compare position by position. *)
+type row = {
+  names : string array;
+  routes : San_simnet.Route.t option array;
+  mutable pooled : int; (* the slice's packed bytes; -1 until first asked *)
+}
+
+type tables = row Smap.t
 
 let empty = Smap.empty
 
-(* One slice per source host, built whole and added once; a host with
-   no route at all holds no slice. *)
+(* A fresh table seen along the ledger's destination axis: its hosts
+   sorted by name once, [nodes.(j)] named [names.(j)]. *)
+type view = { table : Routes.t; names : string array; nodes : Graph.node array }
+
+let same_names a b =
+  Array.length a = Array.length b && Array.for_all2 String.equal a b
+
+(* Sort the table's hosts by name; when an installed row already holds
+   these very names, adopt its array so the new rows share it. *)
+let view ~installed table =
+  let g = Routes.graph table in
+  let nodes = Array.of_list (Graph.hosts g) in
+  Array.sort
+    (fun a b -> String.compare (Graph.name g a) (Graph.name g b))
+    nodes;
+  let fresh = Array.map (Graph.name g) nodes in
+  let names =
+    Smap.fold
+      (fun _ (r : row) names ->
+        if names == fresh && same_names r.names fresh then r.names else names)
+      installed fresh
+  in
+  { table; names; nodes }
+
+let route v ~src j = Routes.route v.table ~src:v.nodes.(src) ~dst:v.nodes.(j)
+
+let row_of_view v src ~pooled =
+  {
+    names = v.names;
+    routes = Array.init (Array.length v.nodes) (route v ~src);
+    pooled;
+  }
+
+(* One slice per source host; a host with no route at all holds no
+   slice. *)
 let of_routes table =
-  let g = San_routing.Routes.graph table in
-  let hosts = Graph.hosts g in
-  List.fold_left
-    (fun acc src ->
-      let slice =
-        List.fold_left
-          (fun slice dst ->
-            match San_routing.Routes.route table ~src ~dst with
-            | Some turns -> Smap.add (Graph.name g dst) turns slice
-            | None -> slice)
-          Smap.empty hosts
-      in
-      if Smap.is_empty slice then acc else Smap.add (Graph.name g src) slice acc)
-    Smap.empty hosts
+  let v = view ~installed:empty table in
+  let acc = ref empty in
+  for src = Array.length v.nodes - 1 downto 0 do
+    let row = row_of_view v src ~pooled:(-1) in
+    if Array.exists Option.is_some row.routes then
+      acc := Smap.add v.names.(src) row !acc
+  done;
+  !acc
 
 let hosts t = List.map fst (Smap.bindings t)
 
-let entries_for t name =
+let entries_for (t : tables) name =
   match Smap.find_opt name t with
   | None -> []
-  | Some slice -> Smap.bindings slice
+  | Some row ->
+    let acc = ref [] in
+    for j = Array.length row.names - 1 downto 0 do
+      match row.routes.(j) with
+      | Some turns -> acc := (row.names.(j), turns) :: !acc
+      | None -> ()
+    done;
+    !acc
 
 (* ------------------------------------------------------------------ *)
 
@@ -56,64 +104,167 @@ type plan = {
 let delta_header_bytes = 4
 let tombstone_bytes = 3
 
-(* The cost of shipping this host's whole slice pooled: routes from
-   one source share their up-phase *prefixes*, so we intern them
-   reversed and the common heads collapse into pool suffixes. Pays off
-   once slices are fabric-sized (~80% of naive on ft-1k); on tiny NOW
-   tables the per-entry reference overhead loses, so a header bit
-   selects whichever encoding is smaller. *)
-let packed_slice_bytes ~full_bytes fresh_slice =
-  let pool = San_routing.Serve.Pool.create () in
-  Smap.iter
-    (fun _ turns -> ignore (San_routing.Serve.Pool.add pool (List.rev turns)))
-    fresh_slice;
-  min full_bytes
-    (delta_header_bytes + San_routing.Serve.Pool.packed_bytes pool)
+(* The cost of shipping a host's whole slice pooled: routes from one
+   source share their up-phase *prefixes*, so we intern them reversed
+   and the common heads collapse into pool suffixes. Pays off once
+   slices are fabric-sized (~80% of naive on ft-1k); on tiny NOW tables
+   the per-entry reference overhead loses, so a header bit selects
+   whichever encoding is smaller. The slice's entries are [entry j]
+   for [j < n]. *)
+let packed_slice_bytes n entry =
+  let pool = Pool.create () and full_bytes = ref 0 in
+  for j = 0 to n - 1 do
+    match entry j with
+    | Some turns ->
+      full_bytes := !full_bytes + D.entry_bytes turns;
+      ignore (Pool.add pool (List.rev turns))
+    | None -> ()
+  done;
+  min !full_bytes (delta_header_bytes + Pool.packed_bytes pool)
 
-let slice_of_host ~installed owner fresh_slice =
-  let full_bytes =
-    Smap.fold (fun _ turns acc -> acc + D.entry_bytes turns) fresh_slice 0
-  in
-  let packed_bytes = packed_slice_bytes ~full_bytes fresh_slice in
-  match Smap.find_opt owner installed with
-  | None -> { owner; kind = Full; bytes = full_bytes; full_bytes; packed_bytes }
-  | Some old_slice ->
-    let changed, changed_bytes =
-      Smap.fold
-        (fun dst turns ((n, b) as acc) ->
-          match Smap.find_opt dst old_slice with
-          | Some old_turns when List.equal Int.equal old_turns turns -> acc
-          | _ -> (n + 1, b + D.entry_bytes turns))
-        fresh_slice (0, 0)
+let fresh_packed v src =
+  packed_slice_bytes (Array.length v.nodes) (route v ~src)
+
+(* A ledger row's pooled size, computed once and remembered. *)
+let row_pooled (row : row) =
+  if row.pooled < 0 then
+    row.pooled <-
+      packed_slice_bytes (Array.length row.routes) (Array.get row.routes);
+  row.pooled
+
+(* Per-source counters of one plan, indexed like the view: each fresh
+   slice's naive bytes and its diff against the installed row. *)
+type tally = {
+  full : int array;
+  changed : int array;
+  changed_bytes : int array;
+  removed : int array;
+}
+
+let count t src fresh installed =
+  match (fresh, installed) with
+  | Some turns, Some old_turns
+    when turns == old_turns || List.equal Int.equal turns old_turns ->
+    ()
+  | Some turns, _ ->
+    t.changed.(src) <- t.changed.(src) + 1;
+    t.changed_bytes.(src) <- t.changed_bytes.(src) + D.entry_bytes turns
+  | None, Some _ -> t.removed.(src) <- t.removed.(src) + 1
+  | None, None -> ()
+
+(* Walk [src]'s installed row of another table generation against the
+   view, by destination name. *)
+let merge_walk t v src (old : row) =
+  let no = Array.length old.names and nh = Array.length v.nodes in
+  let i = ref 0 and j = ref 0 in
+  while !i < no || !j < nh do
+    let c =
+      if !i >= no then 1
+      else if !j >= nh then -1
+      else String.compare old.names.(!i) v.names.(!j)
     in
-    let removed =
-      Smap.fold
-        (fun dst _ n -> if Smap.mem dst fresh_slice then n else n + 1)
-        old_slice 0
-    in
-    if changed = 0 && removed = 0 then
-      { owner; kind = Unchanged; bytes = 0; full_bytes; packed_bytes }
-    else
-      let delta_bytes =
-        delta_header_bytes + changed_bytes + (removed * tombstone_bytes)
-      in
-      if delta_bytes >= full_bytes then
-        { owner; kind = Full; bytes = full_bytes; full_bytes; packed_bytes }
-      else
+    if c < 0 then begin
+      count t src None old.routes.(!i);
+      incr i
+    end
+    else if c > 0 then begin
+      count t src (route v ~src !j) None;
+      incr j
+    end
+    else begin
+      count t src (route v ~src !j) old.routes.(!i);
+      incr i;
+      incr j
+    end
+  done
+
+(* Host [src]'s slice from its counters, [None] when the table gives it
+   no route. An unchanged slice takes its pooled size from the
+   installed row; only a slice that changed builds a pool. *)
+let slice_of_host t v src installed =
+  let owner = v.names.(src) and full_bytes = t.full.(src) in
+  if full_bytes = 0 then None
+  else
+    match installed with
+    | None ->
+      Some
         {
           owner;
-          kind = Delta { changed; removed };
-          bytes = delta_bytes;
+          kind = Full;
+          bytes = full_bytes;
           full_bytes;
-          packed_bytes;
+          packed_bytes = fresh_packed v src;
         }
+    | Some old ->
+      let changed = t.changed.(src) and removed = t.removed.(src) in
+      if changed = 0 && removed = 0 then
+        Some
+          {
+            owner;
+            kind = Unchanged;
+            bytes = 0;
+            full_bytes;
+            packed_bytes = row_pooled old;
+          }
+      else
+        let delta_bytes =
+          delta_header_bytes + t.changed_bytes.(src)
+          + (removed * tombstone_bytes)
+        in
+        let packed_bytes = fresh_packed v src in
+        if delta_bytes >= full_bytes then
+          Some { owner; kind = Full; bytes = full_bytes; full_bytes; packed_bytes }
+        else
+          Some
+            {
+              owner;
+              kind = Delta { changed; removed };
+              bytes = delta_bytes;
+              full_bytes;
+              packed_bytes;
+            }
 
-let plan_fresh ~installed fresh =
-  let slices =
-    List.map
-      (fun (owner, fresh_slice) -> slice_of_host ~installed owner fresh_slice)
-      (Smap.bindings fresh)
+(* Every host's slice in name order, each with its view index. The
+   fresh table is read destination by destination, the order
+   [Routes.compute] allocated its routes in, so the scan streams
+   through memory: it sums each source's naive bytes and, against an
+   installed row sharing the view's names array, counts changes
+   position by position. A row of another table generation is
+   merge-walked by name. *)
+let slices_of_view ~(installed : tables) v =
+  let nh = Array.length v.nodes in
+  let olds = Array.map (fun name -> Smap.find_opt name installed) v.names in
+  let t =
+    {
+      full = Array.make nh 0;
+      changed = Array.make nh 0;
+      changed_bytes = Array.make nh 0;
+      removed = Array.make nh 0;
+    }
   in
+  for j = 0 to nh - 1 do
+    for src = 0 to nh - 1 do
+      let fresh = route v ~src j in
+      (match fresh with
+      | Some turns -> t.full.(src) <- t.full.(src) + D.entry_bytes turns
+      | None -> ());
+      match olds.(src) with
+      | Some old when old.names == v.names -> count t src fresh old.routes.(j)
+      | Some _ | None -> ()
+    done
+  done;
+  let acc = ref [] in
+  for src = nh - 1 downto 0 do
+    (match olds.(src) with
+    | Some old when old.names != v.names -> merge_walk t v src old
+    | Some _ | None -> ());
+    match slice_of_host t v src olds.(src) with
+    | Some s -> acc := (src, s) :: !acc
+    | None -> ()
+  done;
+  !acc
+
+let plan_of_slices slices =
   {
     slices;
     delta_bytes = List.fold_left (fun a s -> a + s.bytes) 0 slices;
@@ -121,10 +272,14 @@ let plan_fresh ~installed fresh =
     packed_full_bytes =
       List.fold_left (fun a (s : slice) -> a + s.packed_bytes) 0 slices;
     unchanged_hosts =
-      List.length (List.filter (fun s -> s.kind = Unchanged) slices);
+      List.fold_left
+        (fun a s -> match s.kind with Unchanged -> a + 1 | _ -> a)
+        0 slices;
   }
 
-let plan ~installed table = plan_fresh ~installed (of_routes table)
+let plan ~installed table =
+  let v = view ~installed table in
+  plan_of_slices (List.map snd (slices_of_view ~installed v))
 
 (* ------------------------------------------------------------------ *)
 
@@ -137,51 +292,43 @@ type report = {
 }
 
 let distribute ?params ?retries ?traffic ~installed table ~actual ~leader =
-  let map = San_routing.Routes.graph table in
   let leader_name = Graph.name actual leader in
-  (* The fresh ledger is built once: it feeds the plan and, for the
-     delivered hosts, becomes the installed one. *)
-  let fresh = of_routes table in
-  let p = plan_fresh ~installed fresh in
+  let v = view ~installed table in
+  let indexed = slices_of_view ~installed v in
+  let p = plan_of_slices (List.map snd indexed) in
   let to_ship =
-    List.filter (fun s -> s.kind <> Unchanged && s.owner <> leader_name) p.slices
+    List.filter
+      (fun (_, s) ->
+        match s.kind with
+        | Unchanged -> false
+        | Delta _ | Full -> s.owner <> leader_name)
+      indexed
   in
-  let unresolved, slices =
-    List.partition_map
-      (fun s ->
-        match Graph.host_by_name map s.owner with
-        | Some node -> Either.Right (s.owner, node, s.bytes)
-        | None -> Either.Left s.owner)
-      to_ship
-  in
-  (* Owners of the table always resolve in the table's graph; keep the
-     partition total anyway. *)
-  assert (unresolved = []);
   match
     D.simulate_slices ?params ?retries ?traffic table ~actual ~leader
-      ~slices:(List.map (fun (_, node, bytes) -> (node, bytes)) slices)
+      ~slices:(List.map (fun (src, s) -> (v.nodes.(src), s.bytes)) to_ship)
   with
   | Error _ as e -> e
   | Ok dist ->
-    let missed_names =
-      List.map (fun node -> Graph.name map node) dist.D.missed
-    in
-    let delivered_or_local name =
-      name = leader_name || not (List.mem name missed_names)
+    let map = Routes.graph table in
+    let missed =
+      Sset.of_list (List.map (fun node -> Graph.name map node) dist.D.missed)
     in
     (* Advance the ledger for every slice that needed shipping and
-       arrived (or was the leader's own); unchanged slices are already
-       current by definition. *)
+       arrived (or was the leader's own); an unchanged slice keeps its
+       installed row, which already holds the same entries. *)
     let installed =
-      Smap.fold
-        (fun owner fresh_slice acc ->
-          if delivered_or_local owner then Smap.add owner fresh_slice acc
-          else acc)
-        fresh installed
+      List.fold_left
+        (fun acc (src, s) ->
+          match s.kind with
+          | Unchanged -> acc
+          | Delta _ | Full ->
+            if s.owner = leader_name || not (Sset.mem s.owner missed) then
+              Smap.add s.owner (row_of_view v src ~pooled:s.packed_bytes) acc
+            else acc)
+        installed indexed
     in
-    let sent_bytes =
-      List.fold_left (fun a (_, _, bytes) -> a + bytes) 0 slices
-    in
+    let sent_bytes = List.fold_left (fun a (_, s) -> a + s.bytes) 0 to_ship in
     let full_sent_bytes =
       List.fold_left
         (fun a s -> if s.owner = leader_name then a else a + s.full_bytes)

@@ -16,14 +16,19 @@ open San_topology
 
 type tables
 (** What the leader believes each host's interface holds: per host
-    name, a destination-name-keyed map of turn routes. *)
+    name, one dense row of turn routes aligned to the name-sorted
+    destinations of the table it came from. Rows of one table share
+    that names array, so comparing two of them is a position-by-position
+    walk (rows of different tables are merge-walked by name), and each
+    row remembers its pooled size once known, so an unchanged slice is
+    never pooled again. *)
 
 val empty : tables
 (** A cold ledger: every host's first slice will be shipped full. *)
 
 val of_routes : San_routing.Routes.t -> tables
 (** The ledger after a (hypothetical) complete installation of this
-    table — hosts and destinations keyed by name. *)
+    table — hosts and destinations by name. *)
 
 val hosts : tables -> string list
 val entries_for : tables -> string -> (string * San_simnet.Route.t) list

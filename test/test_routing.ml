@@ -204,6 +204,151 @@ let test_golden_tables () =
         "90d2312c4bb516f1a5f9d470a6855638" );
     ]
 
+(* ---------- the int-only order and the exit memo ---------- *)
+
+let fabric spec =
+  match San_fabric.Fabric.parse spec with
+  | Ok p -> p.San_fabric.Fabric.p_build ~seed:1
+  | Error e -> Alcotest.fail e
+
+(* [Updown.is_up] against the (label, id) tuple order it replaced, on
+   every ordered node pair. *)
+let check_tuple_order what ud =
+  let n = Graph.num_nodes (Updown.graph ud) in
+  for u = 0 to n - 1 do
+    for v = 0 to n - 1 do
+      let tuple = (Updown.label ud v, v) < (Updown.label ud u, u) in
+      if Updown.is_up ud u v <> tuple then
+        Alcotest.failf "%s: is_up %d %d disagrees with the tuple order" what u v
+    done
+  done
+
+let test_updown_int_order () =
+  List.iter
+    (fun (what, g) -> check_tuple_order what (Updown.build g))
+    [
+      ("now-c", fst (Generators.now_c ()));
+      ("now-ca", fst (Generators.now_ca ()));
+      ("now-cab", fst (Generators.now_cab ()));
+    ];
+  (* Rooted at an edge switch, ft-100's other spine-side switches are
+     locally dominant and get relabelled below their neighbours. *)
+  let g = fabric "ft-100" in
+  let ud = Updown.build ~root:(List.hd (Graph.switches g)) g in
+  Alcotest.(check bool) "ft-100 relabels dominant switches" true
+    (Updown.relabeled ud <> []);
+  check_tuple_order "ft-100" ud;
+  (* DFS-labelled random nets with a detached host and switch, which
+     keep the label max_int and tie on it. *)
+  for seed = 1 to 40 do
+    let rng = San_util.Prng.create seed in
+    let g =
+      Generators.random_connected ~rng ~switches:(2 + (seed mod 7))
+        ~hosts:(2 + (seed mod 5)) ~extra_links:(seed mod 4) ()
+    in
+    let root = List.hd (Graph.switches g) in
+    let s = Graph.add_switch g () and h = Graph.add_host g ~name:"detached" in
+    Graph.connect g (h, 0) (s, 0);
+    let ud = Updown.build ~root ~labeling:Updown.Dfs g in
+    Alcotest.(check bool) "detached nodes unlabelled" true
+      (Updown.label ud s = max_int && Updown.label ud h = max_int);
+    check_tuple_order (Printf.sprintf "random seed %d" seed) ud
+  done
+
+let turns_of buf = function
+  | -1 -> None
+  | len -> Some (Array.to_list (Array.sub buf 0 len))
+
+(* The exit memo never changes a route: tables compiled pair by pair
+   destination-major, source-major and in a shuffled order (there with
+   a two-vector distance cache, so destinations are evicted and
+   recomputed) equal [Routes.compute]. *)
+let test_compile_orders () =
+  List.iter
+    (fun (what, g) ->
+      let table = Routes.compute g in
+      let hosts = Array.of_list (Graph.hosts g) in
+      let buf = Array.make (Graph.num_nodes g + 1) 0 in
+      let pairs order =
+        List.concat_map
+          (fun a ->
+            List.filter_map
+              (fun b -> if a = b then None else Some (order a b))
+              (Array.to_list hosts))
+          (Array.to_list hosts)
+      in
+      let compile how ?cache_limit pairs =
+        let pt = Paths.compute ?cache_limit (Routes.updown table) in
+        List.iter
+          (fun (src, dst) ->
+            if
+              turns_of buf (Paths.route_into pt ~src ~dst ~buf)
+              <> Routes.route table ~src ~dst
+            then
+              Alcotest.failf "%s %s: route %d->%d differs" what how src dst)
+          pairs
+      in
+      compile "destination-major" (pairs (fun dst src -> (src, dst)));
+      compile "source-major" (pairs (fun src dst -> (src, dst)));
+      let shuffled = Array.of_list (pairs (fun src dst -> (src, dst))) in
+      San_util.Prng.shuffle (San_util.Prng.create 11) shuffled;
+      compile "shuffled" ~cache_limit:2 (Array.to_list shuffled))
+    [ ("now-cab", fst (Generators.now_cab ())); ("ft-100", fabric "ft-100") ]
+
+(* Walks with [prefer] or [rng] neither read nor disturb the memo:
+   interleaved with default walks on one [Paths.t], in the order
+   [Routes.compute] compiles, each mode still yields its own table
+   (the seeded draws consumed in the same order). *)
+let test_memo_isolation () =
+  let g = fabric "ft-100" in
+  let prefer u v = float_of_int (((u * 31) + (v * 17)) mod 7) in
+  let plain = Routes.compute g
+  and steered = Routes.compute ~prefer g
+  and random = Routes.compute ~rng:(San_util.Prng.create 7) g in
+  let pt = Paths.compute (Routes.updown plain) in
+  let rng = San_util.Prng.create 7 in
+  let hosts = Array.of_list (Graph.hosts g) in
+  let buf = Array.make (Graph.num_nodes g + 1) 0 in
+  let check what table src dst len =
+    if turns_of buf len <> Routes.route table ~src ~dst then
+      Alcotest.failf "%s route %d->%d differs" what src dst
+  in
+  Array.iter
+    (fun dst ->
+      Array.iter
+        (fun src ->
+          if src <> dst then begin
+            check "default" plain src dst (Paths.route_into pt ~src ~dst ~buf);
+            check "prefer" steered src dst
+              (Paths.route_into ~prefer pt ~src ~dst ~buf);
+            check "rng" random src dst (Paths.route_into ~rng pt ~src ~dst ~buf);
+            check "default again" plain src dst
+              (Paths.route_into pt ~src ~dst ~buf)
+          end)
+        hosts)
+    hosts
+
+(* A warm destination's walk allocates nothing: the distance vector is
+   cached and every exit is memoised. *)
+let test_route_into_zero_alloc () =
+  let g = fabric "ft-100" in
+  let pt = Paths.compute (Updown.build g) in
+  let hosts = Array.of_list (Graph.hosts g) in
+  let dst = hosts.(0) in
+  let buf = Array.make (Graph.num_nodes g + 1) 0 in
+  for i = 1 to Array.length hosts - 1 do
+    ignore (Paths.route_into pt ~src:hosts.(i) ~dst ~buf)
+  done;
+  (* Unboxed reads into a float array: the measurement allocates
+     nothing itself. *)
+  let w = [| 0.0; 0.0 |] in
+  w.(0) <- Gc.minor_words ();
+  for i = 1 to Array.length hosts - 1 do
+    ignore (Paths.route_into pt ~src:hosts.(i) ~dst ~buf)
+  done;
+  w.(1) <- Gc.minor_words ();
+  Alcotest.(check (float 0.0)) "words allocated" 0.0 (w.(1) -. w.(0))
+
 let test_dense_table_edges () =
   let g, _ = Generators.now_c () in
   let table = Routes.compute g in
@@ -483,6 +628,14 @@ let () =
           Alcotest.test_case "channel load tie order" `Quick
             test_channel_loads_tie_order;
           Alcotest.test_case "golden tables" `Quick test_golden_tables;
+          Alcotest.test_case "int-only up*/down* order" `Quick
+            test_updown_int_order;
+          Alcotest.test_case "compile order never matters" `Quick
+            test_compile_orders;
+          Alcotest.test_case "prefer and rng walks bypass the memo" `Quick
+            test_memo_isolation;
+          Alcotest.test_case "warm walk allocation-free" `Quick
+            test_route_into_zero_alloc;
           Alcotest.test_case "dense table edges" `Quick test_dense_table_edges;
           Alcotest.test_case "length bounds" `Quick test_route_lengths_bounded;
           Alcotest.test_case "map drives actual" `Quick test_map_routes_drive_actual;

@@ -102,6 +102,231 @@ let test_delta_distribute_advances_ledger () =
     Alcotest.(check int) "ledger now current" (Graph.num_hosts g)
       p.Delta.unchanged_hosts
 
+(* ---------- the dense planner against the Smap reference ---------- *)
+
+module Ref = Delta_reference
+
+(* One epoch through both planners on one input: every slice (owner,
+   kind, bytes, full and packed bytes), the plan totals, the report and
+   [entries_for] on every host of the advanced ledger must agree.
+   Returns both advanced ledgers, for the next epoch. *)
+let agree what (mine, theirs) table ~actual ~leader =
+  let p = Delta.plan ~installed:mine table
+  and rp = Ref.plan ~installed:theirs table in
+  Alcotest.(check int) (what ^ ": slices") (List.length rp.Delta.slices)
+    (List.length p.Delta.slices);
+  List.iter2
+    (fun (s : Delta.slice) (r : Delta.slice) ->
+      if s <> r then Alcotest.failf "%s: slice of %s differs" what r.Delta.owner)
+    p.Delta.slices rp.Delta.slices;
+  Alcotest.(check bool) (what ^ ": plan totals") true (p = rp);
+  match
+    ( Delta.distribute ~installed:mine table ~actual ~leader,
+      Ref.distribute ~installed:theirs table ~actual ~leader )
+  with
+  | Error e, Error e' ->
+    Alcotest.(check string) (what ^ ": same refusal") e' e;
+    (mine, theirs)
+  | Ok r, Ok r' ->
+    Alcotest.(check bool) (what ^ ": distributed plan") true
+      (r.Delta.plan = r'.Ref.plan);
+    Alcotest.(check bool) (what ^ ": delivery") true (r.Delta.dist = r'.Ref.dist);
+    Alcotest.(check int) (what ^ ": sent bytes") r'.Ref.sent_bytes
+      r.Delta.sent_bytes;
+    Alcotest.(check int) (what ^ ": full sent bytes") r'.Ref.full_sent_bytes
+      r.Delta.full_sent_bytes;
+    let hosts = Ref.hosts r'.Ref.installed in
+    Alcotest.(check (list string)) (what ^ ": ledger hosts") hosts
+      (Delta.hosts r.Delta.installed);
+    List.iter
+      (fun h ->
+        if
+          Delta.entries_for r.Delta.installed h
+          <> Ref.entries_for r'.Ref.installed h
+        then Alcotest.failf "%s: ledger row of %s differs" what h)
+      hosts;
+    (r.Delta.installed, r'.Ref.installed)
+  | Ok _, Error e -> Alcotest.failf "%s: only the reference failed: %s" what e
+  | Error e, Ok _ -> Alcotest.failf "%s: only the dense planner failed: %s" what e
+
+let cold = (Delta.empty, Ref.empty)
+let last_host g = List.hd (List.rev (Graph.hosts g))
+
+(* Cold start, the same table again, then the table after cutting the
+   [k]-th wire (modulo the wire count). *)
+let cut_chain what g ~k =
+  let leader = last_host g in
+  let table = table_of g in
+  let l = agree (what ^ " cold") cold table ~actual:g ~leader in
+  let l = agree (what ^ " again") l table ~actual:g ~leader in
+  let wires = Graph.wires g in
+  if wires <> [] then begin
+    let e = fst (List.nth wires (k mod List.length wires)) in
+    let g' = Faults.remove_link g e in
+    let table' = table_of g' in
+    ignore (agree (what ^ " cut") l table' ~actual:g' ~leader);
+    (* against a ledger built whole, whose rows know no pooled size *)
+    ignore
+      (agree (what ^ " cut, whole ledger")
+         (Delta.of_routes table, Ref.of_routes table)
+         table' ~actual:g' ~leader)
+  end
+
+let fabric spec ~seed =
+  match San_fabric.Fabric.parse spec with
+  | Ok p -> p.San_fabric.Fabric.p_build ~seed
+  | Error e -> Alcotest.fail e
+
+let test_delta_reference_presets () =
+  List.iter
+    (fun (what, g) -> cut_chain what g ~k:7)
+    [
+      ("now-c", fst (Generators.now_c ()));
+      ("now-ca", fst (Generators.now_ca ()));
+      ("now-cab", fst (Generators.now_cab ()));
+      ("ft-100", fabric "ft-100" ~seed:1);
+    ]
+
+(* The converge-ft400 incident's two epochs: the cold start, then the
+   world after the schedule's seeded cut, with the daemon's leader
+   rule (highest-address responding host). *)
+let test_delta_reference_converge () =
+  let schedule = Result.get_ok (Schedule.parse "1:cut") in
+  List.iter
+    (fun seed ->
+      let world = World.create (fabric "levels=3,radix=16,edge=50,hosts=8" ~seed) in
+      let rng = San_util.Prng.create seed in
+      ignore (Schedule.apply schedule world ~rng ~leader:"" ~epoch:0);
+      let g0 = World.graph world in
+      let leader_name = Graph.name g0 (last_host g0) in
+      let l =
+        agree
+          (Printf.sprintf "converge seed %d epoch 0" seed)
+          cold (table_of g0) ~actual:g0 ~leader:(last_host g0)
+      in
+      ignore (Schedule.apply schedule world ~rng ~leader:leader_name ~epoch:1);
+      let g1 = World.graph world in
+      ignore
+        (agree
+           (Printf.sprintf "converge seed %d epoch 1" seed)
+           l (table_of g1) ~actual:g1
+           ~leader:(Option.get (Graph.host_by_name g1 leader_name))))
+    [ 1; 2; 3 ]
+
+(* [g] rebuilt with each host renamed by [rename], or dropped where it
+   gives [None]: the map after hosts left or were replaced. *)
+let rehost g rename =
+  let g' = Graph.create ~radix:(Graph.radix g) () in
+  let ids =
+    Array.of_list
+      (List.map
+         (fun n ->
+           if Graph.is_host g n then
+             match rename (Graph.name g n) with
+             | Some name -> Graph.add_host g' ~name
+             | None -> -1
+           else Graph.add_switch g' ~name:(Graph.name g n) ())
+         (Graph.nodes g))
+  in
+  List.iter
+    (fun ((a, pa), (b, pb)) ->
+      if ids.(a) >= 0 && ids.(b) >= 0 then Graph.connect g' (ids.(a), pa) (ids.(b), pb))
+    (Graph.wires g);
+  g'
+
+(* A host leaves the map, comes back, then is replaced by a host of
+   another name: its tombstones, and rows of other table generations
+   (the departed host's own row, missed rows, rows over a names array
+   of the same length but other names) that must be merge-walked by
+   name against the fresh table. *)
+let test_delta_reference_departure () =
+  let g, _ = Generators.now_ca () in
+  let leader = last_host g in
+  let gone = Graph.name g (List.hd (Graph.hosts g)) in
+  let g' = rehost g (fun n -> if n = gone then None else Some n) in
+  let leader' = Option.get (Graph.host_by_name g' (Graph.name g leader)) in
+  let l = agree "before" cold (table_of g) ~actual:g ~leader in
+  Alcotest.(check bool) "every other row tombstones the departed host" true
+    (List.for_all
+       (fun (s : Delta.slice) ->
+         match s.Delta.kind with
+         | Delta.Delta { removed; _ } -> removed = 1
+         | Delta.Unchanged | Delta.Full -> false)
+       (Delta.plan ~installed:(fst l) (table_of g')).Delta.slices);
+  let l = agree "departed" l (table_of g') ~actual:g' ~leader:leader' in
+  let l = agree "departed again" l (table_of g') ~actual:g' ~leader:leader' in
+  let l = agree "returned" l (table_of g) ~actual:g ~leader in
+  (* The table still names the departed host but the network lacks it:
+     its slice is missed and keeps the row of an older generation. *)
+  let l = agree "unreachable" l (table_of g) ~actual:g' ~leader:leader' in
+  let l = agree "settled" l (table_of g) ~actual:g ~leader in
+  let g'' = rehost g (fun n -> Some (if n = gone then "zz-" ^ n else n)) in
+  ignore
+    (agree "replaced" l (table_of g'') ~actual:g''
+       ~leader:(Option.get (Graph.host_by_name g'' (Graph.name g leader))))
+
+(* A missed slice keeps its old row: three hosts on one switch, the
+   ports rewired so every route changes, delivered over a network that
+   lacks the third host. *)
+let test_delta_reference_missed () =
+  let build ports names =
+    let g = Graph.create () in
+    let s = Graph.add_switch g ~name:"s" () in
+    List.iter2
+      (fun p n ->
+        let h = Graph.add_host g ~name:n in
+        Graph.connect g (h, 0) (s, p))
+      ports names;
+    g
+  in
+  let full = build [ 0; 1; 2 ] [ "a"; "b"; "c" ] in
+  let rewired = build [ 2; 1; 0 ] [ "a"; "b"; "c" ] in
+  let actual = build [ 2; 1 ] [ "a"; "b" ] in
+  let leader g = Option.get (Graph.host_by_name g "a") in
+  let l = agree "cold" cold (table_of full) ~actual:full ~leader:(leader full) in
+  let l =
+    agree "c missed" l (table_of rewired) ~actual ~leader:(leader actual)
+  in
+  (match Delta.entries_for (fst l) "c" with
+  | [ ("a", [ -2 ]); ("b", [ -1 ]) ] -> ()
+  | _ -> Alcotest.fail "the missed host's row moved");
+  ignore (agree "c back" l (table_of rewired) ~actual:rewired ~leader:(leader rewired))
+
+(* 300 fuzzer fabrics, each cold, again and after one cut. *)
+let test_delta_reference_fuzz () =
+  for seed = 1 to 300 do
+    let case = San_check.Fuzz_gen.gen ~seed in
+    let g = case.San_check.Fuzz_gen.graph in
+    if Graph.num_hosts g > 0 then
+      cut_chain (Printf.sprintf "fuzz seed %d" seed) g ~k:seed
+  done
+
+(* Planning a table against the ledger its own distribution advanced:
+   every slice is unchanged and takes its pooled size from the
+   installed row, so no pool is built and nothing is allocated per
+   entry: about 38 words per host (view, counters, slice records),
+   where ft-100 holds 99 entries per host and one pooled slice alone
+   allocates thousands of words. *)
+let test_delta_plan_alloc () =
+  let g = fabric "ft-100" ~seed:1 in
+  let table = table_of g in
+  let hosts = Graph.num_hosts g in
+  let rep =
+    Result.get_ok
+      (Delta.distribute ~installed:Delta.empty table ~actual:g ~leader:(last_host g))
+  in
+  let installed = rep.Delta.installed in
+  ignore (Delta.plan ~installed table);
+  let w = [| 0.0; 0.0 |] in
+  w.(0) <- Gc.minor_words ();
+  let p = Delta.plan ~installed table in
+  w.(1) <- Gc.minor_words ();
+  Alcotest.(check int) "every slice unchanged" hosts p.Delta.unchanged_hosts;
+  let per_host = (w.(1) -. w.(0)) /. float_of_int hosts in
+  Alcotest.(check bool)
+    (Printf.sprintf "%.1f words per host" per_host)
+    true (per_host <= 48.0)
+
 (* ---------- the acceptance scenario ---------- *)
 
 (* A scripted link cut on a fixed-seed topology: the daemon must catch
@@ -224,6 +449,20 @@ let () =
             test_delta_identical_table_ships_nothing;
           Alcotest.test_case "distribute advances ledger" `Quick
             test_delta_distribute_advances_ledger;
+        ] );
+      ( "delta reference",
+        [
+          Alcotest.test_case "NOW presets and ft-100 with a cut" `Quick
+            test_delta_reference_presets;
+          Alcotest.test_case "converge-ft400 epochs 0-1, seeds 1-3" `Slow
+            test_delta_reference_converge;
+          Alcotest.test_case "a host leaves, returns, is replaced" `Quick
+            test_delta_reference_departure;
+          Alcotest.test_case "a missed slice keeps its row" `Quick
+            test_delta_reference_missed;
+          Alcotest.test_case "fuzz campaign" `Quick test_delta_reference_fuzz;
+          Alcotest.test_case "replanning allocates per host only" `Quick
+            test_delta_plan_alloc;
         ] );
       ( "daemon",
         [
