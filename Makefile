@@ -36,10 +36,12 @@ bench-fast:
 	dune exec bench/main.exe -- --fast
 
 # CI-sized: the control-plane daemon on a tiny topology for 2 epochs,
-# plus the seeded daemon bench section in fast mode.
+# the seeded daemon bench section in fast mode, and the §6 extension
+# tables (parallel mapping through San_shard among them).
 bench-smoke:
 	dune exec bin/san_map.exe -- daemon -t star:3 --epochs 2 --schedule 1:cut
 	dune exec bench/main.exe -- --only daemon --fast --no-bechamel
+	dune exec bench/main.exe -- --only extensions --fast --no-bechamel
 
 # Scaling at CI size: map a seeded 1k-host fat-tree end to end under a
 # wall-time budget, then run the fast scaling bench rung so the

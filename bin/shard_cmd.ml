@@ -87,8 +87,8 @@ let run (t : Cli.topology) mapper_name shards stale compare json out_dir obs =
       Format.printf "dropped views: %s@."
         (String.concat ", " (List.map string_of_int r.Runner.dropped_views));
     Format.printf
-      "sharded: %d probes total, %.1f ms simulated wall (slowest shard + \
-       %.2f ms merge), %.2fx parallel speedup, coordinator %s@."
+      "sharded: %d probes total, %.1f ms simulated wall (slowest shard; \
+       %.2f ms host merge), %.2fx parallel speedup, coordinator %s@."
       r.Runner.total_probes
       (r.Runner.wall_ns /. 1e6)
       (r.Runner.merge_ns /. 1e6)

@@ -277,14 +277,13 @@ let finish ~model ~explorations ~elapsed ~depth_used ~trace net =
     | g -> Ok g
     | exception Model.Inconsistent m -> Error m
   in
-  let st = Network.stats net in
   {
     map;
     explorations;
-    host_probes = st.Stats.host_probes;
-    host_hits = st.Stats.host_hits;
-    switch_probes = st.Stats.switch_probes;
-    switch_hits = st.Stats.switch_hits;
+    host_probes = Network.host_probes net;
+    host_hits = Network.host_hits net;
+    switch_probes = Network.switch_probes net;
+    switch_hits = Network.switch_hits net;
     elapsed_ns = elapsed;
     depth_used;
     created_vertices = Model.created_vertices model;

@@ -326,11 +326,10 @@ let run ?(depth = Berkeley.Oracle) net ~mapper =
     | Unresolved m -> Error m
     | Invalid_argument m -> Error m
   in
-  let st = Network.stats net in
   {
     map;
     tree_vertices = !next_id;
     labels = List.length distinct_labels;
-    host_probes = st.Stats.host_probes;
-    switch_probes = st.Stats.switch_probes;
+    host_probes = Network.host_probes net;
+    switch_probes = Network.switch_probes net;
   }

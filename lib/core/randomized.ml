@@ -105,14 +105,13 @@ let run ?(policy = Berkeley.faithful) ?(depth = Berkeley.Oracle)
     | m -> Ok m
     | exception Model.Inconsistent m -> Error m
   in
-  let st = Network.stats net in
   {
     map;
     coupon_probes = samples;
     coupon_hits = !coupon_hits;
     bfs_explorations;
-    host_probes = st.Stats.host_probes;
-    switch_probes = st.Stats.switch_probes;
+    host_probes = Network.host_probes net;
+    switch_probes = Network.switch_probes net;
     elapsed_ns = !elapsed;
     created_vertices = Model.created_vertices model;
     live_vertices = Model.live_vertices model;

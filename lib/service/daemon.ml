@@ -250,7 +250,7 @@ let run ?(config = default_config) ?(schedule = Schedule.empty)
         let mapper = Option.get (Graph.host_by_name g leader_name) in
         (* Full remaps run sharded when configured: N concurrent
            mappers over the San_shard region plan, the wall being the
-           slowest shard plus the merge. *)
+           slowest shard's simulated time. *)
         let sharded_remap ~discrepancies:_ =
           match
             San_shard.Runner.run ~seed:config.seed ~root:mapper

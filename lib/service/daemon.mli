@@ -109,7 +109,7 @@ type config = {
       (** when > 1, full remaps (cold start and stale-map fallback) run
           as this many concurrent [San_shard] mappers over a region
           plan seeded from the config, the remap wall being the slowest
-          shard plus the conflict-resolving merge *)
+          shard's simulated time *)
   flight_dir : string option;
       (** when set, a bounded flight recording ([flight-<epoch>.jsonl]:
           the trace ring plus the provenance ledger tail) is written to

@@ -12,6 +12,8 @@ type shard_plan = {
   covered : int;
 }
 
+type mode = Oracle | Scoped | Local
+
 type t = {
   seed : int;
   shards : int;
@@ -20,7 +22,7 @@ type t = {
   coordinator : int;
   comp_nodes : int;
   overlap : float;
-  exact_depth : bool;
+  mode : mode;
 }
 
 (* Below this the per-root oracle depth [Q + D + 1] is cheap (a 2-unit
@@ -35,6 +37,49 @@ let attach_switch g m =
   match Graph.wired_ports g m with
   | (_, (s, _)) :: _ when not (Graph.is_host g s) -> Some s
   | _ -> None
+
+let spread_mappers ?seed g ~count =
+  let hosts = Array.of_list (Graph.hosts g) in
+  let n = Array.length hosts in
+  if n = 0 then []
+  else begin
+    let count = max 1 (min count n) in
+    let off =
+      match seed with None -> 0 | Some s -> Prng.int (Prng.create s) n
+    in
+    (* Clamping plus sort_uniq: even when [count] exceeds the host
+       population the placement is distinct hosts, never repeats. *)
+    let idxs = List.init count (fun i -> (off + (i * n / count)) mod n) in
+    List.map (fun i -> hosts.(i)) (List.sort_uniq compare idxs)
+  end
+
+let trim map ~center ~radius =
+  let dist = Analysis.bfs_distances map center in
+  let keep v =
+    if Graph.is_host map v then
+      v = center
+      ||
+      match Graph.neighbor map (v, 0) with
+      | Some (sw, _) -> dist.(sw) <= radius
+      | None -> false
+    else dist.(v) <= radius
+  in
+  let g = Graph.create ~radix:(Graph.radix map) () in
+  let node_of = Hashtbl.create 64 in
+  List.iter
+    (fun v ->
+      if keep v then
+        Hashtbl.replace node_of v
+          (if Graph.is_host map v then Graph.add_host g ~name:(Graph.name map v)
+           else Graph.add_switch g ~name:(Graph.name map v) ()))
+    (Graph.nodes map);
+  List.iter
+    (fun ((a, pa), (b, pb)) ->
+      match (Hashtbl.find_opt node_of a, Hashtbl.find_opt node_of b) with
+      | Some na, Some nb -> Graph.connect g (na, pa) (nb, pb)
+      | _ -> ())
+    (Graph.wires map);
+  g
 
 let dedup_nodes l =
   let seen = Hashtbl.create 16 in
@@ -68,6 +113,97 @@ let switch_bfs g s0 =
       (Graph.wired_ports g v)
   done;
   (dist, parent)
+
+(* Ownership: seeded multi-source BFS over switches from each mapper's
+   attachment switch, owner inherited from the discovering neighbour —
+   connected Voronoi-style cells, deterministic in shard order.
+   [owner.(v)] is the shard owning switch [v], or -1. *)
+let ownership g chosen ~in_comp =
+  let owner = Array.make (Graph.num_nodes g) (-1) in
+  let q = Queue.create () in
+  Array.iteri
+    (fun i m ->
+      match attach_switch g m with
+      | Some s when owner.(s) < 0 ->
+        owner.(s) <- i;
+        Queue.add s q
+      | _ -> ())
+    chosen;
+  while not (Queue.is_empty q) do
+    let v = Queue.take q in
+    List.iter
+      (fun (_, (w, _)) ->
+        if (not (Graph.is_host g w)) && owner.(w) < 0 && in_comp w then begin
+          owner.(w) <- owner.(v);
+          Queue.add w q
+        end)
+      (Graph.wired_ports g v)
+  done;
+  owner
+
+(* Advisory probe budget of an unscoped shard exploring to [depth]. *)
+let unscoped_budget g depth = 8 * Graph.num_wires g * depth
+
+(* The plan from its per-shard parts: counts each cell and scope (a
+   scope covers its switches and the hosts attached to them) and
+   elects the coordinator, the highest-address mapper. *)
+let assemble g ~seed ~mode ~chosen ~dist0 ~owner ~radius ~depth ~budget
+    ~scopes =
+  let n = Graph.num_nodes g and k = Array.length chosen in
+  let owned = Array.make k 0 in
+  Array.iter (fun o -> if o >= 0 then owned.(o) <- owned.(o) + 1) owner;
+  let covered =
+    Array.map
+      (fun scope ->
+        let c = ref 0 in
+        for v = 0 to n - 1 do
+          if
+            scope.(v)
+            || (Graph.is_host g v
+               &&
+               match attach_switch g v with
+               | Some s -> scope.(s)
+               | None -> false)
+          then incr c
+        done;
+        !c)
+      scopes
+  in
+  let comp_nodes =
+    Array.fold_left (fun acc d -> if d < max_int then acc + 1 else acc) 0 dist0
+  in
+  let coordinator = ref 0 in
+  Array.iteri
+    (fun i m -> if m > chosen.(!coordinator) then coordinator := i)
+    chosen;
+  let plans =
+    List.init k (fun i ->
+        {
+          idx = i;
+          mapper = chosen.(i);
+          mapper_name = Graph.name g chosen.(i);
+          radius = radius.(i);
+          depth = depth.(i);
+          budget = budget.(i);
+          owned = owned.(i);
+          covered = covered.(i);
+        })
+  in
+  let overlap =
+    if comp_nodes = 0 then 1.0
+    else
+      float_of_int (Array.fold_left ( + ) 0 covered) /. float_of_int comp_nodes
+  in
+  {
+    seed;
+    shards = k;
+    plans;
+    scopes;
+    coordinator = !coordinator;
+    comp_nodes;
+    overlap;
+    mode;
+  }
 
 let plan ?(seed = 0) ?root ?mappers ?(responding = fun _ -> true) g ~shards =
   if shards < 1 then Error "shard count must be >= 1"
@@ -114,33 +250,8 @@ let plan ?(seed = 0) ?root ?mappers ?(responding = fun _ -> true) g ~shards =
       | _ -> (
         let chosen = Array.of_list chosen in
         let k = Array.length chosen in
-        (* Ownership: seeded multi-source BFS over switches, owner
-           inherited from the discovering neighbour — connected
-           Voronoi-style cells, deterministic in shard order. *)
-        let owner = Array.make n (-1) in
-        let q = Queue.create () in
-        Array.iteri
-          (fun i m ->
-            match attach_switch g m with
-            | Some s when owner.(s) < 0 ->
-              owner.(s) <- i;
-              Queue.add s q
-            | _ -> ())
-          chosen;
-        while not (Queue.is_empty q) do
-          let v = Queue.take q in
-          List.iter
-            (fun (_, (w, _)) ->
-              if (not (Graph.is_host g w)) && owner.(w) < 0 && in_comp w
-              then begin
-                owner.(w) <- owner.(v);
-                Queue.add w q
-              end)
-            (Graph.wired_ports g v)
-        done;
+        let owner = ownership g chosen ~in_comp in
         let dist = Array.map (fun m -> Analysis.bfs_distances g m) chosen in
-        let owned = Array.make k 0 in
-        Array.iter (fun o -> if o >= 0 then owned.(o) <- owned.(o) + 1) owner;
         let small = n <= small_exact_threshold in
         let radius = Array.make k 1 in
         let scopes = Array.init k (fun _ -> Array.make n false) in
@@ -435,24 +546,9 @@ let plan ?(seed = 0) ?root ?mappers ?(responding = fun _ -> true) g ~shards =
                      paths a little longer than the BFS distance). *)
                   radius.(i) + 4)
           in
-          let covered =
-            Array.init k (fun i ->
-                let c = ref 0 in
-                for v = 0 to n - 1 do
-                  if
-                    scopes.(i).(v)
-                    || (Graph.is_host g v
-                       &&
-                       match attach_switch g v with
-                       | Some s -> scopes.(i).(s)
-                       | None -> false)
-                  then incr c
-                done;
-                !c)
-          in
           let budget =
             Array.init k (fun i ->
-                if small then 8 * Graph.num_wires g * depth.(i)
+                if small then unscoped_budget g depth.(i)
                 else begin
                   (* Scoped switches are fully expanded; switches one
                      ring beyond still get their ports filled in, and
@@ -485,46 +581,36 @@ let plan ?(seed = 0) ?root ?mappers ?(responding = fun _ -> true) g ~shards =
                   (5 * Graph.radix g * !ports * depth.(i) / 8) + 64
                 end)
           in
-          let comp_nodes =
-            Array.fold_left
-              (fun acc d -> if d < max_int then acc + 1 else acc)
-              0 dist0
-          in
-          let coordinator = ref 0 in
-          Array.iteri
-            (fun i m -> if m > chosen.(!coordinator) then coordinator := i)
-            chosen;
-          let plans =
-            List.init k (fun i ->
-                {
-                  idx = i;
-                  mapper = chosen.(i);
-                  mapper_name = Graph.name g chosen.(i);
-                  radius = radius.(i);
-                  depth = depth.(i);
-                  budget = budget.(i);
-                  owned = owned.(i);
-                  covered = covered.(i);
-                })
-          in
-          let overlap =
-            if comp_nodes = 0 then 1.0
-            else
-              float_of_int (Array.fold_left ( + ) 0 covered)
-              /. float_of_int comp_nodes
-          in
           Ok
-            {
-              seed;
-              shards = k;
-              plans;
-              scopes;
-              coordinator = !coordinator;
-              comp_nodes;
-              overlap;
-              exact_depth = small;
-            }))
+            (assemble g ~seed
+               ~mode:(if small then Oracle else Scoped)
+               ~chosen ~dist0 ~owner ~radius ~depth ~budget ~scopes)))
   end
+
+let local g ~mappers ~depth ~radius =
+  if mappers < 1 then Error "mapper count must be >= 1"
+  else
+    match spread_mappers g ~count:mappers with
+    | [] -> Error "no mapper host"
+    | ms ->
+      let chosen = Array.of_list ms in
+      let k = Array.length chosen in
+      let dist0 = Analysis.bfs_distances g chosen.(0) in
+      let owner = ownership g chosen ~in_comp:(fun v -> dist0.(v) < max_int) in
+      (* The scope is the trust ball: the stale-view injector picks
+         wires from it. Exploration itself is unscoped. *)
+      let scopes =
+        Array.map
+          (fun m ->
+            let d = Analysis.bfs_distances g m in
+            Array.mapi (fun v x -> (not (Graph.is_host g v)) && x <= radius) d)
+          chosen
+      in
+      Ok
+        (assemble g ~seed:0 ~mode:Local ~chosen ~dist0 ~owner
+           ~radius:(Array.make k radius) ~depth:(Array.make k depth)
+           ~budget:(Array.make k (unscoped_budget g depth))
+           ~scopes)
 
 let distances g t =
   Array.of_list
@@ -534,7 +620,10 @@ let pp ppf t =
   Format.fprintf ppf
     "plan seed=%d shards=%d comp=%d overlap=%.2f coordinator=%d%s@."
     t.seed t.shards t.comp_nodes t.overlap t.coordinator
-    (if t.exact_depth then " (oracle depths)" else "");
+    (match t.mode with
+    | Oracle -> " (oracle depths)"
+    | Scoped -> ""
+    | Local -> " (local regions)");
   List.iter
     (fun sp ->
       Format.fprintf ppf

@@ -1,8 +1,11 @@
-(** Region planning for the sharded mapping plane.
+(** Region planning for the mapping plane's concurrent mappers.
 
-    The paper's §6 sketch has every host map its local region; this
-    planner decides what "local" means for N concurrent mappers. It
-    partitions the reference topology's switches into N disjoint
+    The paper's §6 sketch has every host map its local region; a plan
+    decides what "local" means for N concurrent mappers, and
+    {!Runner.execute} runs any plan. {!local} is the §6 sketch itself:
+    k spread hosts, each exploring unscoped to a fixed depth, their
+    views trimmed to a trust radius. {!plan} is the sharded mapping
+    plane. It partitions the reference topology's switches into N disjoint
     ownership cells (a seeded multi-source BFS from each mapper's
     attachment switch, so cells are connected and deterministic), then
     derives, per shard:
@@ -51,6 +54,16 @@ type shard_plan = {
   covered : int;  (** nodes in this shard's exploration scope *)
 }
 
+(** How shards explore and what of their views is merged. *)
+type mode =
+  | Oracle
+      (** unscoped, each at its per-root oracle depth [Q + D + 1]; views
+          merged whole *)
+  | Scoped
+      (** expanding only the shard's scope; views trimmed at [radius] *)
+  | Local
+      (** §6: unscoped at a fixed depth; views trimmed at [radius] *)
+
 type t = {
   seed : int;
   shards : int;  (** realised count after clamping to eligible hosts *)
@@ -65,8 +78,7 @@ type t = {
   comp_nodes : int;  (** nodes in the mapped component *)
   overlap : float;
       (** sum of scope sizes over component size; 1.0 = no overlap *)
-  exact_depth : bool;
-      (** true when per-root oracle depths were used (small fabric) *)
+  mode : mode;  (** [Oracle] on small fabrics, [Scoped] on large ones *)
 }
 
 val plan :
@@ -84,6 +96,28 @@ val plan :
     choice and anchor-host designation (silent hosts anchor nothing).
     The shard count is clamped to the eligible hosts of the root's
     component. *)
+
+val local :
+  Graph.t -> mappers:int -> depth:int -> radius:int -> (t, string) result
+(** [local g ~mappers:k ~depth:d ~radius:r] is the paper's §6 parallel
+    mapper as a plan: the [k] hosts {!spread_mappers} places, each
+    exploring unscoped to the fixed depth [d], their views trimmed to
+    the trust radius [r] (the outermost ring of a depth-bounded
+    exploration can hold replicates that had no chance to merge).
+    Mode {!Local}, seed 0. [Error] when [k < 1] or [g] has no host. *)
+
+val spread_mappers : ?seed:int -> Graph.t -> count:int -> Graph.node list
+(** [count] distinct hosts spread evenly over the host list. Without
+    [seed] the spread starts at the first host; with [seed] the start
+    offset is drawn from a seeded generator, so repeated placements
+    rotate around the fabric while staying evenly spaced and
+    replayable. [count] is clamped to the host population — the result
+    never repeats a node. *)
+
+val trim : Graph.t -> center:Graph.node -> radius:int -> Graph.t
+(** [trim map ~center ~radius] keeps the trusted core of a local map:
+    switches within [radius] hops of [center] plus their directly
+    attached hosts, and the wires among the kept nodes. *)
 
 val distances : Graph.t -> t -> int array array
 (** Per-shard BFS distance arrays from each mapper, in plan order —

@@ -1,7 +1,6 @@
 open San_topology
 module Prng = San_util.Prng
 module Obs = San_obs.Obs
-module Stats = San_simnet.Stats
 module Network = San_simnet.Network
 module Berkeley = San_mapper.Berkeley
 
@@ -26,7 +25,6 @@ type result = {
   resolutions : Merge.resolution list;
   dropped_views : int list;
   total_probes : int;
-  stats : Stats.t;
   wall_ns : float;
   sum_ns : float;
   merge_ns : float;
@@ -95,156 +93,133 @@ let probe_cost_digest ~before =
   | Some hs -> hs
   | None -> San_obs.Digest.create ()
 
-let run ?(seed = 0) ?root ?mappers ?responding ?policy ?params ?traffic
-    ?(epoch = 1) ?stale g ~shards =
-  match Region.plan ~seed ?root ?mappers ?responding g ~shards with
-  | Error e -> Error e
-  | Ok plan ->
-    San_why.Why.with_preserve @@ fun () ->
-    Obs.with_span "shard.run" @@ fun () ->
-    let plans = Array.of_list plan.Region.plans in
-    let scopes = plan.Region.scopes in
-    let shard_results =
-      Array.to_list plans
-      |> List.map (fun (sp : Region.shard_plan) ->
-             let gk, is_stale =
-               match stale with
-               | Some i when i = sp.Region.idx -> (
-                 match
-                   corrupt_view ~seed ~scopes ~idx:i ~mapper:sp.Region.mapper
-                     g
-                 with
-                 | Some m -> (m, true)
-                 | None -> (g, false))
-               | _ -> (g, false)
-             in
-             let net = Network.create ?params ?responding ?traffic gk in
-             (* Ownership-scoped exploration: resolve the probe path
-                against the (possibly recabled) fabric the shard is
-                actually probing and expand only switches in this
-                shard's scope — its cell, the ring around it, and its
-                anchor paths. Small graphs run unscoped under their
-                oracle depth (see Region). *)
-             let expand =
-               if plan.Region.exact_depth then None
-               else
-                 Some
-                   (fun path ->
-                     match
-                       (San_simnet.Worm.eval gk ~src:sp.Region.mapper
-                          ~turns:path)
-                         .San_simnet.Worm.outcome
-                     with
-                     | San_simnet.Worm.Stranded v ->
-                       scopes.(sp.Region.idx).(v)
-                     | _ -> false)
-             in
-             let cost_before = San_obs.Metrics.snapshot Obs.registry in
-             let r =
-               Obs.with_span "shard.map" (fun () ->
-                   Berkeley.run ?policy ?expand
-                     ~depth:(Berkeley.Fixed sp.Region.depth)
-                     net ~mapper:sp.Region.mapper)
-             in
-             let probe_cost = probe_cost_digest ~before:cost_before in
-             let st = Stats.copy (Network.stats net) in
-             let probes = Stats.total_probes st in
-             let probe_did = San_why.Why.last_probe () in
-             let trimmed =
-               match r.Berkeley.map with
-               | Error _ -> None
-               | Ok m -> (
-                 (* Unscoped (small-fabric) views are kept whole: two
-                    trimmed balls can both hold a switch while their
-                    shared subgraph around it is disconnected from the
-                    anchor host, and the merge would then duplicate it
-                    rather than identify the copies. Scoped views are
-                    trimmed as a safety net — the radius covers the
-                    whole scope, so only replicate leftovers go. *)
-                 if plan.Region.exact_depth then Some m
-                 else
-                   match Graph.host_by_name m sp.Region.mapper_name with
-                   | None -> None
-                   | Some c ->
-                     Some
-                       (San_mapper.Parallel.trim m ~center:c
-                          ~radius:sp.Region.radius))
-             in
-             let report =
-               {
-                 s_idx = sp.Region.idx;
-                 s_mapper = sp.Region.mapper_name;
-                 s_depth = sp.Region.depth;
-                 s_radius = sp.Region.radius;
-                 s_budget = sp.Region.budget;
-                 s_probes = probes;
-                 s_over_budget = probes > sp.Region.budget;
-                 s_elapsed_ns = r.Berkeley.elapsed_ns;
-                 s_map_nodes =
-                   (match trimmed with
-                   | Some m -> Graph.num_nodes m
-                   | None -> 0);
-                 s_stale = is_stale;
-                 s_probe_cost = probe_cost;
-               }
-             in
-             let view =
-               Option.map
-                 (fun m ->
-                   {
-                     Merge.v_idx = sp.Region.idx;
-                     v_map = m;
-                     v_epoch = (if is_stale then epoch - 1 else epoch);
-                     v_finished_ns = r.Berkeley.elapsed_ns;
-                     v_probe = probe_did;
-                     v_mapper = sp.Region.mapper_name;
-                   })
-                 trimmed
-             in
-             (report, view, st))
+let execute ?responding ?policy ?params ?traffic ?(epoch = 1) ?stale g
+    (plan : Region.t) =
+  San_why.Why.with_preserve @@ fun () ->
+  Obs.with_span "shard.run" @@ fun () ->
+  let scopes = plan.Region.scopes in
+  let shard (sp : Region.shard_plan) =
+    let gk, is_stale =
+      match stale with
+      | Some i when i = sp.Region.idx -> (
+        match
+          corrupt_view ~seed:plan.Region.seed ~scopes ~idx:i
+            ~mapper:sp.Region.mapper g
+        with
+        | Some m -> (m, true)
+        | None -> (g, false))
+      | _ -> (g, false)
     in
-    let reports = List.map (fun (r, _, _) -> r) shard_results in
-    let views = List.filter_map (fun (_, v, _) -> v) shard_results in
-    let stats =
-      List.fold_left
-        (fun acc (_, _, st) -> Stats.merge acc st)
-        (Stats.create ()) shard_results
+    let net = Network.create ?params ?responding ?traffic gk in
+    (* Ownership-scoped exploration: resolve the probe path against the
+       (possibly recabled) fabric the shard is actually probing and
+       expand only switches in this shard's scope — its cell, the ring
+       around it, and its anchor paths. The other modes run unscoped. *)
+    let expand =
+      match plan.Region.mode with
+      | Region.Oracle | Region.Local -> None
+      | Region.Scoped ->
+        Some
+          (fun path ->
+            match
+              (San_simnet.Worm.eval gk ~src:sp.Region.mapper ~turns:path)
+                .San_simnet.Worm.outcome
+            with
+            | San_simnet.Worm.Stranded v -> scopes.(sp.Region.idx).(v)
+            | _ -> false)
     in
-    let t0 = Unix.gettimeofday () in
-    let merged =
-      Obs.with_span "shard.merge" (fun () ->
-          if views = [] then
-            {
-              Merge.map = Error "every shard map failed";
-              resolutions = [];
-              dropped_views = [];
-            }
-          else Merge.resolve views)
+    let cost_before = San_obs.Metrics.snapshot Obs.registry in
+    let r =
+      Obs.with_span "shard.map" (fun () ->
+          Berkeley.run ?policy ?expand
+            ~depth:(Berkeley.Fixed sp.Region.depth)
+            net ~mapper:sp.Region.mapper)
     in
-    let merge_ns = (Unix.gettimeofday () -. t0) *. 1e9 in
-    let slowest =
-      List.fold_left (fun acc r -> Float.max acc r.s_elapsed_ns) 0.0 reports
+    let probe_cost = probe_cost_digest ~before:cost_before in
+    let probes = Network.host_probes net + Network.switch_probes net in
+    let probe_did = San_why.Why.last_probe () in
+    let trimmed =
+      match r.Berkeley.map with
+      | Error _ -> None
+      | Ok m -> (
+        match plan.Region.mode with
+        (* Oracle views are kept whole: two trimmed balls can both hold
+           a switch while their shared subgraph around it is
+           disconnected from the anchor host, and the merge would then
+           duplicate it rather than identify the copies. Scoped views
+           are trimmed as a safety net — the radius covers the whole
+           scope, so only replicate leftovers go. *)
+        | Region.Oracle -> Some m
+        | Region.Scoped | Region.Local -> (
+          match Graph.host_by_name m sp.Region.mapper_name with
+          | None -> None
+          | Some c -> Some (Region.trim m ~center:c ~radius:sp.Region.radius)))
     in
-    let sum =
-      List.fold_left (fun acc r -> acc +. r.s_elapsed_ns) 0.0 reports
-    in
-    let coordinator =
-      (List.nth plan.Region.plans plan.Region.coordinator).Region.mapper_name
-    in
-    Ok
+    let report =
       {
-        map = merged.Merge.map;
-        plan;
-        reports;
-        resolutions = merged.Merge.resolutions;
-        dropped_views = merged.Merge.dropped_views;
-        total_probes = Stats.total_probes stats;
-        stats;
-        wall_ns = slowest +. merge_ns;
-        sum_ns = sum +. merge_ns;
-        merge_ns;
-        coordinator;
-        probe_cost =
-          San_obs.Digest.merge_all
-            (List.map (fun r -> r.s_probe_cost) reports);
+        s_idx = sp.Region.idx;
+        s_mapper = sp.Region.mapper_name;
+        s_depth = sp.Region.depth;
+        s_radius = sp.Region.radius;
+        s_budget = sp.Region.budget;
+        s_probes = probes;
+        s_over_budget = probes > sp.Region.budget;
+        s_elapsed_ns = r.Berkeley.elapsed_ns;
+        s_map_nodes =
+          (match trimmed with Some m -> Graph.num_nodes m | None -> 0);
+        s_stale = is_stale;
+        s_probe_cost = probe_cost;
       }
+    in
+    let view =
+      Option.map
+        (fun m ->
+          {
+            Merge.v_idx = sp.Region.idx;
+            v_map = m;
+            v_epoch = (if is_stale then epoch - 1 else epoch);
+            v_finished_ns = r.Berkeley.elapsed_ns;
+            v_probe = probe_did;
+            v_mapper = sp.Region.mapper_name;
+          })
+        trimmed
+    in
+    (report, view)
+  in
+  let shard_results = List.map shard plan.Region.plans in
+  let reports = List.map fst shard_results in
+  let views = List.filter_map snd shard_results in
+  let t0 = Unix.gettimeofday () in
+  let merged =
+    Obs.with_span "shard.merge" (fun () ->
+        if views = [] then
+          {
+            Merge.map = Error "every shard map failed";
+            resolutions = [];
+            dropped_views = [];
+          }
+        else Merge.resolve views)
+  in
+  let merge_ns = (Unix.gettimeofday () -. t0) *. 1e9 in
+  {
+    map = merged.Merge.map;
+    plan;
+    reports;
+    resolutions = merged.Merge.resolutions;
+    dropped_views = merged.Merge.dropped_views;
+    total_probes = List.fold_left (fun acc r -> acc + r.s_probes) 0 reports;
+    wall_ns =
+      List.fold_left (fun acc r -> Float.max acc r.s_elapsed_ns) 0.0 reports;
+    sum_ns = List.fold_left (fun acc r -> acc +. r.s_elapsed_ns) 0.0 reports;
+    merge_ns;
+    coordinator =
+      (List.nth plan.Region.plans plan.Region.coordinator).Region.mapper_name;
+    probe_cost =
+      San_obs.Digest.merge_all (List.map (fun r -> r.s_probe_cost) reports);
+  }
+
+let run ?(seed = 0) ?root ?mappers ?responding ?policy ?params ?traffic ?epoch
+    ?stale g ~shards =
+  Result.map
+    (execute ?responding ?policy ?params ?traffic ?epoch ?stale g)
+    (Region.plan ~seed ?root ?mappers ?responding g ~shards)

@@ -11,7 +11,10 @@ type t = {
   jitter : (float * San_util.Prng.t) option;
   traffic : (float * San_util.Prng.t) option;
   run_bias : float;
-  net_stats : Stats.t;
+  mutable host_probes : int;  (* host and walk probes *)
+  mutable host_hits : int;
+  mutable switch_probes : int;  (* switch and loop probes *)
+  mutable switch_hits : int;
   net_fabric : San_telemetry.Fabric_stats.t option;
       (* resolved once at create; collisions and transits both go here *)
   net_walk : Worm.walk; (* every probe is evaluated into this one walk *)
@@ -44,7 +47,10 @@ let create ?(model = Collision.Circuit) ?(params = Params.default)
     jitter;
     traffic;
     run_bias;
-    net_stats = Stats.create ();
+    host_probes = 0;
+    host_hits = 0;
+    switch_probes = 0;
+    switch_hits = 0;
     net_fabric =
       (match fabric with
       | Some _ as f -> f
@@ -71,10 +77,18 @@ let jittered t cost =
     *. (1.0 +. (0.5 *. frac *. ((2.0 *. San_util.Prng.float rng 1.0) -. 1.0)))
 
 let graph t = t.net_graph
-let stats t = t.net_stats
 let params t = t.net_params
 let model t = t.net_model
-let reset_stats t = Stats.reset t.net_stats
+let host_probes t = t.host_probes
+let host_hits t = t.host_hits
+let switch_probes t = t.switch_probes
+let switch_hits t = t.switch_hits
+
+let reset_stats t =
+  t.host_probes <- 0;
+  t.host_hits <- 0;
+  t.switch_probes <- 0;
+  t.switch_hits <- 0
 
 (* Per-channel accounting for the analytic front end: every wire
    crossing the worm actually made transits the forward channel (the
@@ -123,20 +137,17 @@ let probe_cost_miss t =
   (t.slowdown *. p.send_overhead_ns) +. p.probe_timeout_ns
 
 (* Single accounting point for every probe the fabric serves: the
-   per-network [Stats] record stays the per-run compatibility view
-   (walk and loop probes count in the host and switch columns they
-   occupy on the wire), while the global registry and tracer see the
-   finer-grained kind. *)
+   network's own counters (walk and loop probes count in the host and
+   switch columns they occupy on the wire), while the global registry
+   and tracer see the finer-grained kind and the cost. *)
 let account t ~(kind : San_obs.Trace.probe_kind) ~hit ~cost =
-  let st = t.net_stats in
   (match kind with
   | San_obs.Trace.Host | San_obs.Trace.Walk ->
-    st.Stats.host_probes <- st.Stats.host_probes + 1;
-    if hit then st.Stats.host_hits <- st.Stats.host_hits + 1
+    t.host_probes <- t.host_probes + 1;
+    if hit then t.host_hits <- t.host_hits + 1
   | San_obs.Trace.Switch | San_obs.Trace.Loop ->
-    st.Stats.switch_probes <- st.Stats.switch_probes + 1;
-    if hit then st.Stats.switch_hits <- st.Stats.switch_hits + 1);
-  Stats.add_time st cost;
+    t.switch_probes <- t.switch_probes + 1;
+    if hit then t.switch_hits <- t.switch_hits + 1);
   if San_obs.Obs.on () then begin
     let stem =
       match kind with

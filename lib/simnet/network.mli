@@ -44,16 +44,29 @@ val create :
 
     Every probe is evaluated into one walk the network owns
     ({!Worm.fill}): with observability and per-channel accounting off,
-    a probe allocates only its returned pair and the re-boxed
-    {!Stats.t} time, whatever the route length. A network is not re-entrant: a
-    [responding] predicate must not probe the network it belongs to. *)
+    a probe allocates only its returned pair, whatever the route length.
+    A network is not re-entrant: a [responding] predicate must not probe
+    the network it belongs to. *)
 
 val graph : t -> Graph.t
-val stats : t -> Stats.t
 val params : t -> Params.t
 val model : t -> Collision.model
 
+(** {2 Probe counters}
+
+    Probes sent and answered since creation or the last {!reset_stats}.
+    Walk probes count as host probes and loop probes as switch probes,
+    the columns they occupy on the wire. Costs are not summed here:
+    every probe returns its own, and the [net.probe_cost_ns] histogram
+    collects them when observability is on. *)
+
+val host_probes : t -> int
+val host_hits : t -> int
+val switch_probes : t -> int
+val switch_hits : t -> int
+
 val reset_stats : t -> unit
+(** Zero the four counters. *)
 
 val host_probe : t -> src:Graph.node -> turns:Route.t -> response * float
 (** Send the host-probe [a1...ak] from host [src]. Returns [Host name]

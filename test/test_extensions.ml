@@ -293,17 +293,24 @@ let test_union_all_ordering () =
 
 (* ---------- parallel mapping ---------- *)
 
+module Region = San_shard.Region
+module Runner = San_shard.Runner
+
+let local_run g ~mappers ~depth ~radius =
+  Runner.execute g (Result.get_ok (Region.local g ~mappers ~depth ~radius))
+
 let test_parallel_now () =
   let g, _ = Generators.now_cab () in
-  let mappers = Parallel.spread_mappers g ~count:4 in
-  Alcotest.(check int) "four mappers placed" 4 (List.length mappers);
-  let r = Parallel.run ~local_depth:6 ~trust_radius:5 ~mappers g in
-  (match r.Parallel.map with
+  let plan = Result.get_ok (Region.local g ~mappers:4 ~depth:6 ~radius:5) in
+  Alcotest.(check int) "four mappers placed" 4 plan.Region.shards;
+  let r = Runner.execute g plan in
+  (match r.Runner.map with
   | Ok m ->
     Alcotest.(check bool) "global map isomorphic" true (Iso.equal ~map:m ~actual:g ())
   | Error e -> Alcotest.failf "merge failed: %s" e);
-  Alcotest.(check bool) "wall below sum" true (r.Parallel.wall_ns < r.Parallel.sum_ns);
-  Alcotest.(check int) "no local failures" 0 r.Parallel.failed_locals
+  Alcotest.(check bool) "wall below sum" true (r.Runner.wall_ns < r.Runner.sum_ns);
+  Alcotest.(check bool) "no local failures" true
+    (List.for_all (fun s -> s.Runner.s_map_nodes > 0) r.Runner.reports)
 
 let test_parallel_beats_solo_wall_clock () =
   let g, _ = Generators.now_cab () in
@@ -311,27 +318,46 @@ let test_parallel_beats_solo_wall_clock () =
     let net = San_simnet.Network.create g in
     Berkeley.run net ~mapper:(Option.get (Graph.host_by_name g "C-util"))
   in
-  let r =
-    Parallel.run ~local_depth:6 ~trust_radius:5
-      ~mappers:(Parallel.spread_mappers g ~count:9)
-      g
-  in
+  let r = local_run g ~mappers:9 ~depth:6 ~radius:5 in
   Alcotest.(check bool) "parallel wall < solo" true
-    (r.Parallel.wall_ns < solo.Berkeley.elapsed_ns)
+    (r.Runner.wall_ns < solo.Berkeley.elapsed_ns)
 
 let test_parallel_rejects_bad_mappers () =
   let g, _ = Generators.now_c () in
-  Alcotest.(check bool) "empty mapper list rejected" true
-    (try
-       ignore (Parallel.run ~mappers:[] g);
-       false
-     with Invalid_argument _ -> true);
-  let sw = List.hd (Graph.switches g) in
-  Alcotest.(check bool) "switch mapper rejected" true
-    (try
-       ignore (Parallel.run ~mappers:[ sw ] g);
-       false
-     with Invalid_argument _ -> true)
+  Alcotest.(check bool) "no mappers rejected" true
+    (Result.is_error (Region.local g ~mappers:0 ~depth:5 ~radius:3));
+  let hostless = Graph.create ~radix:8 () in
+  ignore (Graph.add_switch hostless ~name:"s" ());
+  Alcotest.(check bool) "hostless fabric rejected" true
+    (Result.is_error (Region.local hostless ~mappers:4 ~depth:5 ~radius:3))
+
+(* The §6 table of the bench's extensions section, row by row: probes,
+   simulated walls (exact ns) and verdicts. *)
+let test_parallel_table () =
+  let g, _ = Generators.now_cab () in
+  List.iter
+    (fun (k, d, r, probes, wall_ns, sum_ns, verdict) ->
+      let row = Printf.sprintf "k=%d d=%d r=%d" k d r in
+      let rr = local_run g ~mappers:k ~depth:d ~radius:r in
+      Alcotest.(check int) (row ^ ": total probes") probes rr.Runner.total_probes;
+      Alcotest.(check (float 0.0)) (row ^ ": wall") wall_ns rr.Runner.wall_ns;
+      Alcotest.(check (float 0.0)) (row ^ ": sum") sum_ns rr.Runner.sum_ns;
+      Alcotest.(check string) (row ^ ": verdict") verdict
+        (match rr.Runner.map with
+        | Ok m ->
+          if Iso.equal ~map:m ~actual:g () then "correct"
+          else Printf.sprintf "partial (%d switches)" (Graph.num_switches m)
+        | Error e -> "merge failed: " ^ e);
+      Alcotest.(check (list int)) (row ^ ": no dropped views") []
+        rr.Runner.dropped_views;
+      Alcotest.(check int) (row ^ ": no resolutions") 0
+        (List.length rr.Runner.resolutions))
+    [
+      (4, 6, 5, 8306, 1272027400., 3556968300., "correct");
+      (9, 6, 5, 18727, 1269947400., 8000136300., "correct");
+      (9, 5, 4, 11939, 839438400., 5065932400., "partial (40 switches)");
+      (16, 5, 4, 21607, 841518400., 9165216100., "partial (40 switches)");
+    ]
 
 (* ---------- randomized mapping ---------- *)
 
@@ -601,6 +627,7 @@ let () =
           Alcotest.test_case "NOW" `Slow test_parallel_now;
           Alcotest.test_case "beats solo wall" `Slow test_parallel_beats_solo_wall_clock;
           Alcotest.test_case "bad mappers" `Quick test_parallel_rejects_bad_mappers;
+          Alcotest.test_case "section 6 table" `Slow test_parallel_table;
         ] );
       ( "randomized",
         [

@@ -514,7 +514,7 @@ let test_all_events_roundtrip () =
     Trace.all_events
 
 (* ------------------------------------------------------------------ *)
-(* End to end: a mapper run's trace agrees with its Stats view         *)
+(* End to end: a mapper run's trace agrees with its network counters  *)
 
 let with_enabled f =
   Obs.set_enabled true;
@@ -527,37 +527,38 @@ let test_mapper_trace_matches_stats () =
   let net = Network.create g in
   let mapper = Option.get (Graph.host_by_name g "C-util") in
   let r = San_mapper.Berkeley.run net ~mapper in
-  let st = Network.stats net in
   let count pred = List.length (List.filter pred (Trace.events Obs.tracer)) in
   let is_probe kinds hit' = function
     | Trace.Probe_sent { kind; hit; _ } -> List.mem kind kinds && hit = hit'
     | _ -> false
   in
   let host = [ Trace.Host; Trace.Walk ] and sw = [ Trace.Switch; Trace.Loop ] in
-  Alcotest.(check int) "host probe events" st.Stats.host_probes
+  Alcotest.(check int) "host probe events" (Network.host_probes net)
     (count (is_probe host true) + count (is_probe host false));
-  Alcotest.(check int) "host hit events" st.Stats.host_hits
+  Alcotest.(check int) "host hit events" (Network.host_hits net)
     (count (is_probe host true));
-  Alcotest.(check int) "switch probe events" st.Stats.switch_probes
+  Alcotest.(check int) "switch probe events" (Network.switch_probes net)
     (count (is_probe sw true) + count (is_probe sw false));
-  Alcotest.(check int) "switch hit events" st.Stats.switch_hits
+  Alcotest.(check int) "switch hit events" (Network.switch_hits net)
     (count (is_probe sw true));
   (* The registry agrees with both. *)
   let snap = Metrics.snapshot Obs.registry in
   Alcotest.(check (option int)) "registry host probes"
-    (Some st.Stats.host_probes)
+    (Some (Network.host_probes net))
     (Metrics.counter_in snap "net.host_probes");
   Alcotest.(check (option int)) "registry switch probes"
-    (Some st.Stats.switch_probes)
+    (Some (Network.switch_probes net))
     (Metrics.counter_in snap "net.switch_probes");
-  (* Total probe cost observed = serialized time accumulated. *)
+  (* The mapper's simulated time is the sum of the per-probe costs the
+     histogram observed. *)
   (match Metrics.histogram_in snap "net.probe_cost_ns" with
   | None -> Alcotest.fail "probe cost histogram missing"
   | Some hs ->
     Alcotest.(check int) "every probe cost observed"
-      (Stats.total_probes st) (Digest.count hs);
-    close ~rel:1e-9 "cost sum is the serialized time" st.Stats.serial_time_ns
-      (Digest.sum hs));
+      (San_mapper.Berkeley.total_probes r)
+      (Digest.count hs);
+    close ~rel:1e-9 "cost sum is the mapper's simulated time"
+      r.San_mapper.Berkeley.elapsed_ns (Digest.sum hs));
   (* Replicate merges were traced: created - live = merged away. *)
   let merges =
     count (function Trace.Replicate_merged _ -> true | _ -> false)
@@ -585,79 +586,39 @@ let test_disabled_is_silent () =
     (Metrics.counter_in (Metrics.snapshot Obs.registry) "net.host_probes")
 
 (* ------------------------------------------------------------------ *)
-(* Stats compatibility view: copy and merge                            *)
-
-let test_stats_copy_merge () =
-  let a = Stats.create () in
-  a.Stats.host_probes <- 10;
-  a.Stats.host_hits <- 4;
-  a.Stats.switch_probes <- 20;
-  a.Stats.switch_hits <- 9;
-  Stats.add_time a 5.0;
-  let b = Stats.copy a in
-  b.Stats.host_probes <- 100;
-  Alcotest.(check int) "copy does not alias" 10 a.Stats.host_probes;
-  let m = Stats.merge a b in
-  Alcotest.(check int) "merge sums host probes" 110 m.Stats.host_probes;
-  Alcotest.(check int) "merge sums hits" 8 m.Stats.host_hits;
-  Alcotest.(check int) "merge sums switch probes" 40 m.Stats.switch_probes;
-  Alcotest.(check (float 1e-9)) "merge sums time" 10.0 m.Stats.serial_time_ns;
-  Alcotest.(check int) "merge leaves inputs alone" 10 a.Stats.host_probes
-
-let stats_equal a b =
-  a.Stats.host_probes = b.Stats.host_probes
-  && a.Stats.host_hits = b.Stats.host_hits
-  && a.Stats.switch_probes = b.Stats.switch_probes
-  && a.Stats.switch_hits = b.Stats.switch_hits
-  && Float.abs (a.Stats.serial_time_ns -. b.Stats.serial_time_ns) < 1e-6
-
-let filled_stats seed =
-  let rng = San_util.Prng.create seed in
-  let s = Stats.create () in
-  s.Stats.host_probes <- San_util.Prng.int rng 1000;
-  s.Stats.host_hits <- San_util.Prng.int rng 500;
-  s.Stats.switch_probes <- San_util.Prng.int rng 1000;
-  s.Stats.switch_hits <- San_util.Prng.int rng 500;
-  Stats.add_time s (San_util.Prng.float rng 1e6);
-  s
-
-let test_stats_merge_algebra () =
-  let a = filled_stats 1 and b = filled_stats 2 and c = filled_stats 3 in
-  Alcotest.(check bool) "associative" true
-    (stats_equal (Stats.merge (Stats.merge a b) c)
-       (Stats.merge a (Stats.merge b c)));
-  Alcotest.(check bool) "commutative" true
-    (stats_equal (Stats.merge a b) (Stats.merge b a));
-  let zero = Stats.create () in
-  Alcotest.(check bool) "fresh stats are a left identity" true
-    (stats_equal (Stats.merge zero a) a);
-  Alcotest.(check bool) "fresh stats are a right identity" true
-    (stats_equal (Stats.merge a zero) a)
+(* A fleet's probe total is the sum of its shards'                      *)
 
 let test_parallel_merged_stats () =
+  let module Region = San_shard.Region in
+  let module Runner = San_shard.Runner in
   let g, _ = Generators.now_c () in
-  let mappers = San_mapper.Parallel.spread_mappers g ~count:4 in
-  let r = San_mapper.Parallel.run ~mappers g in
-  Alcotest.(check int) "total probes comes from merged stats"
-    r.San_mapper.Parallel.total_probes
-    (Stats.total_probes r.San_mapper.Parallel.stats);
-  Alcotest.(check bool) "merged stats saw work" true
-    (Stats.total_probes r.San_mapper.Parallel.stats > 0);
-  (* Each worker maps on its own quiescent network, so the merged
-     counters must equal running the same local explorations one after
-     another and summing by hand. *)
+  let plan =
+    Result.get_ok (Region.local g ~mappers:4 ~depth:5 ~radius:3)
+  in
+  let r = Runner.execute g plan in
+  let shard_sum =
+    List.fold_left (fun acc s -> acc + s.Runner.s_probes) 0 r.Runner.reports
+  in
+  Alcotest.(check int) "fleet total is the sum of the shards" shard_sum
+    r.Runner.total_probes;
+  Alcotest.(check bool) "the fleet saw work" true (r.Runner.total_probes > 0);
+  (* Each shard maps on its own quiescent network, so the total must
+     equal running the same local explorations one after another and
+     summing by hand. *)
   let sequential =
     List.fold_left
       (fun acc m ->
         let net = Network.create g in
-        ignore
-          (San_mapper.Berkeley.run ~depth:(San_mapper.Berkeley.Fixed 5) net
-             ~mapper:m);
-        Stats.merge acc (Network.stats net))
-      (Stats.create ()) mappers
+        let b =
+          San_mapper.Berkeley.run ~depth:(San_mapper.Berkeley.Fixed 5) net
+            ~mapper:m
+        in
+        acc + San_mapper.Berkeley.total_probes b)
+      0
+      (Region.spread_mappers g ~count:4)
   in
-  Alcotest.(check bool) "merged equals sequential totals" true
-    (stats_equal r.San_mapper.Parallel.stats sequential)
+  Alcotest.(check int) "fleet total equals sequential total" sequential
+    r.Runner.total_probes
 
 let () =
   Alcotest.run "san_obs"
@@ -715,10 +676,6 @@ let () =
             test_mapper_trace_matches_stats;
           Alcotest.test_case "disabled is silent" `Quick
             test_disabled_is_silent;
-          Alcotest.test_case "stats copy and merge" `Quick
-            test_stats_copy_merge;
-          Alcotest.test_case "stats merge algebra" `Quick
-            test_stats_merge_algebra;
           Alcotest.test_case "parallel merged stats" `Quick
             test_parallel_merged_stats;
         ] );

@@ -60,9 +60,10 @@ let test_neighbor_end_via_is_merge_stable () =
    This is the NOW scenario that exposed it. *)
 let test_two_phase_gluing_avoids_duplicates () =
   let g, _ = Generators.now_cab () in
-  let mappers = Parallel.spread_mappers g ~count:4 in
-  let r = Parallel.run ~local_depth:7 ~trust_radius:5 ~mappers g in
-  match r.Parallel.map with
+  let plan =
+    Result.get_ok (San_shard.Region.local g ~mappers:4 ~depth:7 ~radius:5)
+  in
+  match (San_shard.Runner.execute g plan).San_shard.Runner.map with
   | Ok m ->
     Alcotest.(check int) "exactly 40 switches, no duplicates" 40
       (Graph.num_switches m)

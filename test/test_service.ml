@@ -396,6 +396,23 @@ let test_daemon_deterministic () =
   Alcotest.(check bool) "identical incidents" true
     (a.Daemon.incidents = b.Daemon.incidents)
 
+(* Sharded remaps report simulated time only, so seeded sharded runs
+   replay exactly too. *)
+let test_daemon_sharded_deterministic () =
+  let g, _ = Generators.now_c () in
+  let schedule = Result.get_ok (Schedule.parse "1:cut") in
+  let config = { Daemon.default_config with Daemon.shards = 2 } in
+  let run () = Result.get_ok (Daemon.run ~config ~schedule ~epochs:3 g) in
+  let a = run () and b = run () in
+  Alcotest.(check bool) "remaps ran sharded" true
+    (List.exists
+       (fun (r : Daemon.epoch_report) -> r.Daemon.remap_ns > 0.0)
+       a.Daemon.reports);
+  Alcotest.(check bool) "identical epoch reports" true
+    (a.Daemon.reports = b.Daemon.reports);
+  Alcotest.(check bool) "identical incidents" true
+    (a.Daemon.incidents = b.Daemon.incidents)
+
 let test_daemon_reelects_on_leader_death () =
   let g, _ = Generators.now_c () in
   let schedule = Result.get_ok (Schedule.parse "2:kill-leader") in
@@ -469,6 +486,8 @@ let () =
           Alcotest.test_case "converges after link cut" `Quick
             test_daemon_converges_after_link_cut;
           Alcotest.test_case "deterministic" `Quick test_daemon_deterministic;
+          Alcotest.test_case "sharded deterministic" `Quick
+            test_daemon_sharded_deterministic;
           Alcotest.test_case "re-elects on leader death" `Quick
             test_daemon_reelects_on_leader_death;
           Alcotest.test_case "quiet run" `Quick

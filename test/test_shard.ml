@@ -204,25 +204,45 @@ let test_reports_accounting () =
     Alcotest.(check bool) "wall <= sum" true (r.Runner.wall_ns <= r.Runner.sum_ns);
     Alcotest.(check bool) "coordinator named" true (r.Runner.coordinator <> "")
 
-(* ---------- spread_mappers satellite ---------- *)
+(* The wall and the work are simulated time only: two seeded runs agree
+   to the bit. *)
+let test_reports_replay () =
+  let g = ft100 () in
+  let run () = Result.get_ok (Runner.run ~seed:1 g ~shards:4) in
+  let a = run () and b = run () in
+  Alcotest.(check bool) "wall_ns bit-identical" true
+    (Int64.equal
+       (Int64.bits_of_float a.Runner.wall_ns)
+       (Int64.bits_of_float b.Runner.wall_ns));
+  Alcotest.(check bool) "sum_ns bit-identical" true
+    (Int64.equal
+       (Int64.bits_of_float a.Runner.sum_ns)
+       (Int64.bits_of_float b.Runner.sum_ns));
+  Alcotest.(check (float 0.0)) "wall is the slowest shard"
+    (List.fold_left
+       (fun acc s -> Float.max acc s.Runner.s_elapsed_ns)
+       0.0 a.Runner.reports)
+    a.Runner.wall_ns
+
+(* ---------- placement ---------- *)
 
 let test_spread_mappers () =
   let g = ft100 () in
   let hosts = Graph.hosts g in
   let n = List.length hosts in
-  (* Unseeded: backward-compatible, starts at the first host. *)
-  let s = San_mapper.Parallel.spread_mappers g ~count:4 in
+  (* Unseeded: starts at the first host. *)
+  let s = Region.spread_mappers g ~count:4 in
   Alcotest.(check int) "unseeded count" 4 (List.length s);
   Alcotest.(check bool) "unseeded includes first host" true
     (List.mem (List.hd hosts) s);
   (* Degenerate count > hosts: distinct nodes, clamped. *)
-  let all = San_mapper.Parallel.spread_mappers g ~count:(n + 50) in
+  let all = Region.spread_mappers g ~count:(n + 50) in
   Alcotest.(check int) "clamped to hosts" n (List.length all);
   Alcotest.(check int) "no repeats" n
     (List.length (List.sort_uniq compare all));
   (* Seeded: replayable and distinct. *)
-  let a = San_mapper.Parallel.spread_mappers ~seed:9 g ~count:6 in
-  let b = San_mapper.Parallel.spread_mappers ~seed:9 g ~count:6 in
+  let a = Region.spread_mappers ~seed:9 g ~count:6 in
+  let b = Region.spread_mappers ~seed:9 g ~count:6 in
   Alcotest.(check bool) "seeded replays" true (a = b);
   Alcotest.(check int) "seeded distinct" (List.length a)
     (List.length (List.sort_uniq compare a))
@@ -246,7 +266,10 @@ let () =
       ( "conflicts",
         [ Alcotest.test_case "stale view resolved" `Quick test_stale_resolved ] );
       ( "accounting",
-        [ Alcotest.test_case "reports" `Quick test_reports_accounting ] );
+        [
+          Alcotest.test_case "reports" `Quick test_reports_accounting;
+          Alcotest.test_case "seeded replay" `Quick test_reports_replay;
+        ] );
       ( "placement",
         [ Alcotest.test_case "spread_mappers" `Quick test_spread_mappers ] );
     ]

@@ -270,9 +270,8 @@ let test_network_host_probe () =
   | Network.Nothing, cost ->
     Alcotest.(check (float 1.0)) "miss costs timeout" (Network.probe_cost_miss n) cost
   | _ -> Alcotest.fail "expected nothing");
-  let st = Network.stats n in
-  Alcotest.(check int) "host probes counted" 2 st.Stats.host_probes;
-  Alcotest.(check int) "host hits counted" 1 st.Stats.host_hits
+  Alcotest.(check int) "host probes counted" 2 (Network.host_probes n);
+  Alcotest.(check int) "host hits counted" 1 (Network.host_hits n)
 
 let test_network_switch_probe () =
   let g, _, _, _, h0, _ = net () in
@@ -284,9 +283,8 @@ let test_network_switch_probe () =
   (match Network.switch_probe n ~src:h0 ~turns:[ 3; -5 ] with
   | Network.Nothing, _ -> ()
   | _ -> Alcotest.fail "host direction gives nothing");
-  let st = Network.stats n in
-  Alcotest.(check int) "switch probes" 2 st.Stats.switch_probes;
-  Alcotest.(check int) "switch hits" 1 st.Stats.switch_hits
+  Alcotest.(check int) "switch probes" 2 (Network.switch_probes n);
+  Alcotest.(check int) "switch hits" 1 (Network.switch_hits n)
 
 let test_network_silent_host () =
   let g, _, _, _, h0, h1 = net () in
@@ -453,17 +451,12 @@ let test_reference_agreement () =
           let rnet =
             Worm_reference.net ~model ~params ~responding ~fabric:ref_table g
           in
-          let expect = Stats.create () in
-          let tally ~host ~hit cost =
-            if host then begin
-              expect.Stats.host_probes <- expect.Stats.host_probes + 1;
-              if hit then expect.Stats.host_hits <- expect.Stats.host_hits + 1
-            end
-            else begin
-              expect.Stats.switch_probes <- expect.Stats.switch_probes + 1;
-              if hit then expect.Stats.switch_hits <- expect.Stats.switch_hits + 1
-            end;
-            Stats.add_time expect cost
+          (* Host probes, host hits, switch probes, switch hits. *)
+          let expect = Array.make 4 0 in
+          let tally ~host ~hit =
+            let i = if host then 0 else 2 in
+            expect.(i) <- expect.(i) + 1;
+            if hit then expect.(i + 1) <- expect.(i + 1) + 1
           in
           let stamps = Collision.stamps () in
           for _ = 1 to 40 do
@@ -485,13 +478,13 @@ let test_reference_agreement () =
             | 0 ->
               let r = Network.host_probe net ~src ~turns in
               same show_resp r (Worm_reference.host_probe rnet ~src ~turns);
-              tally ~host:true ~hit:(fst r <> Network.Nothing) (snd r)
+              tally ~host:true ~hit:(fst r <> Network.Nothing)
             | 1 ->
               let r = Network.switch_probe net ~src ~turns in
               same show_resp r (Worm_reference.switch_probe rnet ~src ~turns);
-              tally ~host:false ~hit:(fst r <> Network.Nothing) (snd r)
+              tally ~host:false ~hit:(fst r <> Network.Nothing)
             | 2 ->
-              let ((a, c) as r) = Network.walk_probe net ~src ~turns in
+              let ((a, _) as r) = Network.walk_probe net ~src ~turns in
               same
                 (fun (a, c) ->
                   match a with
@@ -499,11 +492,11 @@ let test_reference_agreement () =
                   | None -> Printf.sprintf "none %.1f" c)
                 r
                 (Worm_reference.walk_probe rnet ~src ~turns);
-              tally ~host:true ~hit:(a <> None) c
+              tally ~host:true ~hit:(a <> None)
             | _ ->
               let r = Graph.radix g - 1 in
               let turn = San_util.Prng.int_in rng (-r) r in
-              let ((a, c) as r) = Network.loop_probe net ~src ~turns ~turn in
+              let ((a, _) as r) = Network.loop_probe net ~src ~turns ~turn in
               same
                 (fun (a, c) ->
                   match a with
@@ -511,10 +504,15 @@ let test_reference_agreement () =
                   | None -> Printf.sprintf "none %.1f" c)
                 r
                 (Worm_reference.loop_probe rnet ~src ~turns ~turn);
-              tally ~host:false ~hit:(a <> None) c)
+              tally ~host:false ~hit:(a <> None))
           done;
-          if Network.stats net <> expect then
-            Alcotest.failf "%s: Stats differ" what;
+          let counters =
+            Network.
+              [| host_probes net; host_hits net; switch_probes net;
+                 switch_hits net |]
+          in
+          if counters <> expect then
+            Alcotest.failf "%s: probe counters differ" what;
           check_tables ~what g table ref_table;
           List.iter
             (fun l -> collisions := !collisions + l.Fabric_stats.l_collisions)
@@ -578,25 +576,22 @@ let test_probe_allocation_pin () =
       true (ws <= bound +. 0.1)
   in
   (* [(Host name, cost)] is the pair (3 words), the [Host] block (2)
-     and the boxed cost (2). The other 2 words are the boxed float
-     [Stats.serial_time_ns] holds, re-boxed by every probe because
-     [Stats.t] mixes int and float fields. *)
+     and the boxed cost (2). *)
   check_pin "host hits" host ~short:(of_len shortest) ~long:(of_len longest)
-    ~bound:9.0;
-  (* [(Nothing, cost)] / [(Switch, cost)]: the pair and the boxed cost,
-     plus the [Stats] time. *)
+    ~bound:7.0;
+  (* [(Nothing, cost)] / [(Switch, cost)]: the pair and the boxed cost. *)
   check_pin "host misses" host
     ~short:(List.map (fun r -> r @ [ 1 ]) (of_len shortest))
-    ~long:(List.map ping_pong (of_len longest)) ~bound:7.0;
+    ~long:(List.map ping_pong (of_len longest)) ~bound:5.0;
   check_pin "switch hits" switch
     ~short:(List.map (fun r -> [ List.hd r ]) (of_len longest))
     ~long:
       (List.map
          (fun r -> List.filteri (fun i _ -> i < len_of r - 1) r)
          (of_len longest))
-    ~bound:7.0;
+    ~bound:5.0;
   check_pin "switch misses" switch ~short:(of_len shortest)
-    ~long:(List.map ping_pong (of_len longest)) ~bound:7.0
+    ~long:(List.map ping_pong (of_len longest)) ~bound:5.0
 
 let () =
   Alcotest.run "san_simnet"

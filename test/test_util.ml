@@ -84,22 +84,6 @@ let test_fifo_to_list () =
   List.iter (Fifo.add q) [ "a"; "b"; "c" ];
   Alcotest.(check (list string)) "to_list order" [ "a"; "b"; "c" ] (Fifo.to_list q)
 
-let test_union_find_basic () =
-  let uf = Union_find.create 10 in
-  Alcotest.(check bool) "initially separate" false (Union_find.same uf 1 2);
-  Union_find.union uf 1 2;
-  Alcotest.(check bool) "joined" true (Union_find.same uf 1 2);
-  Alcotest.(check int) "keep side is representative" 1 (Union_find.find uf 2);
-  Union_find.union uf 3 4;
-  Union_find.union uf 1 3;
-  Alcotest.(check bool) "transitive" true (Union_find.same uf 2 4);
-  Alcotest.(check int) "classes" 7 (Union_find.count_classes uf)
-
-let test_union_find_growth () =
-  let uf = Union_find.create 1 in
-  Union_find.union uf 100 5;
-  Alcotest.(check bool) "grown and joined" true (Union_find.same uf 100 5)
-
 let test_summary () =
   let s = Summary.of_list [ 1.0; 2.0; 3.0; 4.0 ] in
   Alcotest.(check (float 1e-9)) "min" 1.0 s.Summary.min;
@@ -198,11 +182,6 @@ let () =
         [
           Alcotest.test_case "order" `Quick test_fifo_order;
           Alcotest.test_case "to_list" `Quick test_fifo_to_list;
-        ] );
-      ( "union_find",
-        [
-          Alcotest.test_case "basic" `Quick test_union_find_basic;
-          Alcotest.test_case "growth" `Quick test_union_find_growth;
         ] );
       ( "summary",
         [
