@@ -941,9 +941,13 @@ let ext_incremental () =
       fmt_ms full.Berkeley.elapsed_ns;
       "correct";
     ];
-  let describe_verdict = function
-    | Incremental.Unchanged -> "unchanged"
-    | Incremental.Changed n -> Printf.sprintf "changed (%d found)" n
+  let describe_verdict (r : Incremental.result) =
+    match (r.Incremental.verdict, r.Incremental.repair) with
+    | Incremental.Unchanged, _ -> "unchanged"
+    | Incremental.Changed n, Incremental.Patched _ ->
+      Printf.sprintf "changed (%d found), patched" n
+    | Incremental.Changed n, (Incremental.No_repair | Incremental.Remapped) ->
+      Printf.sprintf "changed (%d found), remapped" n
   in
   let row name actual_g responding =
     let net = Network.create ~responding actual_g in
@@ -951,11 +955,8 @@ let ext_incremental () =
     T.add_row t
       [
         name;
-        describe_verdict r.Incremental.verdict;
-        string_of_int
-          (match r.Incremental.verdict with
-          | Incremental.Unchanged -> r.Incremental.verify_probes
-          | Incremental.Changed _ -> r.Incremental.verify_probes);
+        describe_verdict r;
+        string_of_int r.Incremental.verify_probes;
         fmt_ms r.Incremental.total_elapsed_ns;
         (match r.Incremental.map with
         | Ok m ->
@@ -979,7 +980,8 @@ let ext_incremental () =
     ~title:
       "Extension — incremental remapping: one probe per known port verifies \
        a quiet epoch ~16x cheaper than a full remap (probes column shows \
-       verification probes; time includes any fallback remap)"
+       verification probes; time includes any repair: the patched map's \
+       second sweep or a fallback remap)"
     t
 
 let ext_online () =

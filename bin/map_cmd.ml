@@ -333,8 +333,10 @@ let run_verify (t : Cli.topology) mapper_name prev_file json obs =
       r.I.verify_probes
       (r.I.total_elapsed_ns /. 1e6)
   | I.Changed n ->
-    Format.printf
-      "%d discrepancies; remapped in full (total %.1f ms simulated)@." n
+    Format.printf "%d discrepancies; %s (total %.1f ms simulated)@." n
+      (match r.I.repair with
+      | I.Patched lost -> Printf.sprintf "patched (%d wires lost)" lost
+      | I.No_repair | I.Remapped -> "remapped in full")
       (r.I.total_elapsed_ns /. 1e6));
   match r.I.map with
   | Error e ->

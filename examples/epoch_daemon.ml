@@ -3,7 +3,8 @@
    This is what actually runs on the paper's utility host: a daemon
    that periodically (1) checks whether the saved map still matches
    the fabric with a cheap one-probe-per-port verification sweep,
-   (2) remaps in full only when something changed, (3) reports the
+   (2) when something changed, patches the map (cables lost) or
+   remaps in full (anything else), (3) reports the
    change to the operator, (4) recomputes mutually deadlock-free
    routes, (5) distributes each host's route slice in-band, and
    (6) persists the map for the next epoch.
@@ -43,8 +44,11 @@ let epoch n g =
           (fun c -> Format.printf "  change: %a@." Diff.pp_change c)
           (Diff.diff ~old_map:previous ~new_map:m);
         ( m,
-          Printf.sprintf
-            "%d discrepancies; full remap, total %.0f ms" d
+          Printf.sprintf "%d discrepancies; %s, total %.0f ms" d
+            (match r.Incremental.repair with
+            | Incremental.Patched lost ->
+              Printf.sprintf "patched (%d wires lost)" lost
+            | Incremental.No_repair | Incremental.Remapped -> "full remap")
             (r.Incremental.total_elapsed_ns /. 1e6) )
       | _, Error e -> failwith ("remap failed: " ^ e))
   in

@@ -131,7 +131,10 @@ let run_berkeley_on ctx g' =
       in
       r.San_mapper.Berkeley.map)
 
-let exclusion_of ctx g' =
+(* N' - F' of a faulted case, as marks: F', the mapper-unreachable
+   region and the case's silent hosts. *)
+let exclusion_of ctx (case' : Fuzz_gen.case) =
+  let g' = case'.graph in
   match ctx.mapper with
   | None -> Array.make (Graph.num_nodes g') true
   | Some m ->
@@ -139,14 +142,11 @@ let exclusion_of ctx g' =
     (match Graph.host_by_name g' mapper_name with
     | None -> Array.make (Graph.num_nodes g') true
     | Some m' ->
-      let case' = { ctx.case with Fuzz_gen.graph = g' } in
       let eff' = effective_graph case' ~mapper:(Some m') in
       let sep = Core_set.separated_set eff' in
       let dist = Analysis.bfs_distances g' m' in
       let silent n =
-        Graph.is_host g' n
-        && n <> m'
-        && List.mem (Graph.name g' n) ctx.case.Fuzz_gen.silent
+        Graph.is_host g' n && n <> m' && List.mem (Graph.name g' n) case'.silent
       in
       Array.init (Graph.num_nodes g') (fun v ->
           sep.(v) || dist.(v) = max_int || silent v))
@@ -204,24 +204,47 @@ let prop_agreement ctx =
       Iso.check ~map ~actual:ctx.case.graph
         ~exclude:(Lazy.force ctx.reach_exclude) ())
 
-(* 4. Incremental remap after a fault converges to the same map a
-   from-scratch run produces: ~ N' - F'. *)
+(* The fault an incremental epoch repairs, drawn from the case's seed:
+   cut a switch-to-switch wire, isolate a switch, or silence a
+   responding host other than the mapper. *)
+let removal_fault ctx ~mapper =
+  let c = ctx.case in
+  let g = c.graph in
+  let rng = Prng.create (c.case_seed lxor 0x1C4E) in
+  let pick l = List.nth l (Prng.int rng (List.length l)) in
+  match Prng.int rng 3 with
+  | 0 -> (
+    match fault_link ctx with
+    | None -> c
+    | Some e -> { c with graph = Faults.remove_link g e })
+  | 1 -> (
+    match Graph.switches g with
+    | [] -> c
+    | l -> { c with graph = Faults.isolate_switch g (pick l) })
+  | _ -> (
+    match
+      List.filter
+        (fun h -> h <> mapper && ctx.responding h)
+        (Graph.hosts g)
+    with
+    | [] -> c
+    | l -> { c with silent = Graph.name g (pick l) :: c.silent })
+
+(* 4. Incremental repair after a removal (a cut wire, an isolated
+   switch or a silenced host) converges to the same map a from-scratch
+   run produces: ~ N' - F'. *)
 let prop_incremental ctx =
   match (ctx.mapper, Lazy.force ctx.berkeley) with
   | None, _ | _, Error _ -> Ok ()
   | Some m, Ok previous ->
-    let g' =
-      match fault_link ctx with
-      | None -> Graph.copy ctx.case.graph
-      | Some e -> Faults.remove_link ctx.case.graph e
-    in
+    let case' = removal_fault ctx ~mapper:m in
+    let g' = case'.graph in
     let mapper_name = Graph.name ctx.case.graph m in
     (match Graph.host_by_name g' mapper_name with
     | None -> Ok ()
     | Some m' ->
       let responding n =
-        n = m'
-        || not (List.mem (Graph.name g' n) ctx.case.Fuzz_gen.silent)
+        n = m' || not (List.mem (Graph.name g' n) case'.silent)
       in
       let net = San_simnet.Network.create ~responding g' in
       let r = San_mapper.Incremental.run net ~mapper:m' ~previous in
@@ -229,7 +252,7 @@ let prop_incremental ctx =
       | Error e -> Error ("incremental map failed: " ^ e)
       | Ok map ->
         (match
-           Iso.check ~map ~actual:g' ~exclude:(exclusion_of ctx g') ()
+           Iso.check ~map ~actual:g' ~exclude:(exclusion_of ctx case') ()
          with
         | Ok () -> Ok ()
         | Error e -> Error ("incremental map not iso to N'-F': " ^ e))))

@@ -13,8 +13,10 @@
       skipped when a comparison probe matched through a coincidental
       alternative path ([false_matches > 0], the §4 documented
       weakness);
-    - ["incremental"] — incremental remap after a link cut produces a
-      map isomorphic to [N' - F'], like a from-scratch run;
+    - ["incremental"] — incremental repair after a seed-drawn removal
+      (a cut switch-to-switch wire, an isolated switch or a silenced
+      host) produces a map isomorphic to [N' - F'], like a
+      from-scratch run;
     - ["delta"] — delta route distribution over an installed ledger
       converges to exactly the tables a full redistribution installs,
       and never ships more bytes than full;

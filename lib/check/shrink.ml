@@ -1,34 +1,13 @@
 open San_topology
 
-(* Rebuild g restricted to the kept nodes, preserving port numbers,
-   radix and names, so the shrunk fabric is a true subfabric and every
-   port-sensitive bug survives the shrink. *)
-let subgraph g ~keep =
-  let ng = Graph.create ~radix:(Graph.radix g) () in
-  let map = Hashtbl.create 64 in
-  List.iter
-    (fun v ->
-      if keep v then
-        let nv =
-          match Graph.kind g v with
-          | Graph.Host -> Graph.add_host ng ~name:(Graph.name g v)
-          | Graph.Switch -> Graph.add_switch ng ~name:(Graph.name g v) ()
-        in
-        Hashtbl.replace map v nv)
-    (Graph.nodes g);
-  List.iter
-    (fun ((a, pa), (b, pb)) ->
-      match (Hashtbl.find_opt map a, Hashtbl.find_opt map b) with
-      | Some a', Some b' -> Graph.connect ng (a', pa) (b', pb)
-      | _ -> ())
-    (Graph.wires g);
-  ng
-
 let restrict_silent graph silent =
   List.filter (fun n -> Graph.host_by_name graph n <> None) silent
 
 let drop_node (c : Fuzz_gen.case) v =
-  let graph = subgraph c.Fuzz_gen.graph ~keep:(fun u -> u <> v) in
+  (* The induced subfabric keeps port numbers, radix and names, so the
+     shrunk fabric is a true subfabric and every port-sensitive bug
+     survives the shrink. *)
+  let graph = Graph.induced c.Fuzz_gen.graph ~keep:(fun u -> u <> v) in
   { c with Fuzz_gen.graph; silent = restrict_silent graph c.Fuzz_gen.silent }
 
 let drop_wire (c : Fuzz_gen.case) (e, _) =

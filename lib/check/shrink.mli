@@ -6,12 +6,6 @@
     are preserved, so the shrunk fabric is a true subfabric of the
     generated one and port-arithmetic bugs survive the shrink. *)
 
-open San_topology
-
-val subgraph : Graph.t -> keep:(Graph.node -> bool) -> Graph.t
-(** The induced subfabric on the kept nodes (ports and names
-    preserved, node ids renumbered densely). *)
-
 val candidates : Fuzz_gen.case -> (unit -> Fuzz_gen.case) list
 (** One-step reductions of the case, biggest first. *)
 

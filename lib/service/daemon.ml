@@ -310,6 +310,18 @@ let run ?(config = default_config) ?(schedule = Schedule.empty)
               incr remaps;
               San_obs.Obs.count "daemon.remaps";
               probes := r.Incremental.verify_probes + r.Incremental.remap_probes;
+              (match r.Incremental.repair with
+              | Incremental.Patched lost ->
+                events :=
+                  !events
+                  @ [
+                      Printf.sprintf
+                        "patched map: %d wire%s lost, re-verified in %d probes"
+                        lost
+                        (if lost = 1 then "" else "s")
+                        r.Incremental.remap_probes;
+                    ]
+              | Incremental.No_repair | Incremental.Remapped -> ());
               remap_ns :=
                 r.Incremental.total_elapsed_ns
                 -. r.Incremental.verify_elapsed_ns;

@@ -25,25 +25,6 @@ type outcome = {
   dropped_views : int list;
 }
 
-(* Rebuild without one node; Graph has no removal. *)
-let drop_node m v =
-  let g = Graph.create ~radix:(Graph.radix m) () in
-  let node_of = Hashtbl.create 64 in
-  List.iter
-    (fun u ->
-      if u <> v then
-        Hashtbl.replace node_of u
-          (if Graph.is_host m u then Graph.add_host g ~name:(Graph.name m u)
-           else Graph.add_switch g ~name:(Graph.name m u) ()))
-    (Graph.nodes m);
-  List.iter
-    (fun ((a, pa), (b, pb)) ->
-      match (Hashtbl.find_opt node_of a, Hashtbl.find_opt node_of b) with
-      | Some na, Some nb -> Graph.connect g (na, pa) (nb, pb)
-      | _ -> ())
-    (Graph.wires m);
-  g
-
 (* A view that keeps contradicting the accumulated map is wrong in a
    way trimming cannot fix; bound the retries and discard it. *)
 let max_resolutions_per_view = 16
@@ -133,7 +114,7 @@ let resolve views =
                     Printf.sprintf "dropped-node %s" (Graph.name !cur bn)
                   in
                   record ~loser:v ~cls ~action ~detail:c.Merge_maps.detail;
-                  cur := drop_node !cur bn;
+                  cur := Graph.induced !cur ~keep:(fun u -> u <> bn);
                   go ()
                 | None ->
                   record ~loser:v ~cls ~action:"dropped-view"

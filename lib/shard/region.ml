@@ -64,22 +64,7 @@ let trim map ~center ~radius =
       | None -> false
     else dist.(v) <= radius
   in
-  let g = Graph.create ~radix:(Graph.radix map) () in
-  let node_of = Hashtbl.create 64 in
-  List.iter
-    (fun v ->
-      if keep v then
-        Hashtbl.replace node_of v
-          (if Graph.is_host map v then Graph.add_host g ~name:(Graph.name map v)
-           else Graph.add_switch g ~name:(Graph.name map v) ()))
-    (Graph.nodes map);
-  List.iter
-    (fun ((a, pa), (b, pb)) ->
-      match (Hashtbl.find_opt node_of a, Hashtbl.find_opt node_of b) with
-      | Some na, Some nb -> Graph.connect g (na, pa) (nb, pb)
-      | _ -> ())
-    (Graph.wires map);
-  g
+  Graph.induced map ~keep
 
 let dedup_nodes l =
   let seen = Hashtbl.create 16 in

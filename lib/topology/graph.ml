@@ -100,6 +100,31 @@ let copy t =
     by_name = Hashtbl.copy t.by_name;
   }
 
+let induced t ~keep =
+  let g = create ~radix:t.g_radix () in
+  let id = Array.make t.count (-1) in
+  for n = 0 to t.count - 1 do
+    if keep n then begin
+      let i = t.infos.(n) in
+      id.(n) <-
+        (match i.nkind with
+        | Host -> add_host g ~name:i.nname
+        | Switch -> add_switch g ~name:i.nname ())
+    end
+  done;
+  for n = 0 to t.count - 1 do
+    if id.(n) >= 0 then
+      Array.iteri
+        (fun p peer ->
+          match peer with
+          | Some (n', p')
+            when id.(n') >= 0 && (n < n' || (n = n' && p < p')) ->
+            connect g (id.(n), p) (id.(n'), p')
+          | Some _ | None -> ())
+        t.infos.(n).peers
+  done;
+  g
+
 let num_nodes t = t.count
 
 let count_kind t k =

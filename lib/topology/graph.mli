@@ -51,6 +51,12 @@ val disconnect : t -> wire_end -> unit
 val copy : t -> t
 (** Deep copy; mutations on the copy do not affect the original. *)
 
+val induced : t -> keep:(node -> bool) -> t
+(** [induced g ~keep] is a fresh graph on the nodes [keep] accepts
+    (asked once each, in node order) and every wire between two of
+    them. Radix, names and port numbers are kept; node ids are
+    renumbered densely in their old order. *)
+
 (** {1 Interrogation} *)
 
 val num_nodes : t -> int

@@ -89,7 +89,7 @@ let test_subgraph_preserves_ports () =
   let h0 = Graph.add_host g ~name:"h0" in
   Graph.connect g (h0, 0) (s0, 5);
   Graph.connect g (s0, 3) (s1, 7);
-  let sub = Shrink.subgraph g ~keep:(fun n -> n <> s1) in
+  let sub = Graph.induced g ~keep:(fun n -> n <> s1) in
   Alcotest.(check int) "s1 dropped" 2 (Graph.num_nodes sub);
   let h0' = Option.get (Graph.host_by_name sub "h0") in
   match Graph.neighbor sub (h0', 0) with

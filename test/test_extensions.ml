@@ -533,6 +533,14 @@ let selfid_prop =
 
 (* ---------- incremental remapping ---------- *)
 
+let check_n_minus_f name (r : Incremental.result) ~actual ~exclude =
+  match r.Incremental.map with
+  | Ok map -> (
+    match Iso.check ~map ~actual ~exclude () with
+    | Ok () -> ()
+    | Error e -> Alcotest.failf "%s map not N' - F': %s" name e)
+  | Error e -> Alcotest.failf "%s map failed: %s" name e
+
 let test_incremental_unchanged () =
   let g, _ = Generators.now_cab () in
   let mapper = Option.get (Graph.host_by_name g "C-util") in
@@ -590,9 +598,164 @@ let test_incremental_detects_new_link () =
   | Some g1 -> (
     let net1 = San_simnet.Network.create g1 in
     let r = Incremental.run net1 ~mapper ~previous:map0 in
-    match r.Incremental.verdict with
+    (match r.Incremental.verdict with
     | Incremental.Changed _ -> ()
-    | Incremental.Unchanged -> Alcotest.fail "new cable missed")
+    | Incremental.Unchanged -> Alcotest.fail "new cable missed");
+    Alcotest.(check bool) "a new cable is remapped in full" true
+      (r.Incremental.repair = Incremental.Remapped);
+    check_n_minus_f "remapped" r ~actual:g1
+      ~exclude:(Core_set.separated_set g1))
+
+(* The NOW with one cut or one silent host, against its quiet map. *)
+let now_epoch ?(responding = fun _ -> true) g g1 =
+  let mapper = Option.get (Graph.host_by_name g "C-util") in
+  let map0 =
+    Result.get_ok
+      (Berkeley.run (San_simnet.Network.create g) ~mapper).Berkeley.map
+  in
+  let net1 = San_simnet.Network.create ~responding g1 in
+  (mapper, map0, net1, Incremental.run net1 ~mapper ~previous:map0)
+
+(* A patched map must itself verify unchanged, in exactly the checks
+   its re-verification spent. *)
+let check_patched name (r : Incremental.result) ~net ~mapper ~lost =
+  Alcotest.(check bool) (name ^ ": patched") true
+    (r.Incremental.repair = Incremental.Patched lost);
+  let again =
+    Incremental.run net ~mapper ~previous:(Result.get_ok r.Incremental.map)
+  in
+  Alcotest.(check bool) (name ^ ": patched map verifies") true
+    (again.Incremental.verdict = Incremental.Unchanged);
+  Alcotest.(check int) (name ^ ": remap probes are the second sweep")
+    again.Incremental.verify_probes r.Incremental.remap_probes
+
+let test_incremental_patches_cut () =
+  let g, _ = Generators.now_cab () in
+  let bridges = Core_set.bridges g in
+  let cuttable =
+    List.filter
+      (fun ((a, _), (b, _) as w) ->
+        (not (Graph.is_host g a)) && (not (Graph.is_host g b))
+        && not (List.mem w bridges))
+      (Graph.wires g)
+  in
+  let rng = San_util.Prng.create 5 in
+  let e, _ =
+    List.nth cuttable (San_util.Prng.int rng (List.length cuttable))
+  in
+  let g1 = Faults.remove_link g e in
+  let mapper, _, net1, r = now_epoch g g1 in
+  check_patched "cut" r ~net:net1 ~mapper ~lost:1;
+  check_n_minus_f "patched" r ~actual:g1 ~exclude:(Core_set.separated_set g1)
+
+let test_incremental_patches_dead_daemon () =
+  let g, _ = Generators.now_c () in
+  let silent = Option.get (Graph.host_by_name g "C-h9") in
+  let responding h = h <> silent in
+  let mapper, _, net1, r = now_epoch ~responding g g in
+  check_patched "dead daemon" r ~net:net1 ~mapper ~lost:1;
+  let sep = Core_set.separated_set g in
+  check_n_minus_f "patched" r ~actual:g
+    ~exclude:(Array.mapi (fun v f -> f || v = silent) sep)
+
+(* A cut that leaves a hostless region hanging off one cable: the
+   patch would keep what a fresh map drops (Theorem 1's F), so the
+   epoch remaps at once, after the one sweep. The NOW gains a hostless
+   switch on two cables to two of its switches; the cut takes one. *)
+let test_incremental_stranding_cut_remaps () =
+  let g, _ = Generators.now_c () in
+  let x = Graph.add_switch g ~name:"x" () in
+  (match
+     List.filter
+       (fun s -> s <> x && Graph.free_ports g s <> [])
+       (Graph.switches g)
+   with
+  | a :: b :: _ ->
+    Graph.connect g (x, 0) (a, List.hd (Graph.free_ports g a));
+    Graph.connect g (x, 1) (b, List.hd (Graph.free_ports g b))
+  | _ -> Alcotest.fail "expected two switches with a free port");
+  let g1 = Faults.remove_link g (x, 0) in
+  let mapper, map0, _, r = now_epoch g g1 in
+  Alcotest.(check int) "the hostless switch is mapped"
+    (Graph.num_switches g) (Graph.num_switches map0);
+  let quiet =
+    Incremental.run (San_simnet.Network.create g) ~mapper ~previous:map0
+  in
+  (match r.Incremental.verdict with
+  | Incremental.Changed _ -> ()
+  | Incremental.Unchanged -> Alcotest.fail "cut missed");
+  Alcotest.(check bool) "remapped" true
+    (r.Incremental.repair = Incremental.Remapped);
+  Alcotest.(check int) "no second sweep" quiet.Incremental.verify_probes
+    r.Incremental.verify_probes;
+  check_n_minus_f "remapped" r ~actual:g1 ~exclude:(Core_set.separated_set g1)
+
+let test_incremental_unwired_mapper () =
+  let g, _ = Generators.now_c () in
+  let mapper = Option.get (Graph.host_by_name g "C-util") in
+  let g1 = Faults.remove_link g (mapper, 0) in
+  let _, _, _, r = now_epoch g g1 in
+  (match r.Incremental.verdict with
+  | Incremental.Changed _ -> ()
+  | Incremental.Unchanged -> Alcotest.fail "unwired mapper missed");
+  match r.Incremental.map with
+  | Ok m ->
+    Alcotest.(check int) "the lone mapper" 1 (Graph.num_nodes m);
+    Alcotest.(check int) "no switch" 0 (Graph.num_switches m)
+  | Error e -> Alcotest.failf "remap failed: %s" e
+
+(* The map numbers ports from the lowest used slot; a cable plugged in
+   below the mapper's one known wire must still be seen. *)
+let test_incremental_cable_below_mapper () =
+  let g = Graph.create ~radix:8 () in
+  let s = Graph.add_switch g () in
+  let m = Graph.add_host g ~name:"m" in
+  Graph.connect g (m, 0) (s, 3);
+  let map0 =
+    Result.get_ok
+      (Berkeley.run (San_simnet.Network.create g) ~mapper:m).Berkeley.map
+  in
+  Alcotest.(check int) "one switch mapped" 1 (Graph.num_switches map0);
+  let g1 = Graph.copy g in
+  let h = Graph.add_host g1 ~name:"h" in
+  Graph.connect g1 (h, 0) (s, 1);
+  let r =
+    Incremental.run (San_simnet.Network.create g1) ~mapper:m ~previous:map0
+  in
+  (match r.Incremental.verdict with
+  | Incremental.Changed _ -> ()
+  | Incremental.Unchanged -> Alcotest.fail "cable below the mapper missed");
+  check_n_minus_f "remapped" r ~actual:g1 ~exclude:(Core_set.separated_set g1)
+
+let test_incremental_daemon_replay () =
+  let preset = Option.get (San_fabric.Fabric.find_preset "ft-100") in
+  let g = preset.San_fabric.Fabric.p_build ~seed:1 in
+  let schedule = Result.get_ok (San_service.Schedule.parse "1:cut") in
+  let reports () =
+    let acc = ref [] in
+    let module D = San_service.Daemon in
+    ignore
+      (D.run ~schedule ~on_epoch:(fun r -> acc := r :: !acc) ~epochs:2 g);
+    List.rev_map
+      (fun (r : D.epoch_report) ->
+        ( r.D.events,
+          r.D.verdict,
+          r.D.probes,
+          (r.D.verify_ns, r.D.remap_ns, r.D.epoch_ns),
+          Option.map
+            (fun d ->
+              ( d.San_service.Delta.sent_bytes,
+                d.San_service.Delta.plan.San_service.Delta.unchanged_hosts ))
+            r.D.dist ))
+      !acc
+  in
+  let a = reports () in
+  Alcotest.(check bool) "identical epoch reports" true (a = reports ());
+  match a with
+  | [ _; (events, _, _, _, _) ] ->
+    Alcotest.(check bool) "the cut is patched" true
+      (List.exists (String.starts_with ~prefix:"patched map: ") events)
+  | _ -> Alcotest.fail "expected two epochs"
 
 let () =
   Alcotest.run "san_mapper.extensions"
@@ -664,5 +827,15 @@ let () =
             test_incremental_detects_and_recovers;
           Alcotest.test_case "dead daemon" `Quick test_incremental_detects_silent_host;
           Alcotest.test_case "new cable" `Quick test_incremental_detects_new_link;
+          Alcotest.test_case "cut cable patched" `Quick test_incremental_patches_cut;
+          Alcotest.test_case "dead daemon patched" `Quick
+            test_incremental_patches_dead_daemon;
+          Alcotest.test_case "stranding cut remaps" `Quick
+            test_incremental_stranding_cut_remaps;
+          Alcotest.test_case "unwired mapper" `Quick test_incremental_unwired_mapper;
+          Alcotest.test_case "cable below the mapper" `Quick
+            test_incremental_cable_below_mapper;
+          Alcotest.test_case "seeded daemon replay" `Slow
+            test_incremental_daemon_replay;
         ] );
     ]
