@@ -78,14 +78,18 @@ serve-smoke:
 # reproducible, 200 random fabrics through the full suite, then 1,000
 # through the incremental property alone (a cut wire, an isolated
 # switch or a silenced host, repaired by a patch or a remap; well
-# under a second). On a failure the exit code is non-zero and each
-# shrunk counterexample is written to fuzz_artifacts/ as DOT plus its
-# replay seed.
+# under a second), then 1,000 through routes_deterministic alone (the
+# table against itself and against the serving plane, routed and
+# unreachable pairs alike). On a failure the exit code is non-zero
+# and each shrunk counterexample is written to fuzz_artifacts/ as DOT
+# plus its replay seed.
 fuzz-smoke:
 	dune exec bin/san_map.exe -- fuzz --cases 200 --seed 42 \
 	  --artifacts fuzz_artifacts
 	dune exec bin/san_map.exe -- fuzz --cases 1000 --seed 7 \
 	  --prop incremental --artifacts fuzz_artifacts
+	dune exec bin/san_map.exe -- fuzz --cases 1000 --seed 7 \
+	  --prop routes_deterministic --artifacts fuzz_artifacts
 
 # The SLO observatory at CI size: a seeded short load-matrix run
 # (convergence percentiles vs offered load x fault schedule, flight
@@ -132,9 +136,9 @@ perf-map-ft1k-smoke:
 
 # The daemon's incident path at full benchmark size: one traced
 # converge-ft400 run (a 400-host fat-tree losing one link, repaired by
-# patching and re-verifying the previous map; Routes.compute about 72%
-# of the traced incident, Delta.distribute about 25%, the two
-# verification sweeps about 2%). It exits non-zero unless the
+# patching and re-verifying the previous map; Routes.compute about 55%
+# of the traced incident, Delta.distribute about 40%, the two
+# verification sweeps about 5%). It exits non-zero unless the
 # traced incident replays the daemon's epoch 1 exactly (probes,
 # simulated convergence, delta bytes, unchanged hosts, final map), the
 # layer self-times sum to the traced wall within 5%, and the daemon

@@ -582,7 +582,8 @@ let prop_load_agreement ctx =
 (* 10. Route tables are a pure function of the fabric: two
    computations yield byte-identical tables (no hidden rng in the
    default path — spreading is the explicit [?rng] opt-in), and the
-   serving plane reproduces the table entry for entry. *)
+   serving plane reproduces the table entry for entry: the same route
+   on every routed pair, none on every unreachable one. *)
 let prop_routes_deterministic ctx =
   let g = ctx.case.Fuzz_gen.graph in
   let module R = San_routing.Routes in
@@ -591,13 +592,17 @@ let prop_routes_deterministic ctx =
     Error "two route computations differ on one fabric"
   else begin
     let serve = San_routing.Serve.create g in
+    let served src dst = San_routing.Serve.lookup serve ~src ~dst in
     let disagree =
       List.filter_map
         (fun (src, dst, turns) ->
-          match San_routing.Serve.lookup serve ~src ~dst with
+          match served src dst with
           | Some t when t = turns -> None
           | _ -> Some (src, dst))
         (R.all t1)
+      @ List.filter
+          (fun (src, dst) -> served src dst <> None)
+          (R.unreachable_pairs t1)
     in
     match disagree with
     | [] -> Ok ()

@@ -40,7 +40,8 @@
       the fabric: computing twice yields byte-identical tables
       (randomized spreading only happens through the explicit [?rng]
       opt-in), and the lazy serving plane ({!San_routing.Serve})
-      reproduces the eager table entry for entry;
+      reproduces the eager table entry for entry, serving no route
+      for any pair the table leaves unreachable;
     - ["partial_subgraph"] — a budget-stopped {!San_cover} run (a
       seed-chosen 30% or 60% fraction) produces a partial map that
       embeds in [N - F], every element's confidence is in [0, 1], and

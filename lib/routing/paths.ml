@@ -5,6 +5,15 @@ open San_topology
 type t = {
   pt_ud : Updown.t;
   nstates : int;
+  (* Dense adjacency, built once: node [n]'s ports are the slots
+     [first.(n)] to [first.(n + 1) - 1], port order kept. A slot holds
+     -1 for an unwired port, else one packed int: the peer node above
+     [shift], the far port in the bits below it, and bit 0 set when
+     the move to the peer is up. One int array plus the offsets keeps
+     a [t] small; the walks read these and never the graph. *)
+  first : int array;
+  adj : int array;
+  shift : int;
   cache : (Graph.node, int array) Hashtbl.t;
   (* FIFO of cached destinations, oldest first, for eviction. *)
   order : Graph.node Queue.t;
@@ -21,6 +30,12 @@ type t = {
      share it; the memo is cleared when the destination changes. *)
   memo : int array;
   mutable memo_dst : Graph.node;
+  (* [compile]'s turns per state toward the destination it is
+     compiling, [unset] until first asked for, and that destination's
+     distance vector. Allocated on the first [compile], so a [t] that
+     only walks never holds them. *)
+  mutable suffix : int list array;
+  mutable scratch : int array;
 }
 
 let updown t = t.pt_ud
@@ -33,10 +48,34 @@ let state_down n = (2 * n) + 1
 let default_cache_limit = 64
 
 let compute ?(cache_limit = default_cache_limit) ud =
-  let n = Graph.num_nodes (Updown.graph ud) in
+  let g = Updown.graph ud in
+  let n = Graph.num_nodes g in
+  let first = Array.make (n + 1) 0 in
+  let max_ports = ref 1 in
+  for u = 0 to n - 1 do
+    let ports = Graph.ports_of g u in
+    first.(u + 1) <- first.(u) + ports;
+    max_ports := max !max_ports ports
+  done;
+  (* Far ports take the bits below [shift], above the up bit. *)
+  let rec bits b = if 1 lsl b >= !max_ports then b else bits (b + 1) in
+  let shift = bits 0 + 1 in
+  let adj = Array.make first.(n) (-1) in
+  for u = 0 to n - 1 do
+    for p = 0 to first.(u + 1) - first.(u) - 1 do
+      match Graph.peer g u p with
+      | None -> ()
+      | Some (v, far) ->
+        adj.(first.(u) + p) <-
+          (v lsl shift) lor (far lsl 1) lor Bool.to_int (Updown.is_up ud u v)
+    done
+  done;
   {
     pt_ud = ud;
     nstates = 2 * n;
+    first;
+    adj;
+    shift;
     cache = Hashtbl.create 64;
     order = Queue.create ();
     cache_limit = max 1 cache_limit;
@@ -45,59 +84,71 @@ let compute ?(cache_limit = default_cache_limit) ud =
     queue = Array.make (2 * n) 0;
     memo = Array.make (2 * n) (-1);
     memo_dst = -1;
+    suffix = [||];
+    scratch = [||];
   }
+
+let ports t node = t.first.(node + 1) - t.first.(node)
+
+(* The packed slot of [node]'s port [p], and its fields. *)
+let slot t node p = t.adj.(t.first.(node) + p)
+let peer_of t e = e lsr t.shift
+let far_of t e = (e lsr 1) land ((1 lsl (t.shift - 1)) - 1)
 
 (* Distances to [dst] from every state, by one backward BFS over the
    reversed phase edges. Forward transitions are: an up edge a->b is
    usable only in the Up phase and stays Up; a down edge a->b is usable
    from either phase and lands in Down. Both phases of [dst] seed the
    frontier at 0, so the array directly holds the compliant distance to
-   the destination node. *)
+   the destination node. [dist] must hold [inf] everywhere. *)
+let bfs t dst dist =
+  let queue = t.queue in
+  let head = ref 0 and tail = ref 0 in
+  let push s d =
+    if dist.(s) >= inf then begin
+      dist.(s) <- d;
+      queue.(!tail) <- s;
+      incr tail
+    end
+  in
+  push (state_up dst) 0;
+  push (state_down dst) 0;
+  while !head < !tail do
+    let s = queue.(!head) in
+    incr head;
+    let b = s / 2 in
+    let d = dist.(s) + 1 in
+    (* Predecessor states: phases of a neighbor [a] whose one-hop
+       transition lands in [s]. Parallel wires repeat a neighbor;
+       [push]'s visited guard makes the repeats free. *)
+    for i = t.first.(b) to t.first.(b + 1) - 1 do
+      let e = t.adj.(i) in
+      if e >= 0 then begin
+        let a = peer_of t e in
+        if
+          dist.(state_up a) >= inf
+          || (s land 1 = 1 && dist.(state_down a) >= inf)
+        then
+          (* [a -> b] is up exactly when [b -> a] is not, except on a
+             cable from a switch to itself, which is down both ways. *)
+          if a <> b && e land 1 = 0 then begin
+            if s land 1 = 0 then push (state_up a) d
+          end
+          else if s land 1 = 1 then begin
+            push (state_up a) d;
+            push (state_down a) d
+          end
+      end
+    done
+  done
+
+(* [dst]'s distance vector from the cache, or computed and cached. *)
 let to_dst t dst =
   match Hashtbl.find t.cache dst with
   | dist -> dist
   | exception Not_found ->
-    let ud = t.pt_ud in
-    let g = Updown.graph ud in
     let dist = Array.make t.nstates inf in
-    let queue = t.queue in
-    let head = ref 0 and tail = ref 0 in
-    let push s d =
-      if dist.(s) >= inf then begin
-        dist.(s) <- d;
-        queue.(!tail) <- s;
-        incr tail
-      end
-    in
-    push (state_up dst) 0;
-    push (state_down dst) 0;
-    while !head < !tail do
-      let s = queue.(!head) in
-      incr head;
-      let b = s / 2 in
-      let d = dist.(s) + 1 in
-      (* Predecessor states: phases of a neighbor [a] whose one-hop
-         transition lands in [s]. Parallel wires repeat a neighbor;
-         [push]'s visited guard makes the repeats free. *)
-      for p = 0 to Graph.ports_of g b - 1 do
-        match Graph.peer g b p with
-        | None -> ()
-        | Some (a, _) ->
-          (* Orientation is only asked about while a phase of [a] this
-             hop could reach is still unvisited. *)
-          if
-            dist.(state_up a) >= inf
-            || (s land 1 = 1 && dist.(state_down a) >= inf)
-          then
-            if Updown.is_up ud a b then begin
-              if s land 1 = 0 then push (state_up a) d
-            end
-            else if s land 1 = 1 then begin
-              push (state_up a) d;
-              push (state_down a) d
-            end
-      done
-    done;
+    bfs t dst dist;
     if Queue.length t.order >= t.cache_limit then
       Hashtbl.remove t.cache (Queue.pop t.order);
     Hashtbl.add t.cache dst dist;
@@ -112,26 +163,27 @@ let distance t ~src ~dst =
    is [want] hops from the destination, else -1. A down edge is usable
    from either phase and enters Down; an up edge only from Up. Ports
    where neither phase of the neighbour is [want] hops out are
-   rejected before the orientation is asked. *)
-let successor ud (dist : int array) state node (want : int) p =
-  match Graph.peer (Updown.graph ud) node p with
-  | None -> -1
-  | Some (v, _) ->
+   rejected before the orientation is read. *)
+let successor t (dist : int array) state node (want : int) p =
+  let e = slot t node p in
+  if e < 0 then -1
+  else
+    let v = peer_of t e in
     if dist.(state_up v) <> want && dist.(state_down v) <> want then -1
     else
       let s =
-        if not (Updown.is_up ud node v) then state_down v
+        if e land 1 = 0 then state_down v
         else if state land 1 = 0 then state_up v
         else -1
       in
       if s >= 0 && dist.(s) = want then s else -1
 
 (* The [k]-th port (from 0, in port order) leading one hop closer. *)
-let nth_closer ud dist state node want k =
+let nth_closer t dist state node want k =
   let k = ref k and p = ref (-1) in
   while !k >= 0 do
     incr p;
-    if successor ud dist state node want !p >= 0 then decr k
+    if successor t dist state node want !p >= 0 then decr k
   done;
   !p
 
@@ -141,26 +193,20 @@ let nth_closer ud dist state node want k =
    among those ports, exact ties to port order. [rng]: a uniform draw
    over the closer ports, parallel wires counted separately; the wire
    itself is drawn again afterwards by [draw_wires]. *)
-let choose_exit ?rng ?prefer ud dist state node want =
-  let ports = Graph.ports_of (Updown.graph ud) node in
+let choose_exit ?rng ?prefer t dist state node want =
   match (rng, prefer) with
   | Some rng, _ ->
     let n = ref 0 in
-    for p = 0 to ports - 1 do
-      if successor ud dist state node want p >= 0 then incr n
+    for p = 0 to ports t node - 1 do
+      if successor t dist state node want p >= 0 then incr n
     done;
-    nth_closer ud dist state node want (San_util.Prng.int rng !n)
-  | None, None -> nth_closer ud dist state node want 0
+    nth_closer t dist state node want (San_util.Prng.int rng !n)
+  | None, None -> nth_closer t dist state node want 0
   | None, Some penalty ->
     let best = ref (-1) and best_pen = ref 0.0 in
-    for p = 0 to ports - 1 do
-      if successor ud dist state node want p >= 0 then begin
-        let v =
-          match Graph.peer (Updown.graph ud) node p with
-          | Some (v, _) -> v
-          | None -> assert false
-        in
-        let pen = penalty node v in
+    for p = 0 to ports t node - 1 do
+      if successor t dist state node want p >= 0 then begin
+        let pen = penalty node (peer_of t (slot t node p)) in
         if !best < 0 || pen < !best_pen then begin
           best := p;
           best_pen := pen
@@ -175,9 +221,16 @@ let memo_exit t dist state node want =
   let p = t.memo.(state) in
   if p >= 0 then p
   else begin
-    let p = nth_closer t.pt_ud dist state node want 0 in
+    let p = nth_closer t dist state node want 0 in
     t.memo.(state) <- p;
     p
+  end
+
+(* Point the exit memo at [dst], clearing it if it held another. *)
+let aim_memo t dst =
+  if t.memo_dst <> dst then begin
+    Array.fill t.memo 0 t.nstates (-1);
+    t.memo_dst <- dst
   end
 
 (* Walk one shortest compliant path from [src] to [dst] into the
@@ -190,22 +243,18 @@ let walk ?rng ?prefer t ~src ~dst =
   let total = dist.(state_up src) in
   if total >= inf then -1
   else begin
-    let ud = t.pt_ud in
     let memo = match (rng, prefer) with None, None -> true | _ -> false in
-    if memo && t.memo_dst <> dst then begin
-      Array.fill t.memo 0 t.nstates (-1);
-      t.memo_dst <- dst
-    end;
+    if memo then aim_memo t dst;
     let state = ref (state_up src) in
     for i = 0 to total - 1 do
       let node = !state / 2 and want = total - i - 1 in
       let p =
         if memo then memo_exit t dist !state node want
-        else choose_exit ?rng ?prefer ud dist !state node want
+        else choose_exit ?rng ?prefer t dist !state node want
       in
       t.nodes.(i) <- node;
       t.exits.(i) <- p;
-      state := successor ud dist !state node want p
+      state := successor t dist !state node want p
     done;
     t.nodes.(total) <- dst;
     total
@@ -214,14 +263,14 @@ let walk ?rng ?prefer t ~src ~dst =
 (* Uniform spreading over parallel wires: once the node path is fixed,
    one draw per hop over the wires joining its consecutive nodes. *)
 let draw_wires rng t hops =
-  let g = Updown.graph t.pt_ud in
   let joins u v p =
-    match Graph.peer g u p with Some (w, _) -> w = v | None -> false
+    let e = slot t u p in
+    e >= 0 && peer_of t e = v
   in
   for i = 0 to hops - 1 do
     let u = t.nodes.(i) and v = t.nodes.(i + 1) in
     let n = ref 0 in
-    for p = 0 to Graph.ports_of g u - 1 do
+    for p = 0 to ports t u - 1 do
       if joins u v p then incr n
     done;
     let k = ref (San_util.Prng.int rng !n) and p = ref (-1) in
@@ -247,13 +296,71 @@ let route_into ?rng ?prefer t ~src ~dst ~buf =
         buf.(!len) <- out - !entry;
         incr len
       end;
-      entry :=
-        (match Graph.peer g node out with
-        | Some (_, far) -> far
-        | None -> assert false)
+      entry := far_of t (slot t node out)
     done;
     !len
   end
+
+(* Marks a state whose suffix is not compiled yet; compared by
+   physical equality, so no real turn list is ever taken for it. *)
+let unset = [ min_int ]
+
+(* The default walk's turns after it leaves [state], toward the
+   destination that [dist] and the memo are on: nothing when the next node
+   is the destination, else the turn at the next node (its exit port
+   minus the port the wire enters on) and then the next state's
+   suffix. A host is never an interior node of a shortest path (its
+   one port leads back where it came from), so every interior node
+   turns. *)
+let rec leave t dist state =
+  let node = state / 2 and want = dist.(state) - 1 in
+  let p = memo_exit t dist state node want in
+  if want = 0 then []
+  else
+    let next = successor t dist state node want p in
+    let turn =
+      memo_exit t dist next (next / 2) (want - 1) - far_of t (slot t node p)
+    in
+    turn :: suffix t dist next
+
+(* [leave], memoised per state: routes toward one destination share
+   their tails. *)
+and suffix t dist state =
+  let r = t.suffix.(state) in
+  if r != unset then r
+  else begin
+    let r = leave t dist state in
+    t.suffix.(state) <- r;
+    r
+  end
+
+(* A source's route is its Up state's suffix. No other route passes
+   through a source host, so its own state is left out of the memo. *)
+let compile t ~dst ~srcs ~into ~at =
+  if Array.length t.suffix = 0 then begin
+    t.suffix <- Array.make t.nstates unset;
+    t.scratch <- Array.make t.nstates inf
+  end
+  else begin
+    Array.fill t.suffix 0 t.nstates unset;
+    Array.fill t.scratch 0 t.nstates inf
+  end;
+  (* A table compile visits each destination once, so its distance
+     vector goes into the scratch, not the cache. *)
+  let dist = t.scratch in
+  bfs t dst dist;
+  aim_memo t dst;
+  let routed = ref 0 in
+  Array.iteri
+    (fun i src ->
+      into.(at + i) <-
+        (if src = dst || dist.(state_up src) >= inf then None
+         else begin
+           incr routed;
+           Some (leave t dist (state_up src))
+         end))
+    srcs;
+  !routed
 
 let node_path ?rng ?prefer t ~src ~dst =
   match walk ?rng ?prefer t ~src ~dst with

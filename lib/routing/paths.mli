@@ -14,13 +14,23 @@
     fabrics — peak memory is now [cache_limit] distance vectors no
     matter how many pairs are routed.
 
+    Every query reads one dense adjacency built by {!compute}: per
+    port slot, one packed int holding the peer node, the far port and
+    whether the move is up, so neither the BFS nor the walks touch the
+    graph or the orientation again.
+
     Reconstruction walks forward along distance-decreasing states.
     Tie-breaking is deterministic by default — the first shortest
     continuation in port order — so identical fabrics always yield
     identical paths, and tables stay stable across remaps (port
     numbering mirrors the physical switch; discovery-order node ids do
     not). Randomized spreading over equal paths is an explicit
-    opt-in. *)
+    opt-in.
+
+    Two compilers share that default walk. {!route_into} writes one
+    pair's turns into a buffer; {!compile} builds every route toward
+    one destination at once, as memoised per-state suffixes, so the
+    routes share their tails. They agree route for route. *)
 
 open San_topology
 
@@ -44,19 +54,21 @@ val route_into :
   dst:Graph.node ->
   buf:int array ->
   int
-(** The route compiler: walk one shortest compliant path from [src] to
+(** The pair compiler: walk one shortest compliant path from [src] to
     [dst] along the cached distance vector and write its turn string
     (at each switch, exit port minus entry port; nothing for leaving a
     host) into [buf]. Returns the turn count, or [-1] when no
     compliant path exists. [buf] needs [Graph.num_nodes] slots. Each
-    hop scans the node's port array in place, so the walk allocates
+    hop scans the node's port slots in place, so the walk allocates
     nothing beyond a first-touch distance vector. The default walk
     memoises each state's exit port for the current destination (one
     [2 · num_nodes] array, cleared when the destination changes), so
-    compiling a destination's routes from every source scans each
-    state's ports once; callers compiling many pairs go
+    walking a destination's routes from every source scans each
+    state's ports once; callers walking many pairs go
     destination-major to keep it warm. The memo never changes a
-    route.
+    route. Whole tables of default routes are cheaper through
+    {!compile}; this is the path for single lookups and for [prefer]
+    and [rng] walks.
 
     Deterministic by default: the first port leading one hop closer,
     which is the first shortest continuation in port order and, over
@@ -67,6 +79,28 @@ val route_into :
     with the paper's uniform load-balancing: one draw per hop over the
     closer ports while walking, then one draw per hop over the
     parallel wires joining the chosen nodes. *)
+
+val compile :
+  t ->
+  dst:Graph.node ->
+  srcs:Graph.node array ->
+  into:San_simnet.Route.t option array ->
+  at:int ->
+  int
+(** Every default route toward [dst] at once: [into.(at + i)] gets the
+    route from [srcs.(i)], the one {!route_into}'s default walk
+    writes, or [None] when [srcs.(i) = dst] or no compliant path
+    exists. Returns how many sources were routed.
+
+    For a fixed destination, the turns a route emits after it leaves a
+    phase state depend on that state alone, so the destination is
+    compiled as one memoised suffix per state: [[]] when the next node
+    is [dst], else the turn at the next node consed onto the next
+    state's suffix. A source's route is the suffix of its Up state.
+    Each state's ports are scanned once and each state's turn is
+    consed once, so a route costs one [Some] beyond the cells it
+    shares with every other route through its tail (physically: the
+    lists are [==] from the first shared state on). *)
 
 val node_path :
   ?rng:San_util.Prng.t ->

@@ -1,10 +1,11 @@
 open San_topology
 open San_simnet
 
-(* Dense table: the route from host slot [s] to host slot [d] sits at
-   [routes.(s * nh + d)], slots numbering hosts by ascending id, so
-   scanning the array visits pairs in (src, dst) order. [None] marks
-   the diagonal and unreachable pairs. *)
+(* Dense table, destination-major: the route from host slot [s] to
+   host slot [d] sits at [routes.(d * nh + s)], slots numbering hosts
+   by ascending id, so one destination's routes are contiguous, in the
+   order they are compiled. [None] marks the diagonal and unreachable
+   pairs. *)
 type t = {
   rt_graph : Graph.t;
   rt_ud : Updown.t;
@@ -25,27 +26,35 @@ let compute ?rng ?prefer ?root ?ignore_hosts ?labeling g =
       let host_slot = Array.make (Graph.num_nodes g) (-1) in
       Array.iteri (fun slot h -> host_slot.(h) <- slot) hosts;
       let routes = Array.make (nh * nh) None in
-      let buf = Array.make (Graph.num_nodes g + 1) 0 in
       let pairs = ref 0 in
-      (* Destination-major so each destination's distance vector is
-         computed once and served straight from the Paths cache, and
-         its exit memo stays warm across sources. *)
-      Array.iteri
-        (fun d dst ->
-          Array.iteri
-            (fun s src ->
-              if s <> d then
-                match Paths.route_into ?rng ?prefer pt ~src ~dst ~buf with
-                | -1 -> ()
-                | len ->
-                  let turns = ref [] in
-                  for i = len - 1 downto 0 do
-                    turns := buf.(i) :: !turns
-                  done;
-                  routes.((s * nh) + d) <- Some !turns;
-                  incr pairs)
-            hosts)
-        hosts;
+      (match (rng, prefer) with
+      | None, None ->
+        Array.iteri
+          (fun d dst ->
+            pairs :=
+              !pairs + Paths.compile pt ~dst ~srcs:hosts ~into:routes ~at:(d * nh))
+          hosts
+      | _ ->
+        (* Pair by pair, destination-major so each destination's
+           distance vector is computed once, and seeded draws are
+           consumed one per hop in walk order. *)
+        let buf = Array.make (Graph.num_nodes g + 1) 0 in
+        Array.iteri
+          (fun d dst ->
+            Array.iteri
+              (fun s src ->
+                if s <> d then
+                  match Paths.route_into ?rng ?prefer pt ~src ~dst ~buf with
+                  | -1 -> ()
+                  | len ->
+                    let turns = ref [] in
+                    for i = len - 1 downto 0 do
+                      turns := buf.(i) :: !turns
+                    done;
+                    routes.((d * nh) + s) <- Some !turns;
+                    incr pairs)
+              hosts)
+          hosts);
       if San_obs.Obs.on () then begin
         let unreachable = (nh * (nh - 1)) - !pairs in
         San_obs.Obs.count ~by:!pairs "routes.pairs";
@@ -64,31 +73,37 @@ let route t ~src ~dst =
   if src < 0 || dst < 0 || src >= n || dst >= n then None
   else
     let s = t.host_slot.(src) and d = t.host_slot.(dst) in
-    if s < 0 || d < 0 then None else t.routes.((s * Array.length t.hosts) + d)
+    if s < 0 || d < 0 then None else t.routes.((d * Array.length t.hosts) + s)
 
 (* Every route in (src, dst) order. *)
 let iter t f =
   let nh = Array.length t.hosts in
-  Array.iteri
-    (fun i -> Option.iter (f t.hosts.(i / nh) t.hosts.(i mod nh)))
-    t.routes
+  for s = 0 to nh - 1 do
+    for d = 0 to nh - 1 do
+      Option.iter (f t.hosts.(s) t.hosts.(d)) t.routes.((d * nh) + s)
+    done
+  done
 
 let all t =
   let nh = Array.length t.hosts in
   let acc = ref [] in
-  for i = Array.length t.routes - 1 downto 0 do
-    match t.routes.(i) with
-    | Some r -> acc := (t.hosts.(i / nh), t.hosts.(i mod nh), r) :: !acc
-    | None -> ()
+  for s = nh - 1 downto 0 do
+    for d = nh - 1 downto 0 do
+      match t.routes.((d * nh) + s) with
+      | Some r -> acc := (t.hosts.(s), t.hosts.(d), r) :: !acc
+      | None -> ()
+    done
   done;
   !acc
 
 let unreachable_pairs t =
   let nh = Array.length t.hosts in
   let acc = ref [] in
-  for i = Array.length t.routes - 1 downto 0 do
-    if t.routes.(i) = None && i / nh <> i mod nh then
-      acc := (t.hosts.(i / nh), t.hosts.(i mod nh)) :: !acc
+  for s = nh - 1 downto 0 do
+    for d = nh - 1 downto 0 do
+      if s <> d && t.routes.((d * nh) + s) = None then
+        acc := (t.hosts.(s), t.hosts.(d)) :: !acc
+    done
   done;
   !acc
 

@@ -22,16 +22,23 @@ val compute :
   ?labeling:Updown.labeling ->
   Graph.t ->
   t
-(** Orient the graph (UP*/DOWN* orientation), compute compliant
-    per-destination distances lazily, and compile one turn route per
-    ordered host pair with {!Paths.route_into}. Deterministic by
-    default — identical fabrics yield byte-identical tables (ties go to
-    the first shortest continuation and wire in port order), so
-    independent daemons mapping the same network never see spurious
-    delta churn. [prefer u v] steers equal-cost multipath toward
-    least-penalty hops (traffic-aware tables); [rng] is the explicit
-    opt-in for the paper's randomized spreading over equal paths and
-    parallel wires. *)
+(** Orient the graph (UP*/DOWN* orientation) and compile one turn
+    route per ordered host pair, one destination at a time. By default
+    each destination is compiled whole with {!Paths.compile}: one
+    backward BFS, then one memoised turn suffix per phase state, so a
+    route costs one cons and one [Some] and routes toward a
+    destination share their tails. With [prefer] or [rng] every pair
+    is walked by {!Paths.route_into}, destination-major, so seeded
+    draws are consumed one per hop in walk order. Either way the table
+    is the one the pair compiler's walks give.
+
+    Deterministic by default — identical fabrics yield byte-identical
+    tables (ties go to the first shortest continuation and wire in
+    port order), so independent daemons mapping the same network never
+    see spurious delta churn. [prefer u v] steers equal-cost multipath
+    toward least-penalty hops (traffic-aware tables); [rng] is the
+    explicit opt-in for the paper's randomized spreading over equal
+    paths and parallel wires. *)
 
 val graph : t -> Graph.t
 val updown : t -> Updown.t
@@ -40,7 +47,11 @@ val route : t -> src:Graph.node -> dst:Graph.node -> Route.t option
 (** The turn string from [src] to [dst]; [None] when no compliant path
     exists, for [src = dst], and when either end is not a host of the
     graph. Two slot reads and one table read: the table is dense,
-    indexed by host slot. *)
+    indexed by host slot, one destination's routes contiguous. *)
+
+val iter : t -> (Graph.node -> Graph.node -> Route.t -> unit) -> unit
+(** Every computed route as [f src dst turns], in ascending
+    [(src, dst)] order, without building {!all}'s list. *)
 
 val all : t -> (Graph.node * Graph.node * Route.t) list
 (** Every computed route, in ascending [(src, dst)] order. *)

@@ -226,11 +226,12 @@ let slice_of_host t v src installed =
 
 (* Every host's slice in name order, each with its view index. The
    fresh table is read destination by destination, the order
-   [Routes.compute] allocated its routes in, so the scan streams
-   through memory: it sums each source's naive bytes and, against an
-   installed row sharing the view's names array, counts changes
-   position by position. A row of another table generation is
-   merge-walked by name. *)
+   [Routes.compute] compiles and stores its routes in (one
+   destination's routes are contiguous, and share their tails), so
+   the scan streams through memory: it sums each source's naive bytes
+   and, against an installed row sharing the view's names array,
+   counts changes position by position. A row of another table
+   generation is merge-walked by name. *)
 let slices_of_view ~(installed : tables) v =
   let nh = Array.length v.nodes in
   let olds = Array.map (fun name -> Smap.find_opt name installed) v.names in

@@ -206,9 +206,9 @@ let test_golden_tables () =
 
 (* ---------- the int-only order and the exit memo ---------- *)
 
-let fabric spec =
+let fabric ?(seed = 1) spec =
   match San_fabric.Fabric.parse spec with
-  | Ok p -> p.San_fabric.Fabric.p_build ~seed:1
+  | Ok p -> p.San_fabric.Fabric.p_build ~seed
   | Error e -> Alcotest.fail e
 
 (* [Updown.is_up] against the (label, id) tuple order it replaced, on
@@ -348,6 +348,94 @@ let test_route_into_zero_alloc () =
   done;
   w.(1) <- Gc.minor_words ();
   Alcotest.(check (float 0.0)) "words allocated" 0.0 (w.(1) -. w.(0))
+
+(* ---------- the suffix compiler against the pair-by-pair one ---------- *)
+
+(* [Routes.compute]'s shared-suffix table equals the pair-by-pair
+   reference: every route and unreachable pair in (src, dst) order,
+   [iter]'s visiting order, and [route] on every node pair, switches
+   and ids just outside the graph included. *)
+let agrees_with_reference what g =
+  let table = Routes.compute g and reference = Routes_reference.compute g in
+  let all = Routes_reference.all reference in
+  if Routes.all table <> all then Alcotest.failf "%s: all differs" what;
+  if Routes.unreachable_pairs table <> Routes_reference.unreachable_pairs reference
+  then Alcotest.failf "%s: unreachable pairs differ" what;
+  let visited = ref [] in
+  Routes.iter table (fun src dst turns -> visited := (src, dst, turns) :: !visited);
+  if List.rev !visited <> all then Alcotest.failf "%s: iter order differs" what;
+  let n = Graph.num_nodes g in
+  for src = -1 to n do
+    for dst = -1 to n do
+      if Routes.route table ~src ~dst <> Routes_reference.route reference ~src ~dst
+      then Alcotest.failf "%s: route %d->%d differs" what src dst
+    done
+  done
+
+let test_reference_presets () =
+  agrees_with_reference "now-cab" (fst (Generators.now_cab ()));
+  agrees_with_reference "ft-100" (fabric "ft-100")
+
+(* The converge-ft400 incident's two epoch maps: the cold fabric, then
+   the world after the schedule's seeded cut. *)
+let test_reference_converge () =
+  let module Schedule = San_service.Schedule in
+  let module World = San_service.World in
+  let schedule = Result.get_ok (Schedule.parse "1:cut") in
+  List.iter
+    (fun seed ->
+      let world =
+        World.create (fabric ~seed "levels=3,radix=16,edge=50,hosts=8")
+      in
+      let rng = San_util.Prng.create seed in
+      ignore (Schedule.apply schedule world ~rng ~leader:"" ~epoch:0);
+      let g0 = World.graph world in
+      agrees_with_reference (Printf.sprintf "converge seed %d epoch 0" seed) g0;
+      let leader = Graph.name g0 (List.hd (List.rev (Graph.hosts g0))) in
+      ignore (Schedule.apply schedule world ~rng ~leader ~epoch:1);
+      agrees_with_reference
+        (Printf.sprintf "converge seed %d epoch 1" seed)
+        (World.graph world))
+    [ 1; 2; 3 ]
+
+(* Fuzzer fabrics: parallel wires, cables from a switch to itself,
+   disconnected and hostless pieces. *)
+let test_reference_fuzz () =
+  for seed = 1 to 300 do
+    agrees_with_reference
+      (Printf.sprintf "fuzz seed %d" seed)
+      (San_check.Fuzz_gen.gen ~seed).San_check.Fuzz_gen.graph
+  done
+
+(* Words allocated since start-up, minor and major, each word once. *)
+let allocated () =
+  let s = Gc.quick_stat () in
+  s.Gc.minor_words +. s.Gc.major_words -. s.Gc.promoted_words
+
+(* A compiled route costs one [Some] and one cons beyond the tail it
+   shares: on ft-1k the whole compute (orientation, distance vectors,
+   table) stays within 14 words per routed pair, where the
+   pair-by-pair compiler took about 25. Two hosts on one edge switch
+   share their route's tail toward a host on another edge switch. *)
+let test_compile_alloc_and_sharing () =
+  let g = fabric "ft-1k" in
+  let before = allocated () in
+  let table = Routes.compute g in
+  let words = allocated () -. before in
+  let pairs = (Routes.length_stats table).Routes.pairs in
+  let per_pair = words /. float_of_int pairs in
+  Alcotest.(check bool)
+    (Printf.sprintf "%.1f words per routed pair" per_pair)
+    true (per_pair <= 14.0);
+  let edge h = fst (Option.get (Graph.peer g h 0)) in
+  let hosts = Graph.hosts g in
+  let a = List.hd hosts in
+  let b = List.find (fun h -> h <> a && edge h = edge a) hosts in
+  let dst = List.find (fun h -> edge h <> edge a) hosts in
+  match (Routes.route table ~src:a ~dst, Routes.route table ~src:b ~dst) with
+  | Some (_ :: ta), Some (_ :: tb) ->
+    Alcotest.(check bool) "tails physically shared" true (ta == tb)
+  | _ -> Alcotest.fail "no route across edge switches"
 
 let test_dense_table_edges () =
   let g, _ = Generators.now_c () in
@@ -637,6 +725,14 @@ let () =
           Alcotest.test_case "warm walk allocation-free" `Quick
             test_route_into_zero_alloc;
           Alcotest.test_case "dense table edges" `Quick test_dense_table_edges;
+          Alcotest.test_case "suffix compiler: presets" `Quick
+            test_reference_presets;
+          Alcotest.test_case "suffix compiler: converge-ft400 epochs" `Slow
+            test_reference_converge;
+          Alcotest.test_case "suffix compiler: fuzz campaign" `Quick
+            test_reference_fuzz;
+          Alcotest.test_case "suffix compiler: allocation and sharing" `Quick
+            test_compile_alloc_and_sharing;
           Alcotest.test_case "length bounds" `Quick test_route_lengths_bounded;
           Alcotest.test_case "map drives actual" `Quick test_map_routes_drive_actual;
           Alcotest.test_case "myricom map acyclic" `Slow
