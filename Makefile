@@ -80,9 +80,12 @@ serve-smoke:
 # switch or a silenced host, repaired by a patch or a remap; well
 # under a second), then 1,000 through routes_deterministic alone (the
 # table against itself and against the serving plane, routed and
-# unreachable pairs alike). On a failure the exit code is non-zero
-# and each shrunk counterexample is written to fuzz_artifacts/ as DOT
-# plus its replay seed.
+# unreachable pairs alike), then 1,000 through delta alone (a cold
+# distribution, then a delta distribution over its ledger after a cut
+# wire and a remap, must each install exactly the tables a full
+# redistribution would; about half a second). On a failure the exit code is non-zero and each shrunk
+# counterexample is written to fuzz_artifacts/ as DOT plus its replay
+# seed.
 fuzz-smoke:
 	dune exec bin/san_map.exe -- fuzz --cases 200 --seed 42 \
 	  --artifacts fuzz_artifacts
@@ -90,6 +93,8 @@ fuzz-smoke:
 	  --prop incremental --artifacts fuzz_artifacts
 	dune exec bin/san_map.exe -- fuzz --cases 1000 --seed 7 \
 	  --prop routes_deterministic --artifacts fuzz_artifacts
+	dune exec bin/san_map.exe -- fuzz --cases 1000 --seed 7 \
+	  --prop delta --artifacts fuzz_artifacts
 
 # The SLO observatory at CI size: a seeded short load-matrix run
 # (convergence percentiles vs offered load x fault schedule, flight
@@ -136,9 +141,9 @@ perf-map-ft1k-smoke:
 
 # The daemon's incident path at full benchmark size: one traced
 # converge-ft400 run (a 400-host fat-tree losing one link, repaired by
-# patching and re-verifying the previous map; Routes.compute about 55%
-# of the traced incident, Delta.distribute about 40%, the two
-# verification sweeps about 5%). It exits non-zero unless the
+# patching and re-verifying the previous map; at seed 1 Routes.compute
+# is about half of the traced incident, Delta.distribute about 40%, the
+# two verification sweeps about 9%). It exits non-zero unless the
 # traced incident replays the daemon's epoch 1 exactly (probes,
 # simulated convergence, delta bytes, unchanged hosts, final map), the
 # layer self-times sum to the traced wall within 5%, and the daemon

@@ -31,7 +31,7 @@ type t = {
   memo : int array;
   mutable memo_dst : Graph.node;
   (* [compile]'s turns per state toward the destination it is
-     compiling, [unset] until first asked for, and that destination's
+     compiling, [unset] until first asked for, and its anchor's
      distance vector. Allocated on the first [compile], so a [t] that
      only walks never holds them. *)
   mutable suffix : int list array;
@@ -305,61 +305,80 @@ let route_into ?rng ?prefer t ~src ~dst ~buf =
    physical equality, so no real turn list is ever taken for it. *)
 let unset = [ min_int ]
 
-(* The default walk's turns after it leaves [state], toward the
-   destination that [dist] and the memo are on: nothing when the next node
-   is the destination, else the turn at the next node (its exit port
+(* The node whose distance vector serves the routes to host [d]: the
+   switch at the far end of [d]'s one cable when the hop from that
+   switch to [d] is a down move, else [d] itself. From every state but
+   [d]'s own, a shortest path to [d] is one to the switch plus that
+   last hop, which is legal from either phase; so each state is one
+   hop farther from [d] than from the switch, and the first port
+   leading closer is the same toward both. *)
+let anchor t d =
+  let g = Updown.graph t.pt_ud in
+  let e = if Graph.is_host g d then slot t d 0 else -1 in
+  if e < 0 then d
+  else
+    let sw = peer_of t e in
+    if Graph.is_host g sw || slot t sw (far_of t e) land 1 = 1 then d else sw
+
+(* The default walk's turns after it leaves [state], toward a
+   destination behind the anchor that [dist] and the memo are on:
+   when the next node is the anchor, the anchor's turn onto port [q]
+   (the destination's cable), or nothing when [q < 0] and the anchor
+   is the destination; else the turn at the next node (its exit port
    minus the port the wire enters on) and then the next state's
    suffix. A host is never an interior node of a shortest path (its
    one port leads back where it came from), so every interior node
    turns. *)
-let rec leave t dist state =
+let rec leave t dist q state =
   let node = state / 2 and want = dist.(state) - 1 in
   let p = memo_exit t dist state node want in
-  if want = 0 then []
+  let entry = far_of t (slot t node p) in
+  if want = 0 then if q < 0 then [] else [ q - entry ]
   else
     let next = successor t dist state node want p in
-    let turn =
-      memo_exit t dist next (next / 2) (want - 1) - far_of t (slot t node p)
-    in
-    turn :: suffix t dist next
+    (memo_exit t dist next (next / 2) (want - 1) - entry) :: suffix t dist q next
 
 (* [leave], memoised per state: routes toward one destination share
    their tails. *)
-and suffix t dist state =
+and suffix t dist q state =
   let r = t.suffix.(state) in
   if r != unset then r
   else begin
-    let r = leave t dist state in
+    let r = leave t dist q state in
     t.suffix.(state) <- r;
     r
   end
 
-(* A source's route is its Up state's suffix. No other route passes
+(* One BFS from the anchor and one exit memo on it serve every
+   destination behind it; each destination then takes one suffix pass.
+   A source's route is its Up state's suffix. No other route passes
    through a source host, so its own state is left out of the memo. *)
-let compile t ~dst ~srcs ~into ~at =
+let compile t ~anchor ~dsts ~srcs ~into =
   if Array.length t.suffix = 0 then begin
     t.suffix <- Array.make t.nstates unset;
     t.scratch <- Array.make t.nstates inf
   end
-  else begin
-    Array.fill t.suffix 0 t.nstates unset;
-    Array.fill t.scratch 0 t.nstates inf
-  end;
-  (* A table compile visits each destination once, so its distance
-     vector goes into the scratch, not the cache. *)
+  else Array.fill t.scratch 0 t.nstates inf;
+  (* A table compile visits each anchor once, so its distance vector
+     goes into the scratch, not the cache. *)
   let dist = t.scratch in
-  bfs t dst dist;
-  aim_memo t dst;
+  bfs t anchor dist;
+  aim_memo t anchor;
   let routed = ref 0 in
-  Array.iteri
-    (fun i src ->
-      into.(at + i) <-
-        (if src = dst || dist.(state_up src) >= inf then None
-         else begin
-           incr routed;
-           Some (leave t dist (state_up src))
-         end))
-    srcs;
+  List.iter
+    (fun (dst, at) ->
+      let q = if dst = anchor then -1 else far_of t (slot t dst 0) in
+      Array.fill t.suffix 0 t.nstates unset;
+      Array.iteri
+        (fun i src ->
+          into.(at + i) <-
+            (if src = dst || dist.(state_up src) >= inf then None
+             else begin
+               incr routed;
+               Some (leave t dist q (state_up src))
+             end))
+        srcs)
+    dsts;
   !routed
 
 let node_path ?rng ?prefer t ~src ~dst =

@@ -29,8 +29,9 @@
 
     Two compilers share that default walk. {!route_into} writes one
     pair's turns into a buffer; {!compile} builds every route toward
-    one destination at once, as memoised per-state suffixes, so the
-    routes share their tails. They agree route for route. *)
+    the hosts behind one edge switch at once, from one BFS, as
+    memoised per-state suffixes per destination, so the routes share
+    their tails. They agree route for route. *)
 
 open San_topology
 
@@ -80,27 +81,43 @@ val route_into :
     closer ports while walking, then one draw per hop over the
     parallel wires joining the chosen nodes. *)
 
+val anchor : t -> Graph.node -> Graph.node
+(** [anchor t d] is the node whose distance vector serves the routes
+    to host [d]: the switch at the far end of [d]'s one cable when the
+    hop from that switch to [d] is a down move — every host, in an
+    up*/down* order rooted at a switch — else [d] itself (an unwired
+    host, a host cabled to a host, or a host whose cable is an up move
+    because the order is rooted at it). *)
+
 val compile :
   t ->
-  dst:Graph.node ->
+  anchor:Graph.node ->
+  dsts:(Graph.node * int) list ->
   srcs:Graph.node array ->
   into:San_simnet.Route.t option array ->
-  at:int ->
   int
-(** Every default route toward [dst] at once: [into.(at + i)] gets the
-    route from [srcs.(i)], the one {!route_into}'s default walk
-    writes, or [None] when [srcs.(i) = dst] or no compliant path
-    exists. Returns how many sources were routed.
+(** Every default route toward each [(dst, at)] of [dsts], hosts whose
+    {!anchor} is [anchor]: [into.(at + i)] gets the route from host
+    [srcs.(i)], the one {!route_into}'s default walk writes, or [None]
+    when [srcs.(i) = dst] or no compliant path exists. Returns how many
+    pairs were routed.
 
-    For a fixed destination, the turns a route emits after it leaves a
-    phase state depend on that state alone, so the destination is
-    compiled as one memoised suffix per state: [[]] when the next node
-    is [dst], else the turn at the next node consed onto the next
-    state's suffix. A source's route is the suffix of its Up state.
-    Each state's ports are scanned once and each state's turn is
-    consed once, so a route costs one [Some] beyond the cells it
-    shares with every other route through its tail (physically: the
-    lists are [==] from the first shared state on). *)
+    From every state but [dst]'s own, [dst] is one hop farther than
+    its anchor, and the default walk's first closer port is the same
+    toward both; so the route to [dst] is the route to the anchor
+    followed by one turn at the anchor, onto [dst]'s cable. One
+    backward BFS from the anchor and one exit memo aimed at it serve
+    every destination behind it. Then, for a fixed destination, the
+    turns a route emits after it leaves a phase state depend on that
+    state alone, so each destination is compiled as one memoised
+    suffix per state: when the next node is the anchor, the anchor's
+    last turn (or [[]] when the anchor is [dst]), else the turn at the
+    next node consed onto the next state's suffix. A source's route is
+    the suffix of its Up state. Each state's ports are scanned once
+    per anchor and each state's turn is consed once per destination,
+    so a route costs one [Some] beyond the cells it shares with every
+    other route through its tail (physically: the lists are [==] from
+    the first shared state on). *)
 
 val node_path :
   ?rng:San_util.Prng.t ->

@@ -29,11 +29,19 @@ let compute ?rng ?prefer ?root ?ignore_hosts ?labeling g =
       let pairs = ref 0 in
       (match (rng, prefer) with
       | None, None ->
+        (* Destinations grouped by anchor, each with its column's
+           offset: one compile per edge switch, not per host. *)
+        let behind = Array.make (Graph.num_nodes g) [] in
+        for d = nh - 1 downto 0 do
+          let a = Paths.anchor pt hosts.(d) in
+          behind.(a) <- (hosts.(d), d * nh) :: behind.(a)
+        done;
         Array.iteri
-          (fun d dst ->
-            pairs :=
-              !pairs + Paths.compile pt ~dst ~srcs:hosts ~into:routes ~at:(d * nh))
-          hosts
+          (fun anchor dsts ->
+            if dsts <> [] then
+              pairs :=
+                !pairs + Paths.compile pt ~anchor ~dsts ~srcs:hosts ~into:routes)
+          behind
       | _ ->
         (* Pair by pair, destination-major so each destination's
            distance vector is computed once, and seeded draws are

@@ -23,10 +23,12 @@ val compute :
   Graph.t ->
   t
 (** Orient the graph (UP*/DOWN* orientation) and compile one turn
-    route per ordered host pair, one destination at a time. By default
-    each destination is compiled whole with {!Paths.compile}: one
-    backward BFS, then one memoised turn suffix per phase state, so a
-    route costs one cons and one [Some] and routes toward a
+    route per ordered host pair. By default destinations are grouped
+    by their {!Paths.anchor} (on a switch-rooted order, the edge
+    switch each host hangs off) and each group is compiled whole with
+    {!Paths.compile}: one backward BFS and one exit memo per anchor,
+    then per destination one memoised turn suffix per phase state, so
+    a route costs one cons and one [Some] and routes toward a
     destination share their tails. With [prefer] or [rng] every pair
     is walked by {!Paths.route_into}, destination-major, so seeded
     draws are consumed one per hop in walk order. Either way the table

@@ -9,11 +9,13 @@ module Pool = San_routing.Serve.Pool
    [None] where the slice holds no entry. [names] is the name-sorted
    host list of the table the row came from, one array shared by every
    row of that table (and reused by later tables with the same hosts),
-   so rows of one generation compare position by position. *)
+   so rows of one generation compare position by position. [full] is
+   the slice's naive size, so an unchanged slice is never summed
+   again. *)
 type row = {
   names : string array;
   routes : San_simnet.Route.t option array;
-  mutable pooled : int; (* the slice's packed bytes; -1 until first asked *)
+  full : int;
 }
 
 type tables = row Smap.t
@@ -46,11 +48,21 @@ let view ~installed table =
 
 let route v ~src j = Routes.route v.table ~src:v.nodes.(src) ~dst:v.nodes.(j)
 
-let row_of_view v src ~pooled =
+(* The naive size of [src]'s fresh slice: one read of its row. *)
+let fresh_full v src =
+  let full = ref 0 in
+  for j = 0 to Array.length v.nodes - 1 do
+    match route v ~src j with
+    | Some turns -> full := !full + D.entry_bytes turns
+    | None -> ()
+  done;
+  !full
+
+let row_of_view v src ~full =
   {
     names = v.names;
     routes = Array.init (Array.length v.nodes) (route v ~src);
-    pooled;
+    full;
   }
 
 (* One slice per source host; a host with no route at all holds no
@@ -59,9 +71,8 @@ let of_routes table =
   let v = view ~installed:empty table in
   let acc = ref empty in
   for src = Array.length v.nodes - 1 downto 0 do
-    let row = row_of_view v src ~pooled:(-1) in
-    if Array.exists Option.is_some row.routes then
-      acc := Smap.add v.names.(src) row !acc
+    let full = fresh_full v src in
+    if full > 0 then acc := Smap.add v.names.(src) (row_of_view v src ~full) !acc
   done;
   !acc
 
@@ -83,19 +94,12 @@ let entries_for (t : tables) name =
 
 type kind = Unchanged | Delta of { changed : int; removed : int } | Full
 
-type slice = {
-  owner : string;
-  kind : kind;
-  bytes : int;
-  full_bytes : int;
-  packed_bytes : int;
-}
+type slice = { owner : string; kind : kind; bytes : int; full_bytes : int }
 
 type plan = {
   slices : slice list;
   delta_bytes : int;
   full_bytes : int;
-  packed_full_bytes : int;
   unchanged_hosts : int;
 }
 
@@ -122,30 +126,31 @@ let packed_slice_bytes n entry =
   done;
   min !full_bytes (delta_header_bytes + Pool.packed_bytes pool)
 
-let fresh_packed v src =
-  packed_slice_bytes (Array.length v.nodes) (route v ~src)
-
-(* A ledger row's pooled size, computed once and remembered. *)
-let row_pooled (row : row) =
-  if row.pooled < 0 then
-    row.pooled <-
-      packed_slice_bytes (Array.length row.routes) (Array.get row.routes);
-  row.pooled
+(* A complete pooled redistribution: one pool per host slice. *)
+let packed_full_bytes table =
+  let v = view ~installed:empty table in
+  let n = Array.length v.nodes and total = ref 0 in
+  for src = 0 to n - 1 do
+    total := !total + packed_slice_bytes n (route v ~src)
+  done;
+  !total
 
 (* Per-source counters of one plan, indexed like the view: each fresh
-   slice's naive bytes and its diff against the installed row. *)
-type tally = {
-  full : int array;
-  changed : int array;
-  changed_bytes : int array;
-  removed : int array;
-}
+   slice's diff against the installed row. *)
+type tally = { changed : int array; changed_bytes : int array; removed : int array }
+
+(* Turn-list equality without a closure, stopping at a physically
+   shared tail. *)
+let rec same_turns a b =
+  a == b
+  ||
+  match (a, b) with
+  | (x : int) :: a, y :: b -> x = y && same_turns a b
+  | _ -> false
 
 let count t src fresh installed =
   match (fresh, installed) with
-  | Some turns, Some old_turns
-    when turns == old_turns || List.equal Int.equal turns old_turns ->
-    ()
+  | Some turns, Some old_turns when same_turns turns old_turns -> ()
   | Some turns, _ ->
     t.changed.(src) <- t.changed.(src) + 1;
     t.changed_bytes.(src) <- t.changed_bytes.(src) + D.entry_bytes turns
@@ -179,65 +184,52 @@ let merge_walk t v src (old : row) =
   done
 
 (* Host [src]'s slice from its counters, [None] when the table gives it
-   no route. An unchanged slice takes its pooled size from the
-   installed row; only a slice that changed builds a pool. *)
+   no route. An unchanged slice takes its naive size from the installed
+   row; only a new or changed slice sums its fresh row. *)
 let slice_of_host t v src installed =
-  let owner = v.names.(src) and full_bytes = t.full.(src) in
+  let owner = v.names.(src) in
+  let unchanged = t.changed.(src) = 0 && t.removed.(src) = 0 in
+  let full_bytes =
+    match installed with
+    | Some old when unchanged -> old.full
+    | Some _ | None -> fresh_full v src
+  in
   if full_bytes = 0 then None
   else
     match installed with
-    | None ->
-      Some
-        {
-          owner;
-          kind = Full;
-          bytes = full_bytes;
-          full_bytes;
-          packed_bytes = fresh_packed v src;
-        }
-    | Some old ->
+    | None -> Some { owner; kind = Full; bytes = full_bytes; full_bytes }
+    | Some _ when unchanged ->
+      Some { owner; kind = Unchanged; bytes = 0; full_bytes }
+    | Some _ ->
       let changed = t.changed.(src) and removed = t.removed.(src) in
-      if changed = 0 && removed = 0 then
+      let delta_bytes =
+        delta_header_bytes + t.changed_bytes.(src) + (removed * tombstone_bytes)
+      in
+      if delta_bytes >= full_bytes then
+        Some { owner; kind = Full; bytes = full_bytes; full_bytes }
+      else
         Some
           {
             owner;
-            kind = Unchanged;
-            bytes = 0;
+            kind = Delta { changed; removed };
+            bytes = delta_bytes;
             full_bytes;
-            packed_bytes = row_pooled old;
           }
-      else
-        let delta_bytes =
-          delta_header_bytes + t.changed_bytes.(src)
-          + (removed * tombstone_bytes)
-        in
-        let packed_bytes = fresh_packed v src in
-        if delta_bytes >= full_bytes then
-          Some { owner; kind = Full; bytes = full_bytes; full_bytes; packed_bytes }
-        else
-          Some
-            {
-              owner;
-              kind = Delta { changed; removed };
-              bytes = delta_bytes;
-              full_bytes;
-              packed_bytes;
-            }
 
 (* Every host's slice in name order, each with its view index. The
    fresh table is read destination by destination, the order
    [Routes.compute] compiles and stores its routes in (one
    destination's routes are contiguous, and share their tails), so
-   the scan streams through memory: it sums each source's naive bytes
-   and, against an installed row sharing the view's names array,
-   counts changes position by position. A row of another table
-   generation is merge-walked by name. *)
+   the scan streams through memory: against an installed row sharing
+   the view's names array it compares each pair once, counting changes
+   position by position. A row of another table generation is
+   merge-walked by name. A source with no installed row is left to
+   [slice_of_host]. *)
 let slices_of_view ~(installed : tables) v =
   let nh = Array.length v.nodes in
   let olds = Array.map (fun name -> Smap.find_opt name installed) v.names in
   let t =
     {
-      full = Array.make nh 0;
       changed = Array.make nh 0;
       changed_bytes = Array.make nh 0;
       removed = Array.make nh 0;
@@ -245,12 +237,9 @@ let slices_of_view ~(installed : tables) v =
   in
   for j = 0 to nh - 1 do
     for src = 0 to nh - 1 do
-      let fresh = route v ~src j in
-      (match fresh with
-      | Some turns -> t.full.(src) <- t.full.(src) + D.entry_bytes turns
-      | None -> ());
       match olds.(src) with
-      | Some old when old.names == v.names -> count t src fresh old.routes.(j)
+      | Some old when old.names == v.names ->
+        count t src (route v ~src j) old.routes.(j)
       | Some _ | None -> ()
     done
   done;
@@ -270,8 +259,6 @@ let plan_of_slices slices =
     slices;
     delta_bytes = List.fold_left (fun a s -> a + s.bytes) 0 slices;
     full_bytes = List.fold_left (fun a (s : slice) -> a + s.full_bytes) 0 slices;
-    packed_full_bytes =
-      List.fold_left (fun a (s : slice) -> a + s.packed_bytes) 0 slices;
     unchanged_hosts =
       List.fold_left
         (fun a s -> match s.kind with Unchanged -> a + 1 | _ -> a)
@@ -325,7 +312,7 @@ let distribute ?params ?retries ?traffic ~installed table ~actual ~leader =
           | Unchanged -> acc
           | Delta _ | Full ->
             if s.owner = leader_name || not (Sset.mem s.owner missed) then
-              Smap.add s.owner (row_of_view v src ~pooled:s.packed_bytes) acc
+              Smap.add s.owner (row_of_view v src ~full:s.full_bytes) acc
             else acc)
         installed indexed
     in

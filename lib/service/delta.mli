@@ -20,8 +20,8 @@ type tables
     destinations of the table it came from. Rows of one table share
     that names array, so comparing two of them is a position-by-position
     walk (rows of different tables are merge-walked by name), and each
-    row remembers its pooled size once known, so an unchanged slice is
-    never pooled again. *)
+    row remembers its naive size, so an unchanged slice costs one
+    comparison pass and is never summed again. *)
 
 val empty : tables
 (** A cold ledger: every host's first slice will be shipped full. *)
@@ -46,26 +46,32 @@ type slice = {
   owner : string;
   kind : kind;
   bytes : int;  (** shipped under delta distribution; 0 when [Unchanged] *)
-  full_bytes : int;  (** the full slice's cost, for comparison *)
-  packed_bytes : int;
-      (** the full slice under {!San_routing.Serve.Pool} shared-suffix
-          compression (routes interned reversed, so one source's common
-          up-phase prefixes collapse) — what a pool-aware interface
-          would be shipped instead of [full_bytes]. Never larger than
-          [full_bytes]: a header bit selects the naive encoding when
-          the slice is too small for pooling to pay. *)
+  full_bytes : int;
+      (** the full slice's naive cost, for comparison; an [Unchanged]
+          slice takes it from the installed row *)
 }
 
 type plan = {
   slices : slice list;  (** one per host of the table, name-sorted *)
   delta_bytes : int;
   full_bytes : int;
-  packed_full_bytes : int;
-      (** a complete pooled redistribution, for the compression ratio *)
   unchanged_hosts : int;
 }
 
 val plan : installed:tables -> San_routing.Routes.t -> plan
+(** Compare the table with [installed], each pair once, with an
+    allocation-free turn-list equality; only a new or changed slice
+    reads its fresh row again to sum its naive size. Builds no pool. *)
+
+val packed_full_bytes : San_routing.Routes.t -> int
+(** A complete redistribution of the table under
+    {!San_routing.Serve.Pool} shared-suffix compression: per host
+    slice, its routes interned reversed (so one source's common
+    up-phase prefixes collapse) — what a pool-aware interface would be
+    shipped instead of {!plan}'s [full_bytes]. Each slice is never
+    larger than its naive cost: a header bit selects the naive
+    encoding when the slice is too small for pooling to pay. Computed
+    on demand, one pool per host; no plan or ledger keeps it. *)
 
 (** {1 Distribution} *)
 

@@ -1,6 +1,6 @@
 (* The reference the dense delta planner is tested against: the
    ledger as a string Map of string Maps, rebuilt per epoch with one
-   add per pair, every slice pooled afresh and the missed owners
+   add per pair, every slice summed afresh and the missed owners
    searched with List.mem — kept literally as it was before the ledger
    moved to name-sorted dense rows. Same planning and distribution
    interface as [San_service.Delta] (its own [tables]); the
@@ -49,14 +49,12 @@ type slice = Delta.slice = {
   kind : kind;
   bytes : int;
   full_bytes : int;
-  packed_bytes : int;
 }
 
 type plan = Delta.plan = {
   slices : slice list;
   delta_bytes : int;
   full_bytes : int;
-  packed_full_bytes : int;
   unchanged_hosts : int;
 }
 
@@ -79,13 +77,21 @@ let packed_slice_bytes ~full_bytes fresh_slice =
   min full_bytes
     (delta_header_bytes + San_routing.Serve.Pool.packed_bytes pool)
 
+let slice_full_bytes fresh_slice =
+  Smap.fold (fun _ turns acc -> acc + D.entry_bytes turns) fresh_slice 0
+
+(* A complete pooled redistribution of the table. *)
+let packed_full_bytes table =
+  Smap.fold
+    (fun _ fresh_slice acc ->
+      let full_bytes = slice_full_bytes fresh_slice in
+      acc + packed_slice_bytes ~full_bytes fresh_slice)
+    (of_routes table) 0
+
 let slice_of_host ~installed owner fresh_slice =
-  let full_bytes =
-    Smap.fold (fun _ turns acc -> acc + D.entry_bytes turns) fresh_slice 0
-  in
-  let packed_bytes = packed_slice_bytes ~full_bytes fresh_slice in
+  let full_bytes = slice_full_bytes fresh_slice in
   match Smap.find_opt owner installed with
-  | None -> { owner; kind = Full; bytes = full_bytes; full_bytes; packed_bytes }
+  | None -> { owner; kind = Full; bytes = full_bytes; full_bytes }
   | Some old_slice ->
     let changed, changed_bytes =
       Smap.fold
@@ -101,20 +107,19 @@ let slice_of_host ~installed owner fresh_slice =
         old_slice 0
     in
     if changed = 0 && removed = 0 then
-      { owner; kind = Unchanged; bytes = 0; full_bytes; packed_bytes }
+      { owner; kind = Unchanged; bytes = 0; full_bytes }
     else
       let delta_bytes =
         delta_header_bytes + changed_bytes + (removed * tombstone_bytes)
       in
       if delta_bytes >= full_bytes then
-        { owner; kind = Full; bytes = full_bytes; full_bytes; packed_bytes }
+        { owner; kind = Full; bytes = full_bytes; full_bytes }
       else
         {
           owner;
           kind = Delta { changed; removed };
           bytes = delta_bytes;
           full_bytes;
-          packed_bytes;
         }
 
 let plan_fresh ~installed fresh =
@@ -127,8 +132,6 @@ let plan_fresh ~installed fresh =
     slices;
     delta_bytes = List.fold_left (fun a s -> a + s.bytes) 0 slices;
     full_bytes = List.fold_left (fun a (s : slice) -> a + s.full_bytes) 0 slices;
-    packed_full_bytes =
-      List.fold_left (fun a (s : slice) -> a + s.packed_bytes) 0 slices;
     unchanged_hosts =
       List.length (List.filter (fun s -> s.kind = Unchanged) slices);
   }

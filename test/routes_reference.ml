@@ -18,8 +18,8 @@ type t = {
   routes : San_simnet.Route.t option array;
 }
 
-let compute g =
-  let pt = Paths.compute (Updown.build g) in
+let compute ?root ?labeling g =
+  let pt = Paths.compute (Updown.build ?root ?labeling g) in
   let hosts = Array.of_list (Graph.hosts g) in
   let nh = Array.length hosts in
   let host_slot = Array.make (Graph.num_nodes g) (-1) in

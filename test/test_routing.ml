@@ -355,8 +355,9 @@ let test_route_into_zero_alloc () =
    reference: every route and unreachable pair in (src, dst) order,
    [iter]'s visiting order, and [route] on every node pair, switches
    and ids just outside the graph included. *)
-let agrees_with_reference what g =
-  let table = Routes.compute g and reference = Routes_reference.compute g in
+let agrees_with_reference ?root ?labeling what g =
+  let table = Routes.compute ?root ?labeling g
+  and reference = Routes_reference.compute ?root ?labeling g in
   let all = Routes_reference.all reference in
   if Routes.all table <> all then Alcotest.failf "%s: all differs" what;
   if Routes.unreachable_pairs table <> Routes_reference.unreachable_pairs reference
@@ -375,6 +376,56 @@ let agrees_with_reference what g =
 let test_reference_presets () =
   agrees_with_reference "now-cab" (fst (Generators.now_cab ()));
   agrees_with_reference "ft-100" (fabric "ft-100")
+
+(* Destinations that are not behind a switch take their own BFS: a
+   host-rooted order (the root's cable is an up move toward it), a
+   host cabled to a host and an unwired host; plus DFS labellings and
+   a cable from a switch to itself. *)
+let test_reference_anchors () =
+  let g = fabric "ft-100" in
+  let root = List.hd (Graph.hosts g) in
+  let other = List.nth (Graph.hosts g) 1 in
+  let pt = Paths.compute (Updown.build ~root g) in
+  Alcotest.(check int) "the root host is its own anchor" root (Paths.anchor pt root);
+  Alcotest.(check int) "another host hangs off its switch"
+    (fst (Option.get (Graph.peer g other 0)))
+    (Paths.anchor pt other);
+  agrees_with_reference ~root "ft-100 from a host root" g;
+  agrees_with_reference ~labeling:Updown.Dfs "now-cab dfs"
+    (fst (Generators.now_cab ()));
+  agrees_with_reference ~labeling:Updown.Dfs "ft-100 dfs" g;
+  let g = Graph.create ~radix:8 () in
+  let sw =
+    Array.init 3 (fun i -> Graph.add_switch g ~name:(Printf.sprintf "s%d" i) ())
+  in
+  let host name (s, p) =
+    let h = Graph.add_host g ~name in
+    Graph.connect g (h, 0) (sw.(s), p);
+    h
+  in
+  let a = host "a" (0, 0) and b = host "b" (0, 1) and c = host "c" (1, 0) in
+  let d = host "d" (2, 0) and e = host "e" (2, 7) in
+  Graph.connect g (sw.(0), 4) (sw.(1), 4);
+  Graph.connect g (sw.(0), 5) (sw.(1), 6);
+  Graph.connect g (sw.(1), 5) (sw.(2), 2);
+  Graph.connect g (sw.(2), 3) (sw.(2), 5);
+  let x = Graph.add_host g ~name:"x" and y = Graph.add_host g ~name:"y" in
+  Graph.connect g (x, 0) (y, 0);
+  let u = Graph.add_host g ~name:"u" in
+  let pt = Paths.compute (Updown.build g) in
+  List.iter
+    (fun h ->
+      Alcotest.(check int)
+        (Graph.name g h ^ " is its own anchor")
+        h (Paths.anchor pt h))
+    [ x; y; u ];
+  List.iter
+    (fun h ->
+      Alcotest.(check bool) (Graph.name g h ^ " hangs off a switch") true
+        (Paths.anchor pt h <> h))
+    [ a; b; c; d; e ];
+  agrees_with_reference "hand-built corners" g;
+  agrees_with_reference ~labeling:Updown.Dfs "hand-built corners dfs" g
 
 (* The converge-ft400 incident's two epoch maps: the cold fabric, then
    the world after the schedule's seeded cut. *)
@@ -727,6 +778,8 @@ let () =
           Alcotest.test_case "dense table edges" `Quick test_dense_table_edges;
           Alcotest.test_case "suffix compiler: presets" `Quick
             test_reference_presets;
+          Alcotest.test_case "suffix compiler: anchors and fallbacks" `Quick
+            test_reference_anchors;
           Alcotest.test_case "suffix compiler: converge-ft400 epochs" `Slow
             test_reference_converge;
           Alcotest.test_case "suffix compiler: fuzz campaign" `Quick

@@ -107,12 +107,15 @@ let test_delta_distribute_advances_ledger () =
 module Ref = Delta_reference
 
 (* One epoch through both planners on one input: every slice (owner,
-   kind, bytes, full and packed bytes), the plan totals, the report and
-   [entries_for] on every host of the advanced ledger must agree.
-   Returns both advanced ledgers, for the next epoch. *)
+   kind, bytes, full bytes), the plan totals, the pooled
+   redistribution figure, the report and [entries_for] on every host
+   of the advanced ledger must agree. Returns both advanced ledgers,
+   for the next epoch. *)
 let agree what (mine, theirs) table ~actual ~leader =
   let p = Delta.plan ~installed:mine table
   and rp = Ref.plan ~installed:theirs table in
+  Alcotest.(check int) (what ^ ": packed full bytes")
+    (Ref.packed_full_bytes table) (Delta.packed_full_bytes table);
   Alcotest.(check int) (what ^ ": slices") (List.length rp.Delta.slices)
     (List.length p.Delta.slices);
   List.iter2
@@ -165,7 +168,7 @@ let cut_chain what g ~k =
     let g' = Faults.remove_link g e in
     let table' = table_of g' in
     ignore (agree (what ^ " cut") l table' ~actual:g' ~leader);
-    (* against a ledger built whole, whose rows know no pooled size *)
+    (* against a ledger built whole by [of_routes] *)
     ignore
       (agree (what ^ " cut, whole ledger")
          (Delta.of_routes table, Ref.of_routes table)
@@ -187,25 +190,28 @@ let test_delta_reference_presets () =
       ("ft-100", fabric "ft-100" ~seed:1);
     ]
 
-(* The converge-ft400 incident's two epochs: the cold start, then the
+(* The converge-ft400 incident's two epochs: the cold world, then the
    world after the schedule's seeded cut, with the daemon's leader
-   rule (highest-address responding host). *)
-let test_delta_reference_converge () =
+   rule (highest-address responding host), and the leader's name. *)
+let converge_epochs seed =
   let schedule = Result.get_ok (Schedule.parse "1:cut") in
+  let world = World.create (fabric "levels=3,radix=16,edge=50,hosts=8" ~seed) in
+  let rng = San_util.Prng.create seed in
+  ignore (Schedule.apply schedule world ~rng ~leader:"" ~epoch:0);
+  let g0 = World.graph world in
+  let leader_name = Graph.name g0 (last_host g0) in
+  ignore (Schedule.apply schedule world ~rng ~leader:leader_name ~epoch:1);
+  (g0, World.graph world, leader_name)
+
+let test_delta_reference_converge () =
   List.iter
     (fun seed ->
-      let world = World.create (fabric "levels=3,radix=16,edge=50,hosts=8" ~seed) in
-      let rng = San_util.Prng.create seed in
-      ignore (Schedule.apply schedule world ~rng ~leader:"" ~epoch:0);
-      let g0 = World.graph world in
-      let leader_name = Graph.name g0 (last_host g0) in
+      let g0, g1, leader_name = converge_epochs seed in
       let l =
         agree
           (Printf.sprintf "converge seed %d epoch 0" seed)
           cold (table_of g0) ~actual:g0 ~leader:(last_host g0)
       in
-      ignore (Schedule.apply schedule world ~rng ~leader:leader_name ~epoch:1);
-      let g1 = World.graph world in
       ignore
         (agree
            (Printf.sprintf "converge seed %d epoch 1" seed)
@@ -302,11 +308,11 @@ let test_delta_reference_fuzz () =
   done
 
 (* Planning a table against the ledger its own distribution advanced:
-   every slice is unchanged and takes its pooled size from the
-   installed row, so no pool is built and nothing is allocated per
-   entry: about 38 words per host (view, counters, slice records),
-   where ft-100 holds 99 entries per host and one pooled slice alone
-   allocates thousands of words. *)
+   every slice is unchanged and takes its naive size from the
+   installed row, so nothing is allocated per entry: about 38 words
+   per host (view, counters, slice records), where ft-100 holds 99
+   entries per host and one pooled slice alone allocates thousands of
+   words. *)
 let test_delta_plan_alloc () =
   let g = fabric "ft-100" ~seed:1 in
   let table = table_of g in
@@ -326,6 +332,33 @@ let test_delta_plan_alloc () =
   Alcotest.(check bool)
     (Printf.sprintf "%.1f words per host" per_host)
     true (per_host <= 48.0)
+
+(* The incident's plan: converge-ft400's epoch-1 table (seed 1) over
+   the epoch-0 ledger, with changed and unchanged slices alike. The
+   scan compares each pair without a closure or a list, and a changed
+   slice only re-reads its fresh row, so the plan builds no pool and no
+   per-route list: at most 40 words per host (measured 35.9), where
+   the host's 399 routes alone would take at least 800 words to copy
+   and one pooled slice thousands. *)
+let test_delta_incident_alloc () =
+  let g0, g1, leader_name = converge_epochs 1 in
+  let rep =
+    Result.get_ok
+      (Delta.distribute ~installed:Delta.empty (table_of g0) ~actual:g0
+         ~leader:(Option.get (Graph.host_by_name g0 leader_name)))
+  in
+  let installed = rep.Delta.installed and table = table_of g1 in
+  let w = [| 0.0; 0.0 |] in
+  w.(0) <- Gc.minor_words ();
+  let p = Delta.plan ~installed table in
+  w.(1) <- Gc.minor_words ();
+  let hosts = Graph.num_hosts g1 in
+  Alcotest.(check bool) "some slices changed, most did not" true
+    (p.Delta.unchanged_hosts > hosts / 2 && p.Delta.unchanged_hosts < hosts);
+  let per_host = (w.(1) -. w.(0)) /. float_of_int hosts in
+  Alcotest.(check bool)
+    (Printf.sprintf "%.1f words per host" per_host)
+    true (per_host <= 40.0)
 
 (* ---------- the acceptance scenario ---------- *)
 
@@ -480,6 +513,8 @@ let () =
           Alcotest.test_case "fuzz campaign" `Quick test_delta_reference_fuzz;
           Alcotest.test_case "replanning allocates per host only" `Quick
             test_delta_plan_alloc;
+          Alcotest.test_case "the incident's plan builds no pool or list" `Slow
+            test_delta_incident_alloc;
         ] );
       ( "daemon",
         [
