@@ -145,9 +145,6 @@ let run ?(config = default_config) ?(schedule = Schedule.empty)
       match config.flight_dir with
       | None -> ()
       | Some dir ->
-        (try
-           if not (Sys.file_exists dir) then Unix.mkdir dir 0o755
-         with Unix.Unix_error _ | Sys_error _ -> ());
         ignore
           (San_why.Flight.write ~path:(Filename.concat dir name) ~note ?epoch
              ())

@@ -1,6 +1,12 @@
 module J = San_util.Json
 module Trace = San_obs.Trace
 
+let rec mkdir_p dir =
+  if not (Sys.file_exists dir) then begin
+    mkdir_p (Filename.dirname dir);
+    try Unix.mkdir dir 0o755 with Unix.Unix_error (Unix.EEXIST, _, _) -> ()
+  end
+
 let write ?(ledger_tail = 512) ~path ~note ?epoch () =
   let records = Trace.records San_obs.Obs.tracer in
   let snap = Why.capture () in
@@ -20,6 +26,7 @@ let write ?(ledger_tail = 512) ~path ~note ?epoch () =
   in
   let tmp = path ^ ".tmp" in
   try
+    mkdir_p (Filename.dirname path);
     let oc = open_out tmp in
     Fun.protect
       ~finally:(fun () -> close_out_noerr oc)

@@ -20,7 +20,7 @@ val write :
   unit ->
   (unit, string) result
 (** Serialize the current trace ring and ledger tail (default last 512
-    entries) to [path]. *)
+    entries) to [path], creating its missing parent directories. *)
 
 val install_fatal : (note:string -> unit) -> unit
 (** Register the process-wide fatal hook (the daemon and the CLI point

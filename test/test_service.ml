@@ -470,6 +470,44 @@ let test_daemon_quiet_run_never_redistributes () =
           true (r.Daemon.dist = None))
     o.Daemon.reports
 
+(* The flight directory may be nested and missing: the recorder
+   creates it, so a daemon driven into Degraded still leaves a
+   recording that the postmortem reader parses. *)
+let test_daemon_flight_nested_dir () =
+  let dir =
+    List.fold_left Filename.concat (Filename.get_temp_dir_name ())
+      [ Printf.sprintf "san_service_test_%d" (Unix.getpid ()); "flights"; "star" ]
+  in
+  Alcotest.(check bool) "directory starts missing" false (Sys.file_exists dir);
+  let g = Generators.star ~leaves:3 () in
+  let schedule =
+    Result.get_ok (Schedule.parse "2:kill-leader,3:kill-leader,4:kill-leader")
+  in
+  let config = { Daemon.default_config with Daemon.flight_dir = Some dir } in
+  San_obs.Obs.set_enabled true;
+  San_obs.Obs.reset ();
+  let o =
+    Fun.protect
+      ~finally:(fun () -> San_obs.Obs.set_enabled false)
+      (fun () -> Result.get_ok (Daemon.run ~config ~schedule ~epochs:6 g))
+  in
+  Alcotest.(check bool) "parked degraded" true
+    (o.Daemon.final_phase = Daemon.Degraded);
+  let flights =
+    List.filter
+      (fun f -> f <> "flight-final.jsonl")
+      (Array.to_list (Sys.readdir dir))
+  in
+  Alcotest.(check bool) "a degraded-transition flight exists" true
+    (flights <> []);
+  match San_why.Postmortem.read (Filename.concat dir (List.hd flights)) with
+  | Error e -> Alcotest.fail e
+  | Ok pm ->
+    Alcotest.(check bool) "the timeline reaches degraded" true
+      (List.exists
+         (fun l -> Astring.String.is_infix ~affix:"-> degraded" l)
+         (San_why.Postmortem.timeline pm))
+
 let test_daemon_rejects_hostless_net () =
   let g = Graph.create () in
   ignore (Graph.add_switch g ());
@@ -527,6 +565,8 @@ let () =
             test_daemon_reelects_on_leader_death;
           Alcotest.test_case "quiet run" `Quick
             test_daemon_quiet_run_never_redistributes;
+          Alcotest.test_case "flight recording in a nested missing directory"
+            `Quick test_daemon_flight_nested_dir;
           Alcotest.test_case "rejects hostless net" `Quick
             test_daemon_rejects_hostless_net;
         ] );
