@@ -10,11 +10,12 @@ build:
 test:
 	dune runtest
 
-# What CI runs: a full build plus the test suites and the telemetry
-# smoke (dashboard, chrome trace, prometheus exposition).
+# What CI runs: a full build, the test suites and every smoke target
+# below.
 check:
 	dune build @all
 	dune runtest
+	$(MAKE) bench-smoke
 	$(MAKE) health-smoke
 	$(MAKE) explain-smoke
 	$(MAKE) fuzz-smoke

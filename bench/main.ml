@@ -5,98 +5,243 @@
    micro-benchmark section (one Test.make per experiment).
 
    Usage: dune exec bench/main.exe [-- --only fig6,fig10] [--runs N]
-          [--no-bechamel] [--fast]                                      *)
+          [--no-bechamel] [--fast] [--scale-100k] [--csv DIR]
+
+   Each section returns its results as rows of cells. The printed
+   tables, the BENCH_obs.json entries and the CSV files are all read
+   from those rows, and the baseline gates compare single cells with
+   recorded files.                                                      *)
 
 open San_topology
 open San_simnet
 open San_mapper
 module T = San_util.Tablefmt
+module J = San_util.Json
 
-let runs = ref 20
-let fast = ref false
-let with_bechamel = ref true
-let only : string list ref = ref []
-let csv_dir : string option ref = ref None
+type config = {
+  runs : int;  (** Figure 7's runs per system outside [fast] *)
+  fast : bool;
+  bechamel : bool;
+  only : string list;  (** sections to run; [] runs them all *)
+  csv_dir : string option;
+  scale_100k : bool;
+}
 
-let write_csv name header rows =
-  match !csv_dir with
-  | None -> ()
-  | Some dir ->
-    (try Unix.mkdir dir 0o755 with Unix.Unix_error (Unix.EEXIST, _, _) -> ());
-    let path = Filename.concat dir (name ^ ".csv") in
-    let oc = open_out path in
-    Fun.protect
-      ~finally:(fun () -> close_out oc)
-      (fun () ->
-        output_string oc (String.concat "," header ^ "\n");
-        List.iter
-          (fun row -> output_string oc (String.concat "," row ^ "\n"))
-          rows);
-    Printf.printf "(wrote %s)\n" path
+(* ------------------------------------------------------------------ *)
+(* Result rows                                                          *)
 
-let wants section =
-  match !only with [] -> true | l -> List.mem section l
+(* One result: a table column when it has a [head], a BENCH_obs.json
+   field and CSV column when it has a [key]. [text] is its printed
+   form, [json] its exported value. *)
+type cell = {
+  head : string option;
+  key : string option;
+  text : string;
+  json : J.t;
+}
 
-(* Set by any section whose hard gate fails; the process exits 1. *)
-let gate_failed = ref false
+let cell ?head ?key text json = { head; key; text; json }
+let int ?head ?key n = cell ?head ?key (string_of_int n) (J.int n)
+let num ?head ?key fmt x = cell ?head ?key (Printf.sprintf fmt x) (J.Num x)
+let str ?head ?key s = cell ?head ?key s (J.Str s)
 
-(* Per-section metrics snapshots (the global registry is reset around
-   each section), exported as BENCH_obs.json so the perf trajectory is
-   machine-readable alongside the printed tables. *)
-let obs_sections : (string * San_util.Json.t) list ref = ref []
+let flag ?head ?key ?(yes = "yes") ?(no = "NO") b =
+  cell ?head ?key (if b then yes else no) (J.Bool b)
 
-let section name ~when_ f =
-  if when_ then begin
-    San_obs.Obs.reset ();
-    let t0 = Unix.gettimeofday () in
-    f ();
-    let wall_s = Unix.gettimeofday () -. t0 in
-    let j =
-      match
-        San_obs.Metrics.to_json
-          (San_obs.Metrics.snapshot San_obs.Obs.registry)
-      with
-      | San_util.Json.Obj fields ->
-        San_util.Json.Obj (("wall_s", San_util.Json.Num wall_s) :: fields)
-      | j -> j
-    in
-    obs_sections := (name, j) :: !obs_sections
-  end
+(* [at] is where the row's keyed cells go in the section's
+   BENCH_obs.json entry; a row without one is only printed and written
+   as CSV. A row with no headed cell is not printed. *)
+type row = { at : string list option; cells : cell list }
 
-let git_commit () =
-  try
-    let ic = Unix.open_process_in "git rev-parse --short HEAD 2>/dev/null" in
-    let line = try input_line ic with End_of_file -> "unknown" in
-    (match Unix.close_process_in ic with
-    | Unix.WEXITED 0 -> line
-    | _ -> "unknown")
-  with _ -> "unknown"
+let row ?at cells = { at; cells }
 
-let iso8601 t =
-  let tm = Unix.gmtime t in
-  Printf.sprintf "%04d-%02d-%02dT%02d:%02d:%02dZ" (tm.Unix.tm_year + 1900)
-    (tm.Unix.tm_mon + 1) tm.Unix.tm_mday tm.Unix.tm_hour tm.Unix.tm_min
-    tm.Unix.tm_sec
+let strings header =
+  List.map (fun texts ->
+      row (List.mapi (fun i s -> str ~head:(List.nth header i) s) texts))
 
-(* Versioned envelope so downstream tooling can diff BENCH_obs.json
-   across commits without sniffing its shape. Bump [version] on any
-   section-layout change. *)
-let write_obs () =
-  let module J = San_util.Json in
-  let j =
-    J.Obj
-      [
-        ("version", J.Num 1.0);
-        ("commit", J.Str (git_commit ()));
-        ("timestamp", J.Str (iso8601 (Unix.gettimeofday ())));
-        ("sections", J.Obj (List.rev !obs_sections));
-      ]
+(* A baseline gate: the cell [key] of the row at [at] must stay within
+   [band] of the number at the key path [base] of the JSON file [file].
+   A missing or unreadable baseline fails the gate. *)
+type band =
+  | Floor of float  (** at least this multiple of the baseline *)
+  | Ceiling of float  (** at most this multiple of the baseline *)
+  | Within of float  (** within this absolute distance of it *)
+
+type gate = {
+  g_at : string list;
+  g_key : string;
+  g_file : string;
+  g_base : string list;
+  g_band : band;
+}
+
+let gate ~file ~base band at key =
+  { g_at = at; g_key = key; g_file = file; g_base = base; g_band = band }
+
+type table = {
+  title : string;
+  rows : row list;
+  notes : string list;  (** printed under the table *)
+  levels : string list;  (** names of the rows' [at] levels *)
+  csv : string list;  (** keys written after the levels to DIR/SECTION.csv *)
+  gates : gate list;
+}
+
+type block =
+  | Table of table
+  | Line of string
+  | Data of row list  (** exported, never printed *)
+
+let table ?(notes = []) ?(levels = []) ?(csv = []) ?(gates = []) title rows =
+  Table { title; rows; notes; levels; csv; gates }
+
+(* What a section returns: its output in print order, and the checks it
+   failed beyond its baseline gates. *)
+type out = { blocks : block list; failures : string list }
+
+let tables blocks = { blocks; failures = [] }
+
+(* ------------------------------------------------------------------ *)
+(* Rendering, CSV and gates                                             *)
+
+let keyed k r = List.find_opt (fun c -> c.key = Some k) r.cells
+
+let print_table t =
+  let shown r = List.filter (fun c -> c.head <> None) r.cells in
+  let widest =
+    List.fold_left
+      (fun h r -> if List.length (shown r) > List.length h then shown r else h)
+      [] t.rows
   in
-  let oc = open_out "BENCH_obs.json" in
-  output_string oc (J.to_string j);
-  output_char oc '\n';
-  close_out oc;
-  Printf.printf "(wrote BENCH_obs.json)\n"
+  let tb = T.create ~header:(List.filter_map (fun c -> c.head) widest) in
+  List.iter
+    (fun r ->
+      match shown r with
+      | [] -> ()
+      | cs -> T.add_row tb (List.map (fun c -> c.text) cs))
+    t.rows;
+  T.print ~title:t.title tb;
+  List.iter print_endline t.notes
+
+let write_csv dir name t =
+  (try Unix.mkdir dir 0o755 with Unix.Unix_error (Unix.EEXIST, _, _) -> ());
+  let path = Filename.concat dir (name ^ ".csv") in
+  let line r =
+    (if t.levels = [] then [] else Option.get r.at)
+    @ List.map
+        (fun k -> Option.fold ~none:"" ~some:(fun c -> c.text) (keyed k r))
+        t.csv
+  in
+  Out_channel.with_open_text path (fun oc ->
+      List.iter
+        (fun l -> output_string oc (String.concat "," l ^ "\n"))
+        ((t.levels @ t.csv) :: List.map line t.rows));
+  Printf.printf "(wrote %s)\n" path
+
+let read_json path =
+  match In_channel.with_open_bin path In_channel.input_all with
+  | s -> J.of_string s
+  | exception Sys_error e -> Error e
+
+let number path j =
+  match List.fold_left (fun j k -> Option.bind j (J.member k)) (Some j) path with
+  | Some (J.Num f) -> Some f
+  | _ -> None
+
+(* [None] when [g] holds over [rows], else why it does not. *)
+let check_gate rows g =
+  let dotted = String.concat "." in
+  let what = dotted (g.g_at @ [ g.g_key ]) in
+  let current =
+    List.find_map
+      (fun r ->
+        if r.at <> Some g.g_at then None
+        else
+          match keyed g.g_key r with
+          | Some { json = J.Num f; _ } -> Some f
+          | _ -> None)
+      rows
+  in
+  match (current, read_json g.g_file) with
+  | None, _ -> Some (Printf.sprintf "no %s in the results" what)
+  | _, Error e -> Some (Printf.sprintf "cannot read baseline %s: %s" g.g_file e)
+  | Some cur, Ok j -> (
+    match number g.g_base j with
+    | None ->
+      Some (Printf.sprintf "no number %s in %s" (dotted g.g_base) g.g_file)
+    | Some base ->
+      let ok, bound =
+        match g.g_band with
+        | Floor r -> (cur >= base *. r, Printf.sprintf "under %gx" r)
+        | Ceiling r -> (cur <= base *. r, Printf.sprintf "over %gx" r)
+        | Within d ->
+          (Float.abs (cur -. base) <= d, Printf.sprintf "more than %g from" d)
+      in
+      if ok then None
+      else
+        Some
+          (Printf.sprintf "%s %g is %s the baseline %g (%s)" what cur bound base
+             g.g_file))
+
+let check_gates name t =
+  let failed =
+    List.sort_uniq compare (List.filter_map (check_gate t.rows) t.gates)
+  in
+  List.iter (Printf.printf "%s gate FAILED: %s\n" name) failed;
+  let points = List.sort_uniq compare (List.map (fun g -> g.g_at) t.gates) in
+  if points <> [] && failed = [] then
+    Printf.printf "%s gate ok: %d %s point%s within the baseline bands\n" name
+      (List.length points) (String.concat "/" t.levels)
+      (if List.length points = 1 then "" else "s");
+  failed
+
+let emit cfg name = function
+  | Line l ->
+    print_endline l;
+    []
+  | Data _ -> []
+  | Table t ->
+    print_table t;
+    (match cfg.csv_dir with
+    | Some dir when t.csv <> [] -> write_csv dir name t
+    | _ -> ());
+    check_gates name t
+
+(* The rows' keyed cells as one JSON object, nested along their [at]. *)
+let rows_json rows =
+  let rec put at fields o =
+    match at with
+    | [] -> o @ fields
+    | k :: rest ->
+      let sub = match List.assoc_opt k o with Some (J.Obj l) -> l | _ -> [] in
+      let v = J.Obj (put rest fields sub) in
+      if List.mem_assoc k o then
+        List.map (fun (k', v') -> (k', if k = k' then v else v')) o
+      else o @ [ (k, v) ]
+  in
+  let fields r =
+    List.filter_map (fun c -> Option.map (fun k -> (k, c.json)) c.key) r.cells
+  in
+  List.fold_left
+    (fun o r -> match r.at with None -> o | Some at -> put at (fields r) o)
+    [] rows
+
+let now = Unix.gettimeofday
+
+(* Best-of-[n] host wall seconds of each thunk. The thunks run
+   round-robin, so slow drifts in machine load hit them alike, and
+   best-of filters one unlucky scheduler hiccup. *)
+let best_of n fs =
+  let best = Array.map (fun _ -> infinity) fs in
+  for _ = 1 to n do
+    Array.iteri
+      (fun i f ->
+        let t0 = now () in
+        f ();
+        best.(i) <- Float.min best.(i) (now () -. t0))
+      fs
+  done;
+  best
 
 let fmt_ms ns = Printf.sprintf "%.0f" (ns /. 1e6)
 let fmt_pct x = Printf.sprintf "%.0f%%" (100.0 *. x)
@@ -110,204 +255,216 @@ let systems () =
     ("C+A+B", fst (Generators.now_cab ()));
   ]
 
+(* [map] checked against the network [g], or with [~core] against its
+   core N - F (Theorem 1): all that anonymous switches let a mapper see. *)
+let iso ?(core = false) g map =
+  Iso.check ~map ~actual:g
+    ?exclude:(if core then Some (Core_set.separated_set g) else None)
+    ()
+
+let verdict ?core ?(ok = "correct") ?(bad = fun _ -> "WRONG")
+    ?(failed = "failed: ") g = function
+  | Ok m -> if Result.is_ok (iso ?core g m) then ok else bad m
+  | Error e -> failed ^ e
+
+let stats m = Format.asprintf "%a" Graph.pp_stats m
+
+(* The Berkeley mapper run from the NOW's utility host. *)
+let map_now ?policy ?record_trace g =
+  Berkeley.run ?policy ?record_trace (Network.create g)
+    ~mapper:(mapper_of g "C-util")
+
+(* A San_fabric preset built at seed 1, its first host as the mapper,
+   and the generator's suggested depth. *)
+let preset name =
+  let p = Option.get (San_fabric.Fabric.find_preset name) in
+  let g = p.San_fabric.Fabric.p_build ~seed:1 in
+  (g, List.hd (Graph.hosts g), Option.get p.San_fabric.Fabric.p_depth)
+
 (* ------------------------------------------------------------------ *)
 (* Figure 3: subcluster components                                      *)
 
-let fig3 () =
-  let t =
-    T.create
-      ~header:
-        [ "subcluster"; "interfaces"; "paper"; "switches"; "paper"; "links"; "paper" ]
-  in
-  List.iter
-    (fun (name, spec, (ph, ps, pl)) ->
-      let g, _ = Generators.subcluster spec in
-      T.add_row t
-        [
-          name;
-          string_of_int (Graph.num_hosts g);
-          string_of_int ph;
-          string_of_int (Graph.num_switches g);
-          string_of_int ps;
-          string_of_int (Graph.num_wires g);
-          string_of_int pl;
-        ])
+let fig3 _ =
+  tables
     [
-      ("A", Generators.spec_a, (34, 13, 64));
-      ("B", Generators.spec_b, (30, 14, 65));
-      ("C", Generators.spec_c, (36, 13, 64));
-    ];
-  T.print ~title:"Figure 3 — A, B, C subcluster components" t
+      table "Figure 3 — A, B, C subcluster components"
+        (strings
+           [ "subcluster"; "interfaces"; "paper"; "switches"; "paper"; "links";
+             "paper" ]
+           (List.map
+              (fun (name, spec, (ph, ps, pl)) ->
+                let g, _ = Generators.subcluster spec in
+                name
+                :: List.map string_of_int
+                     [ Graph.num_hosts g; ph; Graph.num_switches g; ps;
+                       Graph.num_wires g; pl ])
+              [
+                ("A", Generators.spec_a, (34, 13, 64));
+                ("B", Generators.spec_b, (30, 14, 65));
+                ("C", Generators.spec_c, (36, 13, 64));
+              ]));
+    ]
 
 (* ------------------------------------------------------------------ *)
 (* Figures 4 & 5: the maps themselves                                   *)
 
-let fig45 () =
-  let t =
-    T.create
-      ~header:
-        [ "figure"; "network"; "mapped"; "explorations"; "verified" ]
-  in
+let fig45 _ =
   let one fig name g =
-    let net = Network.create g in
-    let r = Berkeley.run net ~mapper:(mapper_of g "C-util") in
+    let r = map_now g in
     let mapped, verified =
       match r.Berkeley.map with
       | Error e -> ("-", "export failed: " ^ e)
       | Ok m ->
-        ( Format.asprintf "%a" Graph.pp_stats m,
-          match Iso.check ~map:m ~actual:g ~exclude:(Core_set.separated_set g) () with
+        ( stats m,
+          match iso ~core:true g m with
           | Ok () -> "isomorphic to N - F"
           | Error e -> "MISMATCH " ^ e )
     in
-    T.add_row t [ fig; name; mapped; string_of_int r.Berkeley.explorations; verified ]
+    [ fig; name; mapped; string_of_int r.Berkeley.explorations; verified ]
   in
-  one "fig 4" "C subcluster" (fst (Generators.now_c ()));
-  one "fig 5" "100-node NOW" (fst (Generators.now_cab ()));
-  T.print ~title:"Figures 4 & 5 — automatically generated maps (DOT via examples/now_cluster.exe)" t
+  tables
+    [
+      table
+        "Figures 4 & 5 — automatically generated maps (DOT via \
+         examples/now_cluster.exe)"
+        (strings
+           [ "figure"; "network"; "mapped"; "explorations"; "verified" ]
+           [
+             one "fig 4" "C subcluster" (fst (Generators.now_c ()));
+             one "fig 5" "100-node NOW" (fst (Generators.now_cab ()));
+           ]);
+    ]
 
 (* ------------------------------------------------------------------ *)
 (* Figure 6: probe counts and hit ratios                                *)
 
-let fig6 () =
+let fig6 _ =
   let paper =
     [ ("C", (200, 107, 250, 157)); ("C+A", (412, 216, 491, 295));
       ("C+A+B", (804, 324, 1207, 727)) ]
   in
-  let t =
-    T.create
-      ~header:
-        [ "system"; "host"; "hits"; "ratio"; "paper";
-          "switch"; "hits"; "ratio"; "paper" ]
+  let ratio hits probes =
+    fmt_pct (float_of_int hits /. float_of_int (max 1 probes))
   in
-  List.iter
-    (fun (name, g) ->
-      let net = Network.create g in
-      let r = Berkeley.run net ~mapper:(mapper_of g "C-util") in
-      let ph, phh, ps, psh = List.assoc name paper in
-      T.add_row t
-        [
-          name;
-          string_of_int r.Berkeley.host_probes;
-          string_of_int r.Berkeley.host_hits;
-          fmt_pct
-            (float_of_int r.Berkeley.host_hits
-            /. float_of_int (max 1 r.Berkeley.host_probes));
-          Printf.sprintf "%d/%d (%d%%)" ph phh (100 * phh / ph);
-          string_of_int r.Berkeley.switch_probes;
-          string_of_int r.Berkeley.switch_hits;
-          fmt_pct
-            (float_of_int r.Berkeley.switch_hits
-            /. float_of_int (max 1 r.Berkeley.switch_probes));
-          Printf.sprintf "%d/%d (%d%%)" ps psh (100 * psh / ps);
-        ])
-    (systems ());
-  T.print ~title:"Figure 6 — host and switch probe message hit ratios" t
+  tables
+    [
+      table "Figure 6 — host and switch probe message hit ratios"
+        (strings
+           [ "system"; "host"; "hits"; "ratio"; "paper";
+             "switch"; "hits"; "ratio"; "paper" ]
+           (List.map
+              (fun (name, g) ->
+                let r = map_now g in
+                let ph, phh, ps, psh = List.assoc name paper in
+                [
+                  name;
+                  string_of_int r.Berkeley.host_probes;
+                  string_of_int r.Berkeley.host_hits;
+                  ratio r.Berkeley.host_hits r.Berkeley.host_probes;
+                  Printf.sprintf "%d/%d (%d%%)" ph phh (100 * phh / ph);
+                  string_of_int r.Berkeley.switch_probes;
+                  string_of_int r.Berkeley.switch_hits;
+                  ratio r.Berkeley.switch_hits r.Berkeley.switch_probes;
+                  Printf.sprintf "%d/%d (%d%%)" ps psh (100 * psh / ps);
+                ])
+              (systems ())));
+    ]
 
 (* ------------------------------------------------------------------ *)
 (* Figure 7: mapping times, master vs election                          *)
 
-let fig7 () =
-  let n = if !fast then 6 else !runs in
+let fig7 cfg =
+  let n = if cfg.fast then 6 else cfg.runs in
   let paper =
     [ ("C", ("248 / 256 / 265", "277 / 278 / 282"));
       ("C+A", ("499 / 522 / 555", "569 / 577 / 587"));
       ("C+A+B", ("981 / 1011 / 1208", "1065 / 1298 / 3332")) ]
   in
-  let t =
-    T.create
-      ~header:
-        [ "system"; "master (ms)"; "paper"; "election (ms)"; "paper" ]
+  let summary l =
+    Format.asprintf "%a" San_util.Summary.pp_ms (San_util.Summary.of_list l)
   in
   let jrng = San_util.Prng.create 99 in
-  List.iter
-    (fun (name, g) ->
-      let mapper = mapper_of g "C-util" in
-      let master =
-        List.init n (fun _ ->
-            let net = Network.create ~jitter:(0.08, jrng) g in
-            (Berkeley.run net ~mapper).Berkeley.elapsed_ns)
-      in
-      let erng = San_util.Prng.create 7 in
-      let election =
-        List.init n (fun _ ->
-            let net = Network.create ~jitter:(0.08, jrng) g in
-            (Election.run ~rng:erng net).Election.total_ns)
-      in
-      let pm, pe = List.assoc name paper in
-      T.add_row t
-        [
-          name;
-          Format.asprintf "%a" San_util.Summary.pp_ms
-            (San_util.Summary.of_list master);
-          pm;
-          Format.asprintf "%a" San_util.Summary.pp_ms
-            (San_util.Summary.of_list election);
-          pe;
-        ])
-    (systems ());
-  T.print
-    ~title:
-      (Printf.sprintf
-         "Figure 7 — mapping times (min / avg / max over %d runs), one master \
-          vs election" n)
-    t
+  let rows =
+    List.map
+      (fun (name, g) ->
+        let mapper = mapper_of g "C-util" in
+        let master =
+          List.init n (fun _ ->
+              let net = Network.create ~jitter:(0.08, jrng) g in
+              (Berkeley.run net ~mapper).Berkeley.elapsed_ns)
+        in
+        let erng = San_util.Prng.create 7 in
+        let election =
+          List.init n (fun _ ->
+              let net = Network.create ~jitter:(0.08, jrng) g in
+              (Election.run ~rng:erng net).Election.total_ns)
+        in
+        let pm, pe = List.assoc name paper in
+        [ name; summary master; pm; summary election; pe ])
+      (systems ())
+  in
+  tables
+    [
+      table
+        (Printf.sprintf
+           "Figure 7 — mapping times (min / avg / max over %d runs), one master \
+            vs election" n)
+        (strings
+           [ "system"; "master (ms)"; "paper"; "election (ms)"; "paper" ] rows);
+    ]
 
 (* ------------------------------------------------------------------ *)
 (* Figure 8: model graph growth over switch explorations                *)
 
-let fig8 () =
+let fig8 _ =
   let g, _ = Generators.now_cab () in
-  let net = Network.create g in
-  let r = Berkeley.run ~record_trace:true net ~mapper:(mapper_of g "C-util") in
-  let t =
-    T.create
-      ~header:
-        [ "exploration"; "model nodes"; "model edges"; "frontier"; "hosts found" ]
-  in
+  let r = map_now ~record_trace:true g in
+  (* The CSV holds every exploration; the table every 16th. *)
   let every = max 1 (r.Berkeley.explorations / 16) in
-  List.iter
-    (fun (p : Berkeley.trace_point) ->
-      if p.Berkeley.step mod every = 0 || p.Berkeley.step = r.Berkeley.explorations
-      then
-        T.add_row t
+  let rows =
+    List.map
+      (fun (p : Berkeley.trace_point) ->
+        let shown =
+          p.Berkeley.step mod every = 0 || p.Berkeley.step = r.Berkeley.explorations
+        in
+        let c head key = int ?head:(if shown then Some head else None) ~key in
+        row
           [
-            string_of_int p.Berkeley.step;
-            string_of_int p.Berkeley.live_nodes;
-            string_of_int p.Berkeley.live_edges;
-            string_of_int p.Berkeley.frontier_length;
-            string_of_int p.Berkeley.hosts_found;
+            c "exploration" "exploration" p.Berkeley.step;
+            c "model nodes" "model_nodes" p.Berkeley.live_nodes;
+            c "model edges" "model_edges" p.Berkeley.live_edges;
+            c "frontier" "frontier" p.Berkeley.frontier_length;
+            c "hosts found" "hosts_found" p.Berkeley.hosts_found;
           ])
-    r.Berkeley.trace;
+      r.Berkeley.trace
+  in
   let peak =
     List.fold_left
       (fun acc (p : Berkeley.trace_point) -> max acc p.Berkeley.live_nodes)
       0 r.Berkeley.trace
   in
-  T.print ~title:"Figure 8 — model graph size vs switch explorations (C+A+B)" t;
-  Printf.printf
-    "created %d model vertices in total (paper: ~750); peak live %d; merged \
-     and pruned to %d = the 140 actual nodes (paper: 140)\n"
-    r.Berkeley.created_vertices peak r.Berkeley.live_vertices;
-  write_csv "fig8"
-    [ "exploration"; "model_nodes"; "model_edges"; "frontier"; "hosts_found" ]
-    (List.map
-       (fun (p : Berkeley.trace_point) ->
-         List.map string_of_int
-           [
-             p.Berkeley.step; p.Berkeley.live_nodes; p.Berkeley.live_edges;
-             p.Berkeley.frontier_length; p.Berkeley.hosts_found;
-           ])
-       r.Berkeley.trace)
+  tables
+    [
+      table "Figure 8 — model graph size vs switch explorations (C+A+B)" rows
+        ~csv:
+          [ "exploration"; "model_nodes"; "model_edges"; "frontier"; "hosts_found" ]
+        ~notes:
+          [
+            Printf.sprintf
+              "created %d model vertices in total (paper: ~750); peak live %d; \
+               merged and pruned to %d = the 140 actual nodes (paper: 140)"
+              r.Berkeley.created_vertices peak r.Berkeley.live_vertices;
+          ];
+    ]
 
 (* ------------------------------------------------------------------ *)
 (* Figure 9: map time vs number of responding daemons                   *)
 
-let fig9 () =
+let fig9 cfg =
   let g, _ = Generators.now_cab () in
   let mapper = mapper_of g "C-util" in
   let counts =
-    if !fast then [ 1; 20; 37; 71; 100 ]
+    if cfg.fast then [ 1; 20; 37; 71; 100 ]
     else [ 1; 5; 10; 15; 20; 36; 37; 50; 70; 71; 85; 100 ]
   in
   let seq = Population.sweep ~order:Population.Sequential ~counts g ~mapper in
@@ -316,73 +473,65 @@ let fig9 () =
       ~order:(Population.Random (San_util.Prng.create 3))
       ~counts g ~mapper
   in
-  let t =
-    T.create
-      ~header:
-        [ "daemons"; "seq (s)"; "seq probes"; "random (s)"; "random probes" ]
+  let s (p : Population.point) = p.Population.map_time_ns /. 1e9 in
+  let rows =
+    List.map2
+      (fun (a : Population.point) (b : Population.point) ->
+        row
+          [
+            int ~head:"daemons" ~key:"daemons" a.Population.responders;
+            num ~head:"seq (s)" "%.2f" (s a);
+            num ~key:"sequential_s" "%.3f" (s a);
+            int ~head:"seq probes" a.Population.probes;
+            num ~head:"random (s)" "%.2f" (s b);
+            num ~key:"random_s" "%.3f" (s b);
+            int ~head:"random probes" b.Population.probes;
+          ])
+      seq rnd
   in
-  List.iter2
-    (fun (a : Population.point) (b : Population.point) ->
-      T.add_row t
-        [
-          string_of_int a.Population.responders;
-          Printf.sprintf "%.2f" (a.Population.map_time_ns /. 1e9);
-          string_of_int a.Population.probes;
-          Printf.sprintf "%.2f" (b.Population.map_time_ns /. 1e9);
-          string_of_int b.Population.probes;
-        ])
-    seq rnd;
-  T.print
-    ~title:
-      "Figure 9 — time to map the 40-switch fabric vs hosts running a mapper \
-       daemon (sequential vs random placement)"
-    t;
   let time_of pts k =
     (List.find (fun p -> p.Population.responders = k) pts).Population.map_time_ns
   in
   let full = time_of seq 100 in
-  Printf.printf
-    "speedup 1 -> 100 daemons: %.1fx (paper: ~8x); random placement with 15 \
-     daemons is %.1fx of the minimum (paper: within 2x after 15)\n"
-    (time_of seq 1 /. full)
-    (try time_of rnd 15 /. full with Not_found -> time_of rnd 20 /. full);
-  write_csv "fig9"
-    [ "daemons"; "sequential_s"; "random_s" ]
-    (List.map2
-       (fun (a : Population.point) (b : Population.point) ->
-         [
-           string_of_int a.Population.responders;
-           Printf.sprintf "%.3f" (a.Population.map_time_ns /. 1e9);
-           Printf.sprintf "%.3f" (b.Population.map_time_ns /. 1e9);
-         ])
-       seq rnd)
+  tables
+    [
+      table
+        "Figure 9 — time to map the 40-switch fabric vs hosts running a mapper \
+         daemon (sequential vs random placement)"
+        rows ~csv:[ "daemons"; "sequential_s"; "random_s" ]
+        ~notes:
+          [
+            Printf.sprintf
+              "speedup 1 -> 100 daemons: %.1fx (paper: ~8x); random placement \
+               with 15 daemons is %.1fx of the minimum (paper: within 2x \
+               after 15)"
+              (time_of seq 1 /. full)
+              (try time_of rnd 15 /. full
+               with Not_found -> time_of rnd 20 /. full);
+          ];
+    ]
 
 (* ------------------------------------------------------------------ *)
 (* Figure 10: the Myricom algorithm                                     *)
 
-let fig10 () =
+let fig10 _ =
   let paper =
     [ ("C", (134, 713, 152, 450, 1449, 1414));
       ("C+A", (283, 1484, 329, 1234, 3330, 2197));
       ("C+A+B", (424, 2293, 611, 5089, 8413, 4009)) ]
   in
-  let paper_ratio = [ ("C", (3.2, 5.5)); ("C+A", (3.6, 3.9)); ("C+A+B", (5.4, 3.9)) ] in
-  let t =
-    T.create
-      ~header:
-        [ "system"; "loop"; "host"; "sw"; "comp"; "total"; "paper total";
-          "time(ms)"; "paper"; "msgs vs B"; "paper"; "time vs B"; "paper" ]
+  let paper_ratio =
+    [ ("C", (3.2, 5.5)); ("C+A", (3.6, 3.9)); ("C+A+B", (5.4, 3.9)) ]
   in
-  List.iter
-    (fun (name, g) ->
-      let mapper = mapper_of g "C-util" in
-      let rm = San_myricom.Myricom.run g ~mapper in
-      let net = Network.create g in
-      let rb = Berkeley.run net ~mapper in
-      let c = rm.San_myricom.Myricom.counts in
-      let _, _, _, _, pt, ptime = List.assoc name paper in
-      let pmr, ptr = List.assoc name paper_ratio in
-      T.add_row t
+  let rows =
+    List.map
+      (fun (name, g) ->
+        let mapper = mapper_of g "C-util" in
+        let rm = San_myricom.Myricom.run g ~mapper in
+        let rb = Berkeley.run (Network.create g) ~mapper in
+        let c = rm.San_myricom.Myricom.counts in
+        let _, _, _, _, pt, ptime = List.assoc name paper in
+        let pmr, ptr = List.assoc name paper_ratio in
         [
           name;
           string_of_int c.San_myricom.Myricom.loop_probes;
@@ -401,38 +550,37 @@ let fig10 () =
             (rm.San_myricom.Myricom.elapsed_ns /. rb.Berkeley.elapsed_ns);
           Printf.sprintf "%.1fx" ptr;
         ])
-    (systems ());
-  T.print ~title:"Figure 10 — Myricom Algorithm performance summary" t
+      (systems ())
+  in
+  tables
+    [
+      table "Figure 10 — Myricom Algorithm performance summary"
+        (strings
+           [ "system"; "loop"; "host"; "sw"; "comp"; "total"; "paper total";
+             "time(ms)"; "paper"; "msgs vs B"; "paper"; "time vs B"; "paper" ]
+           rows);
+    ]
 
 (* ------------------------------------------------------------------ *)
 (* §5.5: deadlock-free route computation                                *)
 
-let routes_section () =
-  let t =
-    T.create
-      ~header:
-        [ "network"; "pairs"; "turns min/avg/max"; "delivery"; "deadlock-free";
-          "hottest channel"; "relabelled" ]
+let routes_section _ =
+  let maps () =
+    List.map (fun (name, g) -> (name, g, (map_now g).Berkeley.map)) (systems ())
   in
-  List.iter
-    (fun (name, g) ->
-      let net = Network.create g in
-      let r = Berkeley.run net ~mapper:(mapper_of g "C-util") in
-      match r.Berkeley.map with
-      | Error e -> T.add_row t [ name; "map failed: " ^ e ]
-      | Ok map ->
-        let util = Graph.host_by_name map "C-util" in
-        let rng = San_util.Prng.create 17 in
-        let table =
-          San_routing.Routes.compute ~rng ~ignore_hosts:(Option.to_list util) map
-        in
-        let st = San_routing.Routes.length_stats table in
-        let hottest =
-          match San_routing.Routes.channel_loads table with
-          | (_, l) :: _ -> string_of_int l ^ " routes"
-          | [] -> "-"
-        in
-        T.add_row t
+  let computed =
+    List.map
+      (fun (name, g, map) ->
+        match map with
+        | Error e -> [ name; "map failed: " ^ e ]
+        | Ok map ->
+          let util = Graph.host_by_name map "C-util" in
+          let rng = San_util.Prng.create 17 in
+          let table =
+            San_routing.Routes.compute ~rng ~ignore_hosts:(Option.to_list util)
+              map
+          in
+          let st = San_routing.Routes.length_stats table in
           [
             name;
             string_of_int st.San_routing.Routes.pairs;
@@ -444,186 +592,161 @@ let routes_section () =
             (match San_routing.Deadlock.check_routes table with
             | Ok () -> "acyclic CDG"
             | Error e -> e);
-            hottest;
+            (match San_routing.Routes.channel_loads table with
+            | (_, l) :: _ -> string_of_int l ^ " routes"
+            | [] -> "-");
             string_of_int
-              (List.length (San_routing.Updown.relabeled (San_routing.Routes.updown table)));
+              (List.length
+                 (San_routing.Updown.relabeled (San_routing.Routes.updown table)));
           ])
-    (systems ());
-  T.print
-    ~title:
-      "§5.5 — UP*/DOWN* routes computed from the map, delivered on the actual \
-       network"
-    t;
+      (maps ())
+  in
   (* Route distribution: each host's slice travels in-band as one worm
      along the leader's fresh route to it. *)
-  let t2 =
-    T.create
-      ~header:
-        [ "network"; "slices"; "table bytes"; "updated"; "missed"; "duration (ms)" ]
+  let distributed =
+    List.filter_map
+      (fun (name, g, map) ->
+        match map with
+        | Error _ -> None
+        | Ok map ->
+          let table = San_routing.Routes.compute map in
+          let p = San_routing.Distribute.plan table in
+          let leader = mapper_of g "C-util" in
+          Some
+            (match San_routing.Distribute.simulate table ~actual:g ~leader with
+            | Ok rep ->
+              [
+                name;
+                string_of_int (List.length p.San_routing.Distribute.slices);
+                string_of_int p.San_routing.Distribute.total_bytes;
+                string_of_int rep.San_routing.Distribute.hosts_updated;
+                string_of_int rep.San_routing.Distribute.hosts_missed;
+                fmt_ms rep.San_routing.Distribute.duration_ns;
+              ]
+            | Error e -> [ name; "failed: " ^ e ]))
+      (maps ())
   in
-  List.iter
-    (fun (name, g) ->
-      let mapper = mapper_of g "C-util" in
-      let net = Network.create g in
-      let r = Berkeley.run net ~mapper in
-      match r.Berkeley.map with
-      | Error _ -> ()
-      | Ok map ->
-        let table = San_routing.Routes.compute map in
-        let p = San_routing.Distribute.plan table in
-        (match San_routing.Distribute.simulate table ~actual:g ~leader:mapper with
-        | Ok rep ->
-          T.add_row t2
-            [
-              name;
-              string_of_int (List.length p.San_routing.Distribute.slices);
-              string_of_int p.San_routing.Distribute.total_bytes;
-              string_of_int rep.San_routing.Distribute.hosts_updated;
-              string_of_int rep.San_routing.Distribute.hosts_missed;
-              fmt_ms rep.San_routing.Distribute.duration_ns;
-            ]
-        | Error e -> T.add_row t2 [ name; "failed: " ^ e ]))
-    (systems ());
-  T.print
-    ~title:
-      "§5.5 — in-band route distribution (per-host slices as worms over the \
-       event simulator)"
-    t2
+  tables
+    [
+      table
+        "§5.5 — UP*/DOWN* routes computed from the map, delivered on the actual \
+         network"
+        (strings
+           [ "network"; "pairs"; "turns min/avg/max"; "delivery"; "deadlock-free";
+             "hottest channel"; "relabelled" ]
+           computed);
+      table
+        "§5.5 — in-band route distribution (per-host slices as worms over the \
+         event simulator)"
+        (strings
+           [ "network"; "slices"; "table bytes"; "updated"; "missed";
+             "duration (ms)" ]
+           distributed);
+    ]
 
 (* ------------------------------------------------------------------ *)
 (* Ablations                                                            *)
 
 let ablation_policy () =
   let g, _ = Generators.now_cab () in
-  let mapper = mapper_of g "C-util" in
-  let t =
-    T.create ~header:[ "policy"; "probes"; "explorations"; "time (ms)"; "map" ]
-  in
   let run name policy =
-    let net = Network.create g in
-    let r = Berkeley.run ~policy net ~mapper in
-    T.add_row t
-      [
-        name;
-        string_of_int (Berkeley.total_probes r);
-        string_of_int r.Berkeley.explorations;
-        fmt_ms r.Berkeley.elapsed_ns;
-        (match r.Berkeley.map with
-        | Ok m ->
-          if Iso.equal ~map:m ~actual:g () then "correct" else "WRONG"
-        | Error e -> "failed: " ^ e);
-      ]
+    let r = map_now ~policy g in
+    [
+      name;
+      string_of_int (Berkeley.total_probes r);
+      string_of_int r.Berkeley.explorations;
+      fmt_ms r.Berkeley.elapsed_ns;
+      verdict g r.Berkeley.map;
+    ]
   in
-  run "faithful (all tricks)" Berkeley.faithful;
-  run "no window pruning" { Berkeley.faithful with window_pruning = false };
-  run "no known-slot skip" { Berkeley.faithful with skip_known = false };
-  run "host-probe first" { Berkeley.faithful with host_probe_first = true };
-  T.print
-    ~title:
-      "Ablation — §3.3.3 probe-elimination tricks on C+A+B (the paper \
-       conjectures ~2x savings)"
-    t
+  table
+    "Ablation — §3.3.3 probe-elimination tricks on C+A+B (the paper \
+     conjectures ~2x savings)"
+    (strings
+       [ "policy"; "probes"; "explorations"; "time (ms)"; "map" ]
+       [
+         run "faithful (all tricks)" Berkeley.faithful;
+         run "no window pruning"
+           { Berkeley.faithful with window_pruning = false };
+         run "no known-slot skip" { Berkeley.faithful with skip_known = false };
+         run "host-probe first"
+           { Berkeley.faithful with host_probe_first = true };
+       ])
 
 let ablation_model () =
-  let t =
-    T.create
-      ~header:[ "network"; "model"; "probes"; "switch hits"; "map" ]
-  in
   let run name g mapper_name model =
     let net = Network.create ~model g in
     let r = Berkeley.run net ~mapper:(mapper_of g mapper_name) in
-    T.add_row t
-      [
-        name;
-        Collision.model_to_string model;
-        string_of_int (Berkeley.total_probes r);
-        string_of_int r.Berkeley.switch_hits;
-        (match r.Berkeley.map with
-        | Ok m ->
-          if
-            Iso.equal ~map:m ~actual:g
-              ~exclude:(Core_set.separated_set g) ()
-          then "correct"
-          else "WRONG"
-        | Error e -> "failed: " ^ e);
-      ]
+    [
+      name;
+      Collision.model_to_string model;
+      string_of_int (Berkeley.total_probes r);
+      string_of_int r.Berkeley.switch_hits;
+      verdict ~core:true g r.Berkeley.map;
+    ]
   in
   let gc = fst (Generators.now_c ()) in
-  run "C" gc "C-util" Collision.Circuit;
-  run "C" gc "C-util" Collision.Cut_through;
   let torus = Generators.torus ~rows:3 ~cols:3 () in
-  run "torus 3x3" torus "h0-0" Collision.Circuit;
-  run "torus 3x3" torus "h0-0" Collision.Cut_through;
-  T.print
-    ~title:
-      "Ablation — §2.3.1 collision models (cut-through lets some self-reusing \
-       probes through: a super-tree of responses)"
-    t
+  table
+    "Ablation — §2.3.1 collision models (cut-through lets some self-reusing \
+     probes through: a super-tree of responses)"
+    (strings
+       [ "network"; "model"; "probes"; "switch hits"; "map" ]
+       [
+         run "C" gc "C-util" Collision.Circuit;
+         run "C" gc "C-util" Collision.Cut_through;
+         run "torus 3x3" torus "h0-0" Collision.Circuit;
+         run "torus 3x3" torus "h0-0" Collision.Cut_through;
+       ])
 
 let ablation_depth () =
   let g, _ = Generators.now_cab () in
   let mapper = mapper_of g "C-util" in
   let oracle = Core_set.search_depth g ~root:mapper in
-  let t =
-    T.create
-      ~header:[ "depth"; "probes"; "switches mapped"; "isomorphic" ]
-  in
-  List.iter
-    (fun d ->
-      let net = Network.create g in
-      let r = Berkeley.run ~depth:(Berkeley.Fixed d) net ~mapper in
-      T.add_row t
-        [
-          (if d = oracle then Printf.sprintf "%d (oracle Q+D+1)" d
-           else string_of_int d);
-          string_of_int (Berkeley.total_probes r);
-          (match r.Berkeley.map with
-          | Ok m -> string_of_int (Graph.num_switches m)
-          | Error _ -> "-");
-          (match r.Berkeley.map with
-          | Ok m -> if Iso.equal ~map:m ~actual:g () then "yes" else "no"
-          | Error e -> "export failed: " ^ e);
-        ])
-    [ 4; 5; 6; 7; 8; oracle ];
-  T.print
-    ~title:
-      "Ablation — exploration depth on C+A+B (completeness needs 7 = \
-       switch-eccentricity+2; the proof bound is safe but deep)"
-    t
+  table
+    "Ablation — exploration depth on C+A+B (completeness needs 7 = \
+     switch-eccentricity+2; the proof bound is safe but deep)"
+    (strings
+       [ "depth"; "probes"; "switches mapped"; "isomorphic" ]
+       (List.map
+          (fun d ->
+            let net = Network.create g in
+            let r = Berkeley.run ~depth:(Berkeley.Fixed d) net ~mapper in
+            [
+              (if d = oracle then Printf.sprintf "%d (oracle Q+D+1)" d
+               else string_of_int d);
+              string_of_int (Berkeley.total_probes r);
+              (match r.Berkeley.map with
+              | Ok m -> string_of_int (Graph.num_switches m)
+              | Error _ -> "-");
+              verdict ~ok:"yes" ~bad:(fun _ -> "no") ~failed:"export failed: " g
+                r.Berkeley.map;
+            ])
+          [ 4; 5; 6; 7; 8; oracle ]))
 
 let ablation_myricom_window () =
   let g, _ = Generators.now_ca () in
   let mapper = mapper_of g "C-util" in
-  let t =
-    T.create
-      ~header:[ "compare window"; "compare probes"; "total"; "map" ]
-  in
-  List.iter
-    (fun w ->
-      let r = San_myricom.Myricom.run ~compare_depth_window:w g ~mapper in
-      T.add_row t
-        [
-          (if w > 50 then "unbounded" else string_of_int w);
-          string_of_int r.San_myricom.Myricom.counts.San_myricom.Myricom.compare_probes;
-          string_of_int (San_myricom.Myricom.total r.San_myricom.Myricom.counts);
-          (match r.San_myricom.Myricom.map with
-          | Ok m -> if Iso.equal ~map:m ~actual:g () then "correct" else "WRONG"
-          | Error e -> "failed: " ^ e);
-        ])
-    [ 0; 1; 2; 3; 100 ];
-  T.print
-    ~title:
-      "Ablation — Myricom comparison-window heuristic on C+A (narrower = \
-       fewer probes, risk of unmerged replicates)"
-    t
+  table
+    "Ablation — Myricom comparison-window heuristic on C+A (narrower = \
+     fewer probes, risk of unmerged replicates)"
+    (strings
+       [ "compare window"; "compare probes"; "total"; "map" ]
+       (List.map
+          (fun w ->
+            let r = San_myricom.Myricom.run ~compare_depth_window:w g ~mapper in
+            let c = r.San_myricom.Myricom.counts in
+            [
+              (if w > 50 then "unbounded" else string_of_int w);
+              string_of_int c.San_myricom.Myricom.compare_probes;
+              string_of_int (San_myricom.Myricom.total c);
+              verdict g r.San_myricom.Myricom.map;
+            ])
+          [ 0; 1; 2; 3; 100 ]))
 
 let ablation_updown_root () =
   let g, _ = Generators.now_cab () in
   let util = Graph.host_by_name g "C-util" in
-  let t =
-    T.create
-      ~header:[ "root policy"; "avg turns"; "max"; "hottest channel" ]
-  in
   let run name root labeling =
     let table =
       San_routing.Routes.compute ?root ~ignore_hosts:(Option.to_list util)
@@ -634,60 +757,55 @@ let ablation_updown_root () =
       Result.is_ok (San_routing.Routes.verify_delivery table)
       && Result.is_ok (San_routing.Deadlock.check_routes table)
     in
-    T.add_row t
-      [
-        name;
-        Printf.sprintf "%.2f%s" st.San_routing.Routes.avg_len
-          (if sound then "" else " UNSOUND");
-        string_of_int st.San_routing.Routes.max_len;
-        (match San_routing.Routes.channel_loads table with
-        | (_, l) :: _ -> string_of_int l
-        | [] -> "-");
-      ]
+    [
+      name;
+      Printf.sprintf "%.2f%s" st.San_routing.Routes.avg_len
+        (if sound then "" else " UNSOUND");
+      string_of_int st.San_routing.Routes.max_len;
+      (match San_routing.Routes.channel_loads table with
+      | (_, l) :: _ -> string_of_int l
+      | [] -> "-");
+    ]
   in
-  run "farthest-from-hosts, BFS (paper)" None San_routing.Updown.Bfs;
-  run "arbitrary leaf switch, BFS" (Some (List.hd (Graph.switches g)))
-    San_routing.Updown.Bfs;
-  run "farthest-from-hosts, DFS preorder" None San_routing.Updown.Dfs;
-  T.print
-    ~title:
-      "Ablation — UP*/DOWN* root and labelling on the NOW (the paper: \
-       goodness is highly topology-dependent; DFS spreads root load)"
-    t
+  table
+    "Ablation — UP*/DOWN* root and labelling on the NOW (the paper: \
+     goodness is highly topology-dependent; DFS spreads root load)"
+    (strings
+       [ "root policy"; "avg turns"; "max"; "hottest channel" ]
+       [
+         run "farthest-from-hosts, BFS (paper)" None San_routing.Updown.Bfs;
+         run "arbitrary leaf switch, BFS" (Some (List.hd (Graph.switches g)))
+           San_routing.Updown.Bfs;
+         run "farthest-from-hosts, DFS preorder" None San_routing.Updown.Dfs;
+       ])
 
 (* ------------------------------------------------------------------ *)
 (* Event-driven wormhole validation                                     *)
 
-let eventsim_section () =
-  let t =
-    T.create
-      ~header:
-        [ "scenario"; "worms"; "delivered"; "forward-reset"; "CDG verdict";
-          "avg latency"; "max" ]
+let eventsim_section _ =
+  let us ns = Printf.sprintf "%.0f us" (ns /. 1e3) in
+  let storm g routes ~payload_bytes =
+    let sim = Event_sim.create g in
+    List.iter
+      (fun (src, turns) ->
+        ignore (Event_sim.inject sim ~at_ns:0.0 ~src ~turns ~payload_bytes ()))
+      routes;
+    Event_sim.run sim;
+    Event_sim.stats sim
+  in
+  let counts st =
+    List.map string_of_int
+      [ st.Event_sim.injected; st.Event_sim.delivered;
+        st.Event_sim.dropped_reset ]
   in
   (* 1. Every pair's compliant route at once, application-sized worms. *)
   let g, _ = Generators.now_c () in
-  let table = San_routing.Routes.compute g in
-  let all_routes = San_routing.Routes.all table in
-  let sim = Event_sim.create g in
-  List.iter
-    (fun (src, _, turns) ->
-      ignore (Event_sim.inject sim ~at_ns:0.0 ~src ~turns ~payload_bytes:4096 ()))
-    all_routes;
-  Event_sim.run sim;
-  let st = Event_sim.stats sim in
-  T.add_row t
-    [
-      "C all-pairs storm (4 KB)";
-      string_of_int st.Event_sim.injected;
-      string_of_int st.Event_sim.delivered;
-      string_of_int st.Event_sim.dropped_reset;
-      (match San_routing.Deadlock.check_routes table with
-      | Ok () -> "acyclic"
-      | Error _ -> "cyclic");
-      Printf.sprintf "%.0f us" (st.Event_sim.avg_latency_ns /. 1e3);
-      Printf.sprintf "%.0f us" (st.Event_sim.max_latency_ns /. 1e3);
-    ];
+  let routes = San_routing.Routes.compute g in
+  let all_routes = San_routing.Routes.all routes in
+  let st =
+    storm g (List.map (fun (src, _, turns) -> (src, turns)) all_routes)
+      ~payload_bytes:4096
+  in
   (* 2. An adversarial cyclic route set on a switch ring. *)
   let rg = Graph.create () in
   let sw =
@@ -703,109 +821,84 @@ let eventsim_section () =
         h)
   in
   let cyclic = Array.to_list (Array.map (fun h -> (h, [ -2; -1; 1 ])) hosts) in
-  let sim2 = Event_sim.create rg in
-  List.iter
-    (fun (src, turns) ->
-      ignore (Event_sim.inject sim2 ~at_ns:0.0 ~src ~turns ~payload_bytes:100_000 ()))
-    cyclic;
-  Event_sim.run sim2;
-  let st2 = Event_sim.stats sim2 in
-  T.add_row t
-    [
-      "ring cycle (100 KB)";
-      string_of_int st2.Event_sim.injected;
-      string_of_int st2.Event_sim.delivered;
-      string_of_int st2.Event_sim.dropped_reset;
-      (match San_routing.Deadlock.check_acyclic rg cyclic with
-      | Ok () -> "acyclic"
-      | Error _ -> "cyclic");
-      "-";
-      Printf.sprintf "reset at %.0f ms" (st2.Event_sim.finished_at_ns /. 1e6);
-    ];
+  let st2 = storm rg cyclic ~payload_bytes:100_000 in
   (* 3. The same cycle with probe-sized worms: buffering absorbs them. *)
-  let sim3 = Event_sim.create rg in
-  List.iter
-    (fun (src, turns) ->
-      ignore (Event_sim.inject sim3 ~at_ns:0.0 ~src ~turns ~payload_bytes:16 ()))
-    cyclic;
-  Event_sim.run sim3;
-  let st3 = Event_sim.stats sim3 in
-  T.add_row t
+  let st3 = storm rg cyclic ~payload_bytes:16 in
+  let acyclic = function Ok () -> "acyclic" | Error _ -> "cyclic" in
+  let verdicts =
     [
-      "ring cycle (probe-sized)";
-      string_of_int st3.Event_sim.injected;
-      string_of_int st3.Event_sim.delivered;
-      string_of_int st3.Event_sim.dropped_reset;
-      "cyclic";
-      Printf.sprintf "%.1f us" (st3.Event_sim.avg_latency_ns /. 1e3);
-      Printf.sprintf "%.1f us" (st3.Event_sim.max_latency_ns /. 1e3);
-    ];
-  T.print
-    ~title:
-      "Event-driven wormhole validation — the dependency-graph checker's \
-       verdicts, observed physically (switch ROM forward-reset = 55 ms)"
-    t;
-  (* 4. Root congestion as latency, not just route counts. *)
-  let t2 =
-    T.create
-      ~header:[ "background worms (8 KB)"; "avg latency"; "p95"; "max" ]
+      (("C all-pairs storm (4 KB)" :: counts st)
+      @ [ acyclic (San_routing.Deadlock.check_routes routes);
+          us st.Event_sim.avg_latency_ns; us st.Event_sim.max_latency_ns ]);
+      (("ring cycle (100 KB)" :: counts st2)
+      @ [ acyclic (San_routing.Deadlock.check_acyclic rg cyclic); "-";
+          Printf.sprintf "reset at %.0f ms"
+            (st2.Event_sim.finished_at_ns /. 1e6) ]);
+      (("ring cycle (probe-sized)" :: counts st3)
+      @ [ "cyclic";
+          Printf.sprintf "%.1f us" (st3.Event_sim.avg_latency_ns /. 1e3);
+          Printf.sprintf "%.1f us" (st3.Event_sim.max_latency_ns /. 1e3) ]);
+    ]
   in
+  (* 4. Root congestion as latency, not just route counts. *)
   let routes_arr = Array.of_list all_routes in
-  List.iter
-    (fun load ->
-      let sim = Event_sim.create g in
-      let rng = San_util.Prng.create 5 in
-      for _ = 1 to load do
-        let src, _, turns =
-          routes_arr.(San_util.Prng.int rng (Array.length routes_arr))
-        in
-        ignore
-          (Event_sim.inject sim
-             ~at_ns:(San_util.Prng.float rng 100_000.0)
-             ~src ~turns ~payload_bytes:8192 ())
-      done;
-      Event_sim.run sim;
-      let st = Event_sim.stats sim in
-      let lats = Event_sim.latencies sim in
-      T.add_row t2
+  let congestion =
+    List.map
+      (fun load ->
+        let sim = Event_sim.create g in
+        let rng = San_util.Prng.create 5 in
+        for _ = 1 to load do
+          let src, _, turns =
+            routes_arr.(San_util.Prng.int rng (Array.length routes_arr))
+          in
+          ignore
+            (Event_sim.inject sim
+               ~at_ns:(San_util.Prng.float rng 100_000.0)
+               ~src ~turns ~payload_bytes:8192 ())
+        done;
+        Event_sim.run sim;
+        let st = Event_sim.stats sim in
+        let lats = Event_sim.latencies sim in
         [
           string_of_int load;
-          Printf.sprintf "%.0f us" (st.Event_sim.avg_latency_ns /. 1e3);
-          (if lats = [] then "-"
-           else
-             Printf.sprintf "%.0f us"
-               (San_util.Summary.percentile lats 0.95 /. 1e3));
-          Printf.sprintf "%.0f us" (st.Event_sim.max_latency_ns /. 1e3);
+          us st.Event_sim.avg_latency_ns;
+          (if lats = [] then "-" else us (San_util.Summary.percentile lats 0.95));
+          us st.Event_sim.max_latency_ns;
         ])
-    [ 100; 400; 1600 ];
-  T.print
-    ~title:
-      "Event-driven — UP*/DOWN* root congestion as latency under load \
-       (random C pairs over 100 us)"
-    t2
+      [ 100; 400; 1600 ]
+  in
+  tables
+    [
+      table
+        "Event-driven wormhole validation — the dependency-graph checker's \
+         verdicts, observed physically (switch ROM forward-reset = 55 ms)"
+        (strings
+           [ "scenario"; "worms"; "delivered"; "forward-reset"; "CDG verdict";
+             "avg latency"; "max" ]
+           verdicts);
+      table
+        "Event-driven — UP*/DOWN* root congestion as latency under load \
+         (random C pairs over 100 us)"
+        (strings
+           [ "background worms (8 KB)"; "avg latency"; "p95"; "max" ]
+           congestion);
+    ]
 
 (* ------------------------------------------------------------------ *)
 (* §6 future-work extensions                                            *)
 
 let ext_simplified () =
   (* §3.1's labelling algorithm vs the §3.3 production algorithm. *)
-  let t =
-    T.create
-      ~header:
-        [ "network"; "algorithm"; "probes"; "model size"; "map agrees" ]
-  in
   let compare_on name g mapper_name depth =
     let mapper = mapper_of g mapper_name in
-    let net1 = Network.create g in
-    let rl = Labels.run ~depth net1 ~mapper in
-    let net2 = Network.create g in
-    let rb = Berkeley.run ~depth net2 ~mapper in
+    let rl = Labels.run ~depth (Network.create g) ~mapper in
+    let rb = Berkeley.run ~depth (Network.create g) ~mapper in
     let agree =
       match (rl.Labels.map, rb.Berkeley.map) with
-      | Ok a, Ok b -> if Iso.equal ~map:a ~actual:b () then "yes" else "NO"
+      | Ok a, Ok b -> if Result.is_ok (iso b a) then "yes" else "NO"
       | _ -> "export failed"
     in
-    T.add_row t
+    [
       [
         name;
         "simplified (labels)";
@@ -814,7 +907,6 @@ let ext_simplified () =
           rl.Labels.labels;
         agree;
       ];
-    T.add_row t
       [
         name;
         "production (merged)";
@@ -822,125 +914,90 @@ let ext_simplified () =
         Printf.sprintf "%d created, %d live" rb.Berkeley.created_vertices
           rb.Berkeley.live_vertices;
         "-";
-      ]
+      ];
+    ]
   in
-  compare_on "star(4)" (Generators.star ~leaves:4 ()) "h0" Berkeley.Oracle;
-  compare_on "mesh 2x3" (Generators.mesh ~rows:2 ~cols:3 ()) "h0-0"
-    (Berkeley.Fixed 7);
-  T.print
-    ~title:
-      "Extension — §3.1 simplified labelling algorithm as an executable \
-       oracle (exponential tree; small nets only)"
-    t
+  table
+    "Extension — §3.1 simplified labelling algorithm as an executable \
+     oracle (exponential tree; small nets only)"
+    (strings
+       [ "network"; "algorithm"; "probes"; "model size"; "map agrees" ]
+       (compare_on "star(4)" (Generators.star ~leaves:4 ()) "h0" Berkeley.Oracle
+       @ compare_on "mesh 2x3" (Generators.mesh ~rows:2 ~cols:3 ()) "h0-0"
+           (Berkeley.Fixed 7)))
 
 let ext_randomized () =
-  let t =
-    T.create
-      ~header:
-        [ "network"; "mapper"; "probes"; "time (ms)"; "coupon hits"; "map" ]
-  in
-  let one name g mapper_name =
-    let mapper = mapper_of g mapper_name in
-    let verdict r =
-      match r with
-      | Ok m ->
-        if Iso.equal ~map:m ~actual:g ~exclude:(Core_set.separated_set g) ()
-        then "correct"
-        else "WRONG"
-      | Error e -> "failed: " ^ e
+  let one name g =
+    let rb = map_now g in
+    let rr =
+      Randomized.run ~rng:(San_util.Prng.create 9) (Network.create g)
+        ~mapper:(mapper_of g "C-util")
     in
-    let net = Network.create g in
-    let rb = Berkeley.run net ~mapper in
-    T.add_row t
+    [
       [
         name; "breadth-first";
         string_of_int (Berkeley.total_probes rb);
         fmt_ms rb.Berkeley.elapsed_ns;
         "-";
-        verdict rb.Berkeley.map;
+        verdict ~core:true g rb.Berkeley.map;
       ];
-    let net2 = Network.create g in
-    let rr = Randomized.run ~rng:(San_util.Prng.create 9) net2 ~mapper in
-    T.add_row t
       [
         name; "coupon + BFS";
         string_of_int (Randomized.total_probes rr);
         fmt_ms rr.Randomized.elapsed_ns;
         Printf.sprintf "%d/%d" rr.Randomized.coupon_hits
           rr.Randomized.coupon_probes;
-        verdict rr.Randomized.map;
-      ]
+        verdict ~core:true g rr.Randomized.map;
+      ];
+    ]
   in
-  one "C" (fst (Generators.now_c ())) "C-util";
-  one "C+A+B" (fst (Generators.now_cab ())) "C-util";
-  T.print
-    ~title:
-      "Extension — §6 randomized coupon-collecting phase (honest finding: \
-       roughly break-even on the NOW; the merger is already effective and \
-       the fat tree lacks expansion)"
-    t
+  table
+    "Extension — §6 randomized coupon-collecting phase (honest finding: \
+     roughly break-even on the NOW; the merger is already effective and \
+     the fat tree lacks expansion)"
+    (strings
+       [ "network"; "mapper"; "probes"; "time (ms)"; "coupon hits"; "map" ]
+       (one "C" (fst (Generators.now_c ()))
+       @ one "C+A+B" (fst (Generators.now_cab ()))))
 
 let ext_parallel () =
   let module Region = San_shard.Region in
   let module Runner = San_shard.Runner in
   let g, _ = Generators.now_cab () in
-  let solo =
-    let net = Network.create g in
-    Berkeley.run net ~mapper:(mapper_of g "C-util")
-  in
-  let t =
-    T.create
-      ~header:
-        [ "mappers"; "local depth"; "wall (ms)"; "speedup"; "total probes"; "global map" ]
-  in
-  T.add_row t
-    [
-      "1 (solo)"; "oracle";
-      fmt_ms solo.Berkeley.elapsed_ns;
-      "1.0x";
-      string_of_int (Berkeley.total_probes solo);
-      "correct";
-    ];
-  List.iter
-    (fun (k, d, r) ->
-      let plan = Result.get_ok (Region.local g ~mappers:k ~depth:d ~radius:r) in
-      let rr = Runner.execute g plan in
-      T.add_row t
+  let solo = map_now g in
+  let sharded =
+    List.map
+      (fun (k, d, r) ->
+        let plan =
+          Result.get_ok (Region.local g ~mappers:k ~depth:d ~radius:r)
+        in
+        let rr = Runner.execute g plan in
         [
           string_of_int k;
           string_of_int d;
           fmt_ms rr.Runner.wall_ns;
           Printf.sprintf "%.2fx" (solo.Berkeley.elapsed_ns /. rr.Runner.wall_ns);
           string_of_int rr.Runner.total_probes;
-          (match rr.Runner.map with
-          | Ok m ->
-            if Iso.equal ~map:m ~actual:g () then "correct"
-            else Printf.sprintf "partial (%d switches)" (Graph.num_switches m)
-          | Error e -> "merge failed: " ^ e);
+          verdict g rr.Runner.map ~failed:"merge failed: " ~bad:(fun m ->
+              Printf.sprintf "partial (%d switches)" (Graph.num_switches m));
         ])
-    [ (4, 6, 5); (9, 6, 5); (9, 5, 4); (16, 5, 4) ];
-  T.print
-    ~title:
-      "Extension — §6 parallel mapping: local regions glued at shared hosts \
-       (wall time = slowest local mapper)"
-    t
+      [ (4, 6, 5); (9, 6, 5); (9, 5, 4); (16, 5, 4) ]
+  in
+  table
+    "Extension — §6 parallel mapping: local regions glued at shared hosts \
+     (wall time = slowest local mapper)"
+    (strings
+       [ "mappers"; "local depth"; "wall (ms)"; "speedup"; "total probes";
+         "global map" ]
+       ([ "1 (solo)"; "oracle"; fmt_ms solo.Berkeley.elapsed_ns; "1.0x";
+          string_of_int (Berkeley.total_probes solo); "correct" ]
+       :: sharded))
 
 let ext_incremental () =
   let g, _ = Generators.now_cab () in
   let mapper = mapper_of g "C-util" in
-  let net = Network.create g in
-  let full = Berkeley.run net ~mapper in
+  let full = map_now g in
   let map0 = Result.get_ok full.Berkeley.map in
-  let t =
-    T.create ~header:[ "epoch"; "verdict"; "probes"; "time (ms)"; "map" ]
-  in
-  T.add_row t
-    [
-      "cold start (full remap)"; "-";
-      string_of_int (Berkeley.total_probes full);
-      fmt_ms full.Berkeley.elapsed_ns;
-      "correct";
-    ];
   let describe_verdict (r : Incremental.result) =
     match (r.Incremental.verdict, r.Incremental.repair) with
     | Incremental.Unchanged, _ -> "unchanged"
@@ -952,298 +1009,254 @@ let ext_incremental () =
   let row name actual_g responding =
     let net = Network.create ~responding actual_g in
     let r = Incremental.run net ~mapper ~previous:map0 in
-    T.add_row t
-      [
-        name;
-        describe_verdict r;
-        string_of_int r.Incremental.verify_probes;
-        fmt_ms r.Incremental.total_elapsed_ns;
-        (match r.Incremental.map with
-        | Ok m ->
-          if
-            Iso.equal ~map:m ~actual:actual_g
-              ~exclude:(Core_set.separated_set actual_g) ()
-          then "correct"
-          else
-            (* e.g. a silenced host is unmappable by design *)
-            Format.asprintf "consistent view: %a" Graph.pp_stats m
-        | Error e -> "failed: " ^ e);
-      ]
+    [
+      name;
+      describe_verdict r;
+      string_of_int r.Incremental.verify_probes;
+      fmt_ms r.Incremental.total_elapsed_ns;
+      (* e.g. a silenced host is unmappable by design *)
+      verdict ~core:true actual_g r.Incremental.map ~bad:(fun m ->
+          "consistent view: " ^ stats m);
+    ]
   in
-  row "quiet epoch (verify only)" g (fun _ -> true);
   let rng = San_util.Prng.create 77 in
-  row "epoch with a cut cable" (Faults.remove_random_links ~rng g ~count:1)
-    (fun _ -> true);
   let silent = mapper_of g "B-h3" in
-  row "epoch with a dead daemon" g (fun h -> h <> silent);
-  T.print
-    ~title:
-      "Extension — incremental remapping: one probe per known port verifies \
-       a quiet epoch ~16x cheaper than a full remap (probes column shows \
-       verification probes; time includes any repair: the patched map's \
-       second sweep or a fallback remap)"
-    t
+  table
+    "Extension — incremental remapping: one probe per known port verifies \
+     a quiet epoch ~16x cheaper than a full remap (probes column shows \
+     verification probes; time includes any repair: the patched map's \
+     second sweep or a fallback remap)"
+    (strings
+       [ "epoch"; "verdict"; "probes"; "time (ms)"; "map" ]
+       [
+         [ "cold start (full remap)"; "-";
+           string_of_int (Berkeley.total_probes full);
+           fmt_ms full.Berkeley.elapsed_ns; "correct" ];
+         row "quiet epoch (verify only)" g (fun _ -> true);
+         row "epoch with a cut cable"
+           (Faults.remove_random_links ~rng g ~count:1)
+           (fun _ -> true);
+         row "epoch with a dead daemon" g (fun h -> h <> silent);
+       ])
 
 let ext_online () =
   let g, _ = Generators.now_c () in
   let mapper = mapper_of g "C-util" in
-  let t =
-    T.create
-      ~header:
-        [ "offered load (4 KB worms/ms)"; "probes"; "timeouts"; "map time (ms)";
-          "background worms"; "map quality" ]
-  in
-  List.iter
-    (fun rate ->
-      let r =
-        Online.run ~traffic_per_ms:rate ~rng:(San_util.Prng.create 5) g ~mapper
-      in
-      T.add_row t
-        [
-          Printf.sprintf "%.0f" rate;
-          string_of_int r.Online.probes;
-          string_of_int r.Online.probe_timeouts;
-          fmt_ms r.Online.elapsed_ns;
-          string_of_int r.Online.background_injected;
-          (match r.Online.map with
-          | Ok m ->
-            if Iso.equal ~map:m ~actual:g () then "isomorphic"
-            else Format.asprintf "degraded: %a" Graph.pp_stats m
-          | Error e -> "failed: " ^ e);
-        ])
-    [ 0.0; 5.0; 25.0; 100.0 ];
-  T.print
-    ~title:
-      "Extension — on-line mapping over the event-driven simulator with live \
-       cross-traffic (the paper: \"oftentimes correctly maps even in the \
-       face of heavy application cross-traffic\")"
-    t
+  table
+    "Extension — on-line mapping over the event-driven simulator with live \
+     cross-traffic (the paper: \"oftentimes correctly maps even in the \
+     face of heavy application cross-traffic\")"
+    (strings
+       [ "offered load (4 KB worms/ms)"; "probes"; "timeouts"; "map time (ms)";
+         "background worms"; "map quality" ]
+       (List.map
+          (fun rate ->
+            let rng = San_util.Prng.create 5 in
+            let r = Online.run ~traffic_per_ms:rate ~rng g ~mapper in
+            [
+              Printf.sprintf "%.0f" rate;
+              string_of_int r.Online.probes;
+              string_of_int r.Online.probe_timeouts;
+              fmt_ms r.Online.elapsed_ns;
+              string_of_int r.Online.background_injected;
+              verdict ~ok:"isomorphic" ~bad:(fun m -> "degraded: " ^ stats m) g
+                r.Online.map;
+            ])
+          [ 0.0; 5.0; 25.0; 100.0 ]))
 
 let ext_selfid () =
-  let t =
-    T.create
-      ~header:
-        [ "network"; "mapper"; "probes"; "explorations"; "time (ms)"; "map" ]
-  in
-  List.iter
-    (fun (name, g) ->
-      let mapper = mapper_of g "C-util" in
-      let net = Network.create g in
-      let rb = Berkeley.run net ~mapper in
-      T.add_row t
-        [
-          name; "Berkeley (anonymous switches)";
-          string_of_int (Berkeley.total_probes rb);
-          string_of_int rb.Berkeley.explorations;
-          fmt_ms rb.Berkeley.elapsed_ns;
-          "N - F";
-        ];
-      let rs = Selfid.run g ~mapper in
-      T.add_row t
-        [
-          name; "self-identifying switches";
-          string_of_int rs.Selfid.probes;
-          string_of_int rs.Selfid.explorations;
-          fmt_ms rs.Selfid.elapsed_ns;
-          (match rs.Selfid.map with
-          | Ok m -> if Iso.equal ~map:m ~actual:g () then "full N" else "WRONG"
-          | Error e -> "failed: " ^ e);
-        ])
-    (systems ());
-  T.print
-    ~title:
-      "Extension — §6 hardware what-if: id-carrying loopbacks kill replicate \
-       cost (one exploration per physical switch) but not the port sweep"
-    t
+  table
+    "Extension — §6 hardware what-if: id-carrying loopbacks kill replicate \
+     cost (one exploration per physical switch) but not the port sweep"
+    (strings
+       [ "network"; "mapper"; "probes"; "explorations"; "time (ms)"; "map" ]
+       (List.concat_map
+          (fun (name, g) ->
+            let rb = map_now g in
+            let rs = Selfid.run g ~mapper:(mapper_of g "C-util") in
+            [
+              [
+                name; "Berkeley (anonymous switches)";
+                string_of_int (Berkeley.total_probes rb);
+                string_of_int rb.Berkeley.explorations;
+                fmt_ms rb.Berkeley.elapsed_ns;
+                "N - F";
+              ];
+              [
+                name; "self-identifying switches";
+                string_of_int rs.Selfid.probes;
+                string_of_int rs.Selfid.explorations;
+                fmt_ms rs.Selfid.elapsed_ns;
+                verdict ~ok:"full N" g rs.Selfid.map;
+              ];
+            ])
+          (systems ())))
 
 let ext_emergent_election () =
-  let t =
-    T.create
-      ~header:
-        [ "system"; "mode"; "time (ms)"; "winner probes"; "total probes";
-          "losers silenced"; "map" ]
-  in
-  List.iter
-    (fun (name, g) ->
-      let r = Election_sim.run ~rng:(San_util.Prng.create 5) g in
-      let solo =
-        Election_sim.run
-          ~rng:(San_util.Prng.create 5)
-          ~mappers:[ r.Election_sim.winner ] ~max_skew_ns:0.0 g
-      in
-      let verdict (res : Election_sim.result) =
-        match res.Election_sim.map with
-        | Ok m -> if Iso.equal ~map:m ~actual:g () then "correct" else "WRONG"
-        | Error e -> "failed: " ^ e
-      in
-      T.add_row t
-        [
-          name; "single master (event-driven)";
-          fmt_ms solo.Election_sim.finished_at_ns;
-          string_of_int solo.Election_sim.winner_probes;
-          string_of_int solo.Election_sim.total_probes;
-          "-";
-          verdict solo;
-        ];
-      T.add_row t
-        [
-          name; "emergent election (all hosts)";
-          fmt_ms r.Election_sim.finished_at_ns;
-          string_of_int r.Election_sim.winner_probes;
-          string_of_int r.Election_sim.total_probes;
-          Printf.sprintf "%d/%d"
-            (List.length r.Election_sim.defers)
-            (r.Election_sim.contenders - 1);
-          verdict r;
-        ])
-    (systems ());
-  T.print
-    ~title:
-      "Extension — emergent election: every host's mapper runs concurrently \
-       as an effects fiber on the shared wormhole fabric. Finding: the \
-       network cost of election is ~zero (losers silenced early, probes \
-       buffer-absorbed) at ~2.5x the messages; the paper's measured election \
-       overhead (Figure 7) is therefore host-software-side, which is what \
-       the stochastic Election model prices"
-    t
+  table
+    "Extension — emergent election: every host's mapper runs concurrently \
+     as an effects fiber on the shared wormhole fabric. Finding: the \
+     network cost of election is ~zero (losers silenced early, probes \
+     buffer-absorbed) at ~2.5x the messages; the paper's measured election \
+     overhead (Figure 7) is therefore host-software-side, which is what \
+     the stochastic Election model prices"
+    (strings
+       [ "system"; "mode"; "time (ms)"; "winner probes"; "total probes";
+         "losers silenced"; "map" ]
+       (List.concat_map
+          (fun (name, g) ->
+            let r = Election_sim.run ~rng:(San_util.Prng.create 5) g in
+            let solo =
+              Election_sim.run
+                ~rng:(San_util.Prng.create 5)
+                ~mappers:[ r.Election_sim.winner ] ~max_skew_ns:0.0 g
+            in
+            let line mode (res : Election_sim.result) silenced =
+              [
+                name; mode;
+                fmt_ms res.Election_sim.finished_at_ns;
+                string_of_int res.Election_sim.winner_probes;
+                string_of_int res.Election_sim.total_probes;
+                silenced;
+                verdict g res.Election_sim.map;
+              ]
+            in
+            [
+              line "single master (event-driven)" solo "-";
+              line "emergent election (all hosts)" r
+                (Printf.sprintf "%d/%d"
+                   (List.length r.Election_sim.defers)
+                   (r.Election_sim.contenders - 1));
+            ])
+          (systems ())))
 
-let sensitivity () =
+let sensitivity _ =
   (* Are the reproduced conclusions robust to the calibrated software
      costs?  Scale the dominant knob (probe timeout) and watch the
      Figure-10 ratios. *)
   let g = fst (Generators.now_c ()) in
   let mapper = mapper_of g "C-util" in
-  let t =
-    T.create
-      ~header:
-        [ "timeout scale"; "Berkeley (ms)"; "Myricom (ms)";
-          "msgs ratio"; "time ratio" ]
-  in
-  List.iter
-    (fun scale ->
-      let params =
-        {
-          Params.default with
-          Params.probe_timeout_ns = Params.default.Params.probe_timeout_ns *. scale;
-        }
-      in
-      let net = Network.create ~params g in
-      let rb = Berkeley.run net ~mapper in
-      let rm = San_myricom.Myricom.run ~params g ~mapper in
-      T.add_row t
+  let rows =
+    List.map
+      (fun scale ->
+        let timeout = Params.default.Params.probe_timeout_ns *. scale in
+        let params = { Params.default with Params.probe_timeout_ns = timeout } in
+        let rb = Berkeley.run (Network.create ~params g) ~mapper in
+        let rm = San_myricom.Myricom.run ~params g ~mapper in
+        let rm_total = San_myricom.Myricom.total rm.San_myricom.Myricom.counts in
         [
           Printf.sprintf "%.1fx" scale;
           fmt_ms rb.Berkeley.elapsed_ns;
           fmt_ms rm.San_myricom.Myricom.elapsed_ns;
           Printf.sprintf "%.1fx"
-            (float_of_int (San_myricom.Myricom.total rm.San_myricom.Myricom.counts)
-            /. float_of_int (Berkeley.total_probes rb));
+            (float_of_int rm_total /. float_of_int (Berkeley.total_probes rb));
           Printf.sprintf "%.1fx"
             (rm.San_myricom.Myricom.elapsed_ns /. rb.Berkeley.elapsed_ns);
         ])
-    [ 0.5; 1.0; 2.0; 4.0 ];
-  T.print
-    ~title:
-      "Sensitivity — the Berkeley-vs-Myricom conclusion under timeout \
-       miscalibration (message ratio is timing-independent; time ratio moves \
-       but never flips)"
-    t
+      [ 0.5; 1.0; 2.0; 4.0 ]
+  in
+  tables
+    [
+      table
+        "Sensitivity — the Berkeley-vs-Myricom conclusion under timeout \
+         miscalibration (message ratio is timing-independent; time ratio moves \
+         but never flips)"
+        (strings
+           [ "timeout scale"; "Berkeley (ms)"; "Myricom (ms)"; "msgs ratio";
+             "time ratio" ]
+           rows);
+    ]
 
 let ext_cross_traffic () =
   let g, _ = Generators.now_c () in
   let mapper = mapper_of g "C-util" in
-  let t =
-    T.create
-      ~header:
-        [ "loss per crossing"; "retries"; "probes"; "time (ms)"; "map quality" ]
-  in
-  List.iter
-    (fun (p, retries) ->
-      let net = Network.create ~traffic:(p, San_util.Prng.create 3) g in
-      let policy = { Berkeley.faithful with retries } in
-      let r = Berkeley.run ~policy net ~mapper in
-      T.add_row t
-        [
-          Printf.sprintf "%.1f%%" (100.0 *. p);
-          string_of_int retries;
-          string_of_int (Berkeley.total_probes r);
-          fmt_ms r.Berkeley.elapsed_ns;
-          (match r.Berkeley.map with
-          | Ok m ->
-            if Iso.equal ~map:m ~actual:g () then "isomorphic"
-            else
-              Format.asprintf "degraded: %a" Graph.pp_stats m
-          | Error e -> "export failed: " ^ e);
-        ])
-    [ (0.0, 0); (0.005, 0); (0.02, 0); (0.02, 2); (0.05, 0); (0.05, 2); (0.05, 4) ];
-  T.print
-    ~title:
-      "Extension — §6 cross-traffic: probe loss per wire crossing, with and \
-       without the retry defence (retries restore the map at the price of \
-       extra probes on every true vacancy)"
-    t
+  table
+    "Extension — §6 cross-traffic: probe loss per wire crossing, with and \
+     without the retry defence (retries restore the map at the price of \
+     extra probes on every true vacancy)"
+    (strings
+       [ "loss per crossing"; "retries"; "probes"; "time (ms)"; "map quality" ]
+       (List.map
+          (fun (p, retries) ->
+            let net = Network.create ~traffic:(p, San_util.Prng.create 3) g in
+            let policy = { Berkeley.faithful with retries } in
+            let r = Berkeley.run ~policy net ~mapper in
+            [
+              Printf.sprintf "%.1f%%" (100.0 *. p);
+              string_of_int retries;
+              string_of_int (Berkeley.total_probes r);
+              fmt_ms r.Berkeley.elapsed_ns;
+              verdict ~ok:"isomorphic" ~bad:(fun m -> "degraded: " ^ stats m)
+                ~failed:"export failed: " g r.Berkeley.map;
+            ])
+          [ (0.0, 0); (0.005, 0); (0.02, 0); (0.02, 2); (0.05, 0); (0.05, 2);
+            (0.05, 4) ]))
 
 (* ------------------------------------------------------------------ *)
 (* Control-plane daemon: convergence after scripted faults              *)
 
-let daemon_section () =
+let daemon_section cfg =
   let open San_service in
-  let n = if !fast then 3 else 8 in
+  let n = if cfg.fast then 3 else 8 in
   let schedule =
     Result.get_ok (Schedule.parse "2:cut,4:flap=2,6:kill-leader,8:cut")
   in
   let converges = ref [] in
-  let t =
-    T.create
-      ~header:
-        [ "seed"; "remaps"; "elections"; "incidents"; "delta B"; "full B";
-          "saved"; "final" ]
+  let rows =
+    List.init n (fun i ->
+        let seed = i + 1 in
+        let config = { Daemon.default_config with Daemon.seed } in
+        let g, _ = Generators.now_cab () in
+        match Daemon.run ~config ~schedule ~epochs:12 g with
+        | Error e -> [ string_of_int seed; "failed: " ^ e ]
+        | Ok o ->
+          List.iter
+            (fun (i : Daemon.incident) ->
+              converges := i.Daemon.converge_ns :: !converges)
+            o.Daemon.incidents;
+          [
+            string_of_int seed;
+            string_of_int o.Daemon.remaps;
+            string_of_int o.Daemon.elections;
+            string_of_int (List.length o.Daemon.incidents);
+            string_of_int o.Daemon.delta_bytes;
+            string_of_int o.Daemon.full_bytes;
+            fmt_pct
+              (if o.Daemon.full_bytes = 0 then 0.0
+               else
+                 1.0
+                 -. float_of_int o.Daemon.delta_bytes
+                    /. float_of_int o.Daemon.full_bytes);
+            Daemon.phase_to_string o.Daemon.final_phase;
+          ])
   in
-  for seed = 1 to n do
-    let g, _ = Generators.now_cab () in
-    let config = { Daemon.default_config with Daemon.seed } in
-    match Daemon.run ~config ~schedule ~epochs:12 g with
-    | Error e -> T.add_row t [ string_of_int seed; "failed: " ^ e ]
-    | Ok o ->
-      List.iter
-        (fun (i : Daemon.incident) ->
-          converges := i.Daemon.converge_ns :: !converges)
-        o.Daemon.incidents;
-      T.add_row t
-        [
-          string_of_int seed;
-          string_of_int o.Daemon.remaps;
-          string_of_int o.Daemon.elections;
-          string_of_int (List.length o.Daemon.incidents);
-          string_of_int o.Daemon.delta_bytes;
-          string_of_int o.Daemon.full_bytes;
-          fmt_pct
-            (if o.Daemon.full_bytes = 0 then 0.0
-             else
-               1.0
-               -. float_of_int o.Daemon.delta_bytes
-                  /. float_of_int o.Daemon.full_bytes);
-          Daemon.phase_to_string o.Daemon.final_phase;
-        ]
-  done;
-  T.print
-    ~title:
-      (Printf.sprintf
-         "Control-plane daemon — 12 epochs on the NOW under cut / flap / \
-          leader-kill (%d seeded runs); delta distribution vs full \
-          redistribution"
-         n)
-    t;
-  (match !converges with
-  | [] -> ()
-  | l ->
-    Printf.printf
-      "detect-to-routes-installed convergence over %d incidents: p50 %.0f \
-       ms, p90 %.0f ms, max %.0f ms simulated\n"
-      (List.length l)
-      (San_util.Summary.percentile l 0.5 /. 1e6)
-      (San_util.Summary.percentile l 0.9 /. 1e6)
-      (San_util.Summary.percentile l 1.0 /. 1e6))
+  let notes =
+    match !converges with
+    | [] -> []
+    | l ->
+      [
+        Printf.sprintf
+          "detect-to-routes-installed convergence over %d incidents: p50 %.0f \
+           ms, p90 %.0f ms, max %.0f ms simulated"
+          (List.length l)
+          (San_util.Summary.percentile l 0.5 /. 1e6)
+          (San_util.Summary.percentile l 0.9 /. 1e6)
+          (San_util.Summary.percentile l 1.0 /. 1e6);
+      ]
+  in
+  tables
+    [
+      table ~notes
+        (Printf.sprintf
+           "Control-plane daemon — 12 epochs on the NOW under cut / flap / \
+            leader-kill (%d seeded runs); delta distribution vs full \
+            redistribution"
+           n)
+        (strings
+           [ "seed"; "remaps"; "elections"; "incidents"; "delta B"; "full B";
+             "saved"; "final" ]
+           rows);
+    ]
 
 (* ------------------------------------------------------------------ *)
 (* SLO observatory: convergence percentiles vs offered load x faults.   *)
@@ -1278,13 +1291,12 @@ let check_degraded_flights dir (reports : San_service.Daemon.epoch_report list)
         (n + 1, if explained then bad else bad + 1))
     (0, 0) reports
 
-let load_matrix_section () =
-  let module J = San_util.Json in
+let load_matrix_section cfg =
   let open San_service in
   San_why.Why.set_enabled true;
   Fun.protect ~finally:(fun () -> San_why.Why.set_enabled false)
   @@ fun () ->
-  let seeds = if !fast then 2 else 3 in
+  let seeds = if cfg.fast then 2 else 3 in
   let epochs = 12 in
   let loads = [ 0.3; 1.0; 3.0 ] in
   let faults =
@@ -1293,289 +1305,204 @@ let load_matrix_section () =
       ("high", "2:storm=2x1,5:flapstorm=3x2,8:partition=2,10:cut");
     ]
   in
-  let t =
-    T.create
-      ~header:
-        [ "faults"; "load"; "incidents"; "degraded"; "p50 ms"; "p95 ms";
-          "p99 ms"; "drop p95"; "postmortems" ]
+  let failures = ref [] in
+  let measure (fname, script) offered =
+    let schedule = Result.get_ok (Schedule.parse script) in
+    let converge = San_obs.Digest.create () in
+    let drops = ref [] in
+    let degraded = ref 0 in
+    let unexplained = ref 0 in
+    for seed = 1 to seeds do
+      let flight_dir =
+        Printf.sprintf "_artifacts/load_matrix/%s-%.1f-s%d" fname offered seed
+      in
+      let config =
+        {
+          Daemon.default_config with
+          Daemon.seed;
+          flight_dir = Some flight_dir;
+          load = Some (San_slo.Load.spec ~pattern:San_slo.Load.Hotspot offered);
+          slos = San_slo.Slo.defaults;
+        }
+      in
+      let g, _ = Generators.now_cab () in
+      match Daemon.run ~config ~schedule ~epochs g with
+      | Error e ->
+        failures :=
+          Printf.sprintf "%s/%.1f seed %d failed: %s" fname offered seed e
+          :: !failures
+      | Ok o ->
+        List.iter
+          (fun (i : Daemon.incident) ->
+            San_obs.Digest.add converge i.Daemon.converge_ns)
+          o.Daemon.incidents;
+        let drop (r : Daemon.epoch_report) =
+          Option.map (fun l -> l.San_slo.Load.r_drop_rate) r.Daemon.load
+        in
+        drops := List.filter_map drop o.Daemon.reports @ !drops;
+        let d, u = check_degraded_flights flight_dir o.Daemon.reports in
+        degraded := !degraded + d;
+        unexplained := !unexplained + u
+    done;
+    if !unexplained > 0 then
+      failures :=
+        Printf.sprintf
+          "%s/%.1f: %d degraded epochs without an explaining flight recording"
+          fname offered !unexplained
+        :: !failures;
+    let q p = San_obs.Digest.quantile converge p in
+    let pct p = Printf.sprintf "%.0f" (100.0 *. p) in
+    let ms p = str ~head:("p" ^ pct p ^ " ms") (Printf.sprintf "%.0f" (q p /. 1e6)) in
+    let ns p = num ~key:("converge_p" ^ pct p ^ "_ns") "%.0f" (q p) in
+    row ~at:[ Printf.sprintf "%s_%.1f" fname offered ]
+      [
+        str ~head:"faults" ~key:"faults" fname;
+        num ~head:"load" ~key:"offered" "%.1f" offered;
+        int ~key:"seeds" seeds;
+        int ~head:"incidents" ~key:"incidents" (San_obs.Digest.count converge);
+        int ~head:"degraded" ~key:"degraded_epochs" !degraded;
+        int ~key:"unexplained_degraded" !unexplained;
+        ms 0.5; ms 0.95; ms 0.99;
+        ns 0.5; ns 0.95; ns 0.99;
+        num ~head:"drop p95" ~key:"drop_p95" "%.3f"
+          (San_util.Summary.percentile !drops 0.95);
+        str ~head:"postmortems"
+          (if !unexplained = 0 then "all explained"
+           else Printf.sprintf "%d UNEXPLAINED" !unexplained);
+        cell ~key:"digest" "" (San_obs.Digest.to_json converge);
+      ]
   in
-  let entries = ref [] in
-  let csv_rows = ref [] in
-  List.iter
-    (fun (fname, script) ->
-      let schedule = Result.get_ok (Schedule.parse script) in
-      List.iter
-        (fun offered ->
-          let converge = San_obs.Digest.create () in
-          let drops = ref [] in
-          let degraded = ref 0 in
-          let unexplained = ref 0 in
-          for seed = 1 to seeds do
-            let flight_dir =
-              Printf.sprintf "_artifacts/load_matrix/%s-%.1f-s%d" fname
-                offered seed
-            in
-            (* The daemon's recorder mkdirs only the leaf; build the
-               nested path here. *)
-            List.fold_left
-              (fun parent part ->
-                let d =
-                  if parent = "" then part else Filename.concat parent part
-                in
-                (try Unix.mkdir d 0o755
-                 with Unix.Unix_error (Unix.EEXIST, _, _) -> ());
-                d)
-              ""
-              (String.split_on_char '/' flight_dir)
-            |> ignore;
-            let config =
-              {
-                Daemon.default_config with
-                Daemon.seed;
-                flight_dir = Some flight_dir;
-                load =
-                  Some
-                    (San_slo.Load.spec ~pattern:San_slo.Load.Hotspot offered);
-                slos = San_slo.Slo.defaults;
-              }
-            in
-            let g, _ = Generators.now_cab () in
-            match Daemon.run ~config ~schedule ~epochs g with
-            | Error e ->
-              Printf.printf "load_matrix %s/%.1f seed %d failed: %s\n" fname
-                offered seed e;
-              gate_failed := true
-            | Ok o ->
-              List.iter
-                (fun (i : Daemon.incident) ->
-                  San_obs.Digest.add converge i.Daemon.converge_ns)
-                o.Daemon.incidents;
-              List.iter
-                (fun (r : Daemon.epoch_report) ->
-                  match r.Daemon.load with
-                  | Some l -> drops := l.San_slo.Load.r_drop_rate :: !drops
-                  | None -> ())
-                o.Daemon.reports;
-              let d, u = check_degraded_flights flight_dir o.Daemon.reports in
-              degraded := !degraded + d;
-              unexplained := !unexplained + u
-          done;
-          if !unexplained > 0 then gate_failed := true;
-          let q p = San_obs.Digest.quantile converge p /. 1e6 in
-          let drop95 = San_util.Summary.percentile !drops 0.95 in
-          T.add_row t
-            [
-              fname;
-              Printf.sprintf "%.1f" offered;
-              string_of_int (San_obs.Digest.count converge);
-              string_of_int !degraded;
-              Printf.sprintf "%.0f" (q 0.5);
-              Printf.sprintf "%.0f" (q 0.95);
-              Printf.sprintf "%.0f" (q 0.99);
-              Printf.sprintf "%.3f" drop95;
-              (if !unexplained = 0 then "all explained"
-               else Printf.sprintf "%d UNEXPLAINED" !unexplained);
-            ];
-          csv_rows :=
-            [
-              fname; Printf.sprintf "%.2f" offered;
-              string_of_int (San_obs.Digest.count converge);
-              string_of_int !degraded;
-              Printf.sprintf "%.3f" (q 0.5); Printf.sprintf "%.3f" (q 0.95);
-              Printf.sprintf "%.3f" (q 0.99); Printf.sprintf "%.4f" drop95;
-            ]
-            :: !csv_rows;
-          entries :=
-            ( Printf.sprintf "%s_%.1f" fname offered,
-              J.Obj
-                [
-                  ("faults", J.Str fname);
-                  ("offered", J.Num offered);
-                  ("seeds", J.int seeds);
-                  ("incidents", J.int (San_obs.Digest.count converge));
-                  ("degraded_epochs", J.int !degraded);
-                  ("unexplained_degraded", J.int !unexplained);
-                  ("converge_p50_ns", J.Num (San_obs.Digest.quantile converge 0.5));
-                  ("converge_p95_ns", J.Num (San_obs.Digest.quantile converge 0.95));
-                  ("converge_p99_ns", J.Num (San_obs.Digest.quantile converge 0.99));
-                  ("drop_p95", J.Num drop95);
-                  ("digest", San_obs.Digest.to_json converge);
-                ] )
-            :: !entries)
-        loads)
-    faults;
-  T.print
-    ~title:
-      (Printf.sprintf
-         "Convergence under live traffic — %d-epoch daemon runs on the NOW, \
-          %d seeds per cell, hotspot load (worms/host/ms) x fault schedule; \
-          gate: every degraded epoch postmortem-explainable"
-         epochs seeds)
-    t;
-  write_csv "load_matrix"
-    [ "faults"; "offered"; "incidents"; "degraded"; "p50_ms"; "p95_ms";
-      "p99_ms"; "drop_p95" ]
-    (List.rev !csv_rows);
-  obs_sections :=
-    ("load_matrix", J.Obj (List.rev !entries)) :: !obs_sections
+  let rows = List.concat_map (fun f -> List.map (measure f) loads) faults in
+  {
+    blocks =
+      [
+        table
+          (Printf.sprintf
+             "Convergence under live traffic — %d-epoch daemon runs on the NOW, \
+              %d seeds per cell, hotspot load (worms/host/ms) x fault schedule; \
+              gate: every degraded epoch postmortem-explainable"
+             epochs seeds)
+          rows
+          ~csv:
+            [ "faults"; "offered"; "incidents"; "degraded_epochs";
+              "converge_p50_ns"; "converge_p95_ns"; "converge_p99_ns"; "drop_p95" ];
+      ];
+    failures = List.rev !failures;
+  }
 
 (* ------------------------------------------------------------------ *)
 (* Fuzz throughput: how much random-fabric checking a CI minute buys.   *)
 
-let fuzz_section () =
-  let cases = if !fast then 40 else 250 in
-  let t =
-    T.create ~header:[ "properties"; "cases"; "failures"; "wall s"; "cases/s" ]
-  in
+let fuzz_section cfg =
+  let cases = if cfg.fast then 40 else 250 in
   let row name props =
-    let t0 = Unix.gettimeofday () in
+    let t0 = now () in
     let r = San_check.Runner.run ?props ~cases ~seed:42 () in
-    let wall = Unix.gettimeofday () -. t0 in
-    T.add_row t
-      [
-        name;
-        string_of_int r.San_check.Runner.r_cases;
-        string_of_int (List.length r.San_check.Runner.r_failures);
-        Printf.sprintf "%.2f" wall;
-        Printf.sprintf "%.0f" (float_of_int cases /. wall);
-      ]
+    let wall = now () -. t0 in
+    [
+      name;
+      string_of_int r.San_check.Runner.r_cases;
+      string_of_int (List.length r.San_check.Runner.r_failures);
+      Printf.sprintf "%.2f" wall;
+      Printf.sprintf "%.0f" (float_of_int cases /. wall);
+    ]
   in
-  row "full suite" None;
-  List.iter (fun p -> row p (Some [ p ])) San_check.Props.names;
-  T.print
-    ~title:
-      (Printf.sprintf
-         "Property-fuzz throughput — %d generated fabrics per row, seed 42; \
-          per-property rows rebuild the mapper context each case, so the \
-          full suite beats the sum of its parts"
-         cases)
-    t
+  let full = row "full suite" None in
+  tables
+    [
+      table
+        (Printf.sprintf
+           "Property-fuzz throughput — %d generated fabrics per row, seed 42; \
+            per-property rows rebuild the mapper context each case, so the \
+            full suite beats the sum of its parts"
+           cases)
+        (strings
+           [ "properties"; "cases"; "failures"; "wall s"; "cases/s" ]
+           (full
+           :: List.map (fun p -> row p (Some [ p ])) San_check.Props.names));
+    ]
 
 (* ------------------------------------------------------------------ *)
 (* Telemetry overhead: what does leaving the switchboard on cost?       *)
 
-let telemetry_section () =
-  let module J = San_util.Json in
+let telemetry_section cfg =
   let g, _ = Generators.now_cab () in
-  let mapper = mapper_of g "C-util" in
-  let n = if !fast then 3 else 5 in
-  let best f =
-    (* Best-of-N wall time: overhead claims should not be inflated by
-       one unlucky scheduler hiccup. *)
-    let best = ref infinity in
-    for _ = 1 to n do
-      let t0 = Unix.gettimeofday () in
-      f ();
-      best := Float.min !best (Unix.gettimeofday () -. t0)
-    done;
-    !best
-  in
-  let map_once () =
-    let net = Network.create g in
-    ignore (Berkeley.run net ~mapper : Berkeley.result)
-  in
-  let daemon_epochs = if !fast then 4 else 8 in
+  let n = if cfg.fast then 3 else 5 in
+  let map_once () = ignore (map_now g : Berkeley.result) in
+  let daemon_epochs = if cfg.fast then 4 else 8 in
   let daemon_once () =
     let schedule = Result.get_ok (San_service.Schedule.parse "2:cut") in
-    match
-      San_service.Daemon.run ~schedule ~epochs:daemon_epochs (fst (Generators.now_cab ()))
-    with
+    let g, _ = Generators.now_cab () in
+    match San_service.Daemon.run ~schedule ~epochs:daemon_epochs g with
     | Ok _ -> ()
     | Error e -> failwith e
   in
   let fabric = San_telemetry.Fabric_stats.create () in
   let off f =
     San_obs.Obs.set_enabled false;
-    Fun.protect ~finally:(fun () -> San_obs.Obs.set_enabled true) (fun () -> best f)
+    Fun.protect ~finally:(fun () -> San_obs.Obs.set_enabled true) (fun () ->
+        (best_of n [| f |]).(0))
   in
   let on f =
     San_telemetry.Fabric_stats.install fabric;
     Fun.protect
       ~finally:(fun () -> San_telemetry.Fabric_stats.uninstall ())
       (fun () ->
-        best (fun () ->
-            San_telemetry.Fabric_stats.clear fabric;
-            f ()))
+        (best_of n
+           [| (fun () -> San_telemetry.Fabric_stats.clear fabric; f ()) |]).(0))
   in
   let map_off = off map_once in
   let map_on = on map_once in
   let daemon_off = off daemon_once in
   let daemon_on = on daemon_once in
   let pct a b = if a <= 0.0 then 0.0 else 100.0 *. ((b /. a) -. 1.0) in
-  let t =
-    T.create
-      ~header:[ "workload"; "telemetry off"; "on + fabric"; "overhead" ]
+  let line name prefix ~per off on =
+    let wall ~head ~key s =
+      cell ~head ~key (Printf.sprintf "%.1f ms" (s /. per *. 1e3)) (J.Num s)
+    in
+    row ~at:[]
+      [
+        str ~head:"workload" name;
+        wall ~head:"telemetry off" ~key:(prefix ^ "_off_s") off;
+        wall ~head:"on + fabric" ~key:(prefix ^ "_on_s") on;
+        num ~head:"overhead" ~key:(prefix ^ "_overhead_pct") "%+.1f%%"
+          (pct off on);
+      ]
   in
-  T.add_row t
+  tables
     [
-      "map C+A+B";
-      Printf.sprintf "%.1f ms" (map_off *. 1e3);
-      Printf.sprintf "%.1f ms" (map_on *. 1e3);
-      Printf.sprintf "%+.1f%%" (pct map_off map_on);
-    ];
-  T.add_row t
-    [
-      Printf.sprintf "daemon epoch (of %d)" daemon_epochs;
-      Printf.sprintf "%.1f ms" (daemon_off /. float_of_int daemon_epochs *. 1e3);
-      Printf.sprintf "%.1f ms" (daemon_on /. float_of_int daemon_epochs *. 1e3);
-      Printf.sprintf "%+.1f%%" (pct daemon_off daemon_on);
-    ];
-  T.print
-    ~title:
-      (Printf.sprintf
-         "Telemetry overhead — full run with observability disabled vs \
-          enabled with a fabric table installed (best of %d)"
-         n)
-    t;
-  obs_sections :=
-    ( "telemetry_overhead",
-      J.Obj
+      table
+        (Printf.sprintf
+           "Telemetry overhead — full run with observability disabled vs \
+            enabled with a fabric table installed (best of %d)"
+           n)
         [
-          ("map_off_s", J.Num map_off);
-          ("map_on_s", J.Num map_on);
-          ("map_overhead_pct", J.Num (pct map_off map_on));
-          ("daemon_off_s", J.Num daemon_off);
-          ("daemon_on_s", J.Num daemon_on);
-          ("daemon_overhead_pct", J.Num (pct daemon_off daemon_on));
-        ] )
-    :: !obs_sections
+          line "map C+A+B" "map" ~per:1.0 map_off map_on;
+          line
+            (Printf.sprintf "daemon epoch (of %d)" daemon_epochs)
+            "daemon" ~per:(float_of_int daemon_epochs) daemon_off daemon_on;
+        ];
+    ]
 
 (* ------------------------------------------------------------------ *)
 (* Provenance-ledger overhead: what does recording every deduction      *)
 (* cost the mapper?  Budget: within 10% of the ledger-off run.          *)
 
-let why_section () =
-  let module J = San_util.Json in
+let why_section cfg =
   let g, _ = Generators.now_cab () in
-  let mapper = mapper_of g "C-util" in
-  let n = if !fast then 5 else 9 in
+  let n = if cfg.fast then 5 else 9 in
   let probes = ref 0 in
-  let map_once () =
-    let net = Network.create g in
-    let r = Berkeley.run net ~mapper in
-    probes := Berkeley.total_probes r
-  in
-  let with_why f =
+  let map_once () = probes := Berkeley.total_probes (map_now g) in
+  let with_why f () =
     San_why.Why.reset ();
     San_why.Why.set_enabled true;
     Fun.protect ~finally:(fun () -> San_why.Why.set_enabled false) f
   in
-  let time f =
-    let t0 = Unix.gettimeofday () in
-    f ();
-    Unix.gettimeofday () -. t0
-  in
-  (* One warm-up per side, then the two configurations interleaved
-     pairwise: slow drifts in machine load hit both sides equally, and
-     best-of filters the spikes. *)
+  (* One warm-up per side, then the two configurations interleaved. *)
   map_once ();
-  with_why map_once;
-  let off = ref infinity and on = ref infinity in
-  for _ = 1 to n do
-    off := Float.min !off (time map_once);
-    on := Float.min !on (with_why (fun () -> time map_once))
-  done;
-  let off = !off and on = !on in
+  with_why map_once ();
+  let best = best_of n [| map_once; with_why map_once |] in
+  let off = best.(0) and on = best.(1) in
   let entries =
     San_why.Why.set_enabled true;
     Fun.protect
@@ -1585,32 +1512,28 @@ let why_section () =
         San_why.Why.size (San_why.Why.capture ()))
   in
   let pct = if off <= 0.0 then 0.0 else 100.0 *. ((on /. off) -. 1.0) in
-  let rate t = float_of_int !probes /. t in
-  let t = T.create ~header:[ "ledger"; "wall"; "probes/s"; "entries" ] in
-  T.add_row t
-    [ "off"; Printf.sprintf "%.1f ms" (off *. 1e3);
-      Printf.sprintf "%.0f" (rate off); "-" ];
-  T.add_row t
-    [ "on"; Printf.sprintf "%.1f ms" (on *. 1e3);
-      Printf.sprintf "%.0f" (rate on); string_of_int entries ];
-  T.print
-    ~title:
-      (Printf.sprintf
-         "Provenance-ledger overhead — map C+A+B with San_why off vs on \
-          (best of %d): %+.1f%% (budget: within 10%%)"
-         n pct)
-    t;
-  obs_sections :=
-    ( "why_overhead",
-      J.Obj
+  let wall key s =
+    cell ~head:"wall" ~key (Printf.sprintf "%.1f ms" (s *. 1e3)) (J.Num s)
+  in
+  let rate s = num ~head:"probes/s" "%.0f" (float_of_int !probes /. s) in
+  tables
+    [
+      table
+        (Printf.sprintf
+           "Provenance-ledger overhead — map C+A+B with San_why off vs on \
+            (best of %d): %+.1f%% (budget: within 10%%)"
+           n pct)
         [
-          ("map_off_s", J.Num off);
-          ("map_on_s", J.Num on);
-          ("overhead_pct", J.Num pct);
-          ("ledger_entries", J.Num (float_of_int entries));
-          ("probes", J.Num (float_of_int !probes));
-        ] )
-    :: !obs_sections
+          row ~at:[]
+            [ str ~head:"ledger" "off"; wall "map_off_s" off; rate off;
+              str ~head:"entries" "-" ];
+          row ~at:[]
+            [ str ~head:"ledger" "on"; wall "map_on_s" on;
+              num ~key:"overhead_pct" "%.1f" pct; rate on;
+              int ~head:"entries" ~key:"ledger_entries" entries;
+              int ~key:"probes" !probes ];
+        ];
+    ]
 
 (* ------------------------------------------------------------------ *)
 (* Scaling to data-center fabrics: the San_fabric fat-tree ladder,      *)
@@ -1619,143 +1542,74 @@ let why_section () =
 (* 100-host rung doubles as a perf regression gate against the recorded *)
 (* baseline in bench/scaling_baseline.json.                             *)
 
-let scale_100k = ref false
 let scaling_baseline = "bench/scaling_baseline.json"
 
-let scaling_section () =
-  let module J = San_util.Json in
-  let module Fabric = San_fabric.Fabric in
+let scaling_section cfg =
   let rungs =
     [ "ft-100"; "ft-1k" ]
-    @ (if !fast then [] else [ "ft-10k" ])
-    @ if !scale_100k then [ "ft-100k" ] else []
+    @ (if cfg.fast then [] else [ "ft-10k" ])
+    @ if cfg.scale_100k then [ "ft-100k" ] else []
   in
-  let t =
-    T.create
-      ~header:
-        [ "fabric"; "hosts"; "links"; "depth"; "probes"; "wall (s)";
-          "probes/s"; "merges/s"; "verified" ]
+  let merges () =
+    San_obs.Metrics.counter_value
+      (San_obs.Metrics.counter San_obs.Obs.registry "mapper.merges")
   in
-  let entries = ref [] in
-  List.iter
-    (fun name ->
-      let p = Option.get (Fabric.find_preset name) in
-      let g = p.Fabric.p_build ~seed:1 in
-      let mapper = List.hd (Graph.hosts g) in
-      let depth = Option.get p.Fabric.p_depth in
-      let run_once () =
-        San_obs.Obs.reset ();
-        let t0 = Unix.gettimeofday () in
-        let net = Network.create g in
-        let r = Berkeley.run ~depth:(Berkeley.Fixed depth) net ~mapper in
-        let wall = Unix.gettimeofday () -. t0 in
-        let merges =
-          San_obs.Metrics.counter_value
-            (San_obs.Metrics.counter San_obs.Obs.registry "mapper.merges")
-        in
-        (wall, r, merges)
-      in
-      (* The small rungs finish in milliseconds, where a scheduler
-         hiccup swamps the rate; best-of keeps the gate honest. *)
-      let reps = if Graph.num_hosts g <= 1000 then 5 else 1 in
-      let best = ref (run_once ()) in
-      for _ = 2 to reps do
-        let (w, _, _) as m = run_once () in
-        let bw, _, _ = !best in
-        if w < bw then best := m
-      done;
-      let wall, r, merges = !best in
-      let probes = Berkeley.total_probes r in
-      let verified =
-        match r.Berkeley.map with
-        | Error _ -> false
-        | Ok map ->
-          Result.is_ok
-            (Iso.check ~map ~actual:g ~exclude:(Core_set.separated_set g) ())
-      in
-      if not verified then gate_failed := true;
-      let pps = float_of_int probes /. wall in
-      let mps = float_of_int merges /. wall in
-      T.add_row t
-        [ name; string_of_int (Graph.num_hosts g);
-          string_of_int (Graph.num_wires g); string_of_int depth;
-          string_of_int probes; Printf.sprintf "%.2f" wall;
-          Printf.sprintf "%.0f" pps; Printf.sprintf "%.0f" mps;
-          (if verified then "yes" else "NO") ];
-      entries :=
-        ( name,
-          J.Obj
+  let rung name =
+    let g, mapper, depth = preset name in
+    let last = ref None in
+    let once () =
+      let m0 = merges () in
+      let net = Network.create g in
+      let r = Berkeley.run ~depth:(Berkeley.Fixed depth) net ~mapper in
+      last := Some (r, merges () - m0)
+    in
+    (* The small rungs finish in milliseconds, where a scheduler hiccup
+       swamps the rate. *)
+    let reps = if Graph.num_hosts g <= 1000 then 5 else 1 in
+    let wall = (best_of reps [| once |]).(0) in
+    let r, merges = Option.get !last in
+    let probes = Berkeley.total_probes r in
+    let rate n = float_of_int n /. wall in
+    let verified =
+      match r.Berkeley.map with
+      | Ok map -> Result.is_ok (iso ~core:true g map)
+      | Error _ -> false
+    in
+    ( row ~at:[ name ]
+      [
+        str ~head:"fabric" name;
+        int ~head:"hosts" ~key:"hosts" (Graph.num_hosts g);
+        int ~key:"switches" (Graph.num_switches g);
+        int ~head:"links" ~key:"links" (Graph.num_wires g);
+        int ~head:"depth" ~key:"depth" depth;
+        int ~head:"probes" ~key:"probes" probes;
+        int ~key:"merges" merges;
+        num ~head:"wall (s)" ~key:"wall_s" "%.2f" wall;
+        num ~head:"probes/s" ~key:"probes_per_s" "%.0f" (rate probes);
+        num ~head:"merges/s" ~key:"merges_per_s" "%.0f" (rate merges);
+        flag ~head:"verified" ~key:"verified" verified;
+      ],
+      if verified then [] else [ name ^ ": map not isomorphic to N - F" ] )
+  in
+  let results = List.map rung rungs in
+  {
+    blocks =
+      [
+        table
+          "Scaling — San_fabric fat-tree ladder, seed 1, suggested depth \
+           (verified = map isomorphic to N - F)"
+          (List.map fst results) ~levels:[ "fabric" ]
+          ~csv:[ "hosts"; "probes"; "wall_s"; "probes_per_s"; "merges_per_s" ]
+          (* The 100-host rung's probe rate: generous enough for machine-
+             to-machine variance, tight enough to catch a complexity slip. *)
+          ~gates:
             [
-              ("hosts", J.int (Graph.num_hosts g));
-              ("switches", J.int (Graph.num_switches g));
-              ("links", J.int (Graph.num_wires g));
-              ("depth", J.int depth);
-              ("probes", J.int probes);
-              ("merges", J.int merges);
-              ("wall_s", J.Num wall);
-              ("probes_per_s", J.Num pps);
-              ("merges_per_s", J.Num mps);
-              ("verified", J.Bool verified);
-            ] )
-        :: !entries)
-    rungs;
-  T.print
-    ~title:
-      "Scaling — San_fabric fat-tree ladder, seed 1, suggested depth \
-       (verified = map isomorphic to N - F)"
-    t;
-  write_csv "scaling"
-    [ "fabric"; "hosts"; "probes"; "wall_s"; "probes_per_s"; "merges_per_s" ]
-    (List.rev_map
-       (fun (name, j) ->
-         let num k =
-           match J.member k j with
-           | Some (J.Num f) -> Printf.sprintf "%.1f" f
-           | _ -> ""
-         in
-         [ name; num "hosts"; num "probes"; num "wall_s"; num "probes_per_s";
-           num "merges_per_s" ])
-       !entries);
-  (* Regression gate: the 100-host rung's probe rate must stay within
-     4x of the recorded baseline — generous enough for machine-to-
-     machine variance, tight enough to catch a complexity slip. *)
-  (let current =
-     match List.assoc_opt "ft-100" !entries with
-     | Some j -> (
-       match J.member "probes_per_s" j with Some (J.Num f) -> Some f | _ -> None)
-     | None -> None
-   in
-   let baseline =
-     if Sys.file_exists scaling_baseline then begin
-       let ic = open_in scaling_baseline in
-       let s = really_input_string ic (in_channel_length ic) in
-       close_in ic;
-       match J.of_string s with
-       | Ok j -> (
-         match Option.bind (J.member "ft-100" j) (J.member "probes_per_s") with
-         | Some (J.Num f) -> Some f
-         | _ -> None)
-       | Error _ -> None
-     end
-     else None
-   in
-   match (current, baseline) with
-   | Some cur, Some base ->
-     if cur < base /. 4.0 then begin
-       Printf.printf
-         "scaling gate FAILED: ft-100 at %.0f probes/s, under a quarter of \
-          the %.0f probes/s baseline\n"
-         cur base;
-       gate_failed := true
-     end
-     else
-       Printf.printf "scaling gate ok: ft-100 at %.0f probes/s (baseline %.0f)\n"
-         cur base
-   | Some _, None ->
-     Printf.printf "(no baseline at %s; scaling gate skipped)\n"
-       scaling_baseline
-   | None, _ -> ());
-  obs_sections := ("scaling", J.Obj (List.rev !entries)) :: !obs_sections
+              gate ~file:scaling_baseline ~base:[ "ft-100"; "probes_per_s" ]
+                (Floor 0.25) [ "ft-100" ] "probes_per_s";
+            ];
+      ];
+    failures = List.concat_map snd results;
+  }
 
 (* ------------------------------------------------------------------ *)
 (* Sharded mapping at scale: San_shard's 4 concurrent mappers against   *)
@@ -1764,125 +1618,83 @@ let scaling_section () =
 (* ratio is deterministic and gated hard: the merged map must verify    *)
 (* and the sharded wall must stay under half the solo wall.             *)
 
-let scaling_shard_section () =
-  let module J = San_util.Json in
-  let module Fabric = San_fabric.Fabric in
+let scaling_shard_section cfg =
   let shards = 4 in
-  let rungs = "ft-1k" :: (if !fast then [] else [ "ft-10k" ]) in
-  let t =
-    T.create
-      ~header:
-        [ "fabric"; "shards"; "solo probes"; "shard probes"; "probe ratio";
-          "solo sim (s)"; "shard sim (s)"; "wall ratio"; "host merge (ms)";
-          "verified" ]
+  let rungs = "ft-1k" :: (if cfg.fast then [] else [ "ft-10k" ]) in
+  let rung name =
+    let g, mapper, depth = preset name in
+    let net = Network.create g in
+    let solo = Berkeley.run ~depth:(Berkeley.Fixed depth) net ~mapper in
+    let solo_probes = Berkeley.total_probes solo in
+    let solo_ns = solo.Berkeley.elapsed_ns in
+    match San_shard.Runner.run ~seed:1 ~root:mapper g ~shards with
+    | Error e -> Error (Printf.sprintf "%s: plan failed: %s" name e)
+    | Ok r ->
+      let verifies = function
+        | Ok m -> Result.is_ok (iso ~core:true g m)
+        | Error _ -> false
+      in
+      let verified =
+        verifies solo.Berkeley.map
+        && verifies r.San_shard.Runner.map
+        && r.San_shard.Runner.dropped_views = []
+      in
+      let shard_probes = r.San_shard.Runner.total_probes in
+      let ratio = r.San_shard.Runner.wall_ns /. solo_ns in
+      let sim_s ~head key ms =
+        cell ~head ~key (Printf.sprintf "%.2f" (ms /. 1e3)) (J.Num ms)
+      in
+      let failed =
+        (if verified then [] else [ name ^ ": merged map not verified" ])
+        @
+        if ratio < 0.5 then []
+        else [ Printf.sprintf "%s: wall ratio %.3f is not under 0.5" name ratio ]
+      in
+      Ok
+        ( row ~at:[ name ]
+            [
+              str ~head:"fabric" name;
+              int ~key:"hosts" (Graph.num_hosts g);
+              int ~head:"shards" ~key:"shards" shards;
+              int ~head:"solo probes" ~key:"solo_probes" solo_probes;
+              int ~head:"shard probes" ~key:"shard_probes" shard_probes;
+              num ~head:"probe ratio" ~key:"probe_ratio" "%.2f"
+                (float_of_int shard_probes /. float_of_int solo_probes);
+              sim_s ~head:"solo sim (s)" "solo_sim_ms" (solo_ns /. 1e6);
+              sim_s ~head:"shard sim (s)" "shard_sim_ms"
+                (r.San_shard.Runner.wall_ns /. 1e6);
+              num ~head:"wall ratio" ~key:"sim_wall_ratio" "%.2f" ratio;
+              num ~head:"host merge (ms)" ~key:"merge_ms" "%.1f"
+                (r.San_shard.Runner.merge_ns /. 1e6);
+              num ~key:"overlap" "%.2f"
+                r.San_shard.Runner.plan.San_shard.Region.overlap;
+              flag ~head:"verified" ~key:"verified" verified;
+            ],
+          failed )
   in
-  let entries = ref [] in
-  List.iter
-    (fun name ->
-      let p = Option.get (Fabric.find_preset name) in
-      let g = p.Fabric.p_build ~seed:1 in
-      let mapper = List.hd (Graph.hosts g) in
-      let depth = Option.get p.Fabric.p_depth in
-      let net = Network.create g in
-      let solo = Berkeley.run ~depth:(Berkeley.Fixed depth) net ~mapper in
-      let solo_probes = Berkeley.total_probes solo in
-      let solo_ns = solo.Berkeley.elapsed_ns in
-      match San_shard.Runner.run ~seed:1 ~root:mapper g ~shards with
-      | Error e ->
-        Printf.printf "scaling-shard %s: plan failed: %s\n" name e;
-        gate_failed := true
-      | Ok r ->
-        let exclude = Core_set.separated_set g in
-        let iso m = Result.is_ok (Iso.check ~map:m ~actual:g ~exclude ()) in
-        let verified =
-          (match solo.Berkeley.map with Ok m -> iso m | Error _ -> false)
-          && (match r.San_shard.Runner.map with
-             | Ok m -> iso m
-             | Error _ -> false)
-          && r.San_shard.Runner.dropped_views = []
-        in
-        let ratio = r.San_shard.Runner.wall_ns /. solo_ns in
-        let probe_ratio =
-          float_of_int r.San_shard.Runner.total_probes
-          /. float_of_int solo_probes
-        in
-        if (not verified) || ratio >= 0.5 then gate_failed := true;
-        T.add_row t
-          [ name; string_of_int shards; string_of_int solo_probes;
-            string_of_int r.San_shard.Runner.total_probes;
-            Printf.sprintf "%.2f" probe_ratio;
-            Printf.sprintf "%.2f" (solo_ns /. 1e9);
-            Printf.sprintf "%.2f" (r.San_shard.Runner.wall_ns /. 1e9);
-            Printf.sprintf "%.2f" ratio;
-            Printf.sprintf "%.1f" (r.San_shard.Runner.merge_ns /. 1e6);
-            (if verified then "yes" else "NO") ];
-        entries :=
-          ( name,
-            J.Obj
-              [
-                ("hosts", J.int (Graph.num_hosts g));
-                ("shards", J.int shards);
-                ("solo_probes", J.int solo_probes);
-                ("shard_probes", J.int r.San_shard.Runner.total_probes);
-                ("probe_ratio", J.Num probe_ratio);
-                ("solo_sim_ms", J.Num (solo_ns /. 1e6));
-                ("shard_sim_ms", J.Num (r.San_shard.Runner.wall_ns /. 1e6));
-                ("merge_ms", J.Num (r.San_shard.Runner.merge_ns /. 1e6));
-                ("sim_wall_ratio", J.Num ratio);
-                ("overlap", J.Num r.San_shard.Runner.plan.San_shard.Region.overlap);
-                ("verified", J.Bool verified);
-              ] )
-          :: !entries)
-    rungs;
-  T.print
-    ~title:
-      (Printf.sprintf
-         "Scaling, sharded — %d concurrent mappers vs solo, seed 1 \
-          (simulated wall = slowest shard, merge timed apart on the host; \
-          gate: verified and ratio < 0.5)"
-         shards)
-    t;
-  (* Drift check against the recorded shard rung: the simulation is
-     deterministic, so any movement is a code change, not noise. *)
-  (match List.assoc_opt "ft-1k" !entries with
-   | Some j -> (
-     let cur =
-       match J.member "sim_wall_ratio" j with Some (J.Num f) -> Some f | _ -> None
-     in
-     let base =
-       if Sys.file_exists scaling_baseline then begin
-         let ic = open_in scaling_baseline in
-         let s = really_input_string ic (in_channel_length ic) in
-         close_in ic;
-         match J.of_string s with
-         | Ok j -> (
-           match
-             Option.bind (J.member "ft-1k-shard4" j) (J.member "sim_wall_ratio")
-           with
-           | Some (J.Num f) -> Some f
-           | _ -> None)
-         | Error _ -> None
-       end
-       else None
-     in
-     match (cur, base) with
-     | Some c, Some b ->
-       if c > b *. 1.25 then begin
-         Printf.printf
-           "scaling-shard gate FAILED: ft-1k sim wall ratio %.3f drifted over \
-            1.25x the %.3f baseline\n"
-           c b;
-         gate_failed := true
-       end
-       else
-         Printf.printf "scaling-shard gate ok: ft-1k ratio %.3f (baseline %.3f)\n"
-           c b
-     | Some _, None ->
-       Printf.printf "(no ft-1k-shard4 baseline at %s; drift check skipped)\n"
-         scaling_baseline
-     | None, _ -> ())
-   | None -> ());
-  obs_sections := ("scaling-shard", J.Obj (List.rev !entries)) :: !obs_sections
+  let results = List.map rung rungs in
+  {
+    blocks =
+      [
+        table
+          (Printf.sprintf
+             "Scaling, sharded — %d concurrent mappers vs solo, seed 1 \
+              (simulated wall = slowest shard, merge timed apart on the host; \
+              gate: verified and ratio < 0.5)"
+             shards)
+          (List.filter_map (function Ok (r, _) -> Some r | _ -> None) results)
+          ~levels:[ "fabric" ]
+          (* Deterministic simulation: any drift is a code change. *)
+          ~gates:
+            [
+              gate ~file:scaling_baseline
+                ~base:[ "ft-1k-shard4"; "sim_wall_ratio" ]
+                (Ceiling 1.25) [ "ft-1k" ] "sim_wall_ratio";
+            ];
+      ];
+    failures =
+      List.concat_map (function Ok (_, f) -> f | Error e -> [ e ]) results;
+  }
 
 (* ------------------------------------------------------------------ *)
 (* Route serving: the per-destination DAG plane at fabric scale. Rate   *)
@@ -1893,176 +1705,92 @@ let scaling_shard_section () =
 
 let serving_baseline = "bench/serving_baseline.json"
 
-let serving_section () =
-  let module J = San_util.Json in
-  let module Fabric = San_fabric.Fabric in
+let serving_section cfg =
   let module Serve = San_routing.Serve in
-  let entries = ref [] in
-  let t =
-    T.create
-      ~header:
-        [ "fabric"; "hosts"; "dsts"; "queries"; "compile (s)"; "Mlookups/s";
-          "resident"; "packed/naive"; "heap +MB"; "deadlock-free" ]
-  in
   let rungs =
     [ ("ft-100", 24, 200_000); ("ft-1k", 32, 400_000) ]
-    @ if !fast then [] else [ ("ft-10k", 32, 400_000) ]
+    @ if cfg.fast then [] else [ ("ft-10k", 32, 400_000) ]
   in
-  List.iter
-    (fun (name, ndst, queries) ->
-      let p = Option.get (Fabric.find_preset name) in
-      let g = p.Fabric.p_build ~seed:1 in
-      Gc.compact ();
-      let heap0 = (Gc.quick_stat ()).Gc.top_heap_words in
-      let serve = Serve.create ~cache_limit:64 g in
-      let hosts = Array.of_list (Graph.hosts g) in
-      let nh = Array.length hosts in
-      let rng = San_util.Prng.create 1 in
-      let shuffled = Array.copy hosts in
-      San_util.Prng.shuffle rng shuffled;
-      let dst_set = Array.sub shuffled 0 (min ndst nh) in
-      let t0 = Unix.gettimeofday () in
-      Array.iter (fun dst -> Serve.warm serve ~dst) dst_set;
-      let compile_s = Unix.gettimeofday () -. t0 in
-      let q =
-        Array.init queries (fun _ ->
-            let dst = dst_set.(San_util.Prng.int rng (Array.length dst_set)) in
-            let rec src () =
-              let s = hosts.(San_util.Prng.int rng nh) in
-              if s = dst then src () else s
-            in
-            (src (), dst))
-      in
-      let buf = Array.make (Graph.num_nodes g + 1) 0 in
-      (* a batch finishes in tens of ms, where one scheduler hiccup
-         swamps the rate; best-of keeps the gate honest *)
-      let best = ref infinity in
-      for _ = 1 to 5 do
-        let t1 = Unix.gettimeofday () in
-        ignore (Serve.batch serve q ~buf);
-        let dt = Unix.gettimeofday () -. t1 in
-        if dt < !best then best := dt
-      done;
-      let rate = float_of_int queries /. !best in
-      let heap_mb =
-        float_of_int ((Gc.quick_stat ()).Gc.top_heap_words - heap0)
-        *. float_of_int (Sys.word_size / 8)
-        /. 1e6
-      in
-      (* served sample stays deadlock-free: every warmed destination,
-         sources capped so ft-10k stays a bench and not a soak *)
-      let src_cap = min nh 100 in
-      let served = ref [] in
-      Array.iter
-        (fun dst ->
-          for i = 0 to src_cap - 1 do
-            let src = hosts.(i) in
-            if src <> dst then
-              match Serve.lookup serve ~src ~dst with
-              | Some turns -> served := (src, turns) :: !served
-              | None -> ()
-          done)
-        dst_set;
-      let deadlock_free =
-        match San_routing.Deadlock.check_acyclic g !served with
-        | Ok () -> true
-        | Error e ->
-          Printf.printf "serving %s: deadlock check FAILED: %s\n" name e;
-          gate_failed := true;
-          false
-      in
-      let st = Serve.stats serve in
-      let packed_ratio =
-        float_of_int st.Serve.packed_bytes /. float_of_int st.Serve.naive_bytes
-      in
-      T.add_row t
-        [ name; string_of_int nh; string_of_int (Array.length dst_set);
-          string_of_int queries; Printf.sprintf "%.3f" compile_s;
-          Printf.sprintf "%.2f" (rate /. 1e6);
-          string_of_int st.Serve.resident;
-          Printf.sprintf "%.0f%%" (100.0 *. packed_ratio);
-          Printf.sprintf "%.1f" heap_mb;
-          (if deadlock_free then "yes" else "NO") ];
-      entries :=
-        ( name,
-          J.Obj
-            [
-              ("hosts", J.int nh);
-              ("destinations", J.int (Array.length dst_set));
-              ("queries", J.int queries);
-              ("compile_s", J.Num compile_s);
-              ("lookups_per_s", J.Num rate);
-              ("resident_tables", J.int st.Serve.resident);
-              ("pool_cells", J.int st.Serve.pool_cells);
-              ("packed_bytes", J.int st.Serve.packed_bytes);
-              ("naive_bytes", J.int st.Serve.naive_bytes);
-              ("heap_growth_mb", J.Num heap_mb);
-              ("deadlock_free", J.Bool deadlock_free);
-            ] )
-        :: !entries)
-    rungs;
-  T.print
-    ~title:
-      "Route serving — per-destination DAG tables, bounded cache (64), \
-       shared-suffix pool (heap +MB: growth over the bare graph; an \
-       all-pairs matrix would need hosts^2 entries)"
-    t;
-  write_csv "serving"
-    [ "fabric"; "hosts"; "queries"; "lookups_per_s"; "heap_growth_mb" ]
-    (List.rev_map
-       (fun (name, j) ->
-         let num k =
-           match J.member k j with
-           | Some (J.Num f) -> Printf.sprintf "%.1f" f
-           | _ -> ""
-         in
-         [ name; num "hosts"; num "queries"; num "lookups_per_s";
-           num "heap_growth_mb" ])
-       !entries);
-  (* Regression gate, scaling-style: ft-1k must serve at least a
-     quarter of the recorded baseline rate. *)
-  (let current =
-     match List.assoc_opt "ft-1k" !entries with
-     | Some j -> (
-       match J.member "lookups_per_s" j with Some (J.Num f) -> Some f | _ -> None)
-     | None -> None
-   in
-   let baseline =
-     if Sys.file_exists serving_baseline then begin
-       let ic = open_in serving_baseline in
-       let s = really_input_string ic (in_channel_length ic) in
-       close_in ic;
-       match J.of_string s with
-       | Ok j -> (
-         match Option.bind (J.member "ft-1k" j) (J.member "lookups_per_s") with
-         | Some (J.Num f) -> Some f
-         | _ -> None)
-       | Error _ -> None
-     end
-     else None
-   in
-   match (current, baseline) with
-   | Some cur, Some base ->
-     if cur < base /. 4.0 then begin
-       Printf.printf
-         "serving gate FAILED: ft-1k at %.2fM lookups/s, under a quarter of \
-          the %.2fM baseline\n"
-         (cur /. 1e6) (base /. 1e6);
-       gate_failed := true
-     end
-     else
-       Printf.printf
-         "serving gate ok: ft-1k at %.2fM lookups/s (baseline %.2fM)\n"
-         (cur /. 1e6) (base /. 1e6)
-   | Some _, None ->
-     Printf.printf "(no baseline at %s; serving gate skipped)\n"
-       serving_baseline
-   | None, _ -> ());
+  let rung (name, ndst, queries) =
+    let g, _, _ = preset name in
+    Gc.compact ();
+    let heap0 = (Gc.quick_stat ()).Gc.top_heap_words in
+    let serve = Serve.create ~cache_limit:64 g in
+    let hosts = Array.of_list (Graph.hosts g) in
+    let nh = Array.length hosts in
+    let rng = San_util.Prng.create 1 in
+    let shuffled = Array.copy hosts in
+    San_util.Prng.shuffle rng shuffled;
+    let dst_set = Array.sub shuffled 0 (min ndst nh) in
+    let t0 = now () in
+    Array.iter (fun dst -> Serve.warm serve ~dst) dst_set;
+    let compile_s = now () -. t0 in
+    let q =
+      Array.init queries (fun _ ->
+          let dst = dst_set.(San_util.Prng.int rng (Array.length dst_set)) in
+          let rec src () =
+            let s = hosts.(San_util.Prng.int rng nh) in
+            if s = dst then src () else s
+          in
+          (src (), dst))
+    in
+    let buf = Array.make (Graph.num_nodes g + 1) 0 in
+    (* a batch finishes in tens of ms *)
+    let batch =
+      (best_of 5 [| (fun () -> ignore (Serve.batch serve q ~buf)) |]).(0)
+    in
+    let rate = float_of_int queries /. batch in
+    let heap_mb =
+      float_of_int ((Gc.quick_stat ()).Gc.top_heap_words - heap0)
+      *. float_of_int (Sys.word_size / 8)
+      /. 1e6
+    in
+    (* served sample stays deadlock-free: every warmed destination,
+       sources capped so ft-10k stays a bench and not a soak *)
+    let src_cap = min nh 100 in
+    let served = ref [] in
+    Array.iter
+      (fun dst ->
+        for i = 0 to src_cap - 1 do
+          let src = hosts.(i) in
+          if src <> dst then
+            match Serve.lookup serve ~src ~dst with
+            | Some turns -> served := (src, turns) :: !served
+            | None -> ()
+        done)
+      dst_set;
+    let deadlock = San_routing.Deadlock.check_acyclic g !served in
+    let st = Serve.stats serve in
+    let packed_ratio =
+      float_of_int st.Serve.packed_bytes /. float_of_int st.Serve.naive_bytes
+    in
+    ( row ~at:[ name ]
+        [
+          str ~head:"fabric" name;
+          int ~head:"hosts" ~key:"hosts" nh;
+          int ~head:"dsts" ~key:"destinations" (Array.length dst_set);
+          int ~head:"queries" ~key:"queries" queries;
+          num ~head:"compile (s)" ~key:"compile_s" "%.3f" compile_s;
+          num ~head:"Mlookups/s" "%.2f" (rate /. 1e6);
+          num ~key:"lookups_per_s" "%.0f" rate;
+          int ~head:"resident" ~key:"resident_tables" st.Serve.resident;
+          int ~key:"pool_cells" st.Serve.pool_cells;
+          int ~key:"packed_bytes" st.Serve.packed_bytes;
+          int ~key:"naive_bytes" st.Serve.naive_bytes;
+          num ~head:"packed/naive" "%.0f%%" (100.0 *. packed_ratio);
+          num ~head:"heap +MB" ~key:"heap_growth_mb" "%.1f" heap_mb;
+          flag ~head:"deadlock-free" ~key:"deadlock_free" (Result.is_ok deadlock);
+        ],
+      match deadlock with
+      | Ok () -> []
+      | Error e -> [ Printf.sprintf "%s: deadlock check failed: %s" name e ] )
+  in
+  let results = List.map rung rungs in
   (* Traffic awareness: a hotspot storm heats a few links; recomputing
      the table with the measured heat (and drop cost) steering
      equal-cost choices should pull the p99 per-link slot occupancy
      down on the re-run of the very same storm. *)
-  let g = (Option.get (Fabric.find_preset "ft-100")).Fabric.p_build ~seed:1 in
+  let g, _, _ = preset "ft-100" in
   let storm table =
     let stats = San_telemetry.Fabric_stats.create () in
     San_telemetry.Fabric_stats.install stats;
@@ -2081,8 +1809,7 @@ let serving_section () =
          (San_telemetry.Fabric_stats.links stats g))
       0.99
   in
-  let baseline_table = San_routing.Routes.compute g in
-  let s_before, rep = storm baseline_table in
+  let s_before, rep = storm (San_routing.Routes.compute g) in
   let p99_before = occupied_p99 s_before in
   let drop_ns = San_obs.Digest.quantile rep.San_slo.Load.r_latency 0.5 in
   let prefer u v =
@@ -2101,29 +1828,45 @@ let serving_section () =
           Float.min acc pst)
       infinity (Graph.wired_ports g u)
   in
-  let aware_table = San_routing.Routes.compute ~prefer g in
-  let s_after, _ = storm aware_table in
+  let s_after, _ = storm (San_routing.Routes.compute ~prefer g) in
   let p99_after = occupied_p99 s_after in
   let drop_pct =
     if p99_before > 0.0 then 100.0 *. (1.0 -. (p99_after /. p99_before))
     else 0.0
   in
-  Printf.printf
-    "traffic-aware serving (ft-100, hotspot storm): p99 link occupancy \
-     %.0f -> %.0f ns (%.1f%% drop)\n"
-    p99_before p99_after drop_pct;
-  entries :=
-    ( "traffic_storm",
-      J.Obj
-        [
-          ("p99_occupied_ns_static", J.Num p99_before);
-          ("p99_occupied_ns_aware", J.Num p99_after);
-          ("drop_pct", J.Num drop_pct);
-          ( "loss_per_crossing",
-            J.Num rep.San_slo.Load.r_loss_per_crossing );
-        ] )
-    :: !entries;
-  obs_sections := ("serving", J.Obj (List.rev !entries)) :: !obs_sections
+  {
+    blocks =
+      [
+        table
+          "Route serving — per-destination DAG tables, bounded cache (64), \
+           shared-suffix pool (heap +MB: growth over the bare graph; an \
+           all-pairs matrix would need hosts^2 entries)"
+          (List.map fst results) ~levels:[ "fabric" ]
+          ~csv:[ "hosts"; "queries"; "lookups_per_s"; "heap_growth_mb" ]
+          ~gates:
+            [
+              gate ~file:serving_baseline ~base:[ "ft-1k"; "lookups_per_s" ]
+                (Floor 0.25) [ "ft-1k" ] "lookups_per_s";
+            ];
+        Line
+          (Printf.sprintf
+             "traffic-aware serving (ft-100, hotspot storm): p99 link occupancy \
+              %.0f -> %.0f ns (%.1f%% drop)"
+             p99_before p99_after drop_pct);
+        Data
+          [
+            row ~at:[ "traffic_storm" ]
+              [
+                num ~key:"p99_occupied_ns_static" "%.0f" p99_before;
+                num ~key:"p99_occupied_ns_aware" "%.0f" p99_after;
+                num ~key:"drop_pct" "%.1f" drop_pct;
+                num ~key:"loss_per_crossing" "%.4f"
+                  rep.San_slo.Load.r_loss_per_crossing;
+              ];
+          ];
+      ];
+    failures = List.concat_map snd results;
+  }
 
 (* ------------------------------------------------------------------ *)
 (* Accuracy vs budget: San_cover budgeted partial mapping on the        *)
@@ -2136,217 +1879,141 @@ let serving_section () =
 
 let coverage_baseline = "bench/coverage_baseline.json"
 
-let coverage_section () =
-  let module J = San_util.Json in
-  let module Fabric = San_fabric.Fabric in
+let coverage_section cfg =
   let module Cover = San_cover.Cover in
-  let rungs = "ft-100" :: (if !fast then [] else [ "ft-1k" ]) in
-  let budgets = [ 0.1; 0.3; 0.6 ] in
+  let rungs = "ft-100" :: (if cfg.fast then [] else [ "ft-1k" ]) in
   let fr n d = if d <= 0 then 0.0 else float_of_int n /. float_of_int d in
-  let t =
-    T.create
-      ~header:
-        [ "fabric"; "budget"; "probes"; "switches"; "links"; "hosts";
-          "mean conf"; "frontier"; "subgraph" ]
+  let frac key n d = num ~key "%.3f" (fr n d) in
+  let count head n d = str ~head (Printf.sprintf "%d/%d" n d) in
+  let failures = ref [] in
+  let fail fmt = Printf.ksprintf (fun m -> failures := m :: !failures) fmt in
+  let rung name =
+    let g, mapper, depth = preset name in
+    let depth = Berkeley.Fixed depth in
+    let net = Network.create g in
+    let reference = Berkeley.run ~depth net ~mapper in
+    let run ?directed f =
+      let what =
+        Printf.sprintf "%s%s @ %g" (if directed = None then "" else "directed ")
+          name f
+      in
+      match
+        Cover.run ~depth ~record_trace:false ~reference ?directed
+          ~budget:(Cover.Frac f) net ~mapper
+      with
+      | Error e ->
+        fail "%s: %s" what e;
+        None
+      | Ok rep ->
+        if Result.is_error rep.Cover.r_subgraph then
+          fail "%s: partial map does not embed in N - F" what;
+        Some (f, rep)
+    in
+    let undirected = List.filter_map run [ 0.1; 0.3; 0.6 ] in
+    let budget_row (f, r) =
+      row ~at:[ name; Printf.sprintf "b%g" f ]
+        [
+          str ~head:"fabric" name;
+          str ~head:"budget" (Printf.sprintf "%g" f);
+          int ~key:"probe_limit" r.Cover.r_probe_limit;
+          cell ~head:"probes" ~key:"probes_used"
+            (Printf.sprintf "%d/%d" r.Cover.r_probes_used r.Cover.r_full_probes)
+            (J.int r.Cover.r_probes_used);
+          count "switches" r.Cover.r_recovered_switches r.Cover.r_full_switches;
+          frac "switch_frac" r.Cover.r_recovered_switches r.Cover.r_full_switches;
+          count "links" r.Cover.r_recovered_links r.Cover.r_full_links;
+          frac "link_frac" r.Cover.r_recovered_links r.Cover.r_full_links;
+          count "hosts" r.Cover.r_recovered_hosts r.Cover.r_full_hosts;
+          frac "host_frac" r.Cover.r_recovered_hosts r.Cover.r_full_hosts;
+          num ~head:"mean conf" ~key:"mean_conf" "%.3f" r.Cover.r_mean_conf;
+          int ~head:"frontier" ~key:"frontier" r.Cover.r_frontier;
+          num ~key:"est_links" "%g" r.Cover.r_est_links;
+          flag ~head:"subgraph" ~key:"subgraph" ~yes:"ok" ~no:"FAILED"
+            (Result.is_ok r.Cover.r_subgraph);
+        ]
+    in
+    (* The Goldstein directed-fabric variant: orient every
+       switch-switch wire, silence probes that walk against the
+       orientation, and measure the probe-complexity degradation at
+       the same budgets. The reference stays undirected so the
+       fractions are comparable. *)
+    let directed_run (f, r) =
+      let recovered =
+        match List.assoc_opt f undirected with
+        | Some u ->
+          Printf.sprintf "%.0f%%/%.0f%% switch/link"
+            (100. *. fr u.Cover.r_recovered_switches u.Cover.r_full_switches)
+            (100. *. fr u.Cover.r_recovered_links u.Cover.r_full_links)
+        (* at full budget the undirected run IS the reference *)
+        | None -> "100%/100% switch/link"
+      in
+      ( Printf.sprintf
+          "note: directed (Goldstein) %s @ %g: %d/%d probes spent, %d blocked \
+           by orientation; recovered %d/%d switches, %d/%d links (undirected \
+           recovered %s)"
+          name f r.Cover.r_probes_used r.Cover.r_probe_limit r.Cover.r_blocked
+          r.Cover.r_recovered_switches r.Cover.r_full_switches
+          r.Cover.r_recovered_links r.Cover.r_full_links recovered,
+        row ~at:[ name; Printf.sprintf "directed_b%g" f ]
+          [
+            int ~key:"probes_used" r.Cover.r_probes_used;
+            int ~key:"blocked" r.Cover.r_blocked;
+            frac "switch_frac" r.Cover.r_recovered_switches r.Cover.r_full_switches;
+            frac "link_frac" r.Cover.r_recovered_links r.Cover.r_full_links;
+            flag ~key:"subgraph" (Result.is_ok r.Cover.r_subgraph);
+          ] )
+    in
+    let directed =
+      if name <> "ft-100" then []
+      else
+        let d f = run ~directed:(San_cover.Directed.create ~seed:1 g) f in
+        List.map directed_run (List.filter_map d [ 0.3; 1.0 ])
+    in
+    (List.map budget_row undirected, directed)
   in
-  let entries = ref [] in
-  let notes = ref [] in
-  (* (fabric, budget key, switch/link/host fracs, mean conf) for the
-     baseline gate. *)
-  let gatevals = ref [] in
-  List.iter
-    (fun name ->
-      let p = Option.get (Fabric.find_preset name) in
-      let g = p.Fabric.p_build ~seed:1 in
-      let mapper = List.hd (Graph.hosts g) in
-      let depth = Berkeley.Fixed (Option.get p.Fabric.p_depth) in
-      let net = Network.create g in
-      let reference = Berkeley.run ~depth net ~mapper in
-      let budget_entries = ref [] in
-      List.iter
-        (fun f ->
-          match
-            Cover.run ~depth ~record_trace:false ~reference
-              ~budget:(Cover.Frac f) net ~mapper
-          with
-          | Error e ->
-            Printf.printf "coverage %s @ %g FAILED: %s\n" name f e;
-            gate_failed := true
-          | Ok rep ->
-            let ok = Result.is_ok rep.Cover.r_subgraph in
-            if not ok then gate_failed := true;
-            let sf = fr rep.Cover.r_recovered_switches rep.Cover.r_full_switches
-            and lf = fr rep.Cover.r_recovered_links rep.Cover.r_full_links
-            and hf = fr rep.Cover.r_recovered_hosts rep.Cover.r_full_hosts in
-            let bkey = Printf.sprintf "b%g" f in
-            gatevals := (name, bkey, sf, lf, hf, rep.Cover.r_mean_conf)
-              :: !gatevals;
-            T.add_row t
-              [ name; Printf.sprintf "%g" f;
-                Printf.sprintf "%d/%d" rep.Cover.r_probes_used
-                  rep.Cover.r_full_probes;
-                Printf.sprintf "%d/%d" rep.Cover.r_recovered_switches
-                  rep.Cover.r_full_switches;
-                Printf.sprintf "%d/%d" rep.Cover.r_recovered_links
-                  rep.Cover.r_full_links;
-                Printf.sprintf "%d/%d" rep.Cover.r_recovered_hosts
-                  rep.Cover.r_full_hosts;
-                Printf.sprintf "%.3f" rep.Cover.r_mean_conf;
-                string_of_int rep.Cover.r_frontier;
-                (if ok then "ok" else "FAILED") ];
-            budget_entries :=
-              ( bkey,
-                J.Obj
-                  [
-                    ("probe_limit", J.int rep.Cover.r_probe_limit);
-                    ("probes_used", J.int rep.Cover.r_probes_used);
-                    ("switch_frac", J.Num sf);
-                    ("link_frac", J.Num lf);
-                    ("host_frac", J.Num hf);
-                    ("mean_conf", J.Num rep.Cover.r_mean_conf);
-                    ("frontier", J.int rep.Cover.r_frontier);
-                    ("est_links", J.Num rep.Cover.r_est_links);
-                    ("subgraph", J.Bool ok);
-                  ] )
-              :: !budget_entries)
-        budgets;
-      (* The Goldstein directed-fabric variant: orient every
-         switch-switch wire, silence probes that walk against the
-         orientation, and measure the probe-complexity degradation at
-         the same budgets. The reference stays undirected so the
-         fractions are comparable. *)
-      if name = "ft-100" then
-        List.iter
-          (fun f ->
-            let d = San_cover.Directed.create ~seed:1 g in
-            match
-              Cover.run ~depth ~record_trace:false ~reference ~directed:d
-                ~budget:(Cover.Frac f) net ~mapper
-            with
-            | Error e ->
-              Printf.printf "coverage directed %s @ %g FAILED: %s\n" name f e;
-              gate_failed := true
-            | Ok rep ->
-              if Result.is_error rep.Cover.r_subgraph then gate_failed := true;
-              let note =
-                Printf.sprintf
-                  "directed (Goldstein) %s @ %g: %d/%d probes spent, %d \
-                   blocked by orientation; recovered %d/%d switches, %d/%d \
-                   links (undirected recovered %s)"
-                  name f rep.Cover.r_probes_used rep.Cover.r_probe_limit
-                  rep.Cover.r_blocked rep.Cover.r_recovered_switches
-                  rep.Cover.r_full_switches rep.Cover.r_recovered_links
-                  rep.Cover.r_full_links
-                  (match
-                     List.find_opt
-                       (fun (n, b, _, _, _, _) ->
-                         n = name && b = Printf.sprintf "b%g" f)
-                       !gatevals
-                   with
-                  | Some (_, _, sf, lf, _, _) ->
-                    Printf.sprintf "%.0f%%/%.0f%% switch/link" (100. *. sf)
-                      (100. *. lf)
-                  (* at full budget the undirected run IS the reference *)
-                  | None -> "100%/100% switch/link")
-              in
-              notes := note :: !notes;
-              budget_entries :=
-                ( Printf.sprintf "directed_b%g" f,
-                  J.Obj
-                    [
-                      ("probes_used", J.int rep.Cover.r_probes_used);
-                      ("blocked", J.int rep.Cover.r_blocked);
-                      ( "switch_frac",
-                        J.Num
-                          (fr rep.Cover.r_recovered_switches
-                             rep.Cover.r_full_switches) );
-                      ( "link_frac",
-                        J.Num
-                          (fr rep.Cover.r_recovered_links
-                             rep.Cover.r_full_links) );
-                      ( "subgraph",
-                        J.Bool (Result.is_ok rep.Cover.r_subgraph) );
-                    ] )
-                :: !budget_entries)
-          [ 0.3; 1.0 ];
-      entries := (name, J.Obj (List.rev !budget_entries)) :: !entries)
-    rungs;
-  T.print
-    ~title:
-      "Coverage — accuracy vs probe budget (San_cover, seed 1; every \
-       partial map verified to embed in N - F)"
-    t;
-  List.iter (fun n -> Printf.printf "note: %s\n" n) (List.rev !notes);
-  write_csv "coverage"
-    [ "fabric"; "budget"; "switch_frac"; "link_frac"; "host_frac";
-      "mean_conf" ]
-    (List.rev_map
-       (fun (name, bkey, sf, lf, hf, mc) ->
-         [ name; bkey; Printf.sprintf "%.3f" sf; Printf.sprintf "%.3f" lf;
-           Printf.sprintf "%.3f" hf; Printf.sprintf "%.3f" mc ])
-       !gatevals);
-  (* Regression gate: every recovered fraction must stay within 0.05,
-     and the mean confidence within 0.1, of the checked-in baseline.
-     The runs are seeded and the simulation deterministic, so drift
-     means the mapper, the budget gate or the scoring model changed. *)
-  (let baseline =
-     if Sys.file_exists coverage_baseline then begin
-       let ic = open_in coverage_baseline in
-       let s = really_input_string ic (in_channel_length ic) in
-       close_in ic;
-       match J.of_string s with Ok j -> Some j | Error _ -> None
-     end
-     else None
-   in
-   match baseline with
-   | None ->
-     Printf.printf "(no baseline at %s; coverage gate skipped)\n"
-       coverage_baseline
-   | Some base ->
-     let checked = ref 0 and bad = ref 0 in
-     List.iter
-       (fun (name, bkey, sf, lf, hf, mc) ->
-         match Option.bind (J.member name base) (J.member bkey) with
-         | None -> ()
-         | Some b ->
-           let num k =
-             match J.member k b with Some (J.Num v) -> Some v | _ -> None
-           in
-           let off what tol cur =
-             match num what with
-             | Some v when Float.abs (cur -. v) > tol ->
-               Printf.printf
-                 "coverage gate FAILED: %s %s %s %.3f drifted from baseline \
-                  %.3f\n"
-                 name bkey what cur v;
-               bad := !bad + 1
-             | _ -> ()
-           in
-           checked := !checked + 1;
-           off "switch_frac" 0.05 sf;
-           off "link_frac" 0.05 lf;
-           off "host_frac" 0.05 hf;
-           off "mean_conf" 0.1 mc)
-       !gatevals;
-     if !bad > 0 then gate_failed := true
-     else
-       Printf.printf "coverage gate ok: %d fabric/budget points within the \
-                      baseline bands\n"
-         !checked);
-  obs_sections := ("coverage", J.Obj (List.rev !entries)) :: !obs_sections
+  let results = List.map rung rungs in
+  let rows = List.concat_map fst results in
+  let directed = List.concat_map snd results in
+  (* Every recovered fraction within 0.05, and the mean confidence
+     within 0.1, of the checked-in baseline. The runs are seeded and the
+     simulation deterministic, so drift means the mapper, the budget
+     gate or the scoring model changed. *)
+  let bands =
+    [ ("switch_frac", 0.05); ("link_frac", 0.05); ("host_frac", 0.05);
+      ("mean_conf", 0.1) ]
+  in
+  let gates =
+    List.concat_map
+      (fun r ->
+        let at = Option.get r.at in
+        List.map
+          (fun (key, d) ->
+            gate ~file:coverage_baseline ~base:(at @ [ key ]) (Within d) at key)
+          bands)
+      rows
+  in
+  {
+    blocks =
+      [
+        table
+          "Coverage — accuracy vs probe budget (San_cover, seed 1; every \
+           partial map verified to embed in N - F)"
+          rows ~levels:[ "fabric"; "budget" ]
+          ~csv:[ "switch_frac"; "link_frac"; "host_frac"; "mean_conf" ]
+          ~notes:(List.map fst directed) ~gates;
+        Data (List.map snd directed);
+      ];
+    failures = List.rev !failures;
+  }
 
 (* ------------------------------------------------------------------ *)
 (* Bechamel micro-benchmarks: one Test.make per experiment              *)
 
-let bechamel_section () =
+let bechamel_section cfg =
   let open Bechamel in
   let gc = fst (Generators.now_c ()) in
   let gcab = fst (Generators.now_cab ()) in
-  let map_cab =
-    let net = Network.create gcab in
-    Result.get_ok
-      (Berkeley.run net ~mapper:(mapper_of gcab "C-util")).Berkeley.map
-  in
+  let map_cab = Result.get_ok (map_now gcab).Berkeley.map in
   let long_route =
     (* A representative NOW-scale route for the worm evaluator. *)
     let table = San_routing.Routes.compute map_cab in
@@ -2361,13 +2028,8 @@ let bechamel_section () =
   let tests =
     [
       Test.make ~name:"fig4:map-subcluster-C"
-        (Staged.stage (fun () ->
-             let net = Network.create gc in
-             Berkeley.run net ~mapper:(mapper_of gc "C-util")));
-      Test.make ~name:"fig5:map-now-100"
-        (Staged.stage (fun () ->
-             let net = Network.create gcab in
-             Berkeley.run net ~mapper:(mapper_of gcab "C-util")));
+        (Staged.stage (fun () -> map_now gc));
+      Test.make ~name:"fig5:map-now-100" (Staged.stage (fun () -> map_now gcab));
       Test.make ~name:"fig7:election-now"
         (Staged.stage (fun () ->
              let net = Network.create gcab in
@@ -2391,122 +2053,205 @@ let bechamel_section () =
   in
   let grouped = Test.make_grouped ~name:"san" tests in
   let instance = Toolkit.Instance.monotonic_clock in
-  let cfg =
+  let bcfg =
     Benchmark.cfg ~limit:200
-      ~quota:(Time.second (if !fast then 0.1 else 0.4))
+      ~quota:(Time.second (if cfg.fast then 0.1 else 0.4))
       ~kde:None ()
   in
-  let raw = Benchmark.all cfg [ instance ] grouped in
+  let raw = Benchmark.all bcfg [ instance ] grouped in
   let ols =
     Analyze.ols ~bootstrap:0 ~r_square:true ~predictors:[| Measure.run |]
   in
   let results = Analyze.all ols instance raw in
-  let t = T.create ~header:[ "benchmark"; "wall time per run"; "r²" ] in
-  let rows = ref [] in
-  Hashtbl.iter
-    (fun name res ->
-      let est =
-        match Analyze.OLS.estimates res with
-        | Some [ e ] -> e
-        | _ -> nan
-      in
-      let human =
-        if Float.is_nan est then "-"
-        else if est > 1e9 then Printf.sprintf "%.2f s" (est /. 1e9)
-        else if est > 1e6 then Printf.sprintf "%.2f ms" (est /. 1e6)
-        else if est > 1e3 then Printf.sprintf "%.2f us" (est /. 1e3)
-        else Printf.sprintf "%.0f ns" est
-      in
-      let r2 =
-        match Analyze.OLS.r_square res with
-        | Some r -> Printf.sprintf "%.3f" r
-        | None -> "-"
-      in
-      rows := (name, human, r2) :: !rows)
-    results;
-  List.iter
-    (fun (n, h, r2) -> T.add_row t [ n; h; r2 ])
-    (List.sort compare !rows);
-  T.print ~title:"Bechamel — real CPU cost of each experiment's core operation" t
+  let rows =
+    Hashtbl.fold
+      (fun name res acc ->
+        let est =
+          match Analyze.OLS.estimates res with
+          | Some [ e ] -> e
+          | _ -> nan
+        in
+        let human =
+          if Float.is_nan est then "-"
+          else if est > 1e9 then Printf.sprintf "%.2f s" (est /. 1e9)
+          else if est > 1e6 then Printf.sprintf "%.2f ms" (est /. 1e6)
+          else if est > 1e3 then Printf.sprintf "%.2f us" (est /. 1e3)
+          else Printf.sprintf "%.0f ns" est
+        in
+        let r2 =
+          match Analyze.OLS.r_square res with
+          | Some r -> Printf.sprintf "%.3f" r
+          | None -> "-"
+        in
+        [ name; human; r2 ] :: acc)
+      results []
+  in
+  tables
+    [
+      table "Bechamel — real CPU cost of each experiment's core operation"
+        (strings
+           [ "benchmark"; "wall time per run"; "r²" ]
+           (List.sort compare rows));
+    ]
 
 (* ------------------------------------------------------------------ *)
+(* The section registry and the driver                                  *)
+
+(* In run order. *)
+let sections =
+  [
+    ("fig3", fig3);
+    ("fig45", fig45);
+    ("fig6", fig6);
+    ("fig7", fig7);
+    ("fig8", fig8);
+    ("fig9", fig9);
+    ("fig10", fig10);
+    ("routes", routes_section);
+    ( "ablation",
+      fun _ ->
+        tables
+          [ ablation_policy (); ablation_model (); ablation_depth ();
+            ablation_myricom_window (); ablation_updown_root () ] );
+    ("eventsim", eventsim_section);
+    ( "extensions",
+      fun _ ->
+        tables
+          [ ext_simplified (); ext_randomized (); ext_parallel ();
+            ext_incremental (); ext_online (); ext_cross_traffic ();
+            ext_selfid (); ext_emergent_election () ] );
+    ("sensitivity", sensitivity);
+    ("daemon", daemon_section);
+    ("load_matrix", load_matrix_section);
+    ("fuzz", fuzz_section);
+    ("telemetry", telemetry_section);
+    ("why", why_section);
+    ("scaling", scaling_section);
+    ("scaling-shard", scaling_shard_section);
+    ("serving", serving_section);
+    ("coverage", coverage_section);
+    ("bechamel", bechamel_section);
+  ]
+
+(* Telemetry and why export their rows apart from their own entry. *)
+let data_keys = [ ("telemetry", "telemetry_overhead"); ("why", "why_overhead") ]
+
+(* Runs one section with the metrics registry reset; prints its output
+   and returns its BENCH_obs.json entries and failures. *)
+let run_section cfg (name, f) =
+  San_obs.Obs.reset ();
+  let t0 = now () in
+  let out = f cfg in
+  let wall_s = now () -. t0 in
+  let metrics =
+    let snap = San_obs.Metrics.snapshot San_obs.Obs.registry in
+    match San_obs.Metrics.to_json snap with J.Obj fields -> fields | _ -> []
+  in
+  let gate_failures = List.concat_map (emit cfg name) out.blocks in
+  List.iter (fun f -> Printf.printf "%s FAILED: %s\n" name f) out.failures;
+  let data =
+    rows_json
+      (List.concat_map
+         (function Table t -> t.rows | Data rows -> rows | Line _ -> [])
+         out.blocks)
+  in
+  let stats = ("wall_s", J.Num wall_s) :: metrics in
+  let entries =
+    match (List.assoc_opt name data_keys, data) with
+    | _, [] -> [ (name, J.Obj stats) ]
+    | None, _ -> [ (name, J.Obj (stats @ data)) ]
+    | Some k, _ -> [ (k, J.Obj data); (name, J.Obj stats) ]
+  in
+  (entries, gate_failures @ out.failures)
+
+let git_commit () =
+  try
+    let ic = Unix.open_process_in "git rev-parse --short HEAD 2>/dev/null" in
+    let line = try input_line ic with End_of_file -> "unknown" in
+    (match Unix.close_process_in ic with
+    | Unix.WEXITED 0 -> line
+    | _ -> "unknown")
+  with _ -> "unknown"
+
+let iso8601 t =
+  let tm = Unix.gmtime t in
+  Printf.sprintf "%04d-%02d-%02dT%02d:%02d:%02dZ" (tm.Unix.tm_year + 1900)
+    (tm.Unix.tm_mon + 1) tm.Unix.tm_mday tm.Unix.tm_hour tm.Unix.tm_min
+    tm.Unix.tm_sec
+
+(* Versioned envelope so downstream tooling can diff BENCH_obs.json
+   across commits without sniffing its shape. Bump [version] on any
+   section-layout change. *)
+let write_obs entries =
+  let j =
+    J.Obj
+      [
+        ("version", J.Num 1.0);
+        ("commit", J.Str (git_commit ()));
+        ("timestamp", J.Str (iso8601 (now ())));
+        ("sections", J.Obj entries);
+      ]
+  in
+  Out_channel.with_open_text "BENCH_obs.json" (fun oc ->
+      output_string oc (J.to_string j);
+      output_char oc '\n');
+  Printf.printf "(wrote BENCH_obs.json)\n"
+
+let usage =
+  "usage: main.exe [--only SECTION,...] [--runs N] [--fast] [--no-bechamel] \
+   [--scale-100k] [--csv DIR]"
+
+(* Bad arguments exit 2 before any section runs. *)
+let parse_args args =
+  let bad fmt =
+    Printf.ksprintf
+      (fun m ->
+        prerr_endline ("bench: " ^ m);
+        prerr_endline usage;
+        exit 2)
+      fmt
+  in
+  let rec go cfg = function
+    | [] -> cfg
+    | "--runs" :: n :: rest -> (
+      match int_of_string_opt n with
+      | Some n when n > 0 -> go { cfg with runs = n } rest
+      | _ -> bad "--runs expects a positive integer, got %S" n)
+    | "--fast" :: rest -> go { cfg with fast = true } rest
+    | "--no-bechamel" :: rest -> go { cfg with bechamel = false } rest
+    | "--scale-100k" :: rest -> go { cfg with scale_100k = true } rest
+    | "--only" :: l :: rest -> (
+      let names = String.split_on_char ',' l in
+      match List.filter (fun n -> not (List.mem_assoc n sections)) names with
+      | [] -> go { cfg with only = names } rest
+      | unknown ->
+        bad "unknown section %s; sections are %s" (String.concat ", " unknown)
+          (String.concat ", " (List.map fst sections)))
+    | "--csv" :: dir :: rest -> go { cfg with csv_dir = Some dir } rest
+    | [ ("--runs" | "--only" | "--csv") as flag ] -> bad "%s needs a value" flag
+    | x :: _ -> bad "unknown argument %s" x
+  in
+  go
+    {
+      runs = 20;
+      fast = false;
+      bechamel = true;
+      only = [];
+      csv_dir = None;
+      scale_100k = false;
+    }
+    args
 
 let () =
-  let rec parse = function
-    | [] -> ()
-    | "--runs" :: n :: rest ->
-      runs := int_of_string n;
-      parse rest
-    | "--fast" :: rest ->
-      fast := true;
-      parse rest
-    | "--no-bechamel" :: rest ->
-      with_bechamel := false;
-      parse rest
-    | "--scale-100k" :: rest ->
-      scale_100k := true;
-      parse rest
-    | "--only" :: l :: rest ->
-      only := String.split_on_char ',' l;
-      parse rest
-    | "--csv" :: dir :: rest ->
-      csv_dir := Some dir;
-      parse rest
-    | x :: _ -> failwith ("unknown argument " ^ x)
-  in
-  parse (List.tl (Array.to_list Sys.argv));
+  let cfg = parse_args (List.tl (Array.to_list Sys.argv)) in
   print_endline "System Area Network Mapping (SPAA'97) — reproduction harness";
   print_endline "paper values printed alongside; absolute times come from the";
   print_endline "calibrated simulation, shapes are the reproduction target.";
   San_obs.Obs.set_enabled true;
-  section "fig3" ~when_:(wants "fig3") fig3;
-  section "fig45" ~when_:(wants "fig45") fig45;
-  section "fig6" ~when_:(wants "fig6") fig6;
-  section "fig7" ~when_:(wants "fig7") fig7;
-  section "fig8" ~when_:(wants "fig8") fig8;
-  section "fig9" ~when_:(wants "fig9") fig9;
-  section "fig10" ~when_:(wants "fig10") fig10;
-  section "routes" ~when_:(wants "routes") routes_section;
-  section "ablation"
-    ~when_:(wants "ablation" || !only = [])
-    (fun () ->
-      ablation_policy ();
-      ablation_model ();
-      ablation_depth ();
-      ablation_myricom_window ();
-      ablation_updown_root ());
-  section "eventsim" ~when_:(wants "eventsim" || !only = []) eventsim_section;
-  section "extensions"
-    ~when_:(wants "extensions" || !only = [])
-    (fun () ->
-      ext_simplified ();
-      ext_randomized ();
-      ext_parallel ();
-      ext_incremental ();
-      ext_online ();
-      ext_cross_traffic ();
-      ext_selfid ();
-      ext_emergent_election ());
-  section "sensitivity" ~when_:(wants "sensitivity" || !only = []) sensitivity;
-  section "daemon" ~when_:(wants "daemon") daemon_section;
-  (* load_matrix pushes its own structured obs entry (per-cell digests
-     and percentiles), so it runs outside the generic wrapper. *)
-  if wants "load_matrix" then load_matrix_section ();
-  section "fuzz" ~when_:(wants "fuzz") fuzz_section;
-  section "telemetry" ~when_:(wants "telemetry" || !only = []) telemetry_section;
-  section "why" ~when_:(wants "why" || !only = []) why_section;
-  (* scaling pushes its own structured obs entry (per-rung curves),
-     so it runs outside the generic [section] wrapper. *)
-  if wants "scaling" then scaling_section ();
-  if wants "scaling-shard" then scaling_shard_section ();
-  (* serving pushes its own structured obs entry (per-rung rates and
-     the traffic-storm comparison), so it runs outside the wrapper. *)
-  if wants "serving" then serving_section ();
-  (* coverage pushes its own structured obs entry (per-budget accuracy
-     curves and directed sub-runs), so it runs outside the wrapper. *)
-  if wants "coverage" then coverage_section ();
-  section "bechamel"
-    ~when_:(!with_bechamel && (wants "bechamel" || !only = []))
-    bechamel_section;
-  write_obs ();
-  if !gate_failed then exit 1
+  let wanted (name, _) =
+    (cfg.only = [] || List.mem name cfg.only)
+    && (cfg.bechamel || name <> "bechamel")
+  in
+  let results = List.map (run_section cfg) (List.filter wanted sections) in
+  write_obs (List.concat_map fst results);
+  if List.exists (fun (_, failures) -> failures <> []) results then exit 1
