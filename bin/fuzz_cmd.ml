@@ -23,7 +23,7 @@ let run cases seed props replay artifacts shrink_budget progress obs =
   Cli.with_obs obs @@ fun () ->
   let props = List.concat props in
   let unknown =
-    List.filter (fun p -> not (List.mem p San_check.Props.names)) props
+    List.filter (fun p -> San_check.Props.find p = None) props
   in
   if unknown <> [] then begin
     Format.eprintf "unknown propert%s %s (try: %s)@."
@@ -68,7 +68,10 @@ let cmd =
   let prop =
     let doc =
       "Check only these properties (comma-separated, repeatable). One of: "
-      ^ String.concat ", " San_check.Props.names ^ "."
+      ^ String.concat ", " San_check.Props.names
+      ^ "; run only when named: "
+      ^ String.concat ", " (List.map fst San_check.Props.opt_in)
+      ^ "."
     in
     Arg.(value & opt_all (list string) [] & info [ "prop" ] ~docv:"NAME" ~doc)
   in

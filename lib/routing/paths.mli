@@ -89,7 +89,28 @@ val anchor : t -> Graph.node -> Graph.node
     host, a host cabled to a host, or a host whose cable is an up move
     because the order is rooted at it). *)
 
+type record
+(** What the compiles on one [t] leave for the next epoch's compile:
+    the packed wiring, each compiled anchor's exit memo (one byte per
+    state, two on switches of 255 ports or more: the exit port, or
+    none where no walk took one) and each compiled destination's anchor
+    and cable port. *)
+
+val record : t -> record
+(** The record of every {!compile} on [t] so far. *)
+
+type prior = {
+  record : record;  (** the previous table's compiles *)
+  node : int array;
+      (** each node of this graph's counterpart in the previous graph,
+          or -1; no two nodes may share one *)
+  changed : int -> unit;
+      (** told each [into] index whose cell {!compile} changes *)
+}
+(** The previous epoch's compile, as {!compile} reuses it. *)
+
 val compile :
+  ?prior:prior ->
   t ->
   anchor:Graph.node ->
   dsts:(Graph.node * int) list ->
@@ -99,8 +120,9 @@ val compile :
 (** Every default route toward each [(dst, at)] of [dsts], hosts whose
     {!anchor} is [anchor]: [into.(at + i)] gets the route from host
     [srcs.(i)], the one {!route_into}'s default walk writes, or [None]
-    when [srcs.(i) = dst] or no compliant path exists. Returns how many
-    pairs were routed.
+    when [srcs.(i) = dst] or no compliant path exists. A cell that
+    already holds an equal route is left as it is. Returns how many
+    routes were walked.
 
     From every state but [dst]'s own, [dst] is one hop farther than
     its anchor, and the default walk's first closer port is the same
@@ -117,7 +139,22 @@ val compile :
     per anchor and each state's turn is consed once per destination,
     so a route costs one [Some] beyond the cells it shares with every
     other route through its tail (physically: the lists are [==] from
-    the first shared state on). *)
+    the first shared state on).
+
+    With [prior], [into] must hold each pair's previous cell: the
+    route between the counterparts of its hosts, [None] where either
+    has none. A route is then kept rather than walked when the walk
+    provably did not change. A state is {e clean} when its exit is the
+    one [prior] recorded for its counterpart toward the anchor's
+    counterpart, the wire on that port is the same (the peer's
+    counterpart, the far port, the up bit), and the next state is the
+    anchor or clean itself; each state is judged once per anchor. For
+    a destination whose counterpart had the anchor's counterpart as its
+    anchor, over the same cable port, the cell of every reachable
+    source whose Up state is clean is left untouched. Every other pair
+    is written as without [prior], so the table is the one a compile
+    without it gives, and a compile without it is the case where no
+    column is kept. *)
 
 val node_path :
   ?rng:San_util.Prng.t ->

@@ -20,6 +20,7 @@ val compute :
   ?root:Graph.node ->
   ?ignore_hosts:Graph.node list ->
   ?labeling:Updown.labeling ->
+  ?previous:t ->
   Graph.t ->
   t
 (** Orient the graph (UP*/DOWN* orientation) and compile one turn
@@ -40,7 +41,38 @@ val compute :
     see spurious delta churn. [prefer u v] steers equal-cost multipath
     toward least-penalty hops (traffic-aware tables); [rng] is the
     explicit opt-in for the paper's randomized spreading over equal
-    paths and parallel wires. *)
+    paths and parallel wires.
+
+    [previous] is the last epoch's table, routes that persist: nodes
+    are matched to its nodes by name (and kind), once, and each
+    {!Paths.compile} keeps the previous cell physically for every pair
+    whose walk provably did not change (the clean-state rule of
+    {!Paths.compile}: same exits, same wires under the matching, same
+    anchor and cable port), walking only the others. The table is the
+    one a compile without [previous] gives, whatever the two graphs
+    are. When both tables have the same hosts by name, the new one
+    also records which pairs changed ({!iter_changed}), so
+    {!San_service.Delta} plans from that list. [previous] is ignored
+    with [prefer] or [rng], and a [prefer] or [rng] table keeps no
+    record for a later compile. *)
+
+val rewalked : t -> int
+(** How many routed pairs were walked rather than kept from
+    [previous]: every routed pair without one. *)
+
+type generation
+(** Names one computed table; compared with [==]. *)
+
+val generation : t -> generation
+
+val previous_generation : t -> generation option
+(** The generation of the table this one was compiled against, when
+    both have the same hosts by name; [None] otherwise. *)
+
+val iter_changed : t -> (Graph.node -> Graph.node -> unit) -> unit
+(** [f src dst] for every pair whose route differs from the table of
+    {!previous_generation} (a route gained, lost or changed), in
+    compile order; nothing when there is no such table. *)
 
 val graph : t -> Graph.t
 val updown : t -> Updown.t

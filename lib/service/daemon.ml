@@ -342,7 +342,11 @@ let run ?(config = default_config) ?(schedule = Schedule.empty)
             | _ -> st.table = None
           in
           st.map <- Some m;
-          if map_changed then st.table <- Some (San_routing.Routes.compute m);
+          (* The cached table is the previous epoch's: every route whose
+             walk did not change keeps its cell, and the delta below is
+             planned from the pairs that did. *)
+          if map_changed then
+            st.table <- Some (San_routing.Routes.compute ?previous:st.table m);
           let table = Option.get st.table in
           (* 5-6. Recompute and delta-install routes when the map moved
              or some host still runs a stale table. *)

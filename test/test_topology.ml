@@ -93,6 +93,40 @@ let test_graph_wires_canonical () =
   Alcotest.(check int) "each wire once" 3 (List.length ws);
   List.iter (fun (a, b) -> Alcotest.(check bool) "ordered ends" true (a < b)) ws
 
+(* [Graph.wires] compares wire ends as ints; the order is the one the
+   tuple comparison it replaced gave: every port scanned in (node,
+   port) order, each wire listed from its lower end. *)
+let test_graph_wires_order () =
+  let tuple_order g =
+    let acc = ref [] in
+    for n = Graph.num_nodes g - 1 downto 0 do
+      for p = Graph.ports_of g n - 1 downto 0 do
+        match Graph.peer g n p with
+        | Some e when compare (n, p) e < 0 -> acc := ((n, p), e) :: !acc
+        | Some _ | None -> ()
+      done
+    done;
+    !acc
+  in
+  let g = Graph.create ~radix:8 () in
+  let s0 = Graph.add_switch g () and s1 = Graph.add_switch g () in
+  let h = Graph.add_host g ~name:"h" in
+  Graph.connect g (s1, 4) (s0, 2);
+  Graph.connect g (s0, 5) (s0, 1);
+  Graph.connect g (s1, 7) (s1, 6);
+  Graph.connect g (h, 0) (s1, 0);
+  List.iter
+    (fun (what, g) ->
+      Alcotest.(check (list (pair (pair int int) (pair int int))))
+        what (tuple_order g) (Graph.wires g))
+    [
+      ("now-cab", fst (Generators.now_cab ()));
+      ( "ft-100",
+        (Result.get_ok (San_fabric.Fabric.parse "ft-100")).San_fabric.Fabric.p_build
+          ~seed:1 );
+      ("switch self-cables", g);
+    ]
+
 let test_parallel_wires () =
   let g = Graph.create () in
   let s0 = Graph.add_switch g () in
@@ -748,6 +782,7 @@ let () =
           Alcotest.test_case "copy independence" `Quick test_graph_copy_independent;
           Alcotest.test_case "wires canonical" `Quick test_graph_wires_canonical;
           Alcotest.test_case "parallel wires" `Quick test_parallel_wires;
+          Alcotest.test_case "wire order" `Quick test_graph_wires_order;
         ] );
       ( "analysis",
         [
