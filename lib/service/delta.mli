@@ -21,7 +21,9 @@ type tables
     that names array, so comparing two of them is a position-by-position
     walk (rows of different tables are merge-walked by name), and each
     row remembers its naive size, so an unchanged slice costs one
-    comparison pass and is never summed again. *)
+    comparison pass and is never summed again. Each row also records
+    the {!San_routing.Routes.generation} of the table whose slice it
+    holds. *)
 
 val empty : tables
 (** A cold ledger: every host's first slice will be shipped full. *)
@@ -59,9 +61,16 @@ type plan = {
 }
 
 val plan : installed:tables -> San_routing.Routes.t -> plan
-(** Compare the table with [installed], each pair once, with an
-    allocation-free turn-list equality; only a new or changed slice
-    reads its fresh row again to sum its naive size. Builds no pool. *)
+(** Compare the table with [installed]. A row of this very table is
+    [Unchanged]. A row of the table's
+    {!San_routing.Routes.previous_generation} (over the same names)
+    differs from the fresh slice exactly at the table's changed pairs
+    ({!San_routing.Routes.iter_changed}), so its counts and bytes are
+    read off that list alone, and its naive size is the installed one
+    with the changed entries' sizes swapped. Any other row is compared
+    each pair once, with an allocation-free turn-list equality; only a
+    new or changed slice of those reads its fresh row again to sum its
+    naive size. Builds no pool. *)
 
 val packed_full_bytes : San_routing.Routes.t -> int
 (** A complete redistribution of the table under
@@ -97,4 +106,8 @@ val distribute :
     [leader] over the actual network ({!San_routing.Distribute}
     retries and background [traffic] model included), and advance the
     ledger for delivered hosts (and the leader itself, which installs
-    locally). Fails when the leader is not in the table's graph. *)
+    locally): a row of the previous table is copied with the changed
+    entries patched in, any other is read off the table. An unchanged
+    slice keeps its entries as a row of this table; a missed slice
+    keeps its row. Fails when the leader is not in the table's
+    graph. *)
