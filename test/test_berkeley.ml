@@ -246,6 +246,52 @@ let test_radix16_maps () =
     Alcotest.(check bool) "radix-16 fat tree maps" true (Iso.equal ~map:m ~actual:g ())
   | Error e -> Alcotest.failf "radix-16 failed: %s" e
 
+(* ---------- the benchmark's map workloads, pinned ---------- *)
+
+(* Seeded exact metrics of a fixed-depth map from h0 on a preset: the
+   probe path may get faster, but it must send the same probes, learn
+   the same answers and charge the same simulated time. *)
+type pinned = {
+  probes : int;
+  host_hits : int;
+  switch_hits : int;
+  elapsed_ns : float;
+  explorations : int;
+  created : int;
+  live : int;
+}
+
+let test_pinned_map spec expect () =
+  let p =
+    match San_fabric.Fabric.parse spec with
+    | Ok p -> p
+    | Error e -> Alcotest.failf "%s: %s" spec e
+  in
+  let g = p.San_fabric.Fabric.p_build ~seed:1 in
+  let depth = Option.get p.San_fabric.Fabric.p_depth in
+  let mapper = Option.get (Graph.host_by_name g "h0") in
+  let r = Berkeley.run ~depth:(Berkeley.Fixed depth) (Network.create g) ~mapper in
+  let got =
+    {
+      probes = Berkeley.total_probes r;
+      host_hits = r.Berkeley.host_hits;
+      switch_hits = r.Berkeley.switch_hits;
+      elapsed_ns = r.Berkeley.elapsed_ns;
+      explorations = r.Berkeley.explorations;
+      created = r.Berkeley.created_vertices;
+      live = r.Berkeley.live_vertices;
+    }
+  in
+  let check what f = Alcotest.(check int) (spec ^ ": " ^ what) (f expect) (f got) in
+  check "probes" (fun m -> m.probes);
+  check "host hits" (fun m -> m.host_hits);
+  check "switch hits" (fun m -> m.switch_hits);
+  Alcotest.(check (float 0.0)) (spec ^ ": simulated ns") expect.elapsed_ns
+    got.elapsed_ns;
+  check "explorations" (fun m -> m.explorations);
+  check "created vertices" (fun m -> m.created);
+  check "live vertices" (fun m -> m.live)
+
 let model_invariants_prop =
   QCheck.Test.make ~name:"model invariants hold through explore and prune"
     ~count:25
@@ -314,4 +360,17 @@ let () =
         ] );
       ( "radix generality",
         [ Alcotest.test_case "radix-16 fat tree" `Quick test_radix16_maps ] );
+      ( "workloads",
+        [
+          Alcotest.test_case "map-ft1k, seed 1" `Slow
+            (test_pinned_map "ft-1k"
+               { probes = 361_004; host_hits = 2_687; switch_hits = 210_580;
+                 elapsed_ns = 121_443_572_000.0; explorations = 210_581;
+                 created = 213_269; live = 1_313 });
+          Alcotest.test_case "map-r32, seed 1" `Slow
+            (test_pinned_map "levels=3,radix=32,edge=4,hosts=16"
+               { probes = 138_556; host_hits = 182; switch_hits = 85_838;
+                 elapsed_ns = 45_015_896_200.0; explorations = 85_839;
+                 created = 86_022; live = 74 });
+        ] );
     ]
