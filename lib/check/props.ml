@@ -852,6 +852,68 @@ let prop_incremental_routes ctx =
           | Error e, _ | _, Error e -> Error ("distribution: " ^ e)))
   end
 
+(* Every probe a map sends answers as it would on a network that has
+   sent nothing before. A mapper's probes share long turn prefixes, so
+   its network keeps walks and channel stamps from one probe to the
+   next; each probe is replayed as it is sent on a freshly created
+   network, where nothing can be kept, and must get the same response
+   and cost. The first difference stops the map, before a wrong answer
+   can lead the mapper astray. The map runs twice on one network with
+   a wire of the fabric cut in between, so walks kept across an edit
+   are replayed too. *)
+let prop_probe_replay ctx =
+  match ctx.mapper with
+  | None -> Ok ()
+  | Some m -> (
+    let module B = San_mapper.Berkeley in
+    let module Net = San_simnet.Network in
+    let exception Differs of string in
+    let g = Graph.copy ctx.case.graph in
+    let net = Net.create ~responding:ctx.responding g in
+    let epoch = ref "first map" in
+    let replayed ~host turns r =
+      let fresh = Net.create ~responding:ctx.responding g in
+      if (if host then Net.host_probe else Net.switch_probe) fresh ~src:m ~turns
+         <> r
+      then
+        raise
+          (Differs
+             (Printf.sprintf
+                "%s probe %s (%s) answers otherwise on a fresh network"
+                (if host then "host" else "switch")
+                (San_simnet.Route.to_string turns) !epoch));
+      r
+    in
+    let sv = B.service_of_network net ~mapper:m in
+    let sv =
+      { sv with
+        B.sv_host_probe =
+          (fun ~turns -> replayed ~host:true turns (sv.B.sv_host_probe ~turns));
+        sv_switch_probe =
+          (fun ~turns ->
+            replayed ~host:false turns (sv.B.sv_switch_probe ~turns)) }
+    in
+    let map () =
+      let model =
+        San_mapper.Model.create ~mapper_name:(Graph.name g m)
+          ~radix:(Graph.radix g)
+      in
+      ignore
+        (B.explore_service ~policy:B.faithful ~depth_used:(Lazy.force ctx.depth)
+           ~record_trace:false sv model
+           [ San_mapper.Model.root_switch model ])
+    in
+    try
+      map ();
+      Option.iter
+        (fun e ->
+          Graph.disconnect g e;
+          epoch := "after a cut";
+          map ())
+        (fault_link ctx);
+      Ok ()
+    with Differs e -> Error e)
+
 (* ------------------------------------------------------------------ *)
 
 let all =
@@ -871,7 +933,11 @@ let all =
 
 let names = List.map fst all
 
-let opt_in = [ ("incremental_routes", prop_incremental_routes) ]
+let opt_in =
+  [
+    ("incremental_routes", prop_incremental_routes);
+    ("probe_replay", prop_probe_replay);
+  ]
 
 let find name =
   match List.assoc_opt name all with

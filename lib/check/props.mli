@@ -78,7 +78,12 @@ val opt_in : (string * (ctx -> (unit, string) result)) list
       is byte-identical to a from-scratch compile ([all], unreachable
       pairs, [iter] order, [route] on every node pair), and the delta
       plan, distribution, advanced ledger and re-plan read off its
-      changed pairs equal the ones that compare every pair. *)
+      changed pairs equal the ones that compare every pair;
+    - ["probe_replay"] — every probe of a Berkeley map answers (response
+      and cost) as it does when sent alone on a freshly created network,
+      where no walk or stamp of an earlier probe can be kept; the map
+      runs twice on one network, with a seed-drawn switch-to-switch
+      wire cut in between. *)
 
 val find : string -> (ctx -> (unit, string) result) option
 (** A property of {!all} or {!opt_in} by name. *)

@@ -27,17 +27,24 @@ type model = Circuit | Cut_through
 val model_to_string : model -> string
 
 type stamps
-(** Per-channel marks reused across probes: a generation stamp per
-    directed channel id [node * radix + port] (and, for cut-through,
-    the hop index of its last use). One per {!Network}; they grow to
-    the largest channel id seen. *)
+(** Per-channel marks reused across probes, one per {!Network}. The
+    directed and the undirected circuit checks each keep a set of the
+    channels the walk's hops use, each stamp recording its hop index;
+    a check drops only the stamps of hops its walk has rewritten since
+    the set's last check ({!Worm.walk}'s [hop_fill]) and stamps only
+    the hops after them, so it costs the hops a probe does not share
+    with the last one checked. Cut-through keeps a generation stamp
+    and the hop index of the last use per directed channel id
+    [node * radix + port], and re-stamps every hop. The arrays grow to
+    the largest channel id and the longest walk seen. *)
 
 val stamps : unit -> stamps
 
 val host_blocking_hop : stamps -> model -> Params.t -> Worm.walk -> int
 (** The hop at which this host-probe worm steps on its own tail — the
     first reuse in hop order that blocks under [model] — or [-1] when
-    it does not block. *)
+    it does not block. The answer depends only on the walk's hops, not
+    on which walks the stamps checked before. *)
 
 val switch_blocking_hop :
   stamps -> model -> Params.t -> forward_hops:int -> Worm.walk -> int

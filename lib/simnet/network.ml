@@ -149,13 +149,13 @@ let account t ~(kind : San_obs.Trace.probe_kind) ~hit ~cost =
     t.switch_probes <- t.switch_probes + 1;
     if hit then t.switch_hits <- t.switch_hits + 1);
   if San_obs.Obs.on () then begin
-    let stem =
-      match kind with
-      | San_obs.Trace.Host | San_obs.Trace.Walk -> "net.host"
-      | San_obs.Trace.Switch | San_obs.Trace.Loop -> "net.switch"
-    in
-    San_obs.Obs.count (stem ^ "_probes");
-    if hit then San_obs.Obs.count (stem ^ "_hits");
+    (match kind with
+    | San_obs.Trace.Host | San_obs.Trace.Walk ->
+      San_obs.Obs.count "net.host_probes";
+      if hit then San_obs.Obs.count "net.host_hits"
+    | San_obs.Trace.Switch | San_obs.Trace.Loop ->
+      San_obs.Obs.count "net.switch_probes";
+      if hit then San_obs.Obs.count "net.switch_hits");
     San_obs.Obs.observe "net.probe_cost_ns" cost;
     San_obs.Obs.emit (San_obs.Trace.Probe_sent { kind; hit; cost_ns = cost })
   end

@@ -15,15 +15,17 @@ type t = {
   mutable infos : info array;
   mutable count : int;
   mutable wire_count : int;
+  mutable edits : int;
   by_name : (string, node) Hashtbl.t;
 }
 
 let create ?(radix = 8) () =
   if radix < 1 then invalid_arg "Graph.create: radix must be positive";
-  { g_radix = radix; infos = [||]; count = 0; wire_count = 0;
+  { g_radix = radix; infos = [||]; count = 0; wire_count = 0; edits = 0;
     by_name = Hashtbl.create 64 }
 
 let radix t = t.g_radix
+let edits t = t.edits
 
 let grow t info =
   let n = t.count in
@@ -81,7 +83,8 @@ let connect t ((n1, p1) as e1) ((n2, p2) as e2) =
     invalid_arg (Printf.sprintf "Graph.connect: port (%d,%d) occupied" n2 p2);
   i1.peers.(p1) <- Some e2;
   i2.peers.(p2) <- Some e1;
-  t.wire_count <- t.wire_count + 1
+  t.wire_count <- t.wire_count + 1;
+  t.edits <- t.edits + 1
 
 let disconnect t ((n, p) as e) =
   check_port t e;
@@ -90,7 +93,8 @@ let disconnect t ((n, p) as e) =
   | Some (n', p') ->
     t.infos.(n).peers.(p) <- None;
     t.infos.(n').peers.(p') <- None;
-    t.wire_count <- t.wire_count - 1
+    t.wire_count <- t.wire_count - 1;
+    t.edits <- t.edits + 1
 
 let copy t =
   {

@@ -48,6 +48,11 @@ val disconnect : t -> wire_end -> unit
 (** Remove the wire attached at the given end (both ends are freed).
     No-op if the port is vacant. *)
 
+val edits : t -> int
+(** How many times {!connect} and {!disconnect} have changed the wiring
+    (a disconnect of a vacant port changes nothing). Caches of paths
+    over the graph compare it to notice an edit. *)
+
 val copy : t -> t
 (** Deep copy; mutations on the copy do not affect the original. *)
 
