@@ -45,6 +45,12 @@ val create :
     Every probe is evaluated into one walk the network owns
     ({!Worm.fill}): with observability and per-channel accounting off,
     a probe allocates only its returned pair, whatever the route length.
+    Consecutive probes share their work: the walk keeps the hops a
+    probe's turns share with the previous probe's (from the same source,
+    with no {!Graph.connect} or {!Graph.disconnect} on the graph in
+    between) and the circuit collision stamps of those hops, so a probe
+    costs the hops it does not share. Responses and costs are the same
+    as for the probe sent alone on a fresh network.
     A network is not re-entrant: a [responding] predicate must not probe
     the network it belongs to. *)
 
