@@ -66,13 +66,17 @@ shard-smoke:
 
 # The route-serving plane at CI size: a seeded ft-1k serve run whose
 # --check verifies delivery and deadlock freedom of a served sample
-# (the CLI exits non-zero on either), then the fast serving bench
-# rungs, which gate the ft-1k lookup rate against
-# bench/serving_baseline.json (fail under a quarter of the recorded
-# rate) and re-check deadlock freedom per rung.
+# (the CLI exits non-zero on either), then the same on a 1x40 mesh,
+# whose routes (up to 40 turns) are often too long to pack into a
+# table cell and are served from the shared-suffix pool instead, then
+# the fast serving bench rungs, which gate the ft-1k lookup rate
+# against bench/serving_baseline.json (fail under a quarter of the
+# recorded rate) and re-check deadlock freedom per rung.
 serve-smoke:
 	timeout 120 dune exec bin/san_map.exe -- serve -t fabric:ft-1k --seed 1 \
 	  --queries 100000 --check
+	timeout 120 dune exec bin/san_map.exe -- serve -t mesh:1:40 --seed 1 \
+	  --queries 20000 --check
 	dune exec bench/main.exe -- --only serving --fast --no-bechamel
 
 # The property fuzzer at CI size: a fixed seed so the run is

@@ -28,6 +28,63 @@ let effective_graph (c : Fuzz_gen.case) ~mapper =
     c.silent;
   eff
 
+(* ------------------------------------------------------------------ *)
+(* Probe budgets.                                                      *)
+
+(* A correct map explores each switch a few times per level of its
+   depth (the replicates reached along longer routes before they
+   merge), and one exploration sends at most a switch and a host probe
+   on each of its 2 (radix - 1) turns, each retried. A budget is
+   [budget_factor] times that. *)
+let budget_factor = 100
+
+let probe_budget ?(retries = San_mapper.Berkeley.faithful.San_mapper.Berkeley.retries)
+    g ~depth =
+  budget_factor * (Graph.num_switches g + 1) * max 1 depth * 4
+  * max 1 (Graph.radix g - 1)
+  * (1 + retries)
+
+let over_budget ~budget ~sent =
+  Printf.sprintf "map stopped at its probe budget of %d probes (%d sent)" budget sent
+
+(* A Berkeley map of [net] at [depth] under its fabric's budget, or an
+   [Error] naming the budget when the budget stopped it. *)
+let berkeley_run ?(policy = San_mapper.Berkeley.faithful) ~depth net ~mapper =
+  let module B = San_mapper.Berkeley in
+  let budget =
+    probe_budget ~retries:policy.B.retries (San_simnet.Network.graph net) ~depth
+  in
+  let r = B.run ~policy ~depth:(B.Fixed depth) ~probe_budget:budget net ~mapper in
+  let sent = B.total_probes r in
+  if sent < budget then Ok r else Error (over_budget ~budget ~sent)
+
+let berkeley_map ?policy ~depth net ~mapper =
+  Result.bind (berkeley_run ?policy ~depth net ~mapper) (fun r ->
+      r.San_mapper.Berkeley.map)
+
+let map_service g ~mapper ~depth sv =
+  let module B = San_mapper.Berkeley in
+  let budget = probe_budget g ~depth in
+  let sent = ref 0 in
+  let counted probe ~turns =
+    incr sent;
+    probe ~turns
+  in
+  let sv =
+    { sv with
+      B.sv_host_probe = counted sv.B.sv_host_probe;
+      sv_switch_probe = counted sv.B.sv_switch_probe }
+  in
+  let model =
+    San_mapper.Model.create ~mapper_name:(Graph.name g mapper)
+      ~radix:(Graph.radix g)
+  in
+  ignore
+    (B.explore_service ~probe_budget:budget ~policy:B.faithful
+       ~depth_used:depth ~record_trace:false sv model
+       [ San_mapper.Model.root_switch model ]);
+  if !sent < budget then Ok () else Error (over_budget ~budget ~sent:!sent)
+
 let make (case : Fuzz_gen.case) =
   let g = case.graph in
   let mapper = Fuzz_gen.mapper_node case in
@@ -49,12 +106,7 @@ let make (case : Fuzz_gen.case) =
       | None -> Error "no mapper host"
       | Some m ->
         let net = San_simnet.Network.create ~responding g in
-        let r =
-          San_mapper.Berkeley.run
-            ~depth:(San_mapper.Berkeley.Fixed (Lazy.force depth))
-            net ~mapper:m
-        in
-        r.San_mapper.Berkeley.map)
+        berkeley_map ~depth:(Lazy.force depth) net ~mapper:m)
   in
   let myricom =
     lazy
@@ -125,11 +177,7 @@ let run_berkeley_on ctx g' =
         || not (List.mem (Graph.name g' n) ctx.case.Fuzz_gen.silent)
       in
       let net = San_simnet.Network.create ~responding g' in
-      let r =
-        San_mapper.Berkeley.run
-          ~depth:(San_mapper.Berkeley.Fixed depth') net ~mapper:m'
-      in
-      r.San_mapper.Berkeley.map)
+      berkeley_map ~depth:depth' net ~mapper:m')
 
 (* N' - F' of a faulted case, as marks: F', the mapper-unreachable
    region and the case's silent hosts. *)
@@ -247,7 +295,15 @@ let prop_incremental ctx =
         n = m' || not (List.mem (Graph.name g' n) case'.silent)
       in
       let net = San_simnet.Network.create ~responding g' in
-      let r = San_mapper.Incremental.run net ~mapper:m' ~previous in
+      (* The full remap a stale map falls back to, at the depth
+         [Incremental.run] would use, under the budget. *)
+      let remap ~discrepancies:_ =
+        let depth = Core_set.search_depth g' ~root:m' in
+        match berkeley_run ~depth net ~mapper:m' with
+        | Ok r -> San_mapper.Berkeley.(r.map, total_probes r, r.elapsed_ns)
+        | Error e -> (Error e, 0, 0.0) (* only the map is read *)
+      in
+      let r = San_mapper.Incremental.run ~remap net ~mapper:m' ~previous in
       (match r.San_mapper.Incremental.map with
       | Error e -> Error ("incremental map failed: " ^ e)
       | Ok map ->
@@ -357,19 +413,15 @@ let prop_provenance ctx =
   | Some m ->
     let module Why = San_why.Why in
     Why.set_enabled true;
-    let snap =
+    let run, snap =
       Fun.protect
         ~finally:(fun () -> Why.set_enabled false)
         (fun () ->
           let net =
             San_simnet.Network.create ~responding:ctx.responding ctx.case.graph
           in
-          ignore
-            (San_mapper.Berkeley.run
-               ~depth:(San_mapper.Berkeley.Fixed (Lazy.force ctx.depth))
-               net ~mapper:m
-              : San_mapper.Berkeley.result);
-          Why.capture ())
+          let r = berkeley_run ~depth:(Lazy.force ctx.depth) net ~mapper:m in
+          (r, Why.capture ()))
     in
     let structural =
       List.fold_left
@@ -393,9 +445,10 @@ let prop_provenance ctx =
           | Ok (), _ -> Ok ())
         (Ok ()) (Why.entries snap)
     in
-    (match structural with
-    | Error _ as e -> e
-    | Ok () ->
+    (match (run, structural) with
+    | Error e, _ -> Error e
+    | _, (Error _ as e) -> e
+    | Ok _, Ok () ->
       let memo = Hashtbl.create 256 in
       let rec has_probe did =
         match Hashtbl.find_opt memo did with
@@ -553,13 +606,11 @@ let prop_load_agreement ctx =
             San_simnet.Network.create ~responding:ctx'.responding ?traffic
               g'
           in
-          let r =
-            San_mapper.Berkeley.run
-              ~policy:{ San_mapper.Berkeley.faithful with retries = 2 }
-              ~depth:(San_mapper.Berkeley.Fixed (Lazy.force ctx'.depth))
-              net ~mapper:m'
-          in
-          (match r.San_mapper.Berkeley.map with
+          (match
+             berkeley_map
+               ~policy:{ San_mapper.Berkeley.faithful with retries = 2 }
+               ~depth:(Lazy.force ctx'.depth) net ~mapper:m'
+           with
           | Error e ->
             Error
               (Printf.sprintf
@@ -894,24 +945,18 @@ let prop_probe_replay ctx =
             replayed ~host:false turns (sv.B.sv_switch_probe ~turns)) }
     in
     let map () =
-      let model =
-        San_mapper.Model.create ~mapper_name:(Graph.name g m)
-          ~radix:(Graph.radix g)
-      in
-      ignore
-        (B.explore_service ~policy:B.faithful ~depth_used:(Lazy.force ctx.depth)
-           ~record_trace:false sv model
-           [ San_mapper.Model.root_switch model ])
+      Result.map_error
+        (fun e -> Printf.sprintf "%s: %s" !epoch e)
+        (map_service g ~mapper:m ~depth:(Lazy.force ctx.depth) sv)
     in
     try
-      map ();
-      Option.iter
-        (fun e ->
-          Graph.disconnect g e;
-          epoch := "after a cut";
-          map ())
-        (fault_link ctx);
-      Ok ()
+      Result.bind (map ()) (fun () ->
+          match fault_link ctx with
+          | None -> Ok ()
+          | Some e ->
+            Graph.disconnect g e;
+            epoch := "after a cut";
+            map ())
     with Differs e -> Error e)
 
 (* ------------------------------------------------------------------ *)

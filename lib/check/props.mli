@@ -48,6 +48,17 @@
       the probe spend stays within the budget plus the documented
       one-exploration overshoot bound.
 
+    Every Berkeley map a property runs — the shared one, the maps of
+    faulted and battered fabrics, an incremental run's full remap and
+    {!map_service}'s explorations — stops at {!probe_budget}, and a map
+    the budget stopped fails its property with a message naming the
+    budget. A probe path that keeps answering (say, an evaluator that
+    keeps one hop too many) so shows as a counterexample instead of a
+    model that grows until the process runs out of memory. The
+    [shard_agreement] runs only after the shared map finished under
+    its budget, and [partial_subgraph] maps under its own fractional
+    budget.
+
     Degenerate fabrics (no hosts, no mapper) make a property pass
     trivially rather than error: the generator is free to produce
     them. A property that raises is reported as a failure — crashes
@@ -84,6 +95,25 @@ val opt_in : (string * (ctx -> (unit, string) result)) list
       where no walk or stamp of an earlier probe can be kept; the map
       runs twice on one network, with a seed-drawn switch-to-switch
       wire cut in between. *)
+
+val probe_budget : ?retries:int -> San_topology.Graph.t -> depth:int -> int
+(** The probes one map of fabric [g] at [depth] may send:
+    [100 · (switches + 1) · depth · 4 (radix − 1) · (1 + retries)]
+    ([retries] defaults to the faithful policy's), a hundred times
+    the most one exploration sends for every switch and every level of
+    the depth. Over [make fuzz-smoke]'s six campaigns (7,702 maps) a
+    correct map sends at most 14,879 probes, and no map sends more
+    than a fifteenth of its budget. *)
+
+val map_service :
+  San_topology.Graph.t ->
+  mapper:San_topology.Graph.node ->
+  depth:int ->
+  San_mapper.Berkeley.service ->
+  (unit, string) result
+(** Explore [service] from a fresh model of the mapper on fabric [g]
+    to [depth] under [probe_budget g ~depth]; [Error] names the budget
+    when it stopped the exploration. *)
 
 val find : string -> (ctx -> (unit, string) result) option
 (** A property of {!all} or {!opt_in} by name. *)

@@ -14,10 +14,12 @@ type t = {
   first : int array;
   adj : int array;
   shift : int;
-  cache : (Graph.node, int array) Hashtbl.t;
-  (* FIFO of cached destinations, oldest first, for eviction. *)
-  order : Graph.node Queue.t;
-  cache_limit : int;
+  (* Distance vectors by destination, [||] where none is cached, and
+     their eviction order, bounded by [cache_limit]. [[||]] itself
+     until the first vector is cached, so a [t] that only compiles
+     never holds the slots. *)
+  mutable cache : int array array;
+  order : Node_fifo.t;
   (* Scratch for one walk: [nodes.(i)] is the path's i-th node and
      [exits.(i)] the port it leaves on. A shortest compliant path
      visits each node at most once, so [num_nodes] slots suffice. *)
@@ -89,9 +91,8 @@ let compute ?(cache_limit = default_cache_limit) ud =
     first;
     adj;
     shift;
-    cache = Hashtbl.create 64;
-    order = Queue.create ();
-    cache_limit = max 1 cache_limit;
+    cache = [||];
+    order = Node_fifo.create ~limit:cache_limit;
     nodes = Array.make (n + 1) 0;
     exits = Array.make (n + 1) 0;
     queue = Array.make (2 * n) 0;
@@ -162,16 +163,15 @@ let bfs t dst dist =
 
 (* [dst]'s distance vector from the cache, or computed and cached. *)
 let to_dst t dst =
-  match Hashtbl.find t.cache dst with
-  | dist -> dist
-  | exception Not_found ->
+  if Array.length t.cache = 0 then t.cache <- Array.make (t.nstates / 2) [||];
+  let dist = t.cache.(dst) in
+  if Array.length dist > 0 then dist
+  else begin
     let dist = Array.make t.nstates inf in
     bfs t dst dist;
-    if Queue.length t.order >= t.cache_limit then
-      Hashtbl.remove t.cache (Queue.pop t.order);
-    Hashtbl.add t.cache dst dist;
-    Queue.push dst t.order;
+    Node_fifo.add t.order t.cache dst dist;
     dist
+  end
 
 let distance t ~src ~dst =
   let d = (to_dst t dst).(state_up src) in

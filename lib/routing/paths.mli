@@ -41,7 +41,10 @@ val compute : ?cache_limit:int -> Updown.t -> t
 (** Set up lazy per-destination distances; no path computation happens
     until {!distance} or a route query asks about a destination.
     [cache_limit] (default 64, minimum 1) bounds how many destination
-    distance vectors stay resident; the oldest is evicted first. *)
+    distance vectors stay resident; the oldest is evicted first. The
+    cache is indexed by node ({!Node_fifo}), so a cached vector is
+    found with one array read, and it is allocated by the first vector
+    cached: a [t] that only runs {!compile} never holds it. *)
 
 val distance : t -> src:Graph.node -> dst:Graph.node -> int option
 (** Compliant hop distance, [None] if unreachable without an illegal

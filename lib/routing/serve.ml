@@ -102,6 +102,13 @@ module Pool = struct
   let packed_bytes t = (entry_ref_bytes * t.entries) + (cell_bytes * t.n)
 end
 
+(* A table cell: a pool cell index for a route too long to pack,
+   [no_route], or [lnot w] for a route packed inline as the word [w]:
+   its length in the low [len_bits] bits, then each turn plus [bias]
+   in [turn_bits] bits, the first turn lowest. A biased turn is never
+   0, so a packed route of one or more turns is a word of at least
+   [1 lsl len_bits] and its cell is below [no_route]; the empty route
+   packs to 0, the cell -1 the pool gives it. *)
 type t = {
   sv_graph : Graph.t;
   sv_ud : Updown.t;
@@ -110,21 +117,42 @@ type t = {
   prefer : (Graph.node -> Graph.node -> float) option;
   host_slot : int array;
   hosts : Graph.node array;
-  (* dst -> per-source-slot pool index; -2 marks self/unreachable. *)
-  tables : (Graph.node, int array) Hashtbl.t;
-  order : Graph.node Queue.t;
-  cache_limit : int;
+  (* dst -> per-source-slot cells, [||] when not resident, and the
+     tables' eviction order, bounded by [cache_limit]. *)
+  tables : int array array;
+  order : Node_fifo.t;
   mutable dst_builds : int;
   scratch : int array; (* one compiled turn string *)
+  bias : int;
+  turn_bits : int;
+  len_bits : int;
+  inline_turns : int; (* the longest route packed inline *)
 }
 
 let no_route = -2
+
+(* The inline word's layout for a radix: a turn, exit port minus entry
+   port, lies in [-(radix - 1), radix - 1], so with [bias = radix] it
+   needs [turn_bits] bits to hold up to [2 * radix - 1]. The length
+   takes the fewest bits that can count every turn the rest of the 62
+   bits of a non-negative word holds. *)
+let layout radix =
+  let bias = max 1 radix in
+  let rec bits b v = if 1 lsl b > v then b else bits (b + 1) v in
+  let turn_bits = bits 1 ((2 * bias) - 1) in
+  let rec fit len_bits =
+    let turns = (62 - len_bits) / turn_bits in
+    if turns < 1 lsl len_bits then (len_bits, turns) else fit (len_bits + 1)
+  in
+  let len_bits, inline_turns = fit 1 in
+  (bias, turn_bits, len_bits, inline_turns)
 
 let create ?(cache_limit = 64) ?root ?ignore_hosts ?labeling ?prefer g =
   let ud = Updown.build ?root ?ignore_hosts ?labeling g in
   let hosts = Array.of_list (Graph.hosts g) in
   let host_slot = Array.make (Graph.num_nodes g) (-1) in
   Array.iteri (fun slot h -> host_slot.(h) <- slot) hosts;
+  let bias, turn_bits, len_bits, inline_turns = layout (Graph.radix g) in
   {
     sv_graph = g;
     sv_ud = ud;
@@ -133,15 +161,31 @@ let create ?(cache_limit = 64) ?root ?ignore_hosts ?labeling ?prefer g =
     prefer;
     host_slot;
     hosts;
-    tables = Hashtbl.create 64;
-    order = Queue.create ();
-    cache_limit = max 1 cache_limit;
+    tables = Array.make (Graph.num_nodes g) [||];
+    order = Node_fifo.create ~limit:cache_limit;
     dst_builds = 0;
     scratch = Array.make (Graph.num_nodes g + 1) 0;
+    bias;
+    turn_bits;
+    len_bits;
+    inline_turns;
   }
 
 let graph t = t.sv_graph
 let updown t = t.sv_ud
+let inline_turns t = t.inline_turns
+
+(* The cell of [buf.(0 .. len-1)], already interned at pool cell
+   [idx]. *)
+let cell t buf len idx =
+  if len > t.inline_turns then idx
+  else begin
+    let w = ref 0 in
+    for i = len - 1 downto 0 do
+      w := (!w lsl t.turn_bits) lor (buf.(i) + t.bias)
+    done;
+    lnot ((!w lsl t.len_bits) lor len)
+  end
 
 let build_table t dst =
   San_obs.Obs.with_span "serve.compile_dst" (fun () ->
@@ -152,33 +196,45 @@ let build_table t dst =
             let buf = t.scratch in
             match Paths.route_into ?prefer:t.prefer t.paths ~src ~dst ~buf with
             | -1 -> ()
-            | len -> table.(slot) <- Pool.add_prefix t.pool buf len)
+            | len -> table.(slot) <- cell t buf len (Pool.add_prefix t.pool buf len))
         t.hosts;
-      if Queue.length t.order >= t.cache_limit then
-        Hashtbl.remove t.tables (Queue.pop t.order);
-      Hashtbl.add t.tables dst table;
-      Queue.push dst t.order;
+      Node_fifo.add t.order t.tables dst table;
       t.dst_builds <- t.dst_builds + 1;
       if San_obs.Obs.on () then San_obs.Obs.count "serve.dst_compiled";
       table)
 
-let table_for t dst =
-  try Hashtbl.find t.tables dst with Not_found -> build_table t dst
+let[@inline] table_for t dst =
+  let table = t.tables.(dst) in
+  if Array.length table = 0 then build_table t dst else table
+
+(* Whether [dst] has a table: a host of the graph. *)
+let[@inline] serves t dst =
+  dst >= 0 && dst < Array.length t.host_slot && t.host_slot.(dst) >= 0
 
 let lookup_into t ~src ~dst ~buf =
-  if
-    src < 0 || dst < 0
-    || src >= Array.length t.host_slot
-    || dst >= Array.length t.host_slot
-    || t.host_slot.(dst) < 0
-  then -1
+  if src < 0 || src >= Array.length t.host_slot || not (serves t dst) then -1
   else
     let slot = t.host_slot.(src) in
     if slot < 0 then -1
     else
-      let table = table_for t dst in
-      let idx = table.(slot) in
-      if idx = no_route then -1 else Pool.write t.pool idx buf
+      let c = (table_for t dst).(slot) in
+      if c >= 0 then Pool.write t.pool c buf
+      else if c = no_route then -1
+      else begin
+        (* Every field up to [inline_turns] is unpacked when [buf] has
+           room: a loop of fixed length is predicted, where one of
+           [len] turns is not. The fields past [len] are zero and
+           leave [-bias] in their slots. *)
+        let w = lnot c and bits = t.turn_bits and bias = t.bias in
+        let len = w land ((1 lsl t.len_bits) - 1) in
+        let n = if Array.length buf >= t.inline_turns then t.inline_turns else len in
+        let turns = ref (w lsr t.len_bits) and mask = (1 lsl bits) - 1 in
+        for i = 0 to n - 1 do
+          buf.(i) <- (!turns land mask) - bias;
+          turns := !turns lsr bits
+        done;
+        len
+      end
 
 let max_route_len t = Pool.max_depth t.pool
 
@@ -195,7 +251,7 @@ let batch t queries ~buf =
     queries;
   !served
 
-let warm t ~dst = ignore (table_for t dst)
+let warm t ~dst = if serves t dst then ignore (table_for t dst)
 
 type stats = {
   destinations : int;
@@ -210,7 +266,7 @@ type stats = {
 let stats t =
   {
     destinations = t.dst_builds;
-    resident = Hashtbl.length t.tables;
+    resident = Node_fifo.resident t.order;
     entries = Pool.entries t.pool;
     pool_cells = Pool.cells t.pool;
     turns_total = Pool.turns_total t.pool;

@@ -4,17 +4,28 @@
 
     Tables are compiled lazily, one destination at a time, from the
     per-destination distances of {!Paths} — O(E) work and O(V) memory
-    per destination, kept in a bounded FIFO cache. Every compiled turn
-    string is interned into a shared-{e suffix} pool: routes converging
-    on one destination share their down-phase tails (and, reversed,
-    per-source slices share their up-phase heads), so the pool is a
-    hash-consed trie generalizing the [Delta] idea — never ship or
-    store bytes the receiver can already derive — from {e between}
-    epochs to {e within} a table.
+    per destination, kept in a bounded FIFO cache indexed by node
+    ({!Node_fifo}). Every compiled turn string is interned into a
+    shared-{e suffix} pool: routes converging on one destination share
+    their down-phase tails (and, reversed, per-source slices share
+    their up-phase heads), so the pool is a hash-consed trie
+    generalizing the [Delta] idea — never ship or store bytes the
+    receiver can already derive — from {e between} epochs to
+    {e within} a table.
+
+    A table holds one int per source host. A route whose turns fit in
+    one word is packed into its cell: the turn width comes from the
+    radix (a turn, offset by the radix, in as many bits as
+    [2 · radix − 1] needs), the length sits in the low bits, and
+    {!inline_turns} is how many turns fit. A longer route's cell holds
+    its pool cell index instead, and a pair with no route a marker.
+    Every route is interned into the pool either way, so {!stats} do
+    not depend on which routes were packed.
 
     The hot path ({!lookup_into}) is allocation-free once a
-    destination's table is warm: two array reads to find the pool cell,
-    then one write per turn into a caller-provided buffer. *)
+    destination's table is warm: one array read finds the table, one
+    more its cell; an inline cell is unpacked into the caller's buffer
+    with shifts, and a pool cell is read back one turn per cell. *)
 
 open San_topology
 
@@ -78,10 +89,15 @@ val create :
 
 val lookup_into : t -> src:Graph.node -> dst:Graph.node -> buf:int array -> int
 (** The production query: turn count written into [buf], or [-1] when
-    [src = dst], either end is not a host, or no compliant route
-    exists. Compiles the destination's table on first touch;
-    afterwards the path is allocation-free. Size [buf] with
-    {!max_route_len}. *)
+    [src = dst], either end is not a host of the graph (out of range
+    included), or no compliant route exists. Compiles the
+    destination's table on first touch; afterwards the path is
+    allocation-free: the table is read at [dst], its cell at [src]'s
+    host slot, and the route unpacked from an inline cell or, past
+    {!inline_turns} turns, read back from the pool with
+    {!Pool.write}. Size [buf] with {!max_route_len}. Slots past the
+    route's length, up to [inline_turns], may be overwritten too when
+    [buf] has them. *)
 
 val lookup : t -> src:Graph.node -> dst:Graph.node -> San_simnet.Route.t option
 (** Allocating convenience wrapper over {!lookup_into}. *)
@@ -92,7 +108,16 @@ val batch : t -> (Graph.node * Graph.node) array -> buf:int array -> int
     destination costs nothing here but maximizes warm hits. *)
 
 val warm : t -> dst:Graph.node -> unit
-(** Compile a destination's table ahead of the first query. *)
+(** Compile a destination's table ahead of the first query, evicting
+    the oldest resident table when [cache_limit] are. A no-op on
+    exactly the destinations {!lookup_into} answers [-1] for without a
+    table: a node out of range or one that is not a host, which no
+    query can read a table of. *)
+
+val inline_turns : t -> int
+(** The most turns a table cell packs inline; longer routes are read
+    back from the pool. Fixed by the graph's radix: 11 at radix 16,
+    19 at radix 4. *)
 
 val max_route_len : t -> int
 (** Longest route compiled so far; [lookup_into] buffers of

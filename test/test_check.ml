@@ -64,6 +64,40 @@ let test_props_on_reference_fabrics () =
   props_hold_on "torus" (Generators.torus ~rows:3 ~cols:3 ());
   props_hold_on "star" (Generators.star ~leaves:3 ())
 
+(* A probe service that answers every switch probe keeps handing the
+   map new switches: the budget stops it within one exploration's
+   overshoot, and the error names the budget. *)
+let test_probe_budget_stops () =
+  let module B = San_mapper.Berkeley in
+  let g = Generators.star ~leaves:3 () in
+  let mapper = List.hd (Graph.hosts g) and depth = 6 in
+  let budget = Props.probe_budget g ~depth in
+  let sent = ref 0 in
+  let answer r ~turns:_ =
+    incr sent;
+    (r, 1.0)
+  in
+  let sv =
+    {
+      B.sv_radix = Graph.radix g;
+      sv_host_probe = answer San_simnet.Network.Nothing;
+      sv_switch_probe = answer San_simnet.Network.Switch;
+    }
+  in
+  match Props.map_service g ~mapper ~depth sv with
+  | Ok () -> Alcotest.failf "an always-switch service finished its map"
+  | Error e ->
+    let retries = B.faithful.B.retries in
+    let overshoot = (4 * (Graph.radix g - 1) * (1 + retries)) + 1 + retries in
+    Alcotest.(check bool)
+      (Printf.sprintf "%S names the budget %d" e budget)
+      true
+      (Astring.String.is_infix ~affix:(Printf.sprintf "budget of %d probes" budget) e);
+    Alcotest.(check bool)
+      (Printf.sprintf "%d probes sent, budget %d" !sent budget)
+      true
+      (!sent >= budget && !sent <= budget + overshoot)
+
 (* ---------- shrinker ---------- *)
 
 let test_shrink_minimizes () =
@@ -220,6 +254,8 @@ let () =
         [
           Alcotest.test_case "reference fabrics" `Slow
             test_props_on_reference_fabrics;
+          Alcotest.test_case "probe budget stops a runaway map" `Quick
+            test_probe_budget_stops;
         ] );
       ( "shrinker",
         [

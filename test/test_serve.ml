@@ -12,8 +12,9 @@ let fabric name seed =
   | Some p -> p.San_fabric.Fabric.p_build ~seed
   | None -> Alcotest.failf "unknown fabric preset %s" name
 
-(* Served next-hops reproduce the eager table, pair for pair. *)
-let check_agreement name g =
+(* Served next-hops reproduce the eager table, pair for pair; the
+   serving plane that did is returned. *)
+let agreeing_serve name g =
   let table = Routes.compute g in
   let serve = Serve.create g in
   let hosts = Graph.hosts g in
@@ -28,7 +29,10 @@ let check_agreement name g =
               Alcotest.failf "%s: serve disagrees with table on %s->%s" name
                 (Graph.name g src) (Graph.name g dst))
         hosts)
-    hosts
+    hosts;
+  serve
+
+let check_agreement name g = ignore (agreeing_serve name g)
 
 let test_agreement_now () =
   check_agreement "c" (fst (Generators.now_c ()));
@@ -172,6 +176,100 @@ let test_eviction_agrees () =
     (st.Serve.destinations > st.Serve.resident);
   Alcotest.(check bool) "resident bounded" true (st.Serve.resident <= 2)
 
+(* Minor words [f] allocates, [f] run once first so every table it
+   reads is warm. *)
+let warm_words f =
+  f ();
+  let w0 = Gc.minor_words () in
+  f ();
+  Gc.minor_words () -. w0
+
+(* A 1x40 mesh's end-to-end routes are far longer than a word packs at
+   its radix, so both cell kinds are served: the inline ones and the
+   pool fallback. *)
+let test_agreement_long_routes () =
+  let g = Generators.mesh ~rows:1 ~cols:40 () in
+  let serve = agreeing_serve "mesh 1x40" g in
+  let inline = Serve.inline_turns serve in
+  Alcotest.(check bool)
+    (Printf.sprintf "longest route (%d turns) past the inline %d"
+       (Serve.max_route_len serve) inline)
+    true
+    (Serve.max_route_len serve > inline);
+  let hosts = Array.of_list (Graph.hosts g) in
+  let buf = Array.make (Graph.num_nodes g) 0 in
+  let lens = Array.map (fun dst -> Serve.lookup_into serve ~src:hosts.(0) ~dst ~buf) hosts in
+  Alcotest.(check bool) "host 0 has inline and pooled routes" true
+    (Array.exists (fun l -> l > 0 && l <= inline) lens
+    && Array.exists (fun l -> l > inline) lens);
+  (* Warm lookups from one end to every host, the long ones included,
+     allocate nothing. *)
+  let words =
+    warm_words (fun () ->
+        for _ = 1 to 100 do
+          for i = 0 to Array.length hosts - 1 do
+            ignore (Serve.lookup_into serve ~src:hosts.(0) ~dst:hosts.(i) ~buf)
+          done
+        done)
+  in
+  Alcotest.(check (float 0.0)) "4,000 warm lookups on long routes" 0.0 words
+
+(* A host cabled straight to another host is served the empty route,
+   as the table has it, and nothing to the rest of the fabric. *)
+let test_host_cable () =
+  let g = Graph.create ~radix:4 () in
+  let s = Graph.add_switch g ~name:"s" () in
+  let a = Graph.add_host g ~name:"a" and b = Graph.add_host g ~name:"b" in
+  Graph.connect g (a, 0) (s, 0);
+  Graph.connect g (b, 0) (s, 1);
+  let x = Graph.add_host g ~name:"x" and y = Graph.add_host g ~name:"y" in
+  Graph.connect g (x, 0) (y, 0);
+  let serve = agreeing_serve "host cable" g in
+  Alcotest.(check (option (list int))) "x to y" (Some []) (Serve.lookup serve ~src:x ~dst:y);
+  Alcotest.(check (option (list int))) "x to a" None (Serve.lookup serve ~src:x ~dst:a);
+  let buf = Array.make (Graph.num_nodes g) 7 in
+  Alcotest.(check int) "y to x, into a buffer" 0 (Serve.lookup_into serve ~src:y ~dst:x ~buf)
+
+(* Evicted tables come back on the next touch, and lookups through the
+   re-warmed tables allocate nothing. *)
+let test_rewarm_zero_alloc () =
+  let g = fst (Generators.now_ca ()) in
+  let serve = Serve.create ~cache_limit:2 g in
+  let hosts = Array.of_list (Graph.hosts g) in
+  let a = hosts.(0) and b = hosts.(1) and c = hosts.(2) and src = hosts.(3) in
+  List.iter (fun dst -> Serve.warm serve ~dst) [ a; b; c; a ];
+  let st = Serve.stats serve in
+  Alcotest.(check int) "a compiled again after eviction" 4 st.Serve.destinations;
+  Alcotest.(check int) "two resident" 2 st.Serve.resident;
+  let buf = Array.make (Graph.num_nodes g) 0 in
+  let words =
+    warm_words (fun () ->
+        for _ = 1 to 1_000 do
+          ignore (Serve.lookup_into serve ~src ~dst:a ~buf);
+          ignore (Serve.lookup_into serve ~src ~dst:c ~buf)
+        done)
+  in
+  Alcotest.(check (float 0.0)) "2,000 lookups on re-warmed tables" 0.0 words;
+  Alcotest.(check int) "no table compiled by them" 4
+    (Serve.stats serve).Serve.destinations
+
+(* [warm] compiles only what a lookup can read: a switch or a node out
+   of range is no destination, so it neither compiles a table, evicts a
+   live one nor raises. *)
+let test_warm_non_host () =
+  let g = fst (Generators.now_ca ()) in
+  let serve = Serve.create ~cache_limit:2 g in
+  let hosts = Array.of_list (Graph.hosts g) in
+  let a = hosts.(0) and b = hosts.(1) and src = hosts.(2) in
+  Serve.warm serve ~dst:a;
+  Serve.warm serve ~dst:b;
+  List.iter
+    (fun dst -> Serve.warm serve ~dst)
+    [ List.hd (Graph.switches g); -1; Graph.num_nodes g; max_int ];
+  let buf = Array.make (Graph.num_nodes g) 0 in
+  Alcotest.(check bool) "a still served" true (Serve.lookup_into serve ~src ~dst:a ~buf > 0);
+  Alcotest.(check int) "only a and b compiled" 2 (Serve.stats serve).Serve.destinations
+
 (* Traffic awareness: penalizing one spine steers every equal-cost
    choice through the other. *)
 let test_prefer_steers () =
@@ -239,5 +337,13 @@ let () =
             test_prefer_steers;
           Alcotest.test_case "delta ships packed slices cheaper" `Quick
             test_delta_packed;
+          Alcotest.test_case "long routes served from the pool agree" `Quick
+            test_agreement_long_routes;
+          Alcotest.test_case "host-to-host cable serves the empty route" `Quick
+            test_host_cable;
+          Alcotest.test_case "re-warmed tables allocation-free" `Quick
+            test_rewarm_zero_alloc;
+          Alcotest.test_case "warm skips non-destinations" `Quick
+            test_warm_non_host;
         ] );
     ]
