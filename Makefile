@@ -41,8 +41,8 @@ bench-fast:
 # tables (parallel mapping through San_shard among them).
 bench-smoke:
 	dune exec bin/san_map.exe -- daemon -t star:3 --epochs 2 --schedule 1:cut
-	dune exec bench/main.exe -- --only daemon --fast --no-bechamel
-	dune exec bench/main.exe -- --only extensions --fast --no-bechamel
+	dune exec bench/main.exe -- --only daemon --fast
+	dune exec bench/main.exe -- --only extensions --fast
 
 # Scaling at CI size: map a seeded 1k-host fat-tree end to end under a
 # wall-time budget, then run the fast scaling bench rung so the
@@ -51,7 +51,7 @@ bench-smoke:
 scale-smoke:
 	timeout 120 dune exec bin/san_map.exe -- map -t fabric:ft-1k --seed 1 \
 	  --out-dir ""
-	dune exec bench/main.exe -- --only scaling --fast --no-bechamel
+	dune exec bench/main.exe -- --only scaling --fast
 
 # The sharded mapper at CI size: a seeded 4-shard map of the 1k-host
 # fat-tree checked isomorphic against the solo baseline (the CLI exits
@@ -62,7 +62,7 @@ scale-smoke:
 shard-smoke:
 	timeout 240 dune exec bin/san_map.exe -- shard -t fabric:ft-1k --seed 1 \
 	  --shards 4 --compare-solo --out-dir ""
-	dune exec bench/main.exe -- --only scaling-shard --fast --no-bechamel
+	dune exec bench/main.exe -- --only scaling-shard --fast
 
 # The route-serving plane at CI size: a seeded ft-1k serve run whose
 # --check verifies delivery and deadlock freedom of a served sample
@@ -77,7 +77,7 @@ serve-smoke:
 	  --queries 100000 --check
 	timeout 120 dune exec bin/san_map.exe -- serve -t mesh:1:40 --seed 1 \
 	  --queries 20000 --check
-	dune exec bench/main.exe -- --only serving --fast --no-bechamel
+	dune exec bench/main.exe -- --only serving --fast
 
 # The property fuzzer at CI size: a fixed seed so the run is
 # reproducible, 200 random fabrics through the full suite, then 1,000
@@ -119,7 +119,7 @@ fuzz-smoke:
 # recording, then a daemon run under load with the default SLOs
 # exercises the burn-rate path end to end.
 slo-smoke:
-	dune exec bench/main.exe -- --only load_matrix --fast --no-bechamel
+	dune exec bench/main.exe -- --only load_matrix --fast
 	dune exec bin/san_map.exe -- daemon -t fat-tree:2:2:4 --epochs 8 \
 	  --quiet --load 1.0 --load-pattern hotspot --scenario storm --seed 5
 	test -s BENCH_obs.json
@@ -134,7 +134,7 @@ cover-smoke:
 	dune exec bin/san_map.exe -- map -t ft-100 --seed 1 --budget 0.3 \
 	  --metrics _artifacts/cover_metrics.json --out-dir _artifacts
 	test -s _artifacts/partial-map-ft-100-b0.3.json
-	dune exec bench/main.exe -- --only coverage --fast --no-bechamel
+	dune exec bench/main.exe -- --only coverage --fast
 
 # The mapper's merge path at full benchmark size: one traced map-r32
 # run of the performance benchmark (64 hosts, radix 32, 86,022 model
@@ -222,7 +222,7 @@ artifacts:
 
 # CSV series for external plotting (figures 8 and 9).
 csv:
-	dune exec bench/main.exe -- --only fig8,fig9 --no-bechamel --csv data
+	dune exec bench/main.exe -- --only fig8,fig9 --csv data
 
 examples:
 	dune exec examples/quickstart.exe

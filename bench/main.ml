@@ -1,11 +1,10 @@
 (* Reproduction harness: regenerates every table and figure of the
    paper's evaluation (§5), printing our measured values next to the
    numbers the paper reports, then runs ablation studies over the
-   design choices called out in DESIGN.md, and finally a Bechamel
-   micro-benchmark section (one Test.make per experiment).
+   design choices called out in DESIGN.md.
 
    Usage: dune exec bench/main.exe [-- --only fig6,fig10] [--runs N]
-          [--no-bechamel] [--fast] [--scale-100k] [--csv DIR]
+          [--fast] [--scale-100k] [--csv DIR]
 
    Each section returns its results as rows of cells. The printed
    tables, the BENCH_obs.json entries and the CSV files are all read
@@ -21,7 +20,6 @@ module J = San_util.Json
 type config = {
   runs : int;  (** Figure 7's runs per system outside [fast] *)
   fast : bool;
-  bechamel : bool;
   only : string list;  (** sections to run; [] runs them all *)
   csv_dir : string option;
   scale_100k : bool;
@@ -2007,94 +2005,6 @@ let coverage_section cfg =
   }
 
 (* ------------------------------------------------------------------ *)
-(* Bechamel micro-benchmarks: one Test.make per experiment              *)
-
-let bechamel_section cfg =
-  let open Bechamel in
-  let gc = fst (Generators.now_c ()) in
-  let gcab = fst (Generators.now_cab ()) in
-  let map_cab = Result.get_ok (map_now gcab).Berkeley.map in
-  let long_route =
-    (* A representative NOW-scale route for the worm evaluator. *)
-    let table = San_routing.Routes.compute map_cab in
-    match
-      List.sort
-        (fun (_, _, a) (_, _, b) -> compare (List.length b) (List.length a))
-        (San_routing.Routes.all table)
-    with
-    | (src, _, r) :: _ -> (src, r)
-    | [] -> assert false
-  in
-  let tests =
-    [
-      Test.make ~name:"fig4:map-subcluster-C"
-        (Staged.stage (fun () -> map_now gc));
-      Test.make ~name:"fig5:map-now-100" (Staged.stage (fun () -> map_now gcab));
-      Test.make ~name:"fig7:election-now"
-        (Staged.stage (fun () ->
-             let net = Network.create gcab in
-             Election.run ~rng:(San_util.Prng.create 3) net));
-      Test.make ~name:"fig10:myricom-C"
-        (Staged.stage (fun () ->
-             San_myricom.Myricom.run gc ~mapper:(mapper_of gc "C-util")));
-      Test.make ~name:"sec5.5:updown-routes-now"
-        (Staged.stage (fun () -> San_routing.Routes.compute map_cab));
-      Test.make ~name:"sec5.5:deadlock-check-now"
-        (let table = San_routing.Routes.compute map_cab in
-         Staged.stage (fun () -> San_routing.Deadlock.check_routes table));
-      Test.make ~name:"substrate:worm-eval-longest-route"
-        (Staged.stage (fun () ->
-             let src, r = long_route in
-             Worm.eval map_cab ~src ~turns:r));
-      Test.make ~name:"substrate:q-bound-now"
-        (Staged.stage (fun () ->
-             Core_set.q_bound gcab ~root:(mapper_of gcab "C-util")));
-    ]
-  in
-  let grouped = Test.make_grouped ~name:"san" tests in
-  let instance = Toolkit.Instance.monotonic_clock in
-  let bcfg =
-    Benchmark.cfg ~limit:200
-      ~quota:(Time.second (if cfg.fast then 0.1 else 0.4))
-      ~kde:None ()
-  in
-  let raw = Benchmark.all bcfg [ instance ] grouped in
-  let ols =
-    Analyze.ols ~bootstrap:0 ~r_square:true ~predictors:[| Measure.run |]
-  in
-  let results = Analyze.all ols instance raw in
-  let rows =
-    Hashtbl.fold
-      (fun name res acc ->
-        let est =
-          match Analyze.OLS.estimates res with
-          | Some [ e ] -> e
-          | _ -> nan
-        in
-        let human =
-          if Float.is_nan est then "-"
-          else if est > 1e9 then Printf.sprintf "%.2f s" (est /. 1e9)
-          else if est > 1e6 then Printf.sprintf "%.2f ms" (est /. 1e6)
-          else if est > 1e3 then Printf.sprintf "%.2f us" (est /. 1e3)
-          else Printf.sprintf "%.0f ns" est
-        in
-        let r2 =
-          match Analyze.OLS.r_square res with
-          | Some r -> Printf.sprintf "%.3f" r
-          | None -> "-"
-        in
-        [ name; human; r2 ] :: acc)
-      results []
-  in
-  tables
-    [
-      table "Bechamel — real CPU cost of each experiment's core operation"
-        (strings
-           [ "benchmark"; "wall time per run"; "r²" ]
-           (List.sort compare rows));
-    ]
-
-(* ------------------------------------------------------------------ *)
 (* The section registry and the driver                                  *)
 
 (* In run order. *)
@@ -2130,7 +2040,6 @@ let sections =
     ("scaling-shard", scaling_shard_section);
     ("serving", serving_section);
     ("coverage", coverage_section);
-    ("bechamel", bechamel_section);
   ]
 
 (* Telemetry and why export their rows apart from their own entry. *)
@@ -2198,8 +2107,8 @@ let write_obs entries =
   Printf.printf "(wrote BENCH_obs.json)\n"
 
 let usage =
-  "usage: main.exe [--only SECTION,...] [--runs N] [--fast] [--no-bechamel] \
-   [--scale-100k] [--csv DIR]"
+  "usage: main.exe [--only SECTION,...] [--runs N] [--fast] [--scale-100k] \
+   [--csv DIR]"
 
 (* Bad arguments exit 2 before any section runs. *)
 let parse_args args =
@@ -2218,7 +2127,6 @@ let parse_args args =
       | Some n when n > 0 -> go { cfg with runs = n } rest
       | _ -> bad "--runs expects a positive integer, got %S" n)
     | "--fast" :: rest -> go { cfg with fast = true } rest
-    | "--no-bechamel" :: rest -> go { cfg with bechamel = false } rest
     | "--scale-100k" :: rest -> go { cfg with scale_100k = true } rest
     | "--only" :: l :: rest -> (
       let names = String.split_on_char ',' l in
@@ -2235,7 +2143,6 @@ let parse_args args =
     {
       runs = 20;
       fast = false;
-      bechamel = true;
       only = [];
       csv_dir = None;
       scale_100k = false;
@@ -2248,10 +2155,7 @@ let () =
   print_endline "paper values printed alongside; absolute times come from the";
   print_endline "calibrated simulation, shapes are the reproduction target.";
   San_obs.Obs.set_enabled true;
-  let wanted (name, _) =
-    (cfg.only = [] || List.mem name cfg.only)
-    && (cfg.bechamel || name <> "bechamel")
-  in
+  let wanted (name, _) = cfg.only = [] || List.mem name cfg.only in
   let results = List.map (run_section cfg) (List.filter wanted sections) in
   write_obs (List.concat_map fst results);
   if List.exists (fun (_, failures) -> failures <> []) results then exit 1

@@ -59,15 +59,11 @@ let incr ?(by = 1) c =
       (Printf.sprintf "Metrics.incr %s: counter went negative (%d)" c.c_name
          c.c_value)
 let counter_value c = c.c_value
-let counter_name c = c.c_name
 
 let set g v = g.g_value <- v
-let gauge_value g = g.g_value
-let gauge_name g = g.g_name
 
 let observe h v = Digest.add h.h_digest v
 let histogram_count h = Digest.count h.h_digest
-let histogram_name h = h.h_name
 let digest h = h.h_digest
 
 let reset t =

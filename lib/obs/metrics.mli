@@ -33,17 +33,13 @@ val set_debug : bool -> unit
     [SAN_DEBUG_COUNTERS] environment variable). *)
 
 val counter_value : counter -> int
-val counter_name : counter -> string
 
 val set : gauge -> float -> unit
-val gauge_value : gauge -> float
-val gauge_name : gauge -> string
 
 val observe : histogram -> float -> unit
 (** Record one observation ({!Digest.add}). *)
 
 val histogram_count : histogram -> int
-val histogram_name : histogram -> string
 
 val digest : histogram -> Digest.t
 (** The live digest behind the histogram. *)

@@ -396,6 +396,3 @@ let pp_event ppf = function
   | Span_end { name; elapsed_ns } ->
     Format.fprintf ppf "span %s end (%.0f ns)" name elapsed_ns
   | Mark { name; note } -> Format.fprintf ppf "mark %s: %s" name note
-
-let console_sink ppf r =
-  Format.fprintf ppf "[%06d] %a@." r.seq pp_event r.event

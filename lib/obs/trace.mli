@@ -3,8 +3,7 @@
     A tracer keeps the most recent [capacity] records in a ring buffer
     (oldest records are overwritten, never the newest) and feeds every
     record to its sinks as it is emitted: the in-memory ring serves
-    tests and post-mortems, a JSON-lines sink serves tooling, the
-    console sink serves interactive debugging. *)
+    tests and post-mortems, a JSON-lines sink serves tooling. *)
 
 type probe_kind = Host | Switch | Walk | Loop
 
@@ -75,8 +74,6 @@ val has_sinks : t -> bool
 
 val jsonl_sink : out_channel -> sink
 (** One compact JSON object per line, [record_to_json] encoding. *)
-
-val console_sink : Format.formatter -> sink
 
 val record_to_json : record -> San_util.Json.t
 val record_of_json : San_util.Json.t -> record option

@@ -14,12 +14,12 @@ type t = {
   first : int array;
   adj : int array;
   shift : int;
-  (* Distance vectors by destination, [||] where none is cached, and
-     their eviction order, bounded by [cache_limit]. [[||]] itself
-     until the first vector is cached, so a [t] that only compiles
-     never holds the slots. *)
-  mutable cache : int array array;
-  order : Node_fifo.t;
+  (* Each state's compliant distance to [dist_node] ([inf] where there
+     is none); [dist_node] is -1 before the first BFS. Every caller
+     walks destination-major or compiles anchor by anchor, so this one
+     vector serves [route_into], [distance] and [compile] alike. *)
+  dist : int array;
+  mutable dist_node : Graph.node;
   (* Scratch for one walk: [nodes.(i)] is the path's i-th node and
      [exits.(i)] the port it leaves on. A shortest compliant path
      visits each node at most once, so [num_nodes] slots suffice. *)
@@ -33,11 +33,9 @@ type t = {
   memo : int array;
   mutable memo_dst : Graph.node;
   (* [compile]'s turns per state toward the destination it is
-     compiling, [unset] until first asked for, and its anchor's
-     distance vector. Allocated on the first [compile], so a [t] that
-     only walks never holds them. *)
+     compiling, [unset] until first asked for. Allocated on the first
+     [compile], so a [t] that only walks never holds it. *)
   mutable suffix : int list array;
-  mutable scratch : int array;
   (* What [compile] recorded for the next epoch's compile, allocated
      with [suffix]: per anchor compiled, each state's exit toward it
      ([exit_width] bytes per state holding the port plus one, 0 where
@@ -60,9 +58,7 @@ let inf = max_int / 4
 let state_up n = 2 * n
 let state_down n = (2 * n) + 1
 
-let default_cache_limit = 64
-
-let compute ?(cache_limit = default_cache_limit) ud =
+let compute ud =
   let g = Updown.graph ud in
   let n = Graph.num_nodes g in
   let first = Array.make (n + 1) 0 in
@@ -91,15 +87,14 @@ let compute ?(cache_limit = default_cache_limit) ud =
     first;
     adj;
     shift;
-    cache = [||];
-    order = Node_fifo.create ~limit:cache_limit;
+    dist = Array.make (2 * n) inf;
+    dist_node = -1;
     nodes = Array.make (n + 1) 0;
     exits = Array.make (n + 1) 0;
     queue = Array.make (2 * n) 0;
     memo = Array.make (2 * n) (-1);
     memo_dst = -1;
     suffix = [||];
-    scratch = [||];
     exit_width = (if !max_ports < 0xFF then 1 else 2);
     anchor_exits = [||];
     dst_anchor = [||];
@@ -114,14 +109,17 @@ let slot t node p = t.adj.(t.first.(node) + p)
 let peer_of t e = e lsr t.shift
 let far_of t e = (e lsr 1) land ((1 lsl (t.shift - 1)) - 1)
 
-(* Distances to [dst] from every state, by one backward BFS over the
-   reversed phase edges. Forward transitions are: an up edge a->b is
-   usable only in the Up phase and stays Up; a down edge a->b is usable
-   from either phase and lands in Down. Both phases of [dst] seed the
+(* Distances to [dst] from every state, written over [t.dist] by one
+   backward BFS over the reversed phase edges; the vector is then
+   tagged [dst]'s. Forward transitions are: an up edge a->b is usable
+   only in the Up phase and stays Up; a down edge a->b is usable from
+   either phase and lands in Down. Both phases of [dst] seed the
    frontier at 0, so the array directly holds the compliant distance to
-   the destination node. [dist] must hold [inf] everywhere. *)
-let bfs t dst dist =
-  let queue = t.queue in
+   the destination node. *)
+let bfs t dst =
+  let dist = t.dist and queue = t.queue in
+  Array.fill dist 0 t.nstates inf;
+  t.dist_node <- dst;
   let head = ref 0 and tail = ref 0 in
   let push s d =
     if dist.(s) >= inf then begin
@@ -161,17 +159,10 @@ let bfs t dst dist =
     done
   done
 
-(* [dst]'s distance vector from the cache, or computed and cached. *)
+(* [dst]'s distance vector, by a BFS unless it is the one held. *)
 let to_dst t dst =
-  if Array.length t.cache = 0 then t.cache <- Array.make (t.nstates / 2) [||];
-  let dist = t.cache.(dst) in
-  if Array.length dist > 0 then dist
-  else begin
-    let dist = Array.make t.nstates inf in
-    bfs t dst dist;
-    Node_fifo.add t.order t.cache dst dist;
-    dist
-  end
+  if t.dist_node <> dst then bfs t dst;
+  t.dist
 
 let distance t ~src ~dst =
   let d = (to_dst t dst).(state_up src) in
@@ -460,20 +451,13 @@ let compile ?prior t ~anchor ~dsts ~srcs ~into =
   if Array.length t.suffix = 0 then begin
     let n = t.nstates / 2 in
     t.suffix <- Array.make t.nstates unset;
-    t.scratch <- Array.make t.nstates inf;
     t.verdict <- Bytes.make t.nstates unknown;
     t.anchor_exits <- Array.make n Bytes.empty;
     t.dst_anchor <- Array.make n (-1);
     t.dst_q <- Array.make n (-1)
   end
-  else begin
-    Array.fill t.scratch 0 t.nstates inf;
-    Bytes.fill t.verdict 0 t.nstates unknown
-  end;
-  (* A table compile visits each anchor once, so its distance vector
-     goes into the scratch, not the cache. *)
-  let dist = t.scratch in
-  bfs t anchor dist;
+  else Bytes.fill t.verdict 0 t.nstates unknown;
+  let dist = to_dst t anchor in
   aim_memo t anchor;
   let old =
     match prior with

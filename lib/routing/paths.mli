@@ -8,11 +8,14 @@
 
     Distances are produced by one backward BFS per {e destination}
     over the reversed phase DAG: O(E) time and O(V) memory per
-    destination, computed lazily on first use and kept in a bounded
-    FIFO cache. This replaces the earlier all-pairs Floyd–Warshall,
+    destination, computed lazily on first use. A [t] holds one
+    distance vector, the last destination's, so a query toward another
+    destination runs the BFS again; every caller walks
+    destination-major or compiles anchor by anchor, so each
+    destination's vector is computed once. This replaces the earlier all-pairs Floyd–Warshall,
     whose O(V³) time and [(2V)²] matrix cannot survive the 10k-host
-    fabrics — peak memory is now [cache_limit] distance vectors no
-    matter how many pairs are routed.
+    fabrics — peak memory is now one distance vector no matter how
+    many pairs are routed.
 
     Every query reads one dense adjacency built by {!compute}: per
     port slot, one packed int holding the peer node, the far port and
@@ -37,14 +40,12 @@ open San_topology
 
 type t
 
-val compute : ?cache_limit:int -> Updown.t -> t
+val compute : Updown.t -> t
 (** Set up lazy per-destination distances; no path computation happens
-    until {!distance} or a route query asks about a destination.
-    [cache_limit] (default 64, minimum 1) bounds how many destination
-    distance vectors stay resident; the oldest is evicted first. The
-    cache is indexed by node ({!Node_fifo}), so a cached vector is
-    found with one array read, and it is allocated by the first vector
-    cached: a [t] that only runs {!compile} never holds it. *)
+    until {!distance}, a route query or {!compile} asks about a
+    destination. The one distance vector ([2 · num_nodes] ints) is
+    allocated here and shared by all three: each runs the BFS only
+    when the vector is another node's. *)
 
 val distance : t -> src:Graph.node -> dst:Graph.node -> int option
 (** Compliant hop distance, [None] if unreachable without an illegal
@@ -59,20 +60,21 @@ val route_into :
   buf:int array ->
   int
 (** The pair compiler: walk one shortest compliant path from [src] to
-    [dst] along the cached distance vector and write its turn string
+    [dst] along [dst]'s distance vector and write its turn string
     (at each switch, exit port minus entry port; nothing for leaving a
     host) into [buf]. Returns the turn count, or [-1] when no
     compliant path exists. [buf] needs [Graph.num_nodes] slots. Each
-    hop scans the node's port slots in place, so the walk allocates
-    nothing beyond a first-touch distance vector. The default walk
-    memoises each state's exit port for the current destination (one
+    hop scans the node's port slots in place, and the distance vector
+    is refilled in place when [dst] is not the last destination asked
+    about, so the walk allocates nothing. The default walk memoises
+    each state's exit port for the current destination (one
     [2 · num_nodes] array, cleared when the destination changes), so
     walking a destination's routes from every source scans each
     state's ports once; callers walking many pairs go
-    destination-major to keep it warm. The memo never changes a
-    route. Whole tables of default routes are cheaper through
-    {!compile}; this is the path for single lookups and for [prefer]
-    and [rng] walks.
+    destination-major to keep the memo and the distance vector warm.
+    The memo never changes a route. Whole tables of default routes are
+    cheaper through {!compile}; this is the path for single lookups
+    and for [prefer] and [rng] walks.
 
     Deterministic by default: the first port leading one hop closer,
     which is the first shortest continuation in port order and, over

@@ -117,10 +117,14 @@ type t = {
   prefer : (Graph.node -> Graph.node -> float) option;
   host_slot : int array;
   hosts : Graph.node array;
-  (* dst -> per-source-slot cells, [||] when not resident, and the
-     tables' eviction order, bounded by [cache_limit]. *)
+  (* dst -> per-source-slot cells, [||] when not resident, found with
+     one array read and no hashing. [ring] holds the resident
+     destinations in the order they came, oldest at [head]; it has
+     [cache_limit] slots, fewer when there are fewer hosts. *)
   tables : int array array;
-  order : Node_fifo.t;
+  ring : int array;
+  mutable head : int;
+  mutable resident : int;
   mutable dst_builds : int;
   scratch : int array; (* one compiled turn string *)
   bias : int;
@@ -156,13 +160,15 @@ let create ?(cache_limit = 64) ?root ?ignore_hosts ?labeling ?prefer g =
   {
     sv_graph = g;
     sv_ud = ud;
-    paths = Paths.compute ~cache_limit ud;
+    paths = Paths.compute ud;
     pool = Pool.create ();
     prefer;
     host_slot;
     hosts;
     tables = Array.make (Graph.num_nodes g) [||];
-    order = Node_fifo.create ~limit:cache_limit;
+    ring = Array.make (max 1 (min cache_limit (Array.length hosts))) (-1);
+    head = 0;
+    resident = 0;
     dst_builds = 0;
     scratch = Array.make (Graph.num_nodes g + 1) 0;
     bias;
@@ -187,6 +193,21 @@ let cell t buf len idx =
     lnot ((!w lsl t.len_bits) lor len)
   end
 
+(* Make [table] [dst]'s, first evicting the oldest resident table when
+   the ring is full. *)
+let keep t dst table =
+  let cap = Array.length t.ring in
+  if t.resident < cap then begin
+    t.ring.(t.resident) <- dst;
+    t.resident <- t.resident + 1
+  end
+  else begin
+    t.tables.(t.ring.(t.head)) <- [||];
+    t.ring.(t.head) <- dst;
+    t.head <- (t.head + 1) mod cap
+  end;
+  t.tables.(dst) <- table
+
 let build_table t dst =
   San_obs.Obs.with_span "serve.compile_dst" (fun () ->
       let table = Array.make (Array.length t.hosts) no_route in
@@ -198,7 +219,7 @@ let build_table t dst =
             | -1 -> ()
             | len -> table.(slot) <- cell t buf len (Pool.add_prefix t.pool buf len))
         t.hosts;
-      Node_fifo.add t.order t.tables dst table;
+      keep t dst table;
       t.dst_builds <- t.dst_builds + 1;
       if San_obs.Obs.on () then San_obs.Obs.count "serve.dst_compiled";
       table)
@@ -266,7 +287,7 @@ type stats = {
 let stats t =
   {
     destinations = t.dst_builds;
-    resident = Node_fifo.resident t.order;
+    resident = t.resident;
     entries = Pool.entries t.pool;
     pool_cells = Pool.cells t.pool;
     turns_total = Pool.turns_total t.pool;

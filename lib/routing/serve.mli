@@ -3,15 +3,15 @@
     all-pairs table.
 
     Tables are compiled lazily, one destination at a time, from the
-    per-destination distances of {!Paths} — O(E) work and O(V) memory
-    per destination, kept in a bounded FIFO cache indexed by node
-    ({!Node_fifo}). Every compiled turn string is interned into a
-    shared-{e suffix} pool: routes converging on one destination share
-    their down-phase tails (and, reversed, per-source slices share
-    their up-phase heads), so the pool is a hash-consed trie
-    generalizing the [Delta] idea — never ship or store bytes the
-    receiver can already derive — from {e between} epochs to
-    {e within} a table.
+    per-destination distances of {!Paths} — O(E) work per destination,
+    through the one distance vector {!Paths} holds. The tables are kept
+    in a bounded FIFO cache indexed by node, the oldest evicted first.
+    Every compiled turn string is interned into a shared-{e suffix}
+    pool: routes converging on one destination share their down-phase
+    tails (and, reversed, per-source slices share their up-phase
+    heads), so the pool is a hash-consed trie generalizing the [Delta]
+    idea — never ship or store bytes the receiver can already derive —
+    from {e between} epochs to {e within} a table.
 
     A table holds one int per source host. A route whose turns fit in
     one word is packed into its cell: the turn width comes from the
@@ -79,11 +79,13 @@ val create :
   Graph.t ->
   t
 (** Orient the graph and set up the lazy serving plane; nothing is
-    compiled until the first query. [cache_limit] (default 64) bounds
-    resident per-destination tables and distance vectors — total
-    memory stays O([cache_limit] · V) + pool. [prefer u v] is the
-    traffic-awareness hook: a penalty (say, measured link heat plus
-    loss) steering equal-cost multipath away from hot links. Serving
+    compiled until the first query. [cache_limit] (default 64,
+    minimum 1) bounds resident per-destination tables, one int per
+    source host each; with the one distance vector the compiler reuses,
+    memory stays O([cache_limit] · hosts + V) plus the pool.
+    [prefer u v] is the traffic-awareness hook: a penalty (say,
+    measured link heat plus loss) steering equal-cost multipath away
+    from hot links. Serving
     is always deterministic — same fabric, same penalties, same
     routes. *)
 

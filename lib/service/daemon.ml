@@ -271,7 +271,8 @@ let run ?(config = default_config) ?(schedule = Schedule.empty)
         let remap =
           if config.shards > 1 then Some sharded_remap else None
         in
-        (* 3-4. Cheap verification sweep, full remap only on change. *)
+        (* 3-4. Cheap verification sweep; on change, a patch of the
+           map or a full remap. *)
         let map_result =
           match st.map with
           | None ->

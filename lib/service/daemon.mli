@@ -11,12 +11,16 @@
     {!World} behind its back, (2) re-elects a leader if the current one
     died (highest-address responding host, the paper's §4.2 rule),
     (3) runs the cheap incremental verification sweep against its last
-    map, (4) on any discrepancy falls back to a full Berkeley remap,
-    (5) recomputes UP*/DOWN* routes, and (6) installs them by {e delta}
-    distribution — only changed slices travel ({!Delta}). A failed
-    installation (unreachable hosts, worms reset by contention) parks
-    the daemon in [Degraded] with doubling epoch backoff, bounded by
-    the config; the missing hosts are re-targeted when it wakes.
+    map, (4) on any discrepancy repairs the map — it patches the last
+    map when every discrepancy is a mapped wire gone silent and a
+    second sweep confirms the result ({!San_mapper.Incremental}'s
+    [Patched] repair), and falls back to a full Berkeley remap
+    otherwise — (5) recomputes UP*/DOWN* routes, and (6) installs
+    them by {e delta} distribution — only changed slices travel
+    ({!Delta}). A failed installation (unreachable hosts, worms reset
+    by contention) parks the daemon in [Degraded] with doubling epoch
+    backoff, bounded by the config; the missing hosts are re-targeted
+    when it wakes.
 
     Every transition emits a {!San_obs.Trace.Daemon_transition} event,
     and convergence (fault detected to routes fully re-installed,
@@ -40,7 +44,9 @@ val phase_to_string : phase -> string
 type verdict =
   | Cold_start  (** no previous map: full remap *)
   | Verified  (** incremental sweep found the map current *)
-  | Changed of int  (** discrepancies found; a full remap ran *)
+  | Changed of int
+      (** discrepancies found; the map was repaired, by a patch or a
+          full remap (the epoch's events name a patch) *)
   | Backing_off  (** degraded, waiting out the backoff window *)
   | Halted  (** no responding host to lead this epoch *)
 
@@ -87,6 +93,7 @@ type outcome = {
   final_phase : phase;
   map : Graph.t option;  (** the daemon's map at exit *)
   remaps : int;
+      (** cold starts and [Changed] epochs, patched ones included *)
   elections : int;
   total_probes : int;
   delta_bytes : int;  (** bytes actually shipped over the run *)

@@ -23,23 +23,6 @@ let actions_at t epoch = List.filter_map
 
 let last_epoch t = List.fold_left (fun acc (e, _) -> max acc e) (-1) t
 
-let pp_action ppf = function
-  | Cut_links n -> Format.fprintf ppf "cut %d link%s" n (if n = 1 then "" else "s")
-  | Flap_link d -> Format.fprintf ppf "flap a link (down %d epochs)" d
-  | Isolate_switch -> Format.fprintf ppf "isolate a switch"
-  | Add_link -> Format.fprintf ppf "add a link"
-  | Kill_host h -> Format.fprintf ppf "kill host %s" h
-  | Kill_leader -> Format.fprintf ppf "kill the leader"
-  | Revive_host h -> Format.fprintf ppf "revive host %s" h
-  | Storm { links; hosts } ->
-    Format.fprintf ppf "failure storm (%d links, %d hosts)" links hosts
-  | Upgrade_switch down ->
-    Format.fprintf ppf "rolling upgrade: pull a switch (back in %d epochs)" down
-  | Partition down ->
-    Format.fprintf ppf "partition the fabric (heal in %d epochs)" down
-  | Flap_storm { count; down } ->
-    Format.fprintf ppf "flap storm (%d links, each down %d epochs)" count down
-
 let parse_action s =
   let kind, arg =
     match String.index_opt s '=' with

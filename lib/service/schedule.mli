@@ -66,8 +66,6 @@ val gen : rng:San_util.Prng.t -> epochs:int -> (int * action) list
 (** A random schedule for the fuzzer — every action except named
     kills, ~30% of epochs eventful. Deterministic in [rng]. *)
 
-val pp_action : Format.formatter -> action -> unit
-
 val apply :
   t -> World.t -> rng:San_util.Prng.t -> leader:string -> epoch:int ->
   string list

@@ -260,9 +260,9 @@ let turns_of buf = function
   | len -> Some (Array.to_list (Array.sub buf 0 len))
 
 (* The exit memo never changes a route: tables compiled pair by pair
-   destination-major, source-major and in a shuffled order (there with
-   a two-vector distance cache, so destinations are evicted and
-   recomputed) equal [Routes.compute]. *)
+   destination-major, source-major and in a shuffled order (there the
+   one distance vector is recomputed at almost every pair) equal
+   [Routes.compute]. *)
 let test_compile_orders () =
   List.iter
     (fun (what, g) ->
@@ -277,8 +277,8 @@ let test_compile_orders () =
               (Array.to_list hosts))
           (Array.to_list hosts)
       in
-      let compile how ?cache_limit pairs =
-        let pt = Paths.compute ?cache_limit (Routes.updown table) in
+      let compile how pairs =
+        let pt = Paths.compute (Routes.updown table) in
         List.iter
           (fun (src, dst) ->
             if
@@ -292,7 +292,7 @@ let test_compile_orders () =
       compile "source-major" (pairs (fun src dst -> (src, dst)));
       let shuffled = Array.of_list (pairs (fun src dst -> (src, dst))) in
       San_util.Prng.shuffle (San_util.Prng.create 11) shuffled;
-      compile "shuffled" ~cache_limit:2 (Array.to_list shuffled))
+      compile "shuffled" (Array.to_list shuffled))
     [ ("now-cab", fst (Generators.now_cab ())); ("ft-100", fabric "ft-100") ]
 
 (* Walks with [prefer] or [rng] neither read nor disturb the memo:
@@ -630,6 +630,101 @@ let test_compile_alloc_and_sharing () =
     Alcotest.(check bool) "tails physically shared" true (ta == tb)
   | _ -> Alcotest.fail "no route across edge switches"
 
+(* Walks toward one destination after another refill one distance
+   vector in place: on ft-100, [route_into] from every host toward ten
+   destinations in turn allocates at most one vector ([2 · num_nodes]
+   ints and a header) plus a little slack, where a vector per
+   destination would take ten. *)
+let test_route_into_one_vector () =
+  let g = fabric "ft-100" in
+  let pt = Paths.compute (Updown.build g) in
+  let hosts = Array.of_list (Graph.hosts g) in
+  let buf = Array.make (Graph.num_nodes g + 1) 0 in
+  (* The counters are brought up to date at a minor collection. *)
+  Gc.minor ();
+  let before = allocated () in
+  for d = 0 to 9 do
+    let dst = hosts.(d * 7) in
+    Array.iter
+      (fun src -> if src <> dst then ignore (Paths.route_into pt ~src ~dst ~buf))
+      hosts
+  done;
+  Gc.minor ();
+  let words = allocated () -. before in
+  let vector = float_of_int ((2 * Graph.num_nodes g) + 1) in
+  Alcotest.(check bool)
+    (Printf.sprintf "%.0f words for ten destinations (one vector is %.0f)" words
+       vector)
+    true
+    (words <= vector +. 64.0)
+
+(* [compile], [route_into] and [distance] on one [Paths.t] in turn:
+   for each anchor, walks toward a host behind it, its compile, the
+   same walks again, [distance] to the anchor and walks toward a host
+   behind the next anchor. Every route and every compiled cell is the
+   pair-by-pair reference's, and the distance to an anchor is one hop
+   short of a destination behind it, so no query reads a distance
+   vector left by another node's. *)
+let test_shared_vector () =
+  List.iter
+    (fun (what, g) ->
+      let reference = Routes_reference.compute g in
+      let pt = Paths.compute (Updown.build g) in
+      let hosts = Array.of_list (Graph.hosts g) in
+      let nh = Array.length hosts in
+      let buf = Array.make (Graph.num_nodes g + 1) 0 in
+      let behind = Array.make (Graph.num_nodes g) [] in
+      for d = nh - 1 downto 0 do
+        let a = Paths.anchor pt hosts.(d) in
+        behind.(a) <- (hosts.(d), d * nh) :: behind.(a)
+      done;
+      let anchors =
+        Array.of_list (List.filter (fun a -> behind.(a) <> []) (Graph.nodes g))
+      in
+      let walk dst =
+        Array.iter
+          (fun src ->
+            if
+              src <> dst
+              && turns_of buf (Paths.route_into pt ~src ~dst ~buf)
+                 <> Routes_reference.route reference ~src ~dst
+            then Alcotest.failf "%s: route %d->%d differs" what src dst)
+          hosts
+      in
+      let into = Array.make (nh * nh) None in
+      Array.iteri
+        (fun i anchor ->
+          let here = fst (List.hd behind.(anchor)) in
+          walk here;
+          ignore (Paths.compile pt ~anchor ~dsts:behind.(anchor) ~srcs:hosts ~into);
+          walk here;
+          Array.iter
+            (fun src ->
+              if src <> here then
+                let expected =
+                  Option.map
+                    (fun r -> List.length r + if anchor = here then 1 else 0)
+                    (Routes_reference.route reference ~src ~dst:here)
+                in
+                if Paths.distance pt ~src ~dst:anchor <> expected then
+                  Alcotest.failf "%s: distance %d->%d differs" what src anchor)
+            hosts;
+          walk (fst (List.hd behind.(anchors.((i + 1) mod Array.length anchors)))))
+        anchors;
+      Array.iteri
+        (fun d dst ->
+          Array.iteri
+            (fun s src ->
+              if into.((d * nh) + s) <> Routes_reference.route reference ~src ~dst
+              then Alcotest.failf "%s: compiled %d->%d differs" what src dst)
+            hosts)
+        hosts)
+    ([ ("now-cab", fst (Generators.now_cab ())); ("ft-100", fabric "ft-100") ]
+    @ List.init 30 (fun i ->
+          let seed = i + 1 in
+          ( Printf.sprintf "fuzz seed %d" seed,
+            (San_check.Fuzz_gen.gen ~seed).San_check.Fuzz_gen.graph )))
+
 let test_dense_table_edges () =
   let g, _ = Generators.now_c () in
   let table = Routes.compute g in
@@ -928,6 +1023,10 @@ let () =
             test_reference_fuzz;
           Alcotest.test_case "suffix compiler: allocation and sharing" `Quick
             test_compile_alloc_and_sharing;
+          Alcotest.test_case "one distance vector toward many destinations"
+            `Quick test_route_into_one_vector;
+          Alcotest.test_case "compiles and walks share one distance vector"
+            `Quick test_shared_vector;
           Alcotest.test_case "persistent: converge-ft400 seeds 1-10" `Slow
             test_persist_converge;
           Alcotest.test_case "persistent: an unchanged fabric" `Quick
