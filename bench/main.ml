@@ -1790,15 +1790,9 @@ let serving_section cfg =
      down on the re-run of the very same storm. *)
   let g, _, _ = preset "ft-100" in
   let storm table =
-    let stats = San_telemetry.Fabric_stats.create () in
-    San_telemetry.Fabric_stats.install stats;
-    let rep =
-      San_slo.Load.drive ~rng:(San_util.Prng.create 42)
-        (San_slo.Load.spec ~pattern:San_slo.Load.Hotspot 4.0)
-        ~table g
-    in
-    San_telemetry.Fabric_stats.uninstall ();
-    (stats, rep)
+    San_slo.Load.heat ~rng:(San_util.Prng.create 42)
+      (San_slo.Load.spec ~pattern:San_slo.Load.Hotspot 4.0)
+      ~table g
   in
   let occupied_p99 stats =
     San_util.Summary.percentile
@@ -1809,23 +1803,7 @@ let serving_section cfg =
   in
   let s_before, rep = storm (San_routing.Routes.compute g) in
   let p99_before = occupied_p99 s_before in
-  let drop_ns = San_obs.Digest.quantile rep.San_slo.Load.r_latency 0.5 in
-  let prefer u v =
-    List.fold_left
-      (fun acc (port, (w, _)) ->
-        if w <> v then acc
-        else
-          let pst =
-            match San_telemetry.Fabric_stats.port_stat s_before (u, port) with
-            | None -> 0.0
-            | Some s ->
-              s.San_telemetry.Fabric_stats.occupied_ns
-              +. s.San_telemetry.Fabric_stats.blocked_ns
-              +. (float_of_int s.San_telemetry.Fabric_stats.drops *. drop_ns)
-          in
-          Float.min acc pst)
-      infinity (Graph.wired_ports g u)
-  in
+  let prefer = San_slo.Load.prefer s_before rep g in
   let s_after, _ = storm (San_routing.Routes.compute ~prefer g) in
   let p99_after = occupied_p99 s_after in
   let drop_pct =

@@ -3,37 +3,20 @@
 open Cmdliner
 open San_topology
 module Serve = San_routing.Serve
-module Fabric_stats = San_telemetry.Fabric_stats
 
 (* Traffic awareness: measure link heat and loss under the offered load
    riding the deterministic table, then prefer equal-cost choices away
    from both. *)
 let prefer_of_load g rng ls =
-  let baseline = San_routing.Routes.compute g in
-  let stats = Fabric_stats.create () in
-  Fabric_stats.install stats;
-  let rep = San_slo.Load.drive ~rng:(San_util.Prng.copy rng) ls ~table:baseline g in
-  Fabric_stats.uninstall ();
-  (* A drop costs one median redelivery; occupancy and queueing are
-     already nanoseconds, so the units agree. *)
-  let drop_ns = San_obs.Digest.quantile rep.San_slo.Load.r_latency 0.5 in
+  let fabric, rep =
+    San_slo.Load.heat ~rng:(San_util.Prng.copy rng) ls
+      ~table:(San_routing.Routes.compute g) g
+  in
   Format.printf "traffic: %s load %.2f — loss %.4f/crossing, drop cost %.0f ns@."
     (San_slo.Load.pattern_to_string rep.San_slo.Load.r_pattern)
-    rep.San_slo.Load.r_offered rep.San_slo.Load.r_loss_per_crossing drop_ns;
-  fun u v ->
-    List.fold_left
-      (fun acc (port, (w, _)) ->
-        if w <> v then acc
-        else
-          let p =
-            match Fabric_stats.port_stat stats (u, port) with
-            | None -> 0.0
-            | Some s ->
-              s.Fabric_stats.occupied_ns +. s.Fabric_stats.blocked_ns
-              +. (float_of_int s.Fabric_stats.drops *. drop_ns)
-          in
-          Float.min acc p)
-      infinity (Graph.wired_ports g u)
+    rep.San_slo.Load.r_offered rep.San_slo.Load.r_loss_per_crossing
+    (San_slo.Load.drop_cost_ns rep);
+  San_slo.Load.prefer fabric rep g
 
 (* Every served route in the working set must deliver its worm, and the
    set must be deadlock-free. *)

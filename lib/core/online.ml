@@ -11,8 +11,7 @@ type result = {
 }
 
 let run ?(policy = Berkeley.faithful) ?(depth = Berkeley.Oracle)
-    ?(params = Params.default) ?(background_payload = 4096) ~traffic_per_ms
-    ~rng g ~mapper =
+    ?(params = Params.default) ~traffic_per_ms ~rng g ~mapper =
   if not (Graph.is_host g mapper) then
     invalid_arg "Online.run: mapper must be a host";
   let sim = Event_sim.create ~params g in
@@ -24,22 +23,20 @@ let run ?(policy = Berkeley.faithful) ?(depth = Berkeley.Oracle)
   let bg_routes =
     Array.of_list (San_routing.Routes.all (San_routing.Routes.compute g))
   in
-  let mean_gap_ns =
-    if traffic_per_ms <= 0.0 then infinity else 1e6 /. traffic_per_ms
+  let background =
+    San_util.Prng.arrivals rng
+      ~mean_gap:
+        (if traffic_per_ms <= 0.0 then infinity else 1e6 /. traffic_per_ms)
   in
-  let next_bg = ref (San_util.Prng.exponential rng mean_gap_ns) in
   let cover_background horizon =
     if Array.length bg_routes > 0 then
-      while !next_bg < horizon do
-        let src, _, turns =
-          bg_routes.(San_util.Prng.int rng (Array.length bg_routes))
-        in
-        ignore
-          (Event_sim.inject sim ~at_ns:!next_bg ~src ~turns
-             ~payload_bytes:background_payload ());
-        incr bg_injected;
-        next_bg := !next_bg +. San_util.Prng.exponential rng mean_gap_ns
-      done
+      San_util.Prng.arrivals_before background horizon (fun at_ns ->
+          let src, _, turns =
+            bg_routes.(San_util.Prng.int rng (Array.length bg_routes))
+          in
+          ignore
+            (Event_sim.inject sim ~at_ns ~src ~turns ~payload_bytes:4096 ());
+          incr bg_injected)
   in
   let timeout = params.Params.probe_timeout_ns in
   let await wid ~deadline =

@@ -32,13 +32,13 @@ val run :
   ?policy:Berkeley.policy ->
   ?depth:Berkeley.depth ->
   ?params:San_simnet.Params.t ->
-  ?background_payload:int ->
   traffic_per_ms:float ->
   rng:San_util.Prng.t ->
   Graph.t ->
   mapper:Graph.node ->
   result
-(** [run ~traffic_per_ms ~rng g ~mapper] maps [g] while background
-    worms ([background_payload] bytes, default 4096) are injected at
-    the given Poisson rate over routes computed on the actual graph.
+(** [run ~traffic_per_ms ~rng g ~mapper] maps [g] while 4096-byte
+    background worms are injected at the given Poisson rate
+    ({!San_util.Prng.arrivals}) over routes computed on the actual
+    graph.
     [traffic_per_ms = 0.] reduces to quiescent event-driven mapping. *)

@@ -32,7 +32,7 @@ type known = {
 exception Bad_map of string
 
 let run ?(params = Params.default) ?(model = Collision.Circuit) ?responding
-    ?max_depth ?(compare_depth_window = 3) g ~mapper =
+    ?(compare_depth_window = 3) g ~mapper =
   if not (Graph.is_host g mapper) then
     invalid_arg "Myricom.run: mapper must be a host";
   San_obs.Obs.with_span "myricom.run" @@ fun () ->
@@ -41,9 +41,8 @@ let run ?(params = Params.default) ?(model = Collision.Circuit) ?responding
     Network.create ~model ~params ?responding
       ~software_slowdown:params.Params.embedded_slowdown g
   in
-  let max_depth =
-    match max_depth with Some d -> d | None -> Analysis.diameter g + 2
-  in
+  (* The firmware's hop limit. *)
+  let max_depth = Analysis.diameter g + 2 in
   let mapper_name = Graph.name g mapper in
   let elapsed = ref 0.0 in
   let loops = ref 0 and hostp = ref 0 and swp = ref 0 and compp = ref 0 in

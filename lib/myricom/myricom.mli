@@ -46,7 +46,6 @@ val run :
   ?params:Params.t ->
   ?model:Collision.model ->
   ?responding:(Graph.node -> bool) ->
-  ?max_depth:int ->
   ?compare_depth_window:int ->
   Graph.t ->
   mapper:Graph.node ->
@@ -55,8 +54,8 @@ val run :
     [responding] marks which hosts answer host-probes (default: all),
     exactly as in {!San_simnet.Network.create} — a silent host's port
     is indistinguishable from a vacancy.
-    [max_depth] bounds route lengths (default: network diameter + 2,
-    mirroring the firmware's hop limit). [compare_depth_window]
+    Route lengths are bounded by the network diameter + 2, mirroring
+    the firmware's hop limit. [compare_depth_window]
     (default 3) is one of §4.1's probe-reduction heuristics: a
     candidate is only compared against known switches whose discovery
     depth is within the window — a breadth-first exploration finds

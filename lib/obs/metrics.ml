@@ -42,22 +42,15 @@ let histogram t name =
   find_or t.histograms name (fun () ->
       { h_name = name; h_digest = Digest.create () })
 
-(* Counters are monotonic: a negative increment (or a value driven
-   below zero by one) is always an accounting bug upstream, so debug
-   mode turns it into an immediate failure at the offending call site
-   instead of a silently wrong export. *)
-let debug = ref (Sys.getenv_opt "SAN_DEBUG_COUNTERS" <> None)
-let set_debug on = debug := on
-
+(* Counters are monotonic: a negative increment is always an
+   accounting bug upstream, so it fails at the offending call site
+   instead of exporting as a silently wrong number. *)
 let incr ?(by = 1) c =
-  if !debug && by < 0 then
+  if by < 0 then
     invalid_arg
       (Printf.sprintf "Metrics.incr %s: negative increment %d" c.c_name by);
-  c.c_value <- c.c_value + by;
-  if !debug && c.c_value < 0 then
-    invalid_arg
-      (Printf.sprintf "Metrics.incr %s: counter went negative (%d)" c.c_name
-         c.c_value)
+  c.c_value <- c.c_value + by
+
 let counter_value c = c.c_value
 
 let set g v = g.g_value <- v
@@ -149,17 +142,3 @@ let to_json snap =
       ("gauges", J.Obj (List.map (fun (n, v) -> (n, J.Num v)) snap.s_gauges));
       ("histograms", J.Obj (List.map hist_json snap.s_histograms));
     ]
-
-let pp ppf snap =
-  List.iter
-    (fun (n, v) -> Format.fprintf ppf "%s = %d@." n v)
-    snap.s_counters;
-  List.iter
-    (fun (n, v) -> Format.fprintf ppf "%s = %g@." n v)
-    snap.s_gauges;
-  List.iter
-    (fun (n, hs) ->
-      Format.fprintf ppf "%s: n=%d sum=%g p50=%g p90=%g p99=%g@." n
-        (Digest.count hs) (Digest.sum hs) (Digest.quantile hs 0.50)
-        (Digest.quantile hs 0.90) (Digest.quantile hs 0.99))
-    snap.s_histograms

@@ -23,14 +23,9 @@ val gauge : t -> string -> gauge
 val histogram : t -> string -> histogram
 
 val incr : ?by:int -> counter -> unit
-(** Add [by] (default 1). In debug mode, raises [Invalid_argument] on
-    a negative increment or a counter driven below zero, so
-    monotonicity bugs fail at the call site instead of exporting as
-    nonsense. *)
-
-val set_debug : bool -> unit
-(** Enable/disable debug mode (also enabled at startup by the
-    [SAN_DEBUG_COUNTERS] environment variable). *)
+(** Add [by] (default 1).
+    @raise Invalid_argument on a negative increment, so monotonicity
+    bugs fail at the call site instead of exporting as nonsense. *)
 
 val counter_value : counter -> int
 
@@ -77,4 +72,3 @@ val to_json : snapshot -> San_util.Json.t
 (** [{"counters": {..}, "gauges": {..}, "histograms": {name:
     {count,sum,min,max,p50,p90,p99}}}]. *)
 
-val pp : Format.formatter -> snapshot -> unit

@@ -37,20 +37,6 @@ type report = {
   missed : Graph.node list;
 }
 
-(* Background traffic model, mirroring {!San_simnet.Network}: a worm
-   that crossed [h] wires survives cross-traffic with (1-p)^h, so a
-   delivered slice is additionally lost with the complement. The
-   event simulator already accounts for contention among the
-   distribution worms themselves; [traffic] adds the load the fabric
-   carries underneath them. *)
-let survives_traffic traffic ~crossings =
-  match traffic with
-  | None -> true
-  | Some (p, rng) ->
-    p <= 0.0
-    || San_util.Prng.float rng 1.0
-       <= ((1.0 -. p) ** float_of_int crossings)
-
 let simulate_slices_inner ~params ~retries ~traffic table ~actual ~leader
     ~slices =
   let map = Routes.graph table in
@@ -99,11 +85,14 @@ let simulate_slices_inner ~params ~retries ~traffic table ~actual ~leader
       San_simnet.Event_sim.run sim;
       let missed = ref [] in
       let last = ref 0.0 in
+      (* The event simulator already accounts for contention among the
+         distribution worms themselves; [traffic] is the load the fabric
+         carries underneath them. *)
       List.iter
         (fun (owner, turns, bytes, wid) ->
           match San_simnet.Event_sim.outcome sim wid with
           | San_simnet.Event_sim.Delivered { at_ns; _ }
-            when survives_traffic traffic
+            when San_simnet.Network.survives traffic
                    ~crossings:(List.length turns + 1) ->
             incr delivered;
             last := Float.max !last at_ns

@@ -54,11 +54,11 @@ val simulate :
     compliant route from the leader, or whose owner is absent from the
     actual network, are structurally undeliverable and not retried.
     [traffic] is the background-load model of
-    {!San_simnet.Network.create}: per-wire-crossing loss probability
-    [p], under which a delivered slice that crossed [h] wires is
-    additionally lost with [1 - (1-p)^h] — so distribution, like
-    probing, genuinely contends with live traffic. Fails if the
-    leader is missing from the table's graph. *)
+    {!San_simnet.Network.create}: a delivered slice that crossed [h]
+    wires is additionally lost by {!San_simnet.Network.survives}, one
+    draw per delivered worm — so distribution, like probing, contends
+    with live traffic. Fails if the leader is missing from the table's
+    graph. *)
 
 val simulate_slices :
   ?params:San_simnet.Params.t ->

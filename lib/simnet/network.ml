@@ -59,11 +59,11 @@ let create ?(model = Collision.Circuit) ?(params = Params.default)
     net_stamps = Collision.stamps ();
   }
 
-(* Cross-traffic: a probe survives each wire crossing independently.
-   [crossings] should count the full round trip, since the reply worm
-   shares the fabric too. *)
-let survives_traffic t ~crossings =
-  match t.traffic with
+(* Cross-traffic: a worm survives each wire crossing independently.
+   A probe's [crossings] count the full round trip, since the reply
+   worm shares the fabric too. *)
+let survives traffic ~crossings =
+  match traffic with
   | None -> true
   | Some (p, rng) ->
     let q = (1.0 -. p) ** float_of_int crossings in
@@ -179,7 +179,7 @@ let host_probe t ~src ~turns =
     w.stop = Worm.Stop_arrived
     && (not (host_blocks t w))
     && t.responding w.stop_node
-    && survives_traffic t ~crossings:(2 * w.nhops)
+    && survives t.traffic ~crossings:(2 * w.nhops)
   in
   (* Round trip: the reply retraces the same number of wire crossings
      in the opposite direction. *)
@@ -201,7 +201,7 @@ let walk_probe t ~src ~turns =
     | Worm.Stop_unwired ->
       false)
     && (not (host_blocks t w))
-    && survives_traffic t ~crossings:(2 * w.nhops)
+    && survives t.traffic ~crossings:(2 * w.nhops)
   in
   let cost =
     settle t w ~kind:San_obs.Trace.Walk ~hit ~hops:(2 * w.nhops) ~reply:true
@@ -234,7 +234,7 @@ let loop_probe t ~src ~turns ~turn =
   let hops = 2 * (w.nhops + 1) in
   let hit =
     match re_entry with
-    | Some _ -> survives_traffic t ~crossings:hops
+    | Some _ -> survives t.traffic ~crossings:hops
     | None -> false
   in
   let cost = settle t w ~kind:San_obs.Trace.Loop ~hit ~hops ~reply:true in
@@ -247,7 +247,7 @@ let switch_probe t ~src ~turns =
     w.stop = Worm.Stop_arrived
     && w.stop_node = src
     && (not (switch_blocks t w ~forward_hops:(w.route_len + 1)))
-    && survives_traffic t ~crossings:w.nhops
+    && survives t.traffic ~crossings:w.nhops
   in
   (* A loopback probe's route already contains its own retrace, so the
      forward pass over the walk is the whole journey. *)

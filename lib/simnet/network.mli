@@ -35,12 +35,12 @@ val create :
     simulation is fully deterministic. [traffic] relaxes the paper's
     quiescence assumption (the §6 cross-traffic question): application
     worms occupy each directed channel independently so a probe is lost
-    with the given probability per wire crossing. [fabric] is the
-    per-channel counter table every probe's wire crossings, collisions
-    and replies are attributed to (default: the process-wide
-    {!San_telemetry.Fabric_stats.current} slot, read once here; a table
-    installed later sees nothing of this network; when neither is set,
-    per-channel accounting is off).
+    with the given probability per wire crossing, by {!survives}.
+    [fabric] is the per-channel counter table every probe's wire
+    crossings, collisions and replies are attributed to (default: the
+    process-wide {!San_telemetry.Fabric_stats.current} slot, read once
+    here; a table installed later sees nothing of this network; when
+    neither is set, per-channel accounting is off).
 
     Every probe is evaluated into one walk the network owns
     ({!Worm.fill}): with observability and per-channel accounting off,
@@ -53,6 +53,12 @@ val create :
     as for the probe sent alone on a fresh network.
     A network is not re-entrant: a [responding] predicate must not probe
     the network it belongs to. *)
+
+val survives : (float * San_util.Prng.t) option -> crossings:int -> bool
+(** The cross-traffic loss rule of [create]'s [traffic]: with
+    [Some (p, rng)], one draw from [rng], and the worm survives iff the
+    draw is below [(1-p)^crossings]; with [None], no draw and it
+    survives. Probes count both ways of a round trip. *)
 
 val graph : t -> Graph.t
 val params : t -> Params.t

@@ -30,6 +30,7 @@
 
 module Prng = San_util.Prng
 module Graph = San_topology.Graph
+module Fabric_stats = San_telemetry.Fabric_stats
 
 type pattern = Uniform | Hotspot | Incast
 
@@ -93,8 +94,11 @@ let routed_pairs table ~g =
       | _ -> None)
     (San_routing.Routes.all table)
 
-let drive ?(rng = Prng.create 7) ?(params = San_simnet.Params.default)
-    ?(window_ms = 1.0) spec ~table g =
+(* One load window is one simulated millisecond of arrivals. *)
+let window_ns = 1e6
+
+let drive_into ?fabric ?(rng = Prng.create 7)
+    ?(params = San_simnet.Params.default) spec ~table g =
   let pairs = Array.of_list (routed_pairs table ~g) in
   let n_hosts = Graph.num_hosts g in
   if Array.length pairs = 0 || n_hosts = 0 || spec.offered <= 0.0 then
@@ -139,27 +143,23 @@ let drive ?(rng = Prng.create 7) ?(params = San_simnet.Params.default)
         if Array.length to_hot > 0 then Prng.choose rng to_hot
         else Prng.choose rng pairs
     in
-    let sim = San_simnet.Event_sim.create ~params g in
-    let window_ns = window_ms *. 1e6 in
+    let sim = San_simnet.Event_sim.create ?fabric ~params g in
     (* Aggregate Poisson rate: offered worms/host/ms across the fleet. *)
-    let mean_gap_ns = 1e6 /. (spec.offered *. float_of_int n_hosts) in
+    let mean_gap = 1e6 /. (spec.offered *. float_of_int n_hosts) in
     let crossings = ref 0 in
     let injected = ref 0 in
-    let t = ref (Prng.exponential rng mean_gap_ns) in
-    while !t < window_ns do
-      let src, _, route = pick () in
-      let at_ns =
-        match spec.pattern with
-        | Incast -> Float.of_int (int_of_float (!t /. burst_ns)) *. burst_ns
-        | Uniform | Hotspot -> !t
-      in
-      ignore
-        (San_simnet.Event_sim.inject sim ~at_ns ~src ~turns:route
-           ?payload_bytes:spec.payload_bytes ());
-      incr injected;
-      crossings := !crossings + List.length route + 1;
-      t := !t +. Prng.exponential rng mean_gap_ns
-    done;
+    Prng.arrivals_before (Prng.arrivals rng ~mean_gap) window_ns (fun t ->
+        let src, _, route = pick () in
+        let at_ns =
+          match spec.pattern with
+          | Incast -> Float.of_int (int_of_float (t /. burst_ns)) *. burst_ns
+          | Uniform | Hotspot -> t
+        in
+        ignore
+          (San_simnet.Event_sim.inject sim ~at_ns ~src ~turns:route
+             ?payload_bytes:spec.payload_bytes ());
+        incr injected;
+        crossings := !crossings + List.length route + 1);
     San_simnet.Event_sim.run sim;
     let stats = San_simnet.Event_sim.stats sim in
     let latency =
@@ -212,32 +212,34 @@ let drive ?(rng = Prng.create 7) ?(params = San_simnet.Params.default)
     r
   end
 
+let drive ?rng ?params spec ~table g = drive_into ?rng ?params spec ~table g
+
+let heat ~rng spec ~table g =
+  let fabric = Fabric_stats.create () in
+  (fabric, drive_into ~fabric ~rng spec ~table g)
+
+(* A drop costs one median redelivery; occupancy and queueing are
+   already nanoseconds, so the units agree. *)
+let drop_cost_ns r = San_obs.Digest.quantile r.r_latency 0.5
+
+(* Parallel wires take the coolest of their channels. *)
+let prefer fabric r g =
+  let drop_ns = drop_cost_ns r in
+  fun u v ->
+    List.fold_left
+      (fun acc (port, (w, _)) ->
+        if w <> v then acc
+        else
+          let p =
+            match Fabric_stats.port_stat fabric (u, port) with
+            | None -> 0.0
+            | Some s ->
+              s.Fabric_stats.occupied_ns +. s.Fabric_stats.blocked_ns
+              +. (float_of_int s.Fabric_stats.drops *. drop_ns)
+          in
+          Float.min acc p)
+      infinity (Graph.wired_ports g u)
+
 let traffic_of_report r rng =
   if r.r_loss_per_crossing > 0.0 then Some (r.r_loss_per_crossing, rng)
   else None
-
-let report_to_json r =
-  let module J = San_util.Json in
-  J.Obj
-    [
-      ("pattern", J.Str (pattern_to_string r.r_pattern));
-      ("offered_per_host_ms", J.Num r.r_offered);
-      ("injected", J.int r.r_injected);
-      ("delivered", J.int r.r_delivered);
-      ("dropped_reset", J.int r.r_dropped_reset);
-      ("dropped_bad_route", J.int r.r_dropped_bad_route);
-      ("mean_crossings", J.Num r.r_mean_crossings);
-      ("drop_rate", J.Num r.r_drop_rate);
-      ("loss_per_crossing", J.Num r.r_loss_per_crossing);
-      ("latency", San_obs.Digest.to_json r.r_latency);
-      ("sim_ns", J.Num r.r_sim_ns);
-    ]
-
-let pp_report ppf r =
-  Format.fprintf ppf
-    "%s load %.2f/host/ms: %d worms, %d delivered, %d dropped (rate %.3f, \
-     per-crossing %.4f)"
-    (pattern_to_string r.r_pattern)
-    r.r_offered r.r_injected r.r_delivered
-    (r.r_dropped_reset + r.r_dropped_bad_route)
-    r.r_drop_rate r.r_loss_per_crossing

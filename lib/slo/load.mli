@@ -51,20 +51,38 @@ type report = {
 val drive :
   ?rng:San_util.Prng.t ->
   ?params:San_simnet.Params.t ->
-  ?window_ms:float ->
   spec ->
   table:San_routing.Routes.t ->
   Graph.t ->
   report
-(** Run one load window (default 1 simulated ms) over [g], with worms
-    riding [table]'s routes translated onto [g] by host name. Routes
-    whose endpoints died since the table was computed are skipped.
+(** Run one load window of 1 simulated ms ({!San_util.Prng.arrivals})
+    over [g], with worms riding [table]'s routes translated onto [g] by
+    host name; routes whose endpoints died since are skipped.
+    Per-channel counters go to {!San_telemetry.Fabric_stats.current}.
     Deterministic given [rng]. *)
+
+val heat :
+  rng:San_util.Prng.t ->
+  spec ->
+  table:San_routing.Routes.t ->
+  Graph.t ->
+  San_telemetry.Fabric_stats.t * report
+(** {!drive} into a fresh per-channel table, returned with the report;
+    the process-wide slot is neither read nor set. *)
+
+val drop_cost_ns : report -> float
+(** A dropped worm's cost: the window's median delivery latency. *)
+
+val prefer :
+  San_telemetry.Fabric_stats.t -> report -> Graph.t -> Graph.node ->
+  Graph.node -> float
+(** [prefer fabric r g] is the heat penalty for
+    {!San_routing.Routes.compute}'s [prefer]: hop [u -> v] costs its
+    channel's occupied + blocked ns + drops × {!drop_cost_ns}, the
+    least over the parallel wires from [u] to [v]. *)
 
 val traffic_of_report :
   report -> San_util.Prng.t -> (float * San_util.Prng.t) option
 (** The measured loss packaged for {!San_simnet.Network.create}'s
     [traffic] argument; [None] when the window saw no loss. *)
 
-val report_to_json : report -> San_util.Json.t
-val pp_report : Format.formatter -> report -> unit

@@ -139,7 +139,7 @@ let subcluster ?radix spec =
   let h = build_subcluster g spec in
   (g, h)
 
-let now ?radix ?(cross_links = 2) specs =
+let now ?radix specs =
   let g = Graph.create ?radix () in
   let handles = List.map (build_subcluster g) specs in
   let rec link_chain = function
@@ -152,7 +152,8 @@ let now ?radix ?(cross_links = 2) specs =
         | [] -> invalid_arg "Generators.now: no spare root ports for cross links"
         | l -> List.nth l (i mod List.length l)
       in
-      for i = 0 to cross_links - 1 do
+      (* Two root-to-root wires join adjacent subclusters. *)
+      for i = 0 to 1 do
         wire g (pick_root a i) (pick_root b i)
       done;
       link_chain rest

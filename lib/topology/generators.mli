@@ -41,10 +41,10 @@ val build_subcluster : Graph.t -> subcluster_spec -> handle
 
 val subcluster : ?radix:int -> subcluster_spec -> Graph.t * handle
 
-val now : ?radix:int -> ?cross_links:int -> subcluster_spec list -> Graph.t * handle list
-(** Join subclusters in a chain with [cross_links] (default 2)
-    root-to-root wires between each adjacent pair, mirroring the
-    incremental construction of the 100-node NOW (Figure 5). *)
+val now : ?radix:int -> subcluster_spec list -> Graph.t * handle list
+(** Join subclusters in a chain with two root-to-root wires between
+    each adjacent pair, mirroring the incremental construction of the
+    100-node NOW (Figure 5). *)
 
 val now_c : unit -> Graph.t * handle
 (** The C subcluster (the paper's Figure 4 network). *)

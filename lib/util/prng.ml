@@ -58,3 +58,14 @@ let exponential t mean =
   let u = float t 1.0 in
   let u = if u <= 0.0 then 1e-12 else u in
   -.mean *. log u
+
+type arrivals = { a_rng : t; a_mean_gap : float; mutable a_next : float }
+
+let arrivals t ~mean_gap =
+  { a_rng = t; a_mean_gap = mean_gap; a_next = exponential t mean_gap }
+
+let arrivals_before a horizon f =
+  while a.a_next < horizon do
+    f a.a_next;
+    a.a_next <- a.a_next +. exponential a.a_rng a.a_mean_gap
+  done

@@ -44,4 +44,17 @@ val shuffle_list : t -> 'a list -> 'a list
 
 val exponential : t -> float -> float
 (** [exponential t mean] samples an exponential with the given mean;
-    used for heavy-tailed election skew. *)
+    used for heavy-tailed election skew and Poisson arrival gaps. *)
+
+type arrivals
+(** A resumable Poisson arrival stream. *)
+
+val arrivals : t -> mean_gap:float -> arrivals
+(** A stream of exponential gaps of mean [mean_gap] drawn from [t]; the
+    first is drawn here. [mean_gap = infinity] (rate 0) never arrives. *)
+
+val arrivals_before : arrivals -> float -> (float -> unit) -> unit
+(** [arrivals_before a h f] calls [f time] for each arrival before [h]
+    not yet read, drawing the next gap after each [f] (which may draw
+    from the same generator). Reading to [h1], then [h2], is reading to
+    [h2]. *)

@@ -7,10 +7,10 @@ let rec mkdir_p dir =
     try Unix.mkdir dir 0o755 with Unix.Unix_error (Unix.EEXIST, _, _) -> ()
   end
 
-let write ?(ledger_tail = 512) ~path ~note ?epoch () =
+let write ~path ~note ?epoch () =
   let records = Trace.records San_obs.Obs.tracer in
   let snap = Why.capture () in
-  let entries = Why.tail snap ~n:ledger_tail in
+  let entries = Why.tail snap ~n:512 in
   let header =
     J.Obj
       ([

@@ -13,14 +13,13 @@
     runnable work) fire the process-wide hook installed here. *)
 
 val write :
-  ?ledger_tail:int ->
   path:string ->
   note:string ->
   ?epoch:int ->
   unit ->
   (unit, string) result
-(** Serialize the current trace ring and ledger tail (default last 512
-    entries) to [path], creating its missing parent directories. *)
+(** Serialize the current trace ring and the last 512 ledger entries
+    to [path], creating its missing parent directories. *)
 
 val install_fatal : (note:string -> unit) -> unit
 (** Register the process-wide fatal hook (the daemon and the CLI point

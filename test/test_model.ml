@@ -598,13 +598,9 @@ let test_merge_loop_alloc () =
       Model.enqueue m v
     done
   done;
-  (* Unboxed reads into a float array: the measurement allocates
-     nothing itself. *)
-  let w = [| 0.0; 0.0 |] in
-  w.(0) <- Gc.minor_words ();
-  Model.run_merge_loop m;
-  w.(1) <- Gc.minor_words ();
-  Alcotest.(check (float 0.0)) "words allocated" 0.0 (w.(1) -. w.(0));
+  Alcotest.(check (float 0.0))
+    "words allocated" 0.0
+    (Alloc.words (fun () -> Model.run_merge_loop m));
   check_inv m
 
 (* A radix-4 switch whose offset is pinned and whose four ports are all
@@ -629,7 +625,7 @@ let test_closed_exploration_alloc () =
   let n = 50 in
   let stamps = Array.make n 0.0 and k = ref 0 in
   let tick ~probes:_ ~frontier:_ =
-    stamps.(!k) <- Gc.minor_words ();
+    stamps.(!k) <- Alloc.counter ();
     incr k
   in
   let explorations, _, _ =

@@ -91,6 +91,16 @@ let test_registry_snapshot_diff () =
   Alcotest.(check (option int)) "handle survives reset" (Some 1)
     (Metrics.counter_in (Metrics.snapshot r) "c")
 
+(* Counters only grow: a negative increment raises at the call site
+   and leaves the value as it was. *)
+let test_negative_increment_raises () =
+  let c = Metrics.counter (Metrics.create ()) "c" in
+  Metrics.incr ~by:2 c;
+  (match Metrics.incr ~by:(-1) c with
+  | () -> Alcotest.fail "a negative increment must raise"
+  | exception Invalid_argument _ -> ());
+  Alcotest.(check int) "value unchanged" 2 (Metrics.counter_value c)
+
 let test_metrics_to_json () =
   let r = Metrics.create () in
   Metrics.incr ~by:3 (Metrics.counter r "probes");
@@ -642,6 +652,8 @@ let () =
           Alcotest.test_case "snapshot and diff" `Quick
             test_registry_snapshot_diff;
           Alcotest.test_case "to_json parses back" `Quick test_metrics_to_json;
+          Alcotest.test_case "negative increment raises" `Quick
+            test_negative_increment_raises;
         ] );
       ( "digest",
         [

@@ -136,7 +136,7 @@ let test_pool_roundtrip () =
     < 3 * Serve.Pool.entries pool + Serve.Pool.turns_total pool)
 
 (* Warm lookups must not allocate: the whole query loop runs on
-   preallocated arrays. A little slack covers the test harness itself. *)
+   preallocated arrays. *)
 let test_lookup_zero_alloc () =
   let g = fst (Generators.now_c ()) in
   let serve = Serve.create g in
@@ -144,15 +144,12 @@ let test_lookup_zero_alloc () =
   let src = hosts.(0) and dst = hosts.(Array.length hosts - 1) in
   let buf = Array.make (Graph.num_nodes g) 0 in
   ignore (Serve.lookup_into serve ~src ~dst ~buf);
-  let w0 = Gc.minor_words () in
-  for _ = 1 to 10_000 do
-    ignore (Serve.lookup_into serve ~src ~dst ~buf)
-  done;
-  let w1 = Gc.minor_words () in
-  Alcotest.(check bool)
-    (Printf.sprintf "10k warm lookups allocated %.0f words" (w1 -. w0))
-    true
-    (w1 -. w0 < 256.0)
+  Alcotest.(check (float 0.0))
+    "10k warm lookups allocated" 0.0
+    (Alloc.words (fun () ->
+         for _ = 1 to 10_000 do
+           ignore (Serve.lookup_into serve ~src ~dst ~buf)
+         done))
 
 (* Evicting per-destination tables must never change answers. *)
 let test_eviction_agrees () =
@@ -176,13 +173,11 @@ let test_eviction_agrees () =
     (st.Serve.destinations > st.Serve.resident);
   Alcotest.(check bool) "resident bounded" true (st.Serve.resident <= 2)
 
-(* Minor words [f] allocates, [f] run once first so every table it
-   reads is warm. *)
+(* Words [f] allocates, [f] run once first so every table it reads is
+   warm. *)
 let warm_words f =
   f ();
-  let w0 = Gc.minor_words () in
-  f ();
-  Gc.minor_words () -. w0
+  Alloc.words f
 
 (* A 1x40 mesh's end-to-end routes are far longer than a word packs at
    its radix, so both cell kinds are served: the inline ones and the

@@ -367,12 +367,11 @@ let test_delta_plan_alloc () =
   in
   let installed = rep.Delta.installed in
   ignore (Delta.plan ~installed table);
-  let w = [| 0.0; 0.0 |] in
-  w.(0) <- Gc.minor_words ();
+  let w0 = Alloc.counter () in
   let p = Delta.plan ~installed table in
-  w.(1) <- Gc.minor_words ();
+  let words = Alloc.counter () -. w0 in
   Alcotest.(check int) "every slice unchanged" hosts p.Delta.unchanged_hosts;
-  let per_host = (w.(1) -. w.(0)) /. float_of_int hosts in
+  let per_host = words /. float_of_int hosts in
   Alcotest.(check bool)
     (Printf.sprintf "%.1f words per host" per_host)
     true (per_host <= 48.0)
@@ -392,14 +391,13 @@ let test_delta_incident_alloc () =
          ~leader:(Option.get (Graph.host_by_name g0 leader_name)))
   in
   let installed = rep.Delta.installed and table = table_of g1 in
-  let w = [| 0.0; 0.0 |] in
-  w.(0) <- Gc.minor_words ();
+  let w0 = Alloc.counter () in
   let p = Delta.plan ~installed table in
-  w.(1) <- Gc.minor_words ();
+  let words = Alloc.counter () -. w0 in
   let hosts = Graph.num_hosts g1 in
   Alcotest.(check bool) "some slices changed, most did not" true
     (p.Delta.unchanged_hosts > hosts / 2 && p.Delta.unchanged_hosts < hosts);
-  let per_host = (w.(1) -. w.(0)) /. float_of_int hosts in
+  let per_host = words /. float_of_int hosts in
   Alcotest.(check bool)
     (Printf.sprintf "%.1f words per host" per_host)
     true (per_host <= 40.0)

@@ -820,23 +820,22 @@ let test_probe_allocation_pin () =
     for i = 0 to n - 1 do
       ignore (send probes.(i))
     done;
-    let w0 = Gc.minor_words () in
-    for _ = 1 to reps do
-      for i = 0 to n - 1 do
-        ignore (send probes.(i))
-      done
-    done;
-    (Gc.minor_words () -. w0) /. float_of_int (reps * n)
+    Alloc.words (fun () ->
+        for _ = 1 to reps do
+          for i = 0 to n - 1 do
+            ignore (send probes.(i))
+          done
+        done)
+    /. float_of_int (reps * n)
   in
   let host turns = Network.host_probe net ~src ~turns in
   let switch turns = Network.switch_probe net ~src ~turns in
   let check_pin what send ~short ~long ~bound =
     let ws = words_per send short and wl = words_per send long in
-    (* Reading the counter boxes a float or two per measurement. *)
-    Alcotest.(check (float 0.1)) (what ^ ": independent of route length") ws wl;
+    Alcotest.(check (float 0.0)) (what ^ ": independent of route length") ws wl;
     Alcotest.(check bool)
       (Printf.sprintf "%s: %.2f words per probe, at most %.0f" what ws bound)
-      true (ws <= bound +. 0.1)
+      true (ws <= bound)
   in
   (* [(Host name, cost)] is the pair (3 words), the [Host] block (2)
      and the boxed cost (2). *)

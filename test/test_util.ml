@@ -64,6 +64,68 @@ let test_exponential_mean () =
   let mean = !sum /. float_of_int n in
   Alcotest.(check bool) "mean near 3" true (abs_float (mean -. 3.0) < 0.15)
 
+(* Arrival times of [a] read to each horizon in turn; each arrival
+   also draws a uniform pick from [rng], as the traffic injectors do. *)
+let read_arrivals rng a horizons =
+  let out = ref [] in
+  List.iter
+    (fun h ->
+      Prng.arrivals_before a h (fun t -> out := (t, Prng.int rng 10) :: !out))
+    horizons;
+  List.rev !out
+
+(* The loop the stream replaced: the first gap drawn up front, each
+   next gap after the arrival's own draws. *)
+let reference_arrivals rng ~mean_gap horizon =
+  let out = ref [] in
+  let t = ref (Prng.exponential rng mean_gap) in
+  while !t < horizon do
+    out := (!t, Prng.int rng 10) :: !out;
+    t := !t +. Prng.exponential rng mean_gap
+  done;
+  List.rev !out
+
+let test_arrivals_resume () =
+  let read horizons =
+    let rng = Prng.create 3 in
+    read_arrivals rng (Prng.arrivals rng ~mean_gap:2.0) horizons
+  in
+  let once = read [ 50.0 ] in
+  Alcotest.(check bool) "some arrivals" true (List.length once > 10);
+  Alcotest.(check (list (pair (float 0.0) int)))
+    "to 20 then 50 = to 50" once (read [ 20.0; 50.0 ]);
+  Alcotest.(check (list (pair (float 0.0) int)))
+    "in steps = to 50" once
+    (read [ 5.0; 5.0; 12.5; 30.0; 49.0; 50.0 ]);
+  Alcotest.(check (list (pair (float 0.0) int)))
+    "the hand-rolled loop's draws" once
+    (reference_arrivals (Prng.create 3) ~mean_gap:2.0 50.0)
+
+let test_arrivals_zero_rate () =
+  let rng = Prng.create 4 in
+  let a = Prng.arrivals rng ~mean_gap:infinity in
+  Alcotest.(check int) "no arrivals" 0
+    (List.length (read_arrivals rng a [ 1e6; 1e12; Float.max_float ]))
+
+(* The allocation counter the pins read: exact for nothing, for small
+   blocks and for blocks the major heap takes directly. *)
+let test_alloc_counter () =
+  let sink = ref [||] in
+  Alcotest.(check (float 0.0)) "nothing" 0.0 (Alloc.words (fun () -> ()));
+  Alcotest.(check (float 0.0))
+    "ten 200-word arrays" 2010.0
+    (Alloc.words (fun () ->
+         for _ = 1 to 10 do
+           sink := Array.make 200 0
+         done));
+  Alcotest.(check (float 0.0))
+    "ten 300-word arrays" 3010.0
+    (Alloc.words (fun () ->
+         for _ = 1 to 10 do
+           sink := Array.make 300 0
+         done));
+  ignore (Sys.opaque_identity !sink)
+
 let test_fifo_order () =
   let q = Fifo.create () in
   Alcotest.(check bool) "empty" true (Fifo.is_empty q);
@@ -177,7 +239,11 @@ let () =
           Alcotest.test_case "uniformity" `Quick test_prng_uniformity;
           Alcotest.test_case "shuffle permutes" `Quick test_shuffle_is_permutation;
           Alcotest.test_case "exponential mean" `Quick test_exponential_mean;
+          Alcotest.test_case "arrivals resume" `Quick test_arrivals_resume;
+          Alcotest.test_case "arrivals at a zero rate" `Quick
+            test_arrivals_zero_rate;
         ] );
+      ("alloc", [ Alcotest.test_case "counter" `Quick test_alloc_counter ]);
       ( "fifo",
         [
           Alcotest.test_case "order" `Quick test_fifo_order;
