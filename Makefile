@@ -163,10 +163,12 @@ perf-map-ft1k-smoke:
 # compiles its routes from scratch and compares every pair (at seed 1
 # Routes.compute about half of it, Delta.distribute about 37%, the two
 # verification sweeps about 9%); the daemon itself compiles against its
-# previous table and plans from the changed pairs, where routes take
-# about 40% of its incident's host time, the sweeps about 30% and the
-# delta under 10% (EXPERIMENTS.md). It exits non-zero unless the
-# traced incident replays the daemon's epoch 1 exactly (probes,
+# previous table, skipping every edge switch whose routes survive, and
+# plans from the changed pairs, so at seeds 1-10 the sweeps and the
+# patch take about two thirds of its incident's host time, routes about
+# 15% (44% at seed 3, whose cut changes 336 of 400 destination rows)
+# and the delta about a fifth (EXPERIMENTS.md). It exits non-zero
+# unless the traced incident replays the daemon's epoch 1 exactly (probes,
 # simulated convergence, delta bytes, unchanged hosts, final map), the
 # layer self-times sum to the traced wall within 5%, and the daemon
 # ends Stable with a verified map.

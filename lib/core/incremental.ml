@@ -189,7 +189,12 @@ let patch previous ~mapper_m s =
         0 s.silenced
     in
     let dist = Analysis.bfs_distances cut mapper_m in
-    let patched = Graph.induced cut ~keep:(fun v -> dist.(v) <> max_int) in
+    (* When the mapper still reaches every node, the cut map is the
+       patch: the same ids, names and ports as its induced copy. *)
+    let patched =
+      if Array.for_all (fun d -> d <> max_int) dist then cut
+      else Graph.induced cut ~keep:(fun v -> dist.(v) <> max_int)
+    in
     if Array.exists Fun.id (Core_set.separated_set patched) then None
     else Some (patched, lost)
   end

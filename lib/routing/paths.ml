@@ -371,7 +371,19 @@ type record = {
   r_q : int array;
 }
 
-type prior = { record : record; node : int array; changed : int -> unit }
+(* The previous compile as this graph's compiles reuse it, with the
+   wiring diff between the two graphs, made once: [removed] is [Some]
+   when the diff is removal-only (every new node has a counterpart with
+   as many ports, every wired slot is the same wire under the matching,
+   and the other differences are old wires now unwired), holding each
+   removed slot as its old node and port, in pairs. *)
+type prior = {
+  record : record;
+  node : int array;
+  set : int -> int -> San_simnet.Route.t option -> unit;
+  removed : int array option;
+  same_ids : bool; (* every node is its own counterpart *)
+}
 
 (* The wiring never changes after [compute]; the arrays compiles fill
    are copied, so later compiles on [t] leave the record alone. *)
@@ -391,6 +403,49 @@ let recorded_exit width b s =
   if width = 1 then Bytes.get_uint8 b s - 1
   else Bytes.get_uint16_le b (2 * s) - 1
 
+let set_exit width b s v =
+  if width = 1 then Bytes.set_uint8 b s v else Bytes.set_uint16_le b (2 * s) v
+
+(* Whether the packed slot [e] of this graph is the recorded slot [e']
+   under the matching: the peer's counterpart, the far port and the up
+   bit. *)
+let same_wire t node r e e' =
+  e >= 0
+  && e' >= 0
+  && node.(peer_of t e) = e' lsr r.r_shift
+  && far_of t e = (e' lsr 1) land ((1 lsl (r.r_shift - 1)) - 1)
+  && e land 1 = e' land 1
+
+let prior t record ~node ~set =
+  let r = record and n = t.nstates / 2 in
+  (* A port the record's width cannot hold was never recorded. *)
+  let top = (1 lsl (8 * r.r_width)) - 1 in
+  let removed = ref [] and only = ref true in
+  let same_ids = ref (Array.length r.r_first = n + 1) in
+  let u = ref 0 in
+  while !only && !u < n do
+    let o = node.(!u) in
+    let ports = ports t !u in
+    if o < 0 || r.r_first.(o + 1) - r.r_first.(o) <> ports || ports > top then
+      only := false
+    else begin
+      if o <> !u then same_ids := false;
+      for p = 0 to ports - 1 do
+        let e = slot t !u p and e' = r.r_adj.(r.r_first.(o) + p) in
+        if e >= 0 then (if not (same_wire t node r e e') then only := false)
+        else if e' >= 0 then removed := o :: p :: !removed
+      done
+    end;
+    incr u
+  done;
+  {
+    record;
+    node;
+    set;
+    removed = (if !only then Some (Array.of_list !removed) else None);
+    same_ids = !same_ids;
+  }
+
 (* The exit memo toward the current anchor, packed; a port too wide for
    the width is left out, so it reads back as not taken. *)
 let pack_exits t =
@@ -399,10 +454,24 @@ let pack_exits t =
   let top = (1 lsl (8 * w)) - 1 in
   for s = 0 to t.nstates - 1 do
     let v = t.memo.(s) + 1 in
-    if v > 0 && v <= top then
-      if w = 1 then Bytes.set_uint8 b s v else Bytes.set_uint16_le b (2 * s) v
+    if v > 0 && v <= top then set_exit w b s v
   done;
   b
+
+(* A recorded exit memo moved to this graph's node ids and width. *)
+let carry_exits t p old =
+  let r = p.record and w = t.exit_width in
+  if p.same_ids && r.r_width = w then old
+  else begin
+    let b = Bytes.make (w * t.nstates) '\000' in
+    for s = 0 to t.nstates - 1 do
+      let o = p.node.(s / 2) in
+      if o >= 0 then
+        let v = recorded_exit r.r_width old ((2 * o) + (s land 1)) + 1 in
+        if v > 0 then set_exit w b s v
+    done;
+    b
+  end
 
 let unknown = '\000'
 let clean_state = '\001'
@@ -413,41 +482,40 @@ let dirty_state = '\002'
    did: the exit is the recorded one, the wire on that port is the same
    (the peer's counterpart, the far port, the up bit), and the next
    state is the anchor or is clean itself. [old] is the prior's exits
-   toward the anchor's counterpart. Decided once per state per
-   anchor. *)
+   toward the anchor's counterpart. Decided once per state per anchor.
+   After a removal-only diff a port still wired holds the same wire,
+   and a recorded exit chain that survives keeps its first closer
+   ports, so the recorded exit is taken into the memo without scanning
+   the ports. *)
 let rec clean t dist p old state =
   let v = Bytes.get t.verdict state in
   if v <> unknown then v = clean_state
   else begin
     let node = state / 2 and want = dist.(state) - 1 in
-    let exit = memo_exit t dist state node want in
     let o = p.node.(node) in
     let r = p.record in
-    let ok =
-      o >= 0
-      && recorded_exit r.r_width old ((2 * o) + (state land 1)) = exit
-      &&
-      let e = slot t node exit and e' = r.r_adj.(r.r_first.(o) + exit) in
-      e' >= 0
-      && p.node.(peer_of t e) = e' lsr r.r_shift
-      && far_of t e = (e' lsr 1) land ((1 lsl (r.r_shift - 1)) - 1)
-      && e land 1 = e' land 1
-      && (want = 0 || clean t dist p old (successor t dist state node want exit))
+    let exit =
+      if o < 0 then -1 else recorded_exit r.r_width old ((2 * o) + (state land 1))
     in
+    let ok =
+      exit >= 0
+      && (match p.removed with
+         | Some _ -> slot t node exit >= 0
+         | None ->
+           memo_exit t dist state node want = exit
+           && same_wire t p.node r (slot t node exit) r.r_adj.(r.r_first.(o) + exit))
+      && (want = 0
+         ||
+         let next = successor t dist state node want exit in
+         next >= 0 && clean t dist p old next)
+    in
+    if ok then t.memo.(state) <- exit;
     Bytes.set t.verdict state (if ok then clean_state else dirty_state);
     ok
   end
 
-(* One BFS from the anchor and one exit memo on it serve every
-   destination behind it; each destination then takes one suffix pass.
-   A source's route is its Up state's suffix. No other route passes
-   through a source host, so its own state is left out of the memo.
-   With a [prior], [into] holds the previous cells, and a destination
-   whose anchor and cable port are its counterpart's leaves the cell of
-   every reachable source with a clean Up state as it is: only the
-   other sources are written. Without one, no source is clean and
-   every pair is written. *)
-let compile ?prior t ~anchor ~dsts ~srcs ~into =
+(* The record and scratch arrays, allocated on the first compile. *)
+let ready t =
   if Array.length t.suffix = 0 then begin
     let n = t.nstates / 2 in
     t.suffix <- Array.make t.nstates unset;
@@ -456,6 +524,63 @@ let compile ?prior t ~anchor ~dsts ~srcs ~into =
     t.dst_anchor <- Array.make n (-1);
     t.dst_q <- Array.make n (-1)
   end
+
+(* The port [dst]'s cable enters [anchor] on, -1 when it is its own
+   anchor. *)
+let cable t ~anchor dst = if dst = anchor then -1 else far_of t (slot t dst 0)
+
+(* Whether [p] recorded [dst] behind the anchor's counterpart, over the
+   same cable port. *)
+let kept_behind t p ~anchor dst =
+  let o = p.node.(dst) in
+  o >= 0
+  && p.record.r_anchor.(o) = p.node.(anchor)
+  && p.record.r_q.(o) = cable t ~anchor dst
+
+(* Removing wires cannot shorten a path, and while the recorded exit
+   tree toward the anchor survives, every state on it keeps its
+   distance and its first closer port. So when the diff is
+   removal-only and no recorded exit is a removed slot, every route
+   toward the anchor is the previous one. *)
+let reuse p t ~anchor ~dsts =
+  match p.removed with
+  | None -> false
+  | Some removed ->
+    let r = p.record in
+    let old = r.r_exits.(p.node.(anchor)) in
+    let rec intact k =
+      k >= Array.length removed
+      ||
+      let o = removed.(k) and q = removed.(k + 1) in
+      recorded_exit r.r_width old (2 * o) <> q
+      && recorded_exit r.r_width old ((2 * o) + 1) <> q
+      && intact (k + 2)
+    in
+    Bytes.length old > 0
+    && intact 0
+    && List.for_all (fun (dst, _) -> kept_behind t p ~anchor dst) dsts
+    && begin
+         ready t;
+         List.iter
+           (fun (dst, _) ->
+             t.dst_anchor.(dst) <- anchor;
+             t.dst_q.(dst) <- cable t ~anchor dst)
+           dsts;
+         t.anchor_exits.(anchor) <- carry_exits t p old;
+         true
+       end
+
+(* One BFS from the anchor and one exit memo on it serve every
+   destination behind it; each destination then takes one suffix pass.
+   A source's route is its Up state's suffix. No other route passes
+   through a source host, so its own state is left out of the memo.
+   With a [prior], [into] holds the previous rows, and a destination
+   whose anchor and cable port are its counterpart's leaves the cell of
+   every reachable source with a clean Up state as it is: only the
+   other sources are written, through [set]. Without one, no source is
+   clean and every pair is written in place. *)
+let compile ?prior t ~anchor ~dsts ~srcs ~into =
+  if Array.length t.suffix = 0 then ready t
   else Bytes.fill t.verdict 0 t.nstates unknown;
   let dist = to_dst t anchor in
   aim_memo t anchor;
@@ -480,20 +605,16 @@ let compile ?prior t ~anchor ~dsts ~srcs ~into =
   in
   let rewalked = ref 0 in
   List.iter
-    (fun (dst, at) ->
-      let q = if dst = anchor then -1 else far_of t (slot t dst 0) in
+    (fun (dst, d) ->
+      let q = cable t ~anchor dst in
       t.dst_anchor.(dst) <- anchor;
       t.dst_q.(dst) <- q;
       let keeps =
         match prior with
-        | Some p ->
-          let o = p.node.(dst) in
-          Bytes.length old > 0
-          && o >= 0
-          && p.record.r_anchor.(o) = p.node.(anchor)
-          && p.record.r_q.(o) = q
+        | Some p -> Bytes.length old > 0 && kept_behind t p ~anchor dst
         | None -> false
       in
+      let row = into.(d) in
       let walked = ref false in
       for k = 0 to (if keeps then Array.length dirty else Array.length srcs) - 1 do
         let i = if keeps then dirty.(k) else k in
@@ -511,12 +632,11 @@ let compile ?prior t ~anchor ~dsts ~srcs ~into =
         in
         (* A cell equal to the previous one is left as it is, so every
            unchanged pair stays [==] to the previous table's. *)
-        match (cell, into.(at + i)) with
+        match (cell, row.(i)) with
         | None, None -> ()
         | Some r, Some r' when San_simnet.Route.equal r r' -> ()
         | _ -> (
-          into.(at + i) <- cell;
-          match prior with Some p -> p.changed (at + i) | None -> ())
+          match prior with Some p -> p.set d i cell | None -> row.(i) <- cell)
       done)
     dsts;
   t.anchor_exits.(anchor) <- pack_exits t;

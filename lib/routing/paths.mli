@@ -104,15 +104,39 @@ type record
 val record : t -> record
 (** The record of every {!compile} on [t] so far. *)
 
-type prior = {
-  record : record;  (** the previous table's compiles *)
-  node : int array;
-      (** each node of this graph's counterpart in the previous graph,
-          or -1; no two nodes may share one *)
-  changed : int -> unit;
-      (** told each [into] index whose cell {!compile} changes *)
-}
-(** The previous epoch's compile, as {!compile} reuses it. *)
+type prior
+(** The previous epoch's compile, as {!compile} and {!reuse} reuse it,
+    with the wiring diff between the two graphs. *)
+
+val prior :
+  t ->
+  record ->
+  node:int array ->
+  set:(int -> int -> San_simnet.Route.t option -> unit) ->
+  prior
+(** [prior t record ~node ~set] is the previous table's compiles
+    [record] seen from [t]'s graph: [node] gives each node of this
+    graph its counterpart in the previous graph, or -1 (no two nodes
+    may share one), and [set d i cell] stores a cell {!compile}
+    changes, row [d], column [i]. Compares the two wirings once, O(V +
+    ports): the diff is {e removal-only} when every node has a
+    counterpart with as many ports, every wired port holds the same
+    wire under the matching (the peer's counterpart, the far port, the
+    up bit), and every other port was wired before and is unwired
+    now. *)
+
+val reuse : prior -> t -> anchor:Graph.node -> dsts:(Graph.node * int) list -> bool
+(** [reuse p t ~anchor ~dsts] is [true] when every route toward [dsts]
+    (hosts whose {!anchor} is [anchor]) is provably the previous one,
+    and then records them as {!compile} would, without a BFS, a
+    clean-state scan or walks: the diff is removal-only, each
+    destination's counterpart had the anchor's counterpart as its
+    anchor over the same cable port, and none of the exits recorded
+    toward the anchor's counterpart leaves on a removed port. Removing
+    wires cannot shorten a path, so while that exit tree survives every
+    state on it keeps its distance and its first closer port; the
+    anchor's recorded exits carry over, moved to this graph's node
+    ids. [false] changes nothing: the anchor takes {!compile}. *)
 
 val compile :
   ?prior:prior ->
@@ -120,14 +144,14 @@ val compile :
   anchor:Graph.node ->
   dsts:(Graph.node * int) list ->
   srcs:Graph.node array ->
-  into:San_simnet.Route.t option array ->
+  into:San_simnet.Route.t option array array ->
   int
-(** Every default route toward each [(dst, at)] of [dsts], hosts whose
-    {!anchor} is [anchor]: [into.(at + i)] gets the route from host
-    [srcs.(i)], the one {!route_into}'s default walk writes, or [None]
-    when [srcs.(i) = dst] or no compliant path exists. A cell that
-    already holds an equal route is left as it is. Returns how many
-    routes were walked.
+(** Every default route toward each [(dst, d)] of [dsts], hosts whose
+    {!anchor} is [anchor]: cell [i] of row [into.(d)] gets the route
+    from host [srcs.(i)], the one {!route_into}'s default walk writes,
+    or [None] when [srcs.(i) = dst] or no compliant path exists. A cell
+    that already holds an equal route is left as it is. Returns how
+    many routes were walked.
 
     From every state but [dst]'s own, [dst] is one hop farther than
     its anchor, and the default walk's first closer port is the same
@@ -148,18 +172,20 @@ val compile :
 
     With [prior], [into] must hold each pair's previous cell: the
     route between the counterparts of its hosts, [None] where either
-    has none. A route is then kept rather than walked when the walk
-    provably did not change. A state is {e clean} when its exit is the
-    one [prior] recorded for its counterpart toward the anchor's
-    counterpart, the wire on that port is the same (the peer's
-    counterpart, the far port, the up bit), and the next state is the
-    anchor or clean itself; each state is judged once per anchor. For
-    a destination whose counterpart had the anchor's counterpart as its
-    anchor, over the same cable port, the cell of every reachable
-    source whose Up state is clean is left untouched. Every other pair
-    is written as without [prior], so the table is the one a compile
-    without it gives, and a compile without it is the case where no
-    column is kept. *)
+    has none. A changed cell is stored through the prior's [set], never
+    written in place, so rows may be shared with the previous table. A
+    route is kept rather than walked when the walk provably did not
+    change. A state is {e clean} when its exit is the one [prior]
+    recorded for its counterpart toward the anchor's counterpart, the
+    wire on that port is the same (the peer's counterpart, the far
+    port, the up bit), and the next state is the anchor or clean
+    itself; each state is judged once per anchor. For a destination
+    whose counterpart had the anchor's counterpart as its anchor, over
+    the same cable port, the cell of every reachable source whose Up
+    state is clean is left untouched. Every other pair is written as
+    without [prior], so the table is the one a compile without it
+    gives, and a compile without it is the case where no column is
+    kept. *)
 
 val node_path :
   ?rng:San_util.Prng.t ->

@@ -3,17 +3,16 @@ open San_simnet
 
 type generation = unit ref
 
-(* Dense table, destination-major: the route from host slot [s] to
-   host slot [d] sits at [routes.(d * nh + s)], slots numbering hosts
-   by ascending id, so one destination's routes are contiguous, in the
-   order they are compiled. [None] marks the diagonal and unreachable
-   pairs. *)
+(* One row per destination: the route from host slot [s] to host slot
+   [d] sits at [routes.(d).(s)], slots numbering hosts by ascending id.
+   A row no compile changed is the previous table's row, physically.
+   [None] marks the diagonal and unreachable pairs. *)
 type t = {
   rt_graph : Graph.t;
   rt_ud : Updown.t;
   hosts : Graph.node array;
   host_slot : int array; (* node -> slot; -1 for switches *)
-  routes : Route.t option array;
+  routes : Route.t option array array;
   (* The compiles' record, for the next table's compile; [None] for
      [rng] and [prefer] tables, which walk pair by pair. *)
   record : Paths.record option;
@@ -62,25 +61,23 @@ let counterparts old g =
   done;
   node
 
-(* The previous table's cells laid out as a table over [hosts]: the
-   route between the counterparts of two hosts, [None] where either has
-   none. [slot.(i)] is host [i]'s counterpart's slot in [old], or -1.
-   When every host keeps its slot this is a plain copy. *)
-let previous_cells old slot =
-  let nh = Array.length slot and onh = Array.length old.hosts in
+(* The previous table's rows laid out as rows over [hosts]: the route
+   between the counterparts of two hosts, [None] where either has none.
+   [slot.(i)] is host [i]'s counterpart's slot in [old], or -1. When
+   every host keeps its slot the rows are the previous table's,
+   physically, until a compile writes into one. *)
+let previous_rows old slot =
+  let nh = Array.length slot in
   let rec same i = i = nh || (slot.(i) = i && same (i + 1)) in
-  if nh = onh && same 0 then Array.copy old.routes
-  else begin
-    let cells = Array.make (nh * nh) None in
-    for d = 0 to nh - 1 do
-      if slot.(d) >= 0 then
-        for s = 0 to nh - 1 do
-          if slot.(s) >= 0 then
-            cells.((d * nh) + s) <- old.routes.((slot.(d) * onh) + slot.(s))
-        done
-    done;
-    cells
-  end
+  if nh = Array.length old.hosts && same 0 then Array.copy old.routes
+  else
+    Array.map
+      (fun od ->
+        if od < 0 then Array.make nh None
+        else
+          let row = old.routes.(od) in
+          Array.map (fun os -> if os < 0 then None else row.(os)) slot)
+      slot
 
 let compute ?rng ?prefer ?root ?ignore_hosts ?labeling ?previous g =
   San_obs.Obs.with_span "routes.compute" (fun () ->
@@ -90,12 +87,15 @@ let compute ?rng ?prefer ?root ?ignore_hosts ?labeling ?previous g =
       let nh = Array.length hosts in
       let host_slot = Array.make (Graph.num_nodes g) (-1) in
       Array.iteri (fun slot h -> host_slot.(h) <- slot) hosts;
-      let rewalked = ref 0 and changed = ref [] and linked = ref None in
+      let rewalked = ref 0 and skipped = ref 0 in
+      let changed = ref [] and linked = ref None in
+      let fresh () = Array.init nh (fun _ -> Array.make nh None) in
       let routes, record =
         match (rng, prefer) with
         | None, None ->
-          (* Start from the previous table's cells, which [compile]
-             keeps wherever the walk did not change, and list the
+          (* Start from the previous table's rows, which [compile]
+             keeps wherever the walk did not change; a row is copied
+             only when a changed cell is stored into it. List the
              changed pairs when both tables have the same hosts. *)
           let routes, prior =
             match previous with
@@ -110,37 +110,47 @@ let compute ?rng ?prefer ?root ?ignore_hosts ?labeling ?previous g =
                 Array.length old.hosts = nh && Array.for_all (fun s -> s >= 0) slot
               in
               if same_hosts then linked := Some old.generation;
-              ( previous_cells old slot,
-                Some
-                  {
-                    Paths.record;
-                    node;
-                    changed =
-                      (if same_hosts then fun k -> changed := k :: !changed
-                       else ignore);
-                  } )
-            | Some _ | None -> (Array.make (nh * nh) None, None)
+              let routes = previous_rows old slot in
+              let set d i cell =
+                let row = routes.(d) in
+                let row =
+                  if d < Array.length old.routes && row == old.routes.(d) then begin
+                    let copy = Array.copy row in
+                    routes.(d) <- copy;
+                    copy
+                  end
+                  else row
+                in
+                row.(i) <- cell;
+                if same_hosts then changed := ((d * nh) + i) :: !changed
+              in
+              (routes, Some (Paths.prior pt record ~node ~set))
+            | Some _ | None -> (fresh (), None)
           in
-          (* Destinations grouped by anchor, each with its column's
-             offset: one compile per edge switch, not per host. *)
+          (* Destinations grouped by anchor, each with its row: one
+             compile per edge switch, not per host, and none for an
+             anchor whose routes provably stayed. *)
           let behind = Array.make (Graph.num_nodes g) [] in
           for d = nh - 1 downto 0 do
             let a = Paths.anchor pt hosts.(d) in
-            behind.(a) <- (hosts.(d), d * nh) :: behind.(a)
+            behind.(a) <- (hosts.(d), d) :: behind.(a)
           done;
           Array.iteri
             (fun anchor dsts ->
               if dsts <> [] then
-                rewalked :=
-                  !rewalked
-                  + Paths.compile ?prior pt ~anchor ~dsts ~srcs:hosts ~into:routes)
+                match prior with
+                | Some p when Paths.reuse p pt ~anchor ~dsts -> incr skipped
+                | Some _ | None ->
+                  rewalked :=
+                    !rewalked
+                    + Paths.compile ?prior pt ~anchor ~dsts ~srcs:hosts ~into:routes)
             behind;
           (routes, Some (Paths.record pt))
         | _ ->
           (* Pair by pair, destination-major so each destination's
              distance vector is computed once, and seeded draws are
              consumed one per hop in walk order. *)
-          let routes = Array.make (nh * nh) None in
+          let routes = fresh () in
           let buf = Array.make (Graph.num_nodes g + 1) 0 in
           Array.iteri
             (fun d dst ->
@@ -154,7 +164,7 @@ let compute ?rng ?prefer ?root ?ignore_hosts ?labeling ?previous g =
                       for i = len - 1 downto 0 do
                         turns := buf.(i) :: !turns
                       done;
-                      routes.((d * nh) + s) <- Some !turns;
+                      routes.(d).(s) <- Some !turns;
                       incr rewalked)
                 hosts)
             hosts;
@@ -163,16 +173,18 @@ let compute ?rng ?prefer ?root ?ignore_hosts ?labeling ?previous g =
       if San_obs.Obs.on () then begin
         let pairs =
           Array.fold_left
-            (fun n -> function Some _ -> n + 1 | None -> n)
+            (Array.fold_left (fun n -> function Some _ -> n + 1 | None -> n))
             0 routes
         in
         let unreachable = (nh * (nh - 1)) - pairs in
         San_obs.Obs.count ~by:pairs "routes.pairs";
         San_obs.Obs.count ~by:unreachable "routes.unreachable";
+        San_obs.Obs.count ~by:!skipped "routes.anchors_skipped";
         Array.iter
-          (Option.iter (fun turns ->
-               San_obs.Obs.observe "routes.turns"
-                 (float_of_int (List.length turns))))
+          (Array.iter
+             (Option.iter (fun turns ->
+                  San_obs.Obs.observe "routes.turns"
+                    (float_of_int (List.length turns)))))
           routes;
         San_obs.Obs.emit (San_obs.Trace.Route_computed { pairs; unreachable })
       end;
@@ -194,14 +206,14 @@ let route t ~src ~dst =
   if src < 0 || dst < 0 || src >= n || dst >= n then None
   else
     let s = t.host_slot.(src) and d = t.host_slot.(dst) in
-    if s < 0 || d < 0 then None else t.routes.((d * Array.length t.hosts) + s)
+    if s < 0 || d < 0 then None else t.routes.(d).(s)
 
 (* Every route in (src, dst) order. *)
 let iter t f =
   let nh = Array.length t.hosts in
   for s = 0 to nh - 1 do
     for d = 0 to nh - 1 do
-      Option.iter (f t.hosts.(s) t.hosts.(d)) t.routes.((d * nh) + s)
+      Option.iter (f t.hosts.(s) t.hosts.(d)) t.routes.(d).(s)
     done
   done
 
@@ -210,7 +222,7 @@ let all t =
   let acc = ref [] in
   for s = nh - 1 downto 0 do
     for d = nh - 1 downto 0 do
-      match t.routes.((d * nh) + s) with
+      match t.routes.(d).(s) with
       | Some r -> acc := (t.hosts.(s), t.hosts.(d), r) :: !acc
       | None -> ()
     done
@@ -222,7 +234,7 @@ let unreachable_pairs t =
   let acc = ref [] in
   for s = nh - 1 downto 0 do
     for d = nh - 1 downto 0 do
-      if s <> d && t.routes.((d * nh) + s) = None then
+      if s <> d && t.routes.(d).(s) = None then
         acc := (t.hosts.(s), t.hosts.(d)) :: !acc
     done
   done;

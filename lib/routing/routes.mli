@@ -44,17 +44,25 @@ val compute :
     paths and parallel wires.
 
     [previous] is the last epoch's table, routes that persist: nodes
-    are matched to its nodes by name (and kind), once, and each
-    {!Paths.compile} keeps the previous cell physically for every pair
-    whose walk provably did not change (the clean-state rule of
-    {!Paths.compile}: same exits, same wires under the matching, same
-    anchor and cable port), walking only the others. The table is the
-    one a compile without [previous] gives, whatever the two graphs
-    are. When both tables have the same hosts by name, the new one
-    also records which pairs changed ({!iter_changed}), so
-    {!San_service.Delta} plans from that list. [previous] is ignored
-    with [prefer] or [rng], and a [prefer] or [rng] table keeps no
-    record for a later compile. *)
+    are matched to its nodes by name (and kind), once, and the new
+    table starts from the previous one's rows, one per destination,
+    shared physically; a row is copied only when a changed cell is
+    stored into it, so a compile that changes nothing copies [nh] row
+    pointers, not [nh²] cells. The two wirings are compared once
+    ({!Paths.prior}). When the difference is only wires removed, an
+    anchor none of whose recorded exits leaves on a removed port keeps
+    every row behind it without a BFS or a scan ({!Paths.reuse}):
+    removing wires cannot shorten a path, so its exit tree, and every
+    route along it, survives. Every other anchor is compiled by
+    {!Paths.compile}, which keeps the previous cell for every pair
+    whose walk provably did not change (the clean-state rule: same
+    exits, same wires under the matching, same anchor and cable port)
+    and walks only the others. The table is the one a compile without
+    [previous] gives, whatever the two graphs are. When both tables
+    have the same hosts by name, the new one also records which pairs
+    changed ({!iter_changed}), so {!San_service.Delta} plans from that
+    list. [previous] is ignored with [prefer] or [rng], and a [prefer]
+    or [rng] table keeps no record for a later compile. *)
 
 val rewalked : t -> int
 (** How many routed pairs were walked rather than kept from
@@ -80,8 +88,8 @@ val updown : t -> Updown.t
 val route : t -> src:Graph.node -> dst:Graph.node -> Route.t option
 (** The turn string from [src] to [dst]; [None] when no compliant path
     exists, for [src = dst], and when either end is not a host of the
-    graph. Two slot reads and one table read: the table is dense,
-    indexed by host slot, one destination's routes contiguous. *)
+    graph. Two slot reads and two table reads: one row per destination
+    slot, one cell per source slot. *)
 
 val iter : t -> (Graph.node -> Graph.node -> Route.t -> unit) -> unit
 (** Every computed route as [f src dst turns], in ascending

@@ -78,7 +78,6 @@ let jittered t cost =
 
 let graph t = t.net_graph
 let params t = t.net_params
-let model t = t.net_model
 let host_probes t = t.host_probes
 let host_hits t = t.host_hits
 let switch_probes t = t.switch_probes

@@ -62,7 +62,6 @@ val survives : (float * San_util.Prng.t) option -> crossings:int -> bool
 
 val graph : t -> Graph.t
 val params : t -> Params.t
-val model : t -> Collision.model
 
 (** {2 Probe counters}
 

@@ -113,27 +113,3 @@ let heat t g =
   fun (e1, e2) ->
     let key = if e1 <= e2 then (e1, e2) else (e2, e1) in
     Option.value ~default:0.0 (List.assoc_opt key by_ends)
-
-let to_json t g =
-  let module J = San_util.Json in
-  let name g n =
-    let s = Graph.name g n in
-    if s = "" then Printf.sprintf "sw%d" n else s
-  in
-  let link_json l =
-    let (a, pa), (b, pb) = l.ends in
-    J.Obj
-      [
-        ("a", J.Str (name g a));
-        ("a_port", J.int pa);
-        ("b", J.Str (name g b));
-        ("b_port", J.int pb);
-        ("transits", J.int l.l_transits);
-        ("occupied_ns", J.Num l.l_occupied_ns);
-        ("blocked_ns", J.Num l.l_blocked_ns);
-        ("collisions", J.int l.l_collisions);
-        ("drops", J.int l.l_drops);
-        ("utilization", J.Num l.utilization);
-      ]
-  in
-  J.Obj [ ("links", J.Arr (List.map link_json (links t g))) ]

@@ -78,7 +78,3 @@ val links : t -> Graph.t -> link list
 val heat : t -> Graph.t -> Graph.wire_end * Graph.wire_end -> float
 (** [heat t g] is the utilization of a wire (ends in either order),
     suitable for {!San_topology.Dot.to_string}'s [?heat]. *)
-
-val to_json : t -> Graph.t -> San_util.Json.t
-(** [{"links": [{a, a_port, b, b_port, transits, ...}]}], hottest
-    first. *)

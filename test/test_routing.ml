@@ -585,6 +585,79 @@ let test_persist_unrelated () =
          g')
   done
 
+(* [g] with its node ids reversed: the same names, kinds and wires. *)
+let reversed g =
+  let n = Graph.num_nodes g in
+  let g' = Graph.create ~radix:(Graph.radix g) () in
+  let id = Array.make n (-1) in
+  for o = n - 1 downto 0 do
+    let name = Graph.name g o in
+    id.(o) <-
+      (if Graph.is_host g o then Graph.add_host g' ~name
+       else Graph.add_switch g' ~name ())
+  done;
+  List.iter
+    (fun ((a, pa), (b, pb)) -> Graph.connect g' (id.(a), pa) (id.(b), pb))
+    (Graph.wires g);
+  g'
+
+(* [g] without its [k]-th wire (counted modulo the wire count). *)
+let without_wire g k =
+  let g = Graph.copy g in
+  (match Graph.wires g with
+  | [] -> ()
+  | wires -> Graph.disconnect g (fst (List.nth wires (k mod List.length wires))));
+  g
+
+(* Three epochs, each losing one wire, the middle one with its node
+   ids reversed: each table is compiled against the one before, so the
+   last reads exit records that anchors skipped in the middle compile
+   carried over to new ids. Every table is the reference's. *)
+let test_persist_chain () =
+  let chain what g0 k =
+    let g1 = reversed (without_wire g0 k) in
+    let g2 = without_wire g1 (k + 1) in
+    let t0 = Routes.compute g0 in
+    let t1 = agrees_with_reference ~previous:t0 (what ^ " epoch 1") g1 in
+    ignore (agrees_with_reference ~previous:t1 (what ^ " epoch 2") g2)
+  in
+  for seed = 1 to 300 do
+    chain
+      (Printf.sprintf "fuzz seed %d" seed)
+      (San_check.Fuzz_gen.gen ~seed).San_check.Fuzz_gen.graph seed
+  done;
+  List.iter
+    (fun k -> chain (Printf.sprintf "ft-100 wire %d" k) (fabric "ft-100") k)
+    [ 0; 57; 140; 210 ]
+
+(* A compile against a table of the same graph skips every anchor and
+   shares every row: on converge-ft400's fabric it allocates words in
+   proportion to the nodes, ports and hosts (the orientation, about 44
+   words a node, the packed wiring, the name matching, the record and
+   one row pointer per host; 48,544 words in all), under 96 per node
+   plus 8 per host. A copy of the whole table would add nh² words
+   (159,600 here) on top. *)
+let test_persist_alloc () =
+  let g = fabric "levels=3,radix=16,edge=50,hosts=8" in
+  let t0 = Routes.compute g in
+  let t1 = ref t0 in
+  let words = Alloc.words (fun () -> t1 := Routes.compute ~previous:t0 g) in
+  let v = Graph.num_nodes g and nh = List.length (Graph.hosts g) in
+  let bound = float_of_int ((96 * v) + (8 * nh)) in
+  Alcotest.(check bool)
+    (Printf.sprintf "%.0f words for %d nodes and %d hosts (bound %.0f)" words v
+       nh bound)
+    true (words <= bound);
+  Alcotest.(check int) "nothing walked" 0 (Routes.rewalked !t1);
+  List.iter
+    (fun dst ->
+      List.iter
+        (fun src ->
+          if Routes.route !t1 ~src ~dst != Routes.route t0 ~src ~dst then
+            Alcotest.failf "%d->%d not kept" src dst)
+        (Graph.hosts g))
+    (Graph.hosts g)
+
 (* 300 fuzzer cases through the [incremental_routes] property: a
    seed-drawn fault, renumbering and root change, the table against a
    from-scratch compile and the delta plans read off its changes. *)
@@ -667,7 +740,7 @@ let test_shared_vector () =
       let behind = Array.make (Graph.num_nodes g) [] in
       for d = nh - 1 downto 0 do
         let a = Paths.anchor pt hosts.(d) in
-        behind.(a) <- (hosts.(d), d * nh) :: behind.(a)
+        behind.(a) <- (hosts.(d), d) :: behind.(a)
       done;
       let anchors =
         Array.of_list (List.filter (fun a -> behind.(a) <> []) (Graph.nodes g))
@@ -682,7 +755,7 @@ let test_shared_vector () =
             then Alcotest.failf "%s: route %d->%d differs" what src dst)
           hosts
       in
-      let into = Array.make (nh * nh) None in
+      let into = Array.init nh (fun _ -> Array.make nh None) in
       Array.iteri
         (fun i anchor ->
           let here = fst (List.hd behind.(anchor)) in
@@ -706,7 +779,7 @@ let test_shared_vector () =
         (fun d dst ->
           Array.iteri
             (fun s src ->
-              if into.((d * nh) + s) <> Routes_reference.route reference ~src ~dst
+              if into.(d).(s) <> Routes_reference.route reference ~src ~dst
               then Alcotest.failf "%s: compiled %d->%d differs" what src dst)
             hosts)
         hosts)
@@ -1044,6 +1117,10 @@ let () =
           Alcotest.test_case "persistent: unrelated previous tables" `Quick
             test_persist_unrelated;
           Alcotest.test_case "persistent: fuzz campaign" `Quick test_persist_fuzz;
+          Alcotest.test_case "persistent: removals chained across new ids" `Quick
+            test_persist_chain;
+          Alcotest.test_case "persistent: an unchanged compile allocates O(V + hosts)"
+            `Quick test_persist_alloc;
           Alcotest.test_case "length bounds" `Quick test_route_lengths_bounded;
           Alcotest.test_case "map drives actual" `Quick test_map_routes_drive_actual;
           Alcotest.test_case "myricom map acyclic" `Slow
