@@ -1,6 +1,6 @@
 # Convenience targets; everything is plain dune underneath.
 
-.PHONY: all build test check bench bench-fast bench-smoke scale-smoke shard-smoke serve-smoke fuzz-smoke health-smoke explain-smoke slo-smoke cover-smoke perf-map-smoke perf-map-ft1k-smoke perf-converge-smoke perf-serve-smoke artifacts csv examples clean
+.PHONY: all build test check bench bench-fast bench-smoke scale-smoke shard-smoke serve-smoke fuzz-smoke health-smoke explain-smoke slo-smoke cover-smoke perf-map-smoke perf-map-ft1k-smoke perf-converge-smoke perf-serve-smoke unused-exports artifacts csv examples clean
 
 all: build
 
@@ -15,6 +15,7 @@ test:
 check:
 	dune build @all
 	dune runtest
+	$(MAKE) unused-exports
 	$(MAKE) bench-smoke
 	$(MAKE) health-smoke
 	$(MAKE) explain-smoke
@@ -28,6 +29,11 @@ check:
 	$(MAKE) perf-map-ft1k-smoke
 	$(MAKE) perf-converge-smoke
 	$(MAKE) perf-serve-smoke
+
+# Every value a lib/ interface exports that nothing outside its own
+# module names, unless it is on the script's allow-list: fails on any.
+unused-exports:
+	sh scripts/unused_exports.sh
 
 bench:
 	dune exec bench/main.exe

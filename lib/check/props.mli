@@ -69,16 +69,11 @@ type ctx
     sets and search depth are computed lazily once and reused by every
     property. *)
 
-val make : Fuzz_gen.case -> ctx
-
-val all : (string * (ctx -> (unit, string) result)) list
-(** The suite, in execution order. *)
-
 val names : string list
 
 val opt_in : (string * (ctx -> (unit, string) result)) list
-(** Properties run only when named (["--prop"]), outside {!all}'s
-    default suite:
+(** Properties run only when named (["--prop"]), outside the default
+    suite ({!names}):
 
     - ["incremental_routes"] — after a seed-drawn change to the fabric
       (a cut wire, an isolated switch, a host gone, an added cable, a
@@ -116,7 +111,7 @@ val map_service :
     when it stopped the exploration. *)
 
 val find : string -> (ctx -> (unit, string) result) option
-(** A property of {!all} or {!opt_in} by name. *)
+(** A property of the default suite or {!opt_in} by name. *)
 
 val run : string -> Fuzz_gen.case -> (unit, string) result
 (** [run name case] builds a fresh context and runs one property,

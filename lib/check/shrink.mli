@@ -6,9 +6,6 @@
     are preserved, so the shrunk fabric is a true subfabric of the
     generated one and port-arithmetic bugs survive the shrink. *)
 
-val candidates : Fuzz_gen.case -> (unit -> Fuzz_gen.case) list
-(** One-step reductions of the case, biggest first. *)
-
 val shrink :
   fails:(Fuzz_gen.case -> bool) ->
   budget:int ->

@@ -40,13 +40,6 @@ val build : seed:int -> spec -> Graph.t
     the main fabric through spare switch ports.
     @raise Invalid_argument when {!validate} rejects the spec. *)
 
-val suggested_depth : spec -> int
-(** A fixed exploration depth for mapping this fabric when the oracle
-    bound's flow computation is infeasible (10k hosts and up). It
-    matches the measured oracle Q+D+1 of the preset ladder; on graphs
-    small enough for the oracle, prefer the oracle — surplus depth
-    multiplies replicates on multipath fabrics, it is never free. *)
-
 val to_string : spec -> string
 (** Canonical [key=value,...] form; {!of_string} inverts it. *)
 

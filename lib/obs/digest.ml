@@ -205,9 +205,3 @@ let of_json j =
     in
     if buckets then Some t else None
   | _ -> None
-
-let pp ppf t =
-  if t.count = 0 then Format.fprintf ppf "digest(empty)"
-  else
-    Format.fprintf ppf "digest(n=%d p50=%.3g p95=%.3g p99=%.3g max=%.3g)"
-      t.count (quantile t 0.50) (quantile t 0.95) (quantile t 0.99) t.vmax

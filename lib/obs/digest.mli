@@ -40,7 +40,6 @@ val merge : t -> t -> t
 (** A fresh digest equal to the digest of the concatenated streams.
     Associative and commutative; neither argument is mutated. *)
 
-val merge_into : dst:t -> t -> unit
 val merge_all : t list -> t
 
 val diff : before:t -> after:t -> t
@@ -64,4 +63,3 @@ val relative_error : float
 
 val to_json : t -> San_util.Json.t
 val of_json : San_util.Json.t -> t option
-val pp : Format.formatter -> t -> unit

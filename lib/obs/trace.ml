@@ -91,7 +91,6 @@ let create ?(capacity = 4096) () =
   if capacity <= 0 then invalid_arg "Trace.create: capacity must be positive";
   { capacity; ring = Array.make capacity None; next = 0; sinks = [] }
 
-let capacity t = t.capacity
 let length t = min t.next t.capacity
 let dropped t = max 0 (t.next - t.capacity)
 

@@ -56,7 +56,6 @@ val records : t -> record list
 
 val events : t -> event list
 
-val capacity : t -> int
 val length : t -> int
 
 val dropped : t -> int
@@ -78,7 +77,6 @@ val jsonl_sink : out_channel -> sink
 val record_to_json : record -> San_util.Json.t
 val record_of_json : San_util.Json.t -> record option
 val event_to_json : event -> San_util.Json.t
-val event_of_json : San_util.Json.t -> event option
 
 val probe_kind_to_string : probe_kind -> string
 val pp_event : Format.formatter -> event -> unit

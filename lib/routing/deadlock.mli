@@ -15,10 +15,6 @@ open San_simnet
 type channel = Graph.wire_end
 (** The (node, port) a worm exits through. *)
 
-val dependencies : Graph.t -> (Graph.node * Route.t) list -> (channel * channel) list
-(** All channel dependency pairs induced by the given
-    [(source host, turn string)] routes, deduplicated. *)
-
 val check_acyclic : Graph.t -> (Graph.node * Route.t) list -> (unit, string) result
 (** [Ok ()] iff the dependency graph is acyclic; the error names one
     channel on a cycle. *)

@@ -6,7 +6,8 @@ type plan = { slices : slice list; total_bytes : int }
 
 (* Encoding budget per route entry: a 2-byte destination id, a 1-byte
    length, one byte per turn. *)
-let entry_bytes turns = 3 + List.length turns
+let entry_bytes_of_length len = 3 + len
+let entry_bytes turns = entry_bytes_of_length (List.length turns)
 
 let plan table =
   let g = Routes.graph table in

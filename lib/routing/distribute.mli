@@ -28,6 +28,9 @@ val entry_bytes : San_simnet.Route.t -> int
 (** Encoded size of one route entry (destination id, length, one byte
     per turn) — the unit both full and delta slices are priced in. *)
 
+val entry_bytes_of_length : int -> int
+(** {!entry_bytes} of a route of this many turns. *)
+
 type report = {
   hosts_updated : int;
   hosts_missed : int;  (** slices that never arrived, after all passes *)

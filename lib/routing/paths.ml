@@ -32,10 +32,10 @@ type t = {
      share it; the memo is cleared when the destination changes. *)
   memo : int array;
   mutable memo_dst : Graph.node;
-  (* [compile]'s turns per state toward the destination it is
+  (* [compile]'s route cell per state toward the destination it is
      compiling, [unset] until first asked for. Allocated on the first
      [compile], so a [t] that only walks never holds it. *)
-  mutable suffix : int list array;
+  mutable suffix : int array;
   (* What [compile] recorded for the next epoch's compile, allocated
      with [suffix]: per anchor compiled, each state's exit toward it
      ([exit_width] bytes per state holding the port plus one, 0 where
@@ -50,8 +50,6 @@ type t = {
      byte per state: [unknown], [clean] or [dirty]. *)
   mutable verdict : Bytes.t;
 }
-
-let updown t = t.pt_ud
 
 let inf = max_int / 4
 
@@ -310,9 +308,9 @@ let route_into ?rng ?prefer t ~src ~dst ~buf =
     !len
   end
 
-(* Marks a state whose suffix is not compiled yet; compared by
-   physical equality, so no real turn list is ever taken for it. *)
-let unset = [ min_int ]
+(* Marks a state whose suffix is not compiled yet: a suffix is always
+   a route, never the cell of none. *)
+let unset = Cell.none
 
 (* The node whose distance vector serves the routes to host [d]: the
    switch at the far end of [d]'s one cable when the hop from that
@@ -329,31 +327,33 @@ let anchor t d =
     let sw = peer_of t e in
     if Graph.is_host g sw || slot t sw (far_of t e) land 1 = 1 then d else sw
 
-(* The default walk's turns after it leaves [state], toward a
-   destination behind the anchor that [dist] and the memo are on:
-   when the next node is the anchor, the anchor's turn onto port [q]
-   (the destination's cable), or nothing when [q < 0] and the anchor
-   is the destination; else the turn at the next node (its exit port
-   minus the port the wire enters on) and then the next state's
+(* The cell of the default walk's turns after it leaves [state],
+   toward a destination behind the anchor that [dist] and the memo are
+   on: when the next node is the anchor, the anchor's turn onto port
+   [q] (the destination's cable), or nothing when [q < 0] and the
+   anchor is the destination; else the turn at the next node (its exit
+   port minus the port the wire enters on) and then the next state's
    suffix. A host is never an interior node of a shortest path (its
    one port leads back where it came from), so every interior node
    turns. *)
-let rec leave t dist q state =
+let rec leave t cells dist q state =
   let node = state / 2 and want = dist.(state) - 1 in
   let p = memo_exit t dist state node want in
   let entry = far_of t (slot t node p) in
-  if want = 0 then if q < 0 then [] else [ q - entry ]
+  if want = 0 then if q < 0 then Cell.empty else Cell.cons cells (q - entry) Cell.empty
   else
     let next = successor t dist state node want p in
-    (memo_exit t dist next (next / 2) (want - 1) - entry) :: suffix t dist q next
+    Cell.cons cells
+      (memo_exit t dist next (next / 2) (want - 1) - entry)
+      (suffix t cells dist q next)
 
 (* [leave], memoised per state: routes toward one destination share
-   their tails. *)
-and suffix t dist q state =
+   their tails, and a long route's tail its pool cells. *)
+and suffix t cells dist q state =
   let r = t.suffix.(state) in
-  if r != unset then r
+  if r <> unset then r
   else begin
-    let r = leave t dist q state in
+    let r = leave t cells dist q state in
     t.suffix.(state) <- r;
     r
   end
@@ -380,7 +380,7 @@ type record = {
 type prior = {
   record : record;
   node : int array;
-  set : int -> int -> San_simnet.Route.t option -> unit;
+  set : int -> int -> int -> unit;
   removed : int array option;
   same_ids : bool; (* every node is its own counterpart *)
 }
@@ -579,7 +579,7 @@ let reuse p t ~anchor ~dsts =
    every reachable source with a clean Up state as it is: only the
    other sources are written, through [set]. Without one, no source is
    clean and every pair is written in place. *)
-let compile ?prior t ~anchor ~dsts ~srcs ~into =
+let compile ?prior t ~cells ~anchor ~dsts ~srcs ~into =
   if Array.length t.suffix = 0 then ready t
   else Bytes.fill t.verdict 0 t.nstates unknown;
   let dist = to_dst t anchor in
@@ -620,23 +620,21 @@ let compile ?prior t ~anchor ~dsts ~srcs ~into =
         let i = if keeps then dirty.(k) else k in
         let src = srcs.(i) in
         let cell =
-          if src = dst || dist.(state_up src) >= inf then None
+          if src = dst || dist.(state_up src) >= inf then Cell.none
           else begin
             if not !walked then begin
               Array.fill t.suffix 0 t.nstates unset;
               walked := true
             end;
             incr rewalked;
-            Some (leave t dist q (state_up src))
+            leave t cells dist q (state_up src)
           end
         in
-        (* A cell equal to the previous one is left as it is, so every
-           unchanged pair stays [==] to the previous table's. *)
-        match (cell, row.(i)) with
-        | None, None -> ()
-        | Some r, Some r' when San_simnet.Route.equal r r' -> ()
-        | _ -> (
-          match prior with Some p -> p.set d i cell | None -> row.(i) <- cell)
+        (* [cells] holds every cell of [into], so equal cells are equal
+           routes; an equal cell is left as it is, and a row no pair
+           changes stays the previous table's. *)
+        if cell <> row.(i) then
+          match prior with Some p -> p.set d i cell | None -> row.(i) <- cell
       done)
     dsts;
   t.anchor_exits.(anchor) <- pack_exits t;

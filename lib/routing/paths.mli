@@ -112,12 +112,12 @@ val prior :
   t ->
   record ->
   node:int array ->
-  set:(int -> int -> San_simnet.Route.t option -> unit) ->
+  set:(int -> int -> int -> unit) ->
   prior
 (** [prior t record ~node ~set] is the previous table's compiles
     [record] seen from [t]'s graph: [node] gives each node of this
     graph its counterpart in the previous graph, or -1 (no two nodes
-    may share one), and [set d i cell] stores a cell {!compile}
+    may share one), and [set d i cell] stores a {!Cell} {!compile}
     changes, row [d], column [i]. Compares the two wirings once, O(V +
     ports): the diff is {e removal-only} when every node has a
     counterpart with as many ports, every wired port holds the same
@@ -141,17 +141,19 @@ val reuse : prior -> t -> anchor:Graph.node -> dsts:(Graph.node * int) list -> b
 val compile :
   ?prior:prior ->
   t ->
+  cells:Cell.t ->
   anchor:Graph.node ->
   dsts:(Graph.node * int) list ->
   srcs:Graph.node array ->
-  into:San_simnet.Route.t option array array ->
+  into:int array array ->
   int
 (** Every default route toward each [(dst, d)] of [dsts], hosts whose
-    {!anchor} is [anchor]: cell [i] of row [into.(d)] gets the route
-    from host [srcs.(i)], the one {!route_into}'s default walk writes,
-    or [None] when [srcs.(i) = dst] or no compliant path exists. A cell
-    that already holds an equal route is left as it is. Returns how
-    many routes were walked.
+    {!anchor} is [anchor]: cell [i] of row [into.(d)] gets the {!Cell}
+    in store [cells] of the route from host [srcs.(i)], the one
+    {!route_into}'s default walk writes, or {!Cell.none} when
+    [srcs.(i) = dst] or no compliant path exists. Every cell of [into]
+    must be of [cells]; a cell that already holds the route is left as
+    it is. Returns how many routes were walked.
 
     From every state but [dst]'s own, [dst] is one hop farther than
     its anchor, and the default walk's first closer port is the same
@@ -161,19 +163,21 @@ val compile :
     every destination behind it. Then, for a fixed destination, the
     turns a route emits after it leaves a phase state depend on that
     state alone, so each destination is compiled as one memoised
-    suffix per state: when the next node is the anchor, the anchor's
-    last turn (or [[]] when the anchor is [dst]), else the turn at the
-    next node consed onto the next state's suffix. A source's route is
-    the suffix of its Up state. Each state's ports are scanned once
-    per anchor and each state's turn is consed once per destination,
-    so a route costs one [Some] beyond the cells it shares with every
-    other route through its tail (physically: the lists are [==] from
-    the first shared state on).
+    suffix cell per state: when the next node is the anchor, the
+    anchor's last turn (or the empty route when the anchor is [dst]),
+    else the turn at the next node put before the next state's suffix
+    ({!Cell.cons}: a shift and an or while the route packs inline, one
+    hash-consed pool cell on top of the suffix's past that). A source's
+    route is the suffix of its Up state. Each state's ports are scanned
+    once per anchor and each state's cell is made once per
+    destination, so a long route costs at most one pool cell beyond
+    those it shares with every other route through its tail.
 
     With [prior], [into] must hold each pair's previous cell: the
-    route between the counterparts of its hosts, [None] where either
-    has none. A changed cell is stored through the prior's [set], never
-    written in place, so rows may be shared with the previous table. A
+    route between the counterparts of its hosts, {!Cell.none} where
+    either has none. A changed cell is stored through the prior's
+    [set], never written in place, so rows may be shared with the
+    previous table. A
     route is kept rather than walked when the walk provably did not
     change. A state is {e clean} when its exit is the one [prior]
     recorded for its counterpart toward the anchor's counterpart, the
@@ -196,5 +200,3 @@ val node_path :
   Graph.node list option
 (** The node sequence [src; ...; dst] the compiler walks for the same
     arguments (with [rng], before its wire draws). *)
-
-val updown : t -> Updown.t

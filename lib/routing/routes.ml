@@ -3,16 +3,18 @@ open San_simnet
 
 type generation = unit ref
 
-(* One row per destination: the route from host slot [s] to host slot
-   [d] sits at [routes.(d).(s)], slots numbering hosts by ascending id.
-   A row no compile changed is the previous table's row, physically.
-   [None] marks the diagonal and unreachable pairs. *)
+(* One row of cells per destination: the route from host slot [s] to
+   host slot [d] sits at [routes.(d).(s)], slots numbering hosts by
+   ascending id, each cell of the store [cells]. A row no compile
+   changed is the previous table's row, physically. [Cell.none] marks
+   the diagonal and unreachable pairs. *)
 type t = {
   rt_graph : Graph.t;
   rt_ud : Updown.t;
   hosts : Graph.node array;
   host_slot : int array; (* node -> slot; -1 for switches *)
-  routes : Route.t option array array;
+  cells : Cell.t;
+  routes : int array array;
   (* The compiles' record, for the next table's compile; [None] for
      [rng] and [prefer] tables, which walk pair by pair. *)
   record : Paths.record option;
@@ -27,6 +29,7 @@ type t = {
 
 let graph t = t.rt_graph
 let updown t = t.rt_ud
+let cells t = t.cells
 let generation t = t.generation
 let previous_generation t = t.previous
 let rewalked t = t.rewalked
@@ -62,9 +65,9 @@ let counterparts old g =
   node
 
 (* The previous table's rows laid out as rows over [hosts]: the route
-   between the counterparts of two hosts, [None] where either has none.
-   [slot.(i)] is host [i]'s counterpart's slot in [old], or -1. When
-   every host keeps its slot the rows are the previous table's,
+   between the counterparts of two hosts, [Cell.none] where either has
+   none. [slot.(i)] is host [i]'s counterpart's slot in [old], or -1.
+   When every host keeps its slot the rows are the previous table's,
    physically, until a compile writes into one. *)
 let previous_rows old slot =
   let nh = Array.length slot in
@@ -73,10 +76,10 @@ let previous_rows old slot =
   else
     Array.map
       (fun od ->
-        if od < 0 then Array.make nh None
+        if od < 0 then Array.make nh Cell.none
         else
           let row = old.routes.(od) in
-          Array.map (fun os -> if os < 0 then None else row.(os)) slot)
+          Array.map (fun os -> if os < 0 then Cell.none else row.(os)) slot)
       slot
 
 let compute ?rng ?prefer ?root ?ignore_hosts ?labeling ?previous g =
@@ -89,7 +92,23 @@ let compute ?rng ?prefer ?root ?ignore_hosts ?labeling ?previous g =
       Array.iteri (fun slot h -> host_slot.(h) <- slot) hosts;
       let rewalked = ref 0 and skipped = ref 0 in
       let changed = ref [] and linked = ref None in
-      let fresh () = Array.init nh (fun _ -> Array.make nh None) in
+      let fresh () = Array.init nh (fun _ -> Array.make nh Cell.none) in
+      (* A table compiled against the previous one keeps its store, so
+         kept cells stay readable and equal routes stay equal cells; a
+         previous table of another radix, another cell layout, is not
+         used. *)
+      let previous =
+        match (rng, prefer, previous) with
+        | None, None, Some ({ record = Some record; _ } as old)
+          when Cell.radix old.cells = Graph.radix g ->
+          Some (old, record)
+        | _ -> None
+      in
+      let cells =
+        match previous with
+        | Some (old, _) -> old.cells
+        | None -> Cell.create ~radix:(Graph.radix g)
+      in
       let routes, record =
         match (rng, prefer) with
         | None, None ->
@@ -99,7 +118,7 @@ let compute ?rng ?prefer ?root ?ignore_hosts ?labeling ?previous g =
              changed pairs when both tables have the same hosts. *)
           let routes, prior =
             match previous with
-            | Some ({ record = Some record; _ } as old) ->
+            | Some (old, record) ->
               let node = counterparts old.rt_graph g in
               let slot =
                 Array.map
@@ -125,7 +144,7 @@ let compute ?rng ?prefer ?root ?ignore_hosts ?labeling ?previous g =
                 if same_hosts then changed := ((d * nh) + i) :: !changed
               in
               (routes, Some (Paths.prior pt record ~node ~set))
-            | Some _ | None -> (fresh (), None)
+            | None -> (fresh (), None)
           in
           (* Destinations grouped by anchor, each with its row: one
              compile per edge switch, not per host, and none for an
@@ -143,7 +162,8 @@ let compute ?rng ?prefer ?root ?ignore_hosts ?labeling ?previous g =
                 | Some _ | None ->
                   rewalked :=
                     !rewalked
-                    + Paths.compile ?prior pt ~anchor ~dsts ~srcs:hosts ~into:routes)
+                    + Paths.compile ?prior pt ~cells ~anchor ~dsts ~srcs:hosts
+                        ~into:routes)
             behind;
           (routes, Some (Paths.record pt))
         | _ ->
@@ -160,11 +180,7 @@ let compute ?rng ?prefer ?root ?ignore_hosts ?labeling ?previous g =
                     match Paths.route_into ?rng ?prefer pt ~src ~dst ~buf with
                     | -1 -> ()
                     | len ->
-                      let turns = ref [] in
-                      for i = len - 1 downto 0 do
-                        turns := buf.(i) :: !turns
-                      done;
-                      routes.(d).(s) <- Some !turns;
+                      routes.(d).(s) <- Cell.pack cells buf len;
                       incr rewalked)
                 hosts)
             hosts;
@@ -173,7 +189,7 @@ let compute ?rng ?prefer ?root ?ignore_hosts ?labeling ?previous g =
       if San_obs.Obs.on () then begin
         let pairs =
           Array.fold_left
-            (Array.fold_left (fun n -> function Some _ -> n + 1 | None -> n))
+            (Array.fold_left (fun n c -> if c = Cell.none then n else n + 1))
             0 routes
         in
         let unreachable = (nh * (nh - 1)) - pairs in
@@ -181,10 +197,10 @@ let compute ?rng ?prefer ?root ?ignore_hosts ?labeling ?previous g =
         San_obs.Obs.count ~by:unreachable "routes.unreachable";
         San_obs.Obs.count ~by:!skipped "routes.anchors_skipped";
         Array.iter
-          (Array.iter
-             (Option.iter (fun turns ->
-                  San_obs.Obs.observe "routes.turns"
-                    (float_of_int (List.length turns)))))
+          (Array.iter (fun c ->
+               if c <> Cell.none then
+                 San_obs.Obs.observe "routes.turns"
+                   (float_of_int (Cell.length cells c))))
           routes;
         San_obs.Obs.emit (San_obs.Trace.Route_computed { pairs; unreachable })
       end;
@@ -193,6 +209,7 @@ let compute ?rng ?prefer ?root ?ignore_hosts ?labeling ?previous g =
         rt_ud = ud;
         hosts;
         host_slot;
+        cells;
         routes;
         record;
         generation = ref ();
@@ -201,40 +218,35 @@ let compute ?rng ?prefer ?root ?ignore_hosts ?labeling ?previous g =
         rewalked = !rewalked;
       })
 
-let route t ~src ~dst =
+let cell t ~src ~dst =
   let n = Array.length t.host_slot in
-  if src < 0 || dst < 0 || src >= n || dst >= n then None
+  if src < 0 || dst < 0 || src >= n || dst >= n then Cell.none
   else
     let s = t.host_slot.(src) and d = t.host_slot.(dst) in
-    if s < 0 || d < 0 then None else t.routes.(d).(s)
+    if s < 0 || d < 0 then Cell.none else t.routes.(d).(s)
 
-(* Every route in (src, dst) order. *)
+let route t ~src ~dst = Cell.to_route t.cells (cell t ~src ~dst)
+
+(* Every route in (src, dst) order, decoded one cell at a time. *)
 let iter t f =
   let nh = Array.length t.hosts in
   for s = 0 to nh - 1 do
     for d = 0 to nh - 1 do
-      Option.iter (f t.hosts.(s) t.hosts.(d)) t.routes.(d).(s)
+      Option.iter (f t.hosts.(s) t.hosts.(d)) (Cell.to_route t.cells t.routes.(d).(s))
     done
   done
 
 let all t =
-  let nh = Array.length t.hosts in
   let acc = ref [] in
-  for s = nh - 1 downto 0 do
-    for d = nh - 1 downto 0 do
-      match t.routes.(d).(s) with
-      | Some r -> acc := (t.hosts.(s), t.hosts.(d), r) :: !acc
-      | None -> ()
-    done
-  done;
-  !acc
+  iter t (fun src dst r -> acc := (src, dst, r) :: !acc);
+  List.rev !acc
 
 let unreachable_pairs t =
   let nh = Array.length t.hosts in
   let acc = ref [] in
   for s = nh - 1 downto 0 do
     for d = nh - 1 downto 0 do
-      if s <> d && t.routes.(d).(s) = None then
+      if s <> d && t.routes.(d).(s) = Cell.none then
         acc := (t.hosts.(s), t.hosts.(d)) :: !acc
     done
   done;
@@ -244,12 +256,16 @@ type length_stats = { pairs : int; min_len : int; avg_len : float; max_len : int
 
 let length_stats t =
   let n = ref 0 and mn = ref max_int and mx = ref 0 and sum = ref 0 in
-  iter t (fun _ _ r ->
-      let len = List.length r in
-      incr n;
-      mn := min !mn len;
-      mx := max !mx len;
-      sum := !sum + len);
+  Array.iter
+    (Array.iter (fun c ->
+         if c <> Cell.none then begin
+           let len = Cell.length t.cells c in
+           incr n;
+           mn := min !mn len;
+           mx := max !mx len;
+           sum := !sum + len
+         end))
+    t.routes;
   if !n = 0 then { pairs = 0; min_len = 0; avg_len = 0.0; max_len = 0 }
   else
     {

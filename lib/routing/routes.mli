@@ -13,6 +13,9 @@ open San_topology
 open San_simnet
 
 type t
+(** One row per destination host, one {!Cell} per source host: a
+    route is one int, packed inline when short enough and otherwise a
+    cell of the table's shared-suffix pool ({!cells}). *)
 
 val compute :
   ?rng:San_util.Prng.t ->
@@ -28,12 +31,13 @@ val compute :
     by their {!Paths.anchor} (on a switch-rooted order, the edge
     switch each host hangs off) and each group is compiled whole with
     {!Paths.compile}: one backward BFS and one exit memo per anchor,
-    then per destination one memoised turn suffix per phase state, so
-    a route costs one cons and one [Some] and routes toward a
-    destination share their tails. With [prefer] or [rng] every pair
-    is walked by {!Paths.route_into}, destination-major, so seeded
-    draws are consumed one per hop in walk order. Either way the table
-    is the one the pair compiler's walks give.
+    then per destination one memoised suffix cell per phase state, so
+    a route costs a shift and an or (a long route one pool cell on top
+    of its tail's). With [prefer] or [rng] every pair is walked by
+    {!Paths.route_into}, destination-major, so seeded draws are
+    consumed one per hop in walk order, and each walk is packed into
+    its cell. Either way the table is the one the pair compiler's walks
+    give.
 
     Deterministic by default — identical fabrics yield byte-identical
     tables (ties go to the first shortest continuation and wire in
@@ -45,10 +49,13 @@ val compute :
 
     [previous] is the last epoch's table, routes that persist: nodes
     are matched to its nodes by name (and kind), once, and the new
-    table starts from the previous one's rows, one per destination,
-    shared physically; a row is copied only when a changed cell is
-    stored into it, so a compile that changes nothing copies [nh] row
-    pointers, not [nh²] cells. The two wirings are compared once
+    table starts from the previous one's rows of cells, one int array
+    per destination, shared physically; a row is copied only when a
+    changed cell is stored into it, so a compile that changes nothing
+    copies [nh] row pointers, not [nh²] cells. The new table keeps the
+    previous one's cell store (its pool grows with the new long
+    routes), so a kept cell reads the same and an unchanged route is an
+    equal int. The two wirings are compared once
     ({!Paths.prior}). When the difference is only wires removed, an
     anchor none of whose recorded exits leaves on a removed port keeps
     every row behind it without a BFS or a scan ({!Paths.reuse}):
@@ -61,7 +68,8 @@ val compute :
     [previous] gives, whatever the two graphs are. When both tables
     have the same hosts by name, the new one also records which pairs
     changed ({!iter_changed}), so {!San_service.Delta} plans from that
-    list. [previous] is ignored with [prefer] or [rng], and a [prefer]
+    list. [previous] is ignored with [prefer] or [rng] and over a graph
+    of another radix (whose cells have another layout), and a [prefer]
     or [rng] table keeps no record for a later compile. *)
 
 val rewalked : t -> int
@@ -88,12 +96,20 @@ val updown : t -> Updown.t
 val route : t -> src:Graph.node -> dst:Graph.node -> Route.t option
 (** The turn string from [src] to [dst]; [None] when no compliant path
     exists, for [src = dst], and when either end is not a host of the
-    graph. Two slot reads and two table reads: one row per destination
-    slot, one cell per source slot. *)
+    graph. Two slot reads and two table reads, one row per destination
+    slot and one cell per source slot, then the cell decoded. *)
+
+val cell : t -> src:Graph.node -> dst:Graph.node -> int
+(** {!route}'s cell, not decoded: {!Cell.none} wherever [route] is
+    [None]. Read it with {!cells}. *)
+
+val cells : t -> Cell.t
+(** The store every cell of the table is of. *)
 
 val iter : t -> (Graph.node -> Graph.node -> Route.t -> unit) -> unit
 (** Every computed route as [f src dst turns], in ascending
-    [(src, dst)] order, without building {!all}'s list. *)
+    [(src, dst)] order, decoded one cell at a time, without building
+    {!all}'s list. *)
 
 val all : t -> (Graph.node * Graph.node * Route.t) list
 (** Every computed route, in ascending [(src, dst)] order. *)

@@ -13,60 +13,20 @@
     idea — never ship or store bytes the receiver can already derive —
     from {e between} epochs to {e within} a table.
 
-    A table holds one int per source host. A route whose turns fit in
-    one word is packed into its cell: the turn width comes from the
-    radix (a turn, offset by the radix, in as many bits as
-    [2 · radix − 1] needs), the length sits in the low bits, and
-    {!inline_turns} is how many turns fit. A longer route's cell holds
-    its pool cell index instead, and a pair with no route a marker.
-    Every route is interned into the pool either way, so {!stats} do
-    not depend on which routes were packed.
+    A table holds one {!Cell} per source host: a route short enough
+    ({!inline_turns}) is packed into its cell, a longer one is the
+    index of its pool cell, and a pair with no route is {!Cell.none}.
 
     The hot path ({!lookup_into}) is allocation-free once a
     destination's table is warm: one array read finds the table, one
-    more its cell; an inline cell is unpacked into the caller's buffer
-    with shifts, and a pool cell is read back one turn per cell. *)
+    more its cell, which {!Cell.write} unpacks into the caller's buffer
+    with shifts or reads back from the pool one turn per cell. *)
 
 open San_topology
 
-(** Hash-consed route storage: each cell is a turn plus a shared
-    suffix; a route is a cell index. Interning is cold-path; reading
-    back never allocates. *)
-module Pool : sig
-  type t
-
-  val create : unit -> t
-
-  val add : t -> San_simnet.Route.t -> int
-  (** Intern a turn string, sharing any suffix already present.
-      Returns the route's cell index ([-1] for the empty route). *)
-
-  val write : t -> int -> int array -> int
-  (** [write t idx buf] reconstructs the route into [buf.(0..len-1)]
-      and returns [len]. Allocation-free. [buf] must have room;
-      {!max_depth} bounds the need. *)
-
-  val to_route : t -> int -> San_simnet.Route.t
-  (** Allocating convenience inverse of {!add}. *)
-
-  val cells : t -> int
-  (** Distinct (turn, suffix) cells — the pool's resident size. *)
-
-  val entries : t -> int
-  (** Routes interned (lifetime, duplicates counted). *)
-
-  val turns_total : t -> int
-  (** Turns summed over interned routes — what naive storage holds. *)
-
-  val max_depth : t -> int
-  (** Longest interned route; sizes {!write} buffers. *)
-
-  val packed_bytes : t -> int
-  (** Wire cost of the pooled encoding: a 3-byte route reference per
-      entry plus 4 bytes per cell (turn byte + 3-byte suffix
-      reference). Compare with [3 + length] per naive entry
-      ({!Distribute.entry_bytes}). *)
-end
+module Pool = Cell.Pool
+(** Every route a table holds is interned into its pool, so {!stats}
+    do not depend on which routes were packed. *)
 
 type t
 
@@ -95,11 +55,10 @@ val lookup_into : t -> src:Graph.node -> dst:Graph.node -> buf:int array -> int
     included), or no compliant route exists. Compiles the
     destination's table on first touch; afterwards the path is
     allocation-free: the table is read at [dst], its cell at [src]'s
-    host slot, and the route unpacked from an inline cell or, past
-    {!inline_turns} turns, read back from the pool with
-    {!Pool.write}. Size [buf] with {!max_route_len}. Slots past the
-    route's length, up to [inline_turns], may be overwritten too when
-    [buf] has them. *)
+    host slot, and {!Cell.write} unpacks it or reads it back from the
+    pool. Size [buf] with {!max_route_len}. Slots past the route's
+    length, up to [inline_turns], may be overwritten too when [buf] has
+    them. *)
 
 val lookup : t -> src:Graph.node -> dst:Graph.node -> San_simnet.Route.t option
 (** Allocating convenience wrapper over {!lookup_into}. *)
@@ -125,16 +84,13 @@ val max_route_len : t -> int
 (** Longest route compiled so far; [lookup_into] buffers of
     [Graph.num_nodes] are always safe. *)
 
-val graph : t -> Graph.t
-val updown : t -> Updown.t
-
 type stats = {
   destinations : int;  (** per-destination tables compiled (lifetime) *)
   resident : int;  (** tables currently cached *)
   entries : int;  (** routes interned into the pool (lifetime) *)
   pool_cells : int;  (** distinct cells — the sharing denominator *)
   turns_total : int;  (** turns a naive table would store *)
-  packed_bytes : int;  (** pooled wire cost ({!Pool.packed_bytes}) *)
+  packed_bytes : int;  (** pooled wire cost ({!Cell.Pool.packed_bytes}) *)
   naive_bytes : int;  (** [3 + length] per entry, summed *)
 }
 

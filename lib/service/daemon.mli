@@ -50,8 +50,6 @@ type verdict =
   | Backing_off  (** degraded, waiting out the backoff window *)
   | Halted  (** no responding host to lead this epoch *)
 
-val verdict_to_string : verdict -> string
-
 type incident = {
   detected_epoch : int;
   resolved_epoch : int;

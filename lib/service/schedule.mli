@@ -52,8 +52,6 @@ val to_string : t -> string
 (** The [parse] syntax back; [parse (to_string t)] re-reads [t], which
     is how fuzz counterexamples print replayable schedules. *)
 
-val action_to_string : action -> string
-
 val scenario : ?epochs:int -> string -> ((int * action) list, string) result
 (** Named adversarial presets scaled to the run length (default 12
     epochs): ["storm"] (correlated failure bursts), ["rolling"] (a

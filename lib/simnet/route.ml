@@ -1,13 +1,6 @@
 type turn = int
 type t = turn list
 
-let rec equal a b =
-  a == b
-  ||
-  match (a, b) with
-  | (x : int) :: a, y :: b -> x = y && equal a b
-  | _ -> false
-
 let host_probe turns = turns
 
 let switch_probe turns = turns @ (0 :: List.rev_map (fun a -> -a) turns)

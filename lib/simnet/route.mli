@@ -11,10 +11,6 @@ type turn = int
 
 type t = turn list
 
-val equal : t -> t -> bool
-(** Turn-by-turn equality without a closure, stopping at a physically
-    shared tail. *)
-
 val host_probe : t -> t
 (** The host-probe route is the turn string itself: [a1 ... ak]. *)
 

@@ -35,11 +35,6 @@ type metric =
       (** distribution messages lost, missed slices / messages sent —
           unlike [Drop_rate], which reads the background load *)
 
-val metric_to_string : metric -> string
-val metric_of_string : string -> metric option
-(** The metrics an SLO spec may name: [converge], [epoch], [drop],
-    [coverage]. The health-only metrics have no spelling. *)
-
 type cmp = Below | Above
 
 type objective = private {
@@ -65,9 +60,6 @@ val objective :
   objective
 (** Defaults: p95, any load, 20-epoch window, raise after 2 sustained
     epochs. @raise Invalid_argument on a quantile outside (0,1). *)
-
-val budget : objective -> float
-(** The error budget, [1 - quantile]. *)
 
 val parse : string -> (objective, string) result
 (** [METRIC:pNN<LIMIT[@MAXLOAD]] (or [>] for lower-bound objectives

@@ -117,11 +117,3 @@ let of_records records =
          ("traceEvents", J.Arr (metadata @ evs));
          ("displayTimeUnit", J.Str "ms");
        ])
-
-let to_file records path =
-  let oc = open_out path in
-  Fun.protect
-    ~finally:(fun () -> close_out oc)
-    (fun () ->
-      output_string oc (of_records records);
-      output_char oc '\n')

@@ -13,4 +13,3 @@ val of_records : San_obs.Trace.record list -> string
 (** One compact JSON document
     [{"traceEvents": [...], "displayTimeUnit": "ms"}]. *)
 
-val to_file : San_obs.Trace.record list -> string -> unit

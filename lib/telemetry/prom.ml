@@ -68,9 +68,3 @@ let parse_values text =
              (match float_of_string_opt value with
              | Some f -> Some (series, f)
              | None -> None))
-
-let to_file ?prefix s path =
-  let oc = open_out path in
-  Fun.protect
-    ~finally:(fun () -> close_out oc)
-    (fun () -> output_string oc (of_snapshot ?prefix s))

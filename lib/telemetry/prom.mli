@@ -15,4 +15,3 @@ val parse_values : string -> (string * float) list
     by {!of_snapshot} recover exactly — the round-trip test's
     contract. *)
 
-val to_file : ?prefix:string -> San_obs.Metrics.snapshot -> string -> unit

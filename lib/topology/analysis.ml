@@ -50,10 +50,6 @@ let eccentricity_into g ~dist ~queue src =
   done;
   ecc
 
-let eccentricity g src =
-  let dist, queue = bfs_arrays g in
-  eccentricity_into g ~dist ~queue src
-
 let diameter g =
   let dist, queue = bfs_arrays g in
   Graph.fold_nodes g ~init:0 ~f:(fun acc n ->

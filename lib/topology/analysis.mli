@@ -9,9 +9,6 @@ val bfs_distances : Graph.t -> Graph.node -> int array
 
 val distance : Graph.t -> Graph.node -> Graph.node -> int option
 
-val eccentricity : Graph.t -> Graph.node -> int
-(** Greatest finite distance from the node to any reachable node. *)
-
 val diameter : Graph.t -> int
 (** Greatest distance between any two connected nodes; 0 for graphs
     with fewer than two nodes. *)

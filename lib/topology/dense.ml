@@ -34,8 +34,6 @@ let of_graph g =
   done;
   { c_radix = Graph.radix g; c_nodes = n; c_kind; c_name; c_off; c_node; c_peer }
 
-let radix t = t.c_radix
-let num_nodes t = t.c_nodes
 let num_channels t = t.c_off.(t.c_nodes)
 
 let channel_of t (n, p) =
@@ -51,8 +49,6 @@ let end_of t c =
     (n, c - t.c_off.(n))
 
 let peer t c = t.c_peer.(c)
-let kind t n = t.c_kind.(n)
-let name t n = t.c_name.(n)
 
 let to_graph t =
   let g = Graph.create ~radix:t.c_radix () in

@@ -16,9 +16,6 @@ type t
 
 val of_graph : Graph.t -> t
 
-val radix : t -> int
-val num_nodes : t -> int
-
 val num_channels : t -> int
 (** Total wire ends: the sum of every node's port count. *)
 
@@ -32,9 +29,6 @@ val end_of : t -> int -> Graph.wire_end
 val peer : t -> int -> int
 (** Channel id on the far side of the wire plugged in at this channel,
     or [-1] when the port was vacant at snapshot time. *)
-
-val kind : t -> int -> Graph.kind
-val name : t -> int -> string
 
 val to_graph : t -> Graph.t
 (** Rebuild a fresh {!Graph.t} from the snapshot (round-trip check:

@@ -34,17 +34,7 @@ val spec_c : subcluster_spec
     irregularity: spec C's middle leaf switch has two uplinks instead
     of three. *)
 
-val build_subcluster : Graph.t -> subcluster_spec -> handle
-(** Add a subcluster to an existing graph (used to compose the full
-    NOW); raises [Invalid_argument] if the spec does not fit the switch
-    radix. *)
-
 val subcluster : ?radix:int -> subcluster_spec -> Graph.t * handle
-
-val now : ?radix:int -> subcluster_spec list -> Graph.t * handle list
-(** Join subclusters in a chain with two root-to-root wires between
-    each adjacent pair, mirroring the incremental construction of the
-    100-node NOW (Figure 5). *)
 
 val now_c : unit -> Graph.t * handle
 (** The C subcluster (the paper's Figure 4 network). *)

@@ -7,6 +7,4 @@ let pop = Queue.take
 let peek t = Queue.peek_opt t
 let length = Queue.length
 let is_empty = Queue.is_empty
-let clear = Queue.clear
-let iter = Queue.iter
 let to_list t = List.of_seq (Queue.to_seq t)

@@ -17,6 +17,4 @@ val pop : 'a t -> 'a
 val peek : 'a t -> 'a option
 val length : 'a t -> int
 val is_empty : 'a t -> bool
-val clear : 'a t -> unit
-val iter : ('a -> unit) -> 'a t -> unit
 val to_list : 'a t -> 'a list

@@ -31,8 +31,6 @@ let percentile samples p =
     let idx = int_of_float (ceil (p *. float_of_int n)) - 1 in
     a.(max 0 (min (n - 1) idx))
 
-let pp ppf t = Format.fprintf ppf "%.0f / %.0f / %.0f" t.min t.avg t.max
-
 let pp_ms ppf t =
   let ms x = x /. 1e6 in
   Format.fprintf ppf "%.0f / %.0f / %.0f" (ms t.min) (ms t.avg) (ms t.max)

@@ -19,9 +19,6 @@ val percentile : float list -> float -> float
 (** [percentile samples p] with [p] in \[0,1\]; nearest-rank on the
     sorted samples. *)
 
-val pp : Format.formatter -> t -> unit
-(** Renders as ["min / avg / max"], matching the paper's tables. *)
-
 val pp_ms : Format.formatter -> t -> unit
 (** Same, but interprets the samples as nanoseconds and prints
     milliseconds with no decimals, like Figure 7. *)

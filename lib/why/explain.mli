@@ -18,12 +18,6 @@ type query =
 
 val parse_query : string -> (query, string) result
 
-val resolve_name :
-  ?actual:Graph.t -> map:Graph.t -> string -> (Graph.node, string) result
-(** A node of [map] by name: map names directly; with [actual], actual
-    switch/host names too, through {!Diff.correspond} anchored at the
-    shared hosts. *)
-
 val host_vid : Why.snapshot -> Replay.t -> name:string -> int option
 (** Canonical vid of the class holding the named host vertex. *)
 

@@ -16,10 +16,6 @@ val read : string -> (t, string) result
 (** Parse a flight JSON-lines file; unparseable lines are an error
     (the writer is crash-safe, so a half file should never exist). *)
 
-val open_alerts : t -> (string * int) list
-(** Alerts raised in the recording and never cleared, with the epoch
-    each was raised at. *)
-
 val timeline : t -> string list
 (** Human-readable control-plane happenings, oldest first. *)
 

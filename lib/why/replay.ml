@@ -26,7 +26,6 @@ let rec resolve parent shift v =
 let find t v = resolve t.parent t.shift v
 let live t v = not (Hashtbl.mem t.dead (fst (find t v)))
 let members t c = Option.value ~default:[] (Hashtbl.find_opt t.r_members c)
-let base t c = Option.value ~default:0 (Hashtbl.find_opt t.bases c)
 
 let build snap =
   let parent = Hashtbl.create 64 and shift = Hashtbl.create 64 in

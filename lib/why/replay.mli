@@ -32,10 +32,6 @@ type edge_view = {
 
 val live_edges : t -> edge_view list
 
-val base : t -> int -> int
-(** Minimum live canonical slot of a switch class — the normalisation
-    {!San_mapper.Model.to_graph} applies, so [ev_pa]/[ev_pb] agree
-    with the exported map's port numbers. *)
 
 val edge_at : t -> a:int -> pa:int -> b:int -> pb:int -> edge_view option
 (** The live edge joining map ports [(mA, pa)] and [(mB, pb)], in

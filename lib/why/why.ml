@@ -191,7 +191,6 @@ let pruned s = List.rev s.l_prunes
 let vertex_birth s ~vid = Hashtbl.find_opt s.births vid
 let vertex_kind s ~vid = Hashtbl.find_opt s.kinds vid
 let vertices s = List.sort compare (Hashtbl.fold (fun v _ acc -> v :: acc) s.births [])
-let root_retraction s = s.l_root_retraction
 let root_confirmation s = s.l_root_confirmation
 let orientation s ~key = Hashtbl.find_opt s.orients key
 let probe_by_turns s ~kind ~turns =

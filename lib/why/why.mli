@@ -127,8 +127,6 @@ val vertex_kind : snapshot -> vid:int -> [ `Host of string | `Switch ] option
 val vertices : snapshot -> int list
 (** Vids with a recorded birth. *)
 
-val root_retraction : snapshot -> int option
-
 val root_confirmation : snapshot -> (int * int) option
 (** [(root vid, did)] when the turn-0 self-probe confirmed the
     assumed root switch. *)

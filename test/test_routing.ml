@@ -496,7 +496,7 @@ let test_persist_converge () =
             if same <> not (Hashtbl.mem changed (src, dst)) then
               Alcotest.failf "%s: pair %d->%d %s" what src dst
                 (if same then "listed as changed" else "missing from the changes");
-            if same && Routes.route t1 ~src ~dst != Routes.route t0 ~src:src0 ~dst:dst0
+            if same && Routes.cell t1 ~src ~dst <> Routes.cell t0 ~src:src0 ~dst:dst0
             then Alcotest.failf "%s: unchanged pair %d->%d not kept" what src dst)
           (Graph.hosts g1))
       (Graph.hosts g1)
@@ -520,7 +520,7 @@ let test_persist_unchanged () =
         (fun src ->
           List.iter
             (fun dst ->
-              if Routes.route t1 ~src ~dst != Routes.route t0 ~src ~dst then
+              if Routes.cell t1 ~src ~dst <> Routes.cell t0 ~src ~dst then
                 Alcotest.failf "%s: %d->%d not kept" what src dst)
             (Graph.hosts g))
         (Graph.hosts g);
@@ -653,7 +653,7 @@ let test_persist_alloc () =
     (fun dst ->
       List.iter
         (fun src ->
-          if Routes.route !t1 ~src ~dst != Routes.route t0 ~src ~dst then
+          if Routes.cell !t1 ~src ~dst <> Routes.cell t0 ~src ~dst then
             Alcotest.failf "%d->%d not kept" src dst)
         (Graph.hosts g))
     (Graph.hosts g)
@@ -670,11 +670,12 @@ let test_persist_fuzz () =
     | Error e -> Alcotest.failf "fuzz seed %d: %s" seed e
   done
 
-(* A compiled route costs one [Some] and one cons beyond the tail it
-   shares: on ft-1k the whole compute (orientation, distance vectors,
-   table) stays within 14 words per routed pair, where the
-   pair-by-pair compiler took about 25. Two hosts on one edge switch
-   share their route's tail toward a host on another edge switch. *)
+(* A compiled route costs a shift and an or, a long one a pool cell
+   beyond the tail it shares: on ft-1k the whole compute (orientation,
+   distance vectors, table) stays within 14 words per routed pair,
+   where the pair-by-pair compiler took about 25. The routes longer
+   than a cell holds share their tails in the table's pool, which holds
+   under a quarter of their turns. *)
 let test_compile_alloc_and_sharing () =
   let g = fabric "ft-1k" in
   let before = Alloc.counter () in
@@ -685,15 +686,16 @@ let test_compile_alloc_and_sharing () =
   Alcotest.(check bool)
     (Printf.sprintf "%.1f words per routed pair" per_pair)
     true (per_pair <= 14.0);
-  let edge h = fst (Option.get (Graph.peer g h 0)) in
-  let hosts = Graph.hosts g in
-  let a = List.hd hosts in
-  let b = List.find (fun h -> h <> a && edge h = edge a) hosts in
-  let dst = List.find (fun h -> edge h <> edge a) hosts in
-  match (Routes.route table ~src:a ~dst, Routes.route table ~src:b ~dst) with
-  | Some (_ :: ta), Some (_ :: tb) ->
-    Alcotest.(check bool) "tails physically shared" true (ta == tb)
-  | _ -> Alcotest.fail "no route across edge switches"
+  let cells = Routes.cells table in
+  let long_turns = ref 0 in
+  Routes.iter table (fun _ _ r ->
+      let len = List.length r in
+      if len > Cell.inline_turns cells then long_turns := !long_turns + len);
+  let pooled = Cell.Pool.cells (Cell.pool cells) in
+  Alcotest.(check bool)
+    (Printf.sprintf "%d pool cells for %d long-route turns" pooled !long_turns)
+    true
+    (!long_turns > 0 && 4 * pooled < !long_turns)
 
 (* Walks toward one destination after another refill one distance
    vector in place: on ft-100, [route_into] from every host toward ten
@@ -755,12 +757,14 @@ let test_shared_vector () =
             then Alcotest.failf "%s: route %d->%d differs" what src dst)
           hosts
       in
-      let into = Array.init nh (fun _ -> Array.make nh None) in
+      let cells = Cell.create ~radix:(Graph.radix g) in
+      let into = Array.init nh (fun _ -> Array.make nh Cell.none) in
       Array.iteri
         (fun i anchor ->
           let here = fst (List.hd behind.(anchor)) in
           walk here;
-          ignore (Paths.compile pt ~anchor ~dsts:behind.(anchor) ~srcs:hosts ~into);
+          ignore
+            (Paths.compile pt ~cells ~anchor ~dsts:behind.(anchor) ~srcs:hosts ~into);
           walk here;
           Array.iter
             (fun src ->
@@ -779,7 +783,9 @@ let test_shared_vector () =
         (fun d dst ->
           Array.iteri
             (fun s src ->
-              if into.(d).(s) <> Routes_reference.route reference ~src ~dst
+              if
+                Cell.to_route cells into.(d).(s)
+                <> Routes_reference.route reference ~src ~dst
               then Alcotest.failf "%s: compiled %d->%d differs" what src dst)
             hosts)
         hosts)
@@ -1050,6 +1056,143 @@ let test_distribution_under_traffic () =
       rep.Distribute.duration_ns
   | Error e -> Alcotest.failf "distribution failed: %s" e
 
+(* ---------- the route cell ---------- *)
+
+(* Every radix from 2 to 64 and every length up to four past what a
+   cell packs, turns drawn from the whole range a switch of that radix
+   can make: the cell decodes to the route, its length is the route's,
+   and the cell built turn by turn from the back with [cons] is the one
+   [pack] gives (one cell per route, inline or pooled). *)
+let test_cell_round_trip () =
+  let rng = San_util.Prng.create 37 in
+  for radix = 2 to 64 do
+    let cells = Cell.create ~radix in
+    let inline = Cell.inline_turns cells in
+    let buf = Array.make (inline + 4) 0 and out = Array.make (inline + 4) 0 in
+    for len = 0 to inline + 4 do
+      for _ = 1 to 20 do
+        for i = 0 to len - 1 do
+          buf.(i) <- San_util.Prng.int rng ((2 * radix) - 1) - (radix - 1)
+        done;
+        let route = Array.to_list (Array.sub buf 0 len) in
+        let c = Cell.pack cells buf len in
+        let what = Printf.sprintf "radix %d, %d turns" radix len in
+        if Cell.length cells c <> len then
+          Alcotest.failf "%s: length %d" what (Cell.length cells c);
+        if Cell.to_route cells c <> Some route then Alcotest.failf "%s: to_route" what;
+        let n = Cell.write cells c out in
+        if n <> len || Array.sub out 0 n <> Array.sub buf 0 len then
+          Alcotest.failf "%s: write" what;
+        let consed = ref Cell.empty in
+        for i = len - 1 downto 0 do
+          consed := Cell.cons cells buf.(i) !consed
+        done;
+        if !consed <> c then Alcotest.failf "%s: cons and pack disagree" what
+      done
+    done;
+    Alcotest.(check int) (Printf.sprintf "radix %d: none has no length" radix) (-1)
+      (Cell.length cells Cell.none)
+  done
+
+(* Tables compiled without [previous], each with its own pool, on a
+   3x20 mesh (routes up to 22 turns, past the 14 a cell packs): the
+   mesh, the mesh with its node ids reversed (the same routes, pooled
+   in another order) and the mesh without one switch-to-switch wire.
+   Across two stores, two cells are equal exactly when their routes
+   are. *)
+let test_cell_equal_across_pools () =
+  let g = Generators.mesh ~rows:3 ~cols:20 () in
+  let g' = reversed g in
+  let cut = Graph.copy g in
+  Graph.disconnect cut
+    (fst
+       (List.find
+          (fun ((u, _), (v, _)) -> not (Graph.is_host g u || Graph.is_host g v))
+          (List.rev (Graph.wires g))));
+  let a = Routes.compute g and b = Routes.compute g' and c = Routes.compute cut in
+  let hosts = Array.of_list (Graph.hosts g) in
+  let nh = Array.length hosts in
+  let counterpart n = Option.get (Graph.host_by_name g' (Graph.name g n)) in
+  let decoded = ref 0 in
+  let check (x_table, src, dst) (y_table, src', dst') =
+    let x = Routes.cell x_table ~src ~dst
+    and y = Routes.cell y_table ~src:src' ~dst:dst' in
+    let same =
+      Routes.route x_table ~src ~dst = Routes.route y_table ~src:src' ~dst:dst'
+    in
+    if same && x <> y then incr decoded;
+    if Cell.equal (Routes.cells x_table) x (Routes.cells y_table) y <> same then
+      Alcotest.failf "%d->%d against %d->%d: cell equality is not route equality" src
+        dst src' dst
+  in
+  Array.iteri
+    (fun i src ->
+      Array.iter
+        (fun dst ->
+          check (a, src, dst) (b, counterpart src, counterpart dst);
+          check (a, src, dst) (c, src, dst);
+          check (a, src, dst) (c, hosts.((i + 1) mod nh), dst))
+        hosts)
+    hosts;
+  Alcotest.(check bool)
+    (Printf.sprintf "%d equal routes under unequal pool cells" !decoded)
+    true (!decoded > 0)
+
+(* Long routes across epochs: a 3x20 mesh, then the mesh without one
+   switch-to-switch wire compiled against it. The new table keeps the
+   previous one's store, so its kept pool cells still read their
+   routes, and it is the pair-by-pair reference's table. *)
+let test_cell_pooled_persist () =
+  let g = Generators.mesh ~rows:3 ~cols:20 () in
+  let t0 = Routes.compute g in
+  let cut = Graph.copy g in
+  Graph.disconnect cut
+    (fst
+       (List.find
+          (fun ((u, _), (v, _)) -> not (Graph.is_host g u || Graph.is_host g v))
+          (Graph.wires g)));
+  let t1 = agrees_with_reference ~previous:t0 "mesh 3x20 after a cut" cut in
+  Alcotest.(check bool) "store kept" true (Routes.cells t1 == Routes.cells t0);
+  let kept = ref 0 in
+  List.iter
+    (fun src ->
+      List.iter
+        (fun dst ->
+          let c = Routes.cell t1 ~src ~dst in
+          if c >= 0 && c = Routes.cell t0 ~src ~dst then incr kept)
+        (Graph.hosts g))
+    (Graph.hosts g);
+  Alcotest.(check bool) (Printf.sprintf "%d pooled cells kept" !kept) true (!kept > 0)
+
+(* The serving plane's per-pair build and the daemon's table agree:
+   every destination's [Serve] row reads back the routes of its
+   [Routes] row, on a small fat tree without [prefer]. *)
+let test_cell_serve_rows () =
+  let g = fabric "levels=2,radix=8,edge=4,hosts=4" in
+  let table = Routes.compute g and serve = Serve.create ~cache_limit:4 g in
+  let hosts = Graph.hosts g in
+  List.iter
+    (fun dst ->
+      List.iter
+        (fun src ->
+          if Serve.lookup serve ~src ~dst <> Routes.route table ~src ~dst then
+            Alcotest.failf "%d->%d: serve and routes differ" src dst)
+        hosts)
+    hosts
+
+(* The daemon's resident routes on converge-ft400's fabric: the table
+   (rows of cells, the orientation, the graph and the compile record)
+   plus a ledger of every host's slice, in live words. Two int rows of
+   401 cells per host, about 321k words, and the rest under 100k: the
+   list-based table held 1,263,232 words here. *)
+let test_cell_live_words () =
+  let table = Routes.compute (fabric "levels=3,radix=16,edge=50,hosts=8") in
+  let ledger = San_service.Delta.of_routes table in
+  let words = Obj.reachable_words (Obj.repr (table, ledger)) in
+  Alcotest.(check bool)
+    (Printf.sprintf "%d live words (bound 420,000)" words)
+    true (words <= 420_000)
+
 let routes_sound_prop =
   QCheck.Test.make ~name:"routes on random nets: deliver, comply, acyclic"
     ~count:30
@@ -1077,6 +1220,14 @@ let () =
           Alcotest.test_case "dominant relabelling" `Quick test_dominant_relabelling;
         ] );
       ("paths", [ Alcotest.test_case "distances" `Quick test_paths_distances ]);
+      ( "cell",
+        [
+          Alcotest.test_case "round trip" `Quick test_cell_round_trip;
+          Alcotest.test_case "equality across pools" `Quick test_cell_equal_across_pools;
+          Alcotest.test_case "serve rows are table rows" `Quick test_cell_serve_rows;
+          Alcotest.test_case "pooled routes across epochs" `Quick test_cell_pooled_persist;
+          Alcotest.test_case "table and ledger live words" `Quick test_cell_live_words;
+        ] );
       ( "routes",
         [
           Alcotest.test_case "NOW" `Quick test_routes_now;
