@@ -191,15 +191,17 @@ perf-serve-smoke:
 	sh bench/perf/run.sh --workload serve-ft1k --seed 1 --trace 1
 
 # The provenance ledger end to end: explain a Figure-3 switch and a
-# route (with the evidence DOT), attribute a map diff to the probes
-# that caused it, then drive a small daemon into Degraded and read the
-# flight recording back with `postmortem`.
+# route (with the evidence DOT), attribute two map diffs (hosts and
+# switches; links lost and appeared) to the probes that caused them,
+# then drive a small daemon into Degraded and read the flight
+# recording back with `postmortem`.
 explain-smoke:
 	mkdir -p _artifacts
 	dune exec bin/san_map.exe -- explain -t cab --why switch:C-leaf0 \
 	  --dot _artifacts/why-C-leaf0.dot
 	dune exec bin/san_map.exe -- explain -t cab --why 'route:C-h2->C-h9'
 	dune exec bin/san_map.exe -- blame --old star:2 --new star:4
+	dune exec bin/san_map.exe -- blame --old mesh:3:3 --new torus:3:3
 	dune exec bin/san_map.exe -- daemon -t star:3 --epochs 5 --quiet \
 	  --schedule 2:kill-leader,3:kill-leader,4:kill-leader
 	dune exec bin/san_map.exe -- postmortem \

@@ -318,7 +318,10 @@ let run_diff old_file new_file =
   let new_map = load_map new_file in
   (match Diff.diff ~old_map ~new_map with
   | [] -> Format.printf "maps are identical (up to port offsets)@."
-  | changes -> List.iter (fun c -> Format.printf "%a@." Diff.pp_change c) changes);
+  | changes ->
+    List.iter
+      (fun c -> Format.printf "%a@." (Diff.pp_change ~old_map ~new_map) c)
+      changes);
   0
 
 let run_verify (t : Cli.topology) mapper_name prev_file json obs =

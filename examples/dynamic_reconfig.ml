@@ -20,7 +20,12 @@ let report_changes map =
     match Diff.diff ~old_map ~new_map:map with
     | [] -> Format.printf "         no change since last epoch@."
     | changes ->
-      List.iter (fun c -> Format.printf "         change: %a@." Diff.pp_change c) changes)
+      List.iter
+        (fun c ->
+          Format.printf "         change: %a@."
+            (Diff.pp_change ~old_map ~new_map:map)
+            c)
+        changes)
 
 let cycle epoch g =
   let mapper = Option.get (Graph.host_by_name g "C-util") in

@@ -41,7 +41,10 @@ let epoch n g =
       | Incremental.Changed d, Ok m ->
         (* 3: tell the operator what moved. *)
         List.iter
-          (fun c -> Format.printf "  change: %a@." Diff.pp_change c)
+          (fun c ->
+            Format.printf "  change: %a@."
+              (Diff.pp_change ~old_map:previous ~new_map:m)
+              c)
           (Diff.diff ~old_map:previous ~new_map:m);
         ( m,
           Printf.sprintf "%d discrepancies; %s, total %.0f ms" d

@@ -271,12 +271,7 @@ let explore_from ?expand ?probe_budget ?tick ~policy ~depth_used ~record_trace
     model seeds
 
 let finish ~model ~explorations ~elapsed ~depth_used ~trace net =
-  Model.prune model;
-  let map =
-    match Model.to_graph model with
-    | g -> Ok g
-    | exception Model.Inconsistent m -> Error m
-  in
+  let map = Model.export model in
   {
     map;
     explorations;

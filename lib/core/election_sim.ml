@@ -176,10 +176,7 @@ let run ?(policy = Berkeley.faithful) ?(depth = Berkeley.Oracle)
       Berkeley.explore_service ~policy ~depth_used ~record_trace:false sv model
         [ Model.root_switch model ]
     in
-    Model.prune model;
-    match Model.to_graph model with
-    | map -> Ok map
-    | exception Model.Inconsistent msg -> Error msg
+    Model.export model
   in
   let start m = match_with (fiber m) () (handler m) in
   let resolve p resp cost =
@@ -294,7 +291,7 @@ let run ?(policy = Berkeley.faithful) ?(depth = Berkeley.Oracle)
         (* Nothing can run: no fiber to start, no hardware event, no
            probe deadline, yet the winner has not finished. This is a
            scheduler invariant violation; record it instead of dying,
-           so the flight recording explains what was in flight. *)
+           so the trace explains what was in flight. *)
         let at_ns = Event_sim.now_ns sim in
         let pending =
           Array.fold_left
@@ -303,12 +300,6 @@ let run ?(policy = Berkeley.faithful) ?(depth = Berkeley.Oracle)
             0 mappers
         in
         San_obs.Obs.emit (San_obs.Trace.Mapper_stuck { at_ns; pending });
-        San_why.Flight.fatal
-          ~note:
-            (Printf.sprintf
-               "election co-simulation stuck at %.0f ns with %d mappers \
-                pending"
-               at_ns pending);
         stuck := Some (Stuck { at_ns; pending })
     end
   done;

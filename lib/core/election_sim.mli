@@ -27,8 +27,7 @@ type outcome =
       (** the co-simulation found no runnable work — no fiber to start,
           no hardware event, no probe deadline — with mappers still
           unfinished. A scheduler invariant violation: reported as data
-          (plus a {!San_obs.Trace.Mapper_stuck} event and a flight
-          recording via {!San_why.Flight.fatal}) rather than an
+          (plus a {!San_obs.Trace.Mapper_stuck} event) rather than an
           exception, so the run's evidence survives for post-mortem. *)
 
 type result = {

@@ -168,6 +168,10 @@ val to_graph : t -> Graph.t
     if a slot still holds conflicting edges (exploration was too
     shallow to merge all replicates) or a slot span exceeds the radix. *)
 
+val export : t -> (Graph.t, string) result
+(** {!prune}, then {!to_graph}: the map, or an [Error] saying why the
+    model is inconsistent. *)
+
 val known_hosts : t -> int
 (** Number of distinct host names discovered so far. *)
 

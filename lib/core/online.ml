@@ -115,12 +115,7 @@ let run ?(policy = Berkeley.faithful) ?(depth = Berkeley.Oracle)
       model
       [ Model.root_switch model ]
   in
-  Model.prune model;
-  let map =
-    match Model.to_graph model with
-    | m -> Ok m
-    | exception Model.Inconsistent m -> Error m
-  in
+  let map = Model.export model in
   (* Let the remaining traffic drain for honest whole-sim statistics. *)
   Event_sim.run sim;
   {

@@ -99,12 +99,7 @@ let run ?(policy = Berkeley.faithful) ?(depth = Berkeley.Oracle)
       model (List.rev !seeds)
   in
   elapsed := !elapsed +. bfs_elapsed;
-  Model.prune model;
-  let map =
-    match Model.to_graph model with
-    | m -> Ok m
-    | exception Model.Inconsistent m -> Error m
-  in
+  let map = Model.export model in
   {
     map;
     coupon_probes = samples;

@@ -9,24 +9,23 @@ type plan = { slices : slice list; total_bytes : int }
 let entry_bytes_of_length len = 3 + len
 let entry_bytes turns = entry_bytes_of_length (List.length turns)
 
+(* Each host's slice summed from its cells' lengths, nothing decoded. *)
 let plan table =
-  let g = Routes.graph table in
-  let per_host = Hashtbl.create 64 in
-  List.iter
-    (fun (src, _, turns) ->
-      let e, b =
-        Option.value ~default:(0, 0) (Hashtbl.find_opt per_host src)
-      in
-      Hashtbl.replace per_host src (e + 1, b + entry_bytes turns))
-    (Routes.all table);
-  let slices =
-    List.filter_map
-      (fun h ->
-        match Hashtbl.find_opt per_host h with
-        | Some (entries, bytes) -> Some { owner = h; entries; bytes }
-        | None -> None)
-      (Graph.hosts g)
+  let hosts = Graph.hosts (Routes.graph table) in
+  let cells = Routes.cells table in
+  let slice src =
+    let entries = ref 0 and bytes = ref 0 in
+    List.iter
+      (fun dst ->
+        let len = Cell.length cells (Routes.cell table ~src ~dst) in
+        if len >= 0 then begin
+          incr entries;
+          bytes := !bytes + entry_bytes_of_length len
+        end)
+      hosts;
+    { owner = src; entries = !entries; bytes = !bytes }
   in
+  let slices = List.filter (fun s -> s.entries > 0) (List.map slice hosts) in
   { slices; total_bytes = List.fold_left (fun a s -> a + s.bytes) 0 slices }
 
 type report = {

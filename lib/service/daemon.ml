@@ -139,8 +139,7 @@ let run ?(config = default_config) ?(schedule = Schedule.empty)
     let delta_bytes = ref 0 in
     let full_bytes = ref 0 in
     (* Flight recorder plumbing: a bounded recording on every
-       transition into Degraded, one more at end of run, and the
-       process-wide fatal hook pointed at the same directory. *)
+       transition into Degraded and one more at end of run. *)
     let flight ~name ~note ?epoch () =
       match config.flight_dir with
       | None -> ()
@@ -149,9 +148,6 @@ let run ?(config = default_config) ?(schedule = Schedule.empty)
           (San_why.Flight.write ~path:(Filename.concat dir name) ~note ?epoch
              ())
     in
-    if config.flight_dir <> None then
-      San_why.Flight.install_fatal (fun ~note ->
-          flight ~name:"flight-fatal.jsonl" ~note ());
     for e = 0 to epochs - 1 do
       let phases = ref [] in
       let goto p =
@@ -537,7 +533,6 @@ let run ?(config = default_config) ?(schedule = Schedule.empty)
         (Printf.sprintf "end of run after %d epochs, final phase %s" epochs
            (phase_to_string st.phase))
       ~epoch:(epochs - 1) ();
-    if config.flight_dir <> None then San_why.Flight.clear_fatal ();
     Ok
       {
         reports = List.rev !reports;

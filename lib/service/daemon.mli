@@ -118,9 +118,8 @@ type config = {
   flight_dir : string option;
       (** when set, a bounded flight recording ([flight-<epoch>.jsonl]:
           the trace ring plus the provenance ledger tail) is written to
-          this directory on every transition into [Degraded], at end of
-          run ([flight-final.jsonl]), and on fatal errors via the
-          {!San_why.Flight} hook ([flight-fatal.jsonl]) *)
+          this directory on every transition into [Degraded] and at end
+          of run ([flight-final.jsonl]) *)
   load : San_slo.Load.spec option;
       (** when set, every steady-state epoch first drives one
           background-load window over the installed route table

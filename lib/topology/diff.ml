@@ -3,22 +3,26 @@ type change =
   | Host_removed of string
   | Switch_added of int
   | Switch_removed of int
-  | Link_added of string * string
-  | Link_removed of string * string
-
-let pp_change ppf = function
-  | Host_added n -> Format.fprintf ppf "host %s appeared" n
-  | Host_removed n -> Format.fprintf ppf "host %s vanished" n
-  | Switch_added i -> Format.fprintf ppf "new switch (node %d)" i
-  | Switch_removed i -> Format.fprintf ppf "switch gone (was node %d)" i
-  | Link_added (a, b) -> Format.fprintf ppf "new link %s -- %s" a b
-  | Link_removed (a, b) -> Format.fprintf ppf "link lost %s -- %s" a b
+  | Link_added of Graph.wire_end * Graph.wire_end
+  | Link_removed of Graph.wire_end * Graph.wire_end
 
 let describe g (n, p) =
   if Graph.is_host g n then Graph.name g n
   else
     let nm = Graph.name g n in
     Format.sprintf "%s:%d" (if nm = "" then Printf.sprintf "sw%d" n else nm) p
+
+let pp_change ~old_map ~new_map ppf = function
+  | Host_added n -> Format.fprintf ppf "host %s appeared" n
+  | Host_removed n -> Format.fprintf ppf "host %s vanished" n
+  | Switch_added i -> Format.fprintf ppf "new switch (node %d)" i
+  | Switch_removed i -> Format.fprintf ppf "switch gone (was node %d)" i
+  | Link_added (a, b) ->
+    Format.fprintf ppf "new link %s -- %s" (describe new_map a)
+      (describe new_map b)
+  | Link_removed (a, b) ->
+    Format.fprintf ppf "link lost %s -- %s" (describe old_map a)
+      (describe old_map b)
 
 (* Phase 1: align the two maps as far as the evidence agrees, exactly
    like Iso/Merge_maps, but dropping (not failing on) contradictions. *)
@@ -88,44 +92,28 @@ let diff ~old_map ~new_map =
   List.iter
     (fun s -> if not (Hashtbl.mem bwd s) then add (Switch_added s))
     (Graph.switches new_map);
-  (* Wires between matched nodes. *)
-  let matched_old o = fwd.(o) <> None in
-  let matched_new n = Hashtbl.mem bwd n in
+  (* Wires between matched nodes: one is kept when the other map wires
+     the matched ends together, at the same ports up to each end's
+     shift. *)
+  let wired g a b =
+    (try Graph.neighbor g a with Invalid_argument _ -> None) = Some b
+  in
   List.iter
-    (fun (((a, pa), (b, pb)) as _w) ->
-      if matched_old a && matched_old b then begin
-        let a', sa = Option.get fwd.(a) in
-        let b', sb = Option.get fwd.(b) in
-        let still_there =
-          match
-            try Graph.neighbor new_map (a', pa + sa)
-            with Invalid_argument _ -> None
-          with
-          | Some (x, q) -> x = b' && q = pb + sb
-          | None -> false
-        in
-        if not still_there then
-          add (Link_removed (describe old_map (a, pa), describe old_map (b, pb)))
-      end)
+    (fun (((a, pa) as ea), ((b, pb) as eb)) ->
+      match (fwd.(a), fwd.(b)) with
+      | Some (a', sa), Some (b', sb) ->
+        if not (wired new_map (a', pa + sa) (b', pb + sb)) then
+          add (Link_removed (ea, eb))
+      | _ -> ())
     (Graph.wires old_map);
   List.iter
-    (fun ((a', pa'), (b', pb')) ->
-      if matched_new a' && matched_new b' then begin
-        let a = Hashtbl.find bwd a' and b = Hashtbl.find bwd b' in
-        let _, sa = Option.get fwd.(a) in
-        let _, sb = Option.get fwd.(b) in
-        let was_there =
-          match
-            try Graph.neighbor old_map (a, pa' - sa)
-            with Invalid_argument _ -> None
-          with
-          | Some (x, q) -> x = b && q = pb' - sb
-          | None -> false
-        in
-        if not was_there then
-          add
-            (Link_added (describe new_map (a', pa'), describe new_map (b', pb')))
-      end)
+    (fun (((a', pa') as ea), ((b', pb') as eb)) ->
+      match (Hashtbl.find_opt bwd a', Hashtbl.find_opt bwd b') with
+      | Some a, Some b ->
+        let sa = snd (Option.get fwd.(a)) and sb = snd (Option.get fwd.(b)) in
+        if not (wired old_map (a, pa' - sa) (b, pb' - sb)) then
+          add (Link_added (ea, eb))
+      | _ -> ())
     (Graph.wires new_map);
   List.rev !changes
 

@@ -16,18 +16,21 @@ type change =
   | Host_removed of string
   | Switch_added of int  (** node id in the new map *)
   | Switch_removed of int  (** node id in the old map *)
-  | Link_added of string * string
-      (** endpoint descriptions in the new map's terms *)
-  | Link_removed of string * string  (** in the old map's terms *)
+  | Link_added of Graph.wire_end * Graph.wire_end
+      (** the wire's two ends in the new map *)
+  | Link_removed of Graph.wire_end * Graph.wire_end  (** in the old map *)
 
-val pp_change : Format.formatter -> change -> unit
+val pp_change :
+  old_map:Graph.t -> new_map:Graph.t -> Format.formatter -> change -> unit
+(** One line per change; a link's ends are named in the map they are
+    of. *)
 
 val correspond :
   old_map:Graph.t ->
   new_map:Graph.t ->
   (Graph.node * int) option array * (Graph.node, Graph.node) Hashtbl.t
 (** The evidence-ordered alignment {!diff} is built on, for tooling
-    that needs the node mapping itself (e.g. provenance blame): for
+    that needs the node mapping itself (e.g. provenance explain): for
     each old node, its new counterpart and the per-node port shift;
     plus the reverse binding. Anchored at shared host names, grown
     across wires whose endpoint kinds agree, first binding wins. *)

@@ -83,11 +83,11 @@ let host_roots side replay name =
       (fun v -> Why.vertex_birth side.b_snap ~vid:v)
       (Replay.members replay vid)
 
-let link_roots side replay (na, pa) (nb, pb) =
-  let a = end_name side.b_map (na, pa) and b = end_name side.b_map (nb, pb) in
+let link_roots side replay a b =
+  let name = end_name side.b_map in
   match
     Explain.roots_of ~map:side.b_map ~snap:side.b_snap ~replay
-      (Explain.Link (a, b))
+      (Explain.Link (name a, name b))
   with
   | Ok (_, roots) -> roots
   | Error _ -> []
@@ -99,96 +99,31 @@ let describe_end g (n, p) =
 let run ~old_ ~new_ =
   let old_replay = Replay.build old_.b_snap in
   let new_replay = Replay.build new_.b_snap in
-  let acc = ref [] in
-  let add ~change ~side ~other roots =
+  (* A fact the new map lost is explained by the old run's ledger, one
+     it gained by the new run's. *)
+  let attribution c =
+    let side, other, replay, verb =
+      match c with
+      | Diff.Host_removed _ | Switch_removed _ ->
+        (old_, new_, old_replay, "vanished")
+      | Link_removed _ -> (old_, new_, old_replay, "lost")
+      | Host_added _ | Switch_added _ | Link_added _ ->
+        (new_, old_, new_replay, "appeared")
+    in
+    let g = side.b_map in
+    let fact, roots =
+      match c with
+      | Diff.Host_removed n | Host_added n ->
+        ("host " ^ n, host_roots side replay n)
+      | Switch_removed s | Switch_added s ->
+        ("switch " ^ Graph.name g s, switch_roots side replay s)
+      | Link_removed (a, b) | Link_added (a, b) ->
+        ( Printf.sprintf "link %s -- %s" (describe_end g a) (describe_end g b),
+          link_roots side replay a b )
+    in
     let did, note = attribute ~snap:side.b_snap ~other:other.b_snap roots in
-    acc := { a_change = change; a_probe_did = did; a_note = note } :: !acc
+    { a_change = fact ^ " " ^ verb; a_probe_did = did; a_note = note }
   in
-  (* Hosts, by name. *)
-  let host_names g = List.map (Graph.name g) (Graph.hosts g) in
-  let old_hosts = host_names old_.b_map and new_hosts = host_names new_.b_map in
-  List.iter
-    (fun n ->
-      if not (List.mem n new_hosts) then
-        add ~change:(Printf.sprintf "host %s vanished" n) ~side:old_ ~other:new_
-          (host_roots old_ old_replay n))
-    old_hosts;
-  List.iter
-    (fun n ->
-      if not (List.mem n old_hosts) then
-        add ~change:(Printf.sprintf "host %s appeared" n) ~side:new_ ~other:old_
-          (host_roots new_ new_replay n))
-    new_hosts;
-  (* Switches, through the evidence-anchored correspondence. *)
-  let fwd, bwd = Diff.correspond ~old_map:old_.b_map ~new_map:new_.b_map in
-  List.iter
-    (fun s ->
-      if fwd.(s) = None then
-        add
-          ~change:
-            (Printf.sprintf "switch %s vanished" (Graph.name old_.b_map s))
-          ~side:old_ ~other:new_
-          (switch_roots old_ old_replay s))
-    (Graph.switches old_.b_map);
-  List.iter
-    (fun s ->
-      if not (Hashtbl.mem bwd s) then
-        add
-          ~change:
-            (Printf.sprintf "switch %s appeared" (Graph.name new_.b_map s))
-          ~side:new_ ~other:old_
-          (switch_roots new_ new_replay s))
-    (Graph.switches new_.b_map);
-  (* Links between matched nodes, as Diff.diff walks them, but kept
-     structural so each one resolves through the ledger. *)
-  let matched_old o = fwd.(o) <> None in
-  List.iter
-    (fun ((a, pa), (b, pb)) ->
-      if matched_old a && matched_old b then begin
-        let a', sa = Option.get fwd.(a) in
-        let b', sb = Option.get fwd.(b) in
-        let still_there =
-          match
-            try Graph.neighbor new_.b_map (a', pa + sa)
-            with Invalid_argument _ -> None
-          with
-          | Some (x, q) -> x = b' && q = pb + sb
-          | None -> false
-        in
-        if not still_there then
-          add
-            ~change:
-              (Printf.sprintf "link %s -- %s lost"
-                 (describe_end old_.b_map (a, pa))
-                 (describe_end old_.b_map (b, pb)))
-            ~side:old_ ~other:new_
-            (link_roots old_ old_replay (a, pa) (b, pb))
-      end)
-    (Graph.wires old_.b_map);
-  List.iter
-    (fun ((a', pa'), (b', pb')) ->
-      if Hashtbl.mem bwd a' && Hashtbl.mem bwd b' then begin
-        let a = Hashtbl.find bwd a' and b = Hashtbl.find bwd b' in
-        let _, sa = Option.get fwd.(a) in
-        let _, sb = Option.get fwd.(b) in
-        let was_there =
-          match
-            try Graph.neighbor old_.b_map (a, pa' - sa)
-            with Invalid_argument _ -> None
-          with
-          | Some (x, q) -> x = b && q = pb' - sb
-          | None -> false
-        in
-        if not was_there then
-          add
-            ~change:
-              (Printf.sprintf "link %s -- %s appeared"
-                 (describe_end new_.b_map (a', pa'))
-                 (describe_end new_.b_map (b', pb')))
-            ~side:new_ ~other:old_
-            (link_roots new_ new_replay (a', pa') (b', pb'))
-      end)
-    (Graph.wires new_.b_map);
   List.stable_sort
     (fun x y ->
       match (x.a_probe_did, y.a_probe_did) with
@@ -196,7 +131,7 @@ let run ~old_ ~new_ =
       | Some _, None -> -1
       | None, Some _ -> 1
       | None, None -> 0)
-    (List.rev !acc)
+    (List.map attribution (Diff.diff ~old_map:old_.b_map ~new_map:new_.b_map))
 
 let pp_attribution ppf a =
   Format.fprintf ppf "%s@.    %s" a.a_change a.a_note

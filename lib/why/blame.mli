@@ -1,8 +1,8 @@
 (** Attribute map changes to probes.
 
-    Diffs two maps produced with provenance on and, for every changed
-    fact, names the first probe whose answer (or loss) explains the
-    change: a vanished link is traced to the probe that justified it in
+    Takes the changes {!San_topology.Diff.diff} finds between two maps
+    produced with provenance on and, for every changed fact, names the
+    first probe whose answer (or loss) explains the change: a vanished link is traced to the probe that justified it in
     the old run, then that same probe is looked up by its turn string
     in the new run's ledger — if it was never sent, or answered
     differently, that is the explanation. *)

@@ -53,12 +53,3 @@ let write ~path ~note ?epoch () =
     Sys.rename tmp path;
     Ok ()
   with Sys_error e | Unix.Unix_error (_, e, _) -> Error e
-
-let hook : (note:string -> unit) option ref = ref None
-let install_fatal f = hook := Some f
-let clear_fatal () = hook := None
-
-let fatal ~note =
-  match !hook with
-  | None -> ()
-  | Some f -> ( try f ~note with _ -> ())

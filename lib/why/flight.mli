@@ -9,8 +9,7 @@
     recording.
 
     The daemon writes one on every transition into Degraded and at end
-    of run; fatal paths (e.g. {!San_mapper.Election_sim} finding no
-    runnable work) fire the process-wide hook installed here. *)
+    of run. *)
 
 val write :
   path:string ->
@@ -20,13 +19,3 @@ val write :
   (unit, string) result
 (** Serialize the current trace ring and the last 512 ledger entries
     to [path], creating its missing parent directories. *)
-
-val install_fatal : (note:string -> unit) -> unit
-(** Register the process-wide fatal hook (the daemon and the CLI point
-    it at {!write} with their output directory). Replaces any previous
-    hook. *)
-
-val clear_fatal : unit -> unit
-
-val fatal : note:string -> unit
-(** Fire the hook, if any; never raises. *)

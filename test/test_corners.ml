@@ -140,10 +140,12 @@ let test_heap_peek_stable () =
     && San_util.Heap.size h = 2)
 
 let test_diff_pp_strings () =
-  let show c = Format.asprintf "%a" Diff.pp_change c in
+  let g = Graph.create () in
+  let a = Graph.add_switch g ~name:"a" () and b = Graph.add_switch g ~name:"b" () in
+  let show c = Format.asprintf "%a" (Diff.pp_change ~old_map:g ~new_map:g) c in
   Alcotest.(check string) "host added" "host x appeared" (show (Diff.Host_added "x"));
   Alcotest.(check string) "link lost" "link lost a:1 -- b:2"
-    (show (Diff.Link_removed ("a:1", "b:2")))
+    (show (Diff.Link_removed ((a, 1), (b, 2))))
 
 let test_route_pp_roundtrip_shape () =
   Alcotest.(check string) "loopback renders" "+2.+1.+0.-1.-2"
