@@ -87,8 +87,8 @@ let service_of_network net ~mapper =
    but unpruned. *)
 let explore_service ?expand ?probe_budget ?tick ~policy
     ~depth_used ~record_trace sv model seeds =
-  let frontier : Model.vid San_util.Fifo.t = San_util.Fifo.create () in
-  List.iter (San_util.Fifo.add frontier) seeds;
+  let frontier = San_util.Int_ring.create () in
+  List.iter (San_util.Int_ring.add frontier) seeds;
   let elapsed = { ns = 0.0 } in
   let explorations = ref 0 in
   let probes_sent = ref 0 in
@@ -130,7 +130,7 @@ let explore_service ?expand ?probe_budget ?tick ~policy
       true
     | Network.Switch when not host ->
       let child = Model.add_switch_vertex model ~parent:v ~turn ~rev_probe in
-      San_util.Fifo.add frontier child;
+      San_util.Int_ring.add frontier child;
       true
     | Network.Host _ | Network.Switch | Network.Nothing -> false
   in
@@ -147,7 +147,7 @@ let explore_service ?expand ?probe_budget ?tick ~policy
     if San_obs.Obs.on () then begin
       San_obs.Obs.count "mapper.explorations";
       San_obs.Obs.observe "mapper.frontier"
-        (float_of_int (San_util.Fifo.length frontier))
+        (float_of_int (San_util.Int_ring.length frontier))
     end;
     Model.set_explored model v;
     (* Turn planning reads [v]'s class through its canonical vertex and
@@ -183,14 +183,14 @@ let explore_service ?expand ?probe_budget ?tick ~policy
           created_nodes = Model.created_vertices model;
           live_nodes = Model.live_vertices model;
           live_edges = Model.live_edges model;
-          frontier_length = San_util.Fifo.length frontier;
+          frontier_length = San_util.Int_ring.length frontier;
           hosts_found = Model.known_hosts model;
           elapsed_ns = elapsed.ns;
         }
         :: !trace;
     match tick with
     | Some f ->
-      f ~probes:!probes_sent ~frontier:(San_util.Fifo.length frontier)
+      f ~probes:!probes_sent ~frontier:(San_util.Int_ring.length frontier)
     | None -> ()
   in
   (* The budget gates whole explorations, never individual probes
@@ -203,8 +203,8 @@ let explore_service ?expand ?probe_budget ?tick ~policy
      which is always exempt. *)
   let rec drain () =
     if not (budget_left ()) then ()
-    else if not (San_util.Fifo.is_empty frontier) then begin
-      let v = San_util.Fifo.pop frontier in
+    else if not (San_util.Int_ring.is_empty frontier) then begin
+      let v = San_util.Int_ring.pop frontier in
       let within_depth = Model.probe_length model v < depth_used in
       (if within_depth && Model.is_live model v then begin
         (* A replicate of an explored class is not skipped outright:

@@ -21,7 +21,19 @@
 
     All operations address vertices by the id returned at creation;
     ids remain valid across merges (they resolve through the
-    union-find). *)
+    union-find).
+
+    The model is held in int columns indexed by vertex and edge id:
+    per vertex its union-find parent and shift, flags, kind, offset
+    window, probe length and slot bitmasks; per edge its two ends and a
+    next link for each, so a slot's edges form an intrusive list. A
+    vertex keeps one list for all its slots until it has three live
+    ones, then takes a segment of per-slot heads from a pool that
+    absorbed vertices return to. The mergelist is an int ring. Only
+    the creating probes are pointers. So creating, merging, re-homing
+    or killing a replicate allocates no block: the columns grow in
+    fixed chunks ({!add_switch_vertex} takes about 14 words a vertex
+    at radix 8, counted by test_model's "allocation" group). *)
 
 open San_topology
 

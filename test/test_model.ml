@@ -641,6 +641,35 @@ let test_closed_exploration_alloc () =
       (stamps.(i) -. stamps.(i - 1))
   done
 
+(* 10,000 switch vertices in a chain, each child under the last: no
+   slot is wired twice, so no merge fires. Each vertex holds two slots,
+   its parent's cable and its child's, as a replicate in a wavefront
+   does. The routes are built first, so what is counted is the model's
+   own storage: its int columns, which grow by fixed chunks, and the
+   route column, 140,265 words in all. *)
+let test_chain_alloc () =
+  let m = Model.create ~mapper_name:"root" ~radix:8 in
+  let n = 10_000 in
+  let routes = Array.make (n + 1) [] in
+  for i = 1 to n do
+    routes.(i) <- 1 :: routes.(i - 1)
+  done;
+  let last = ref (Model.root_switch m) in
+  let words =
+    Alloc.words (fun () ->
+        for i = 1 to n do
+          last := Model.add_switch_vertex m ~parent:!last ~turn:1 ~rev_probe:routes.(i)
+        done)
+  in
+  Alcotest.(check int) "no merge" (n + 2) (Model.live_vertices m);
+  Alcotest.(check bool)
+    (Printf.sprintf "%.0f words, under 15 per vertex" words)
+    true
+    (words < 15.0 *. float_of_int n);
+  Alcotest.(check (list int)) "the last route" (List.init n (fun _ -> 1))
+    (Model.probe_string m !last);
+  check_inv m
+
 let test_open_turn () =
   let m = Model.create ~mapper_name:"root" ~radix:8 in
   let s = Model.root_switch m in
@@ -767,5 +796,7 @@ let () =
             test_merge_loop_alloc;
           Alcotest.test_case "exploration without open turns" `Quick
             test_closed_exploration_alloc;
+          Alcotest.test_case "a chain of vertices without merges" `Quick
+            test_chain_alloc;
         ] );
     ]
