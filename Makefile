@@ -10,12 +10,13 @@ build:
 test:
 	dune runtest
 
-# What CI runs: a full build, the test suites and every smoke target
-# below.
+# What CI runs: a full build, the test suites, the examples and every
+# smoke target below.
 check:
 	dune build @all
 	dune runtest
 	$(MAKE) unused-exports
+	$(MAKE) examples
 	$(MAKE) bench-smoke
 	$(MAKE) health-smoke
 	$(MAKE) explain-smoke
@@ -126,7 +127,7 @@ fuzz-smoke:
 # exercises the burn-rate path end to end.
 slo-smoke:
 	dune exec bench/main.exe -- --only load_matrix --fast
-	dune exec bin/san_map.exe -- daemon -t fat-tree:2:2:4 --epochs 8 \
+	dune exec bin/san_map.exe -- daemon -t fabric:edge=2,hosts=2 --epochs 8 \
 	  --quiet --load 1.0 --load-pattern hotspot --scenario storm --seed 5
 	test -s BENCH_obs.json
 

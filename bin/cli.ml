@@ -88,9 +88,6 @@ let build_classic spec rng =
   | [ "ring"; n ] -> Generators.ring ~switches:(dim n) ~hosts_per_switch:1 ()
   | [ "star"; n ] -> Generators.star ~leaves:(dim n) ()
   | [ "chain"; n ] -> Generators.chain ~switches:(dim n) ()
-  | [ "fat-tree"; l; h; s ] ->
-    Generators.fat_tree ~leaves:(dim l) ~hosts_per_leaf:(dim h) ~spines:(dim s)
-      ()
   | [ "random"; sw; h ] ->
     Generators.random_connected ~rng ~switches:(dim sw) ~hosts:(dim h)
       ~extra_links:(dim sw / 2) ()
@@ -104,8 +101,8 @@ let build_classic spec rng =
       (spec
       ^ ": unknown topology (try c, ca, cab, fabric:PRESET, \
          fabric:key=value,..., hypercube:D, mesh:R:C, torus:R:C, ring:N, \
-         star:N, chain:N, fat-tree:L:H:S, ccc:D, shuffle:D, \
-         random:SW:HOSTS, pendant, lone, stub)")
+         star:N, chain:N, ccc:D, shuffle:D, random:SW:HOSTS, pendant, lone, \
+         stub)")
 
 (* The parsed generated fabric when [spec] is `fabric:...`. *)
 let fabric_spec spec =
@@ -134,9 +131,9 @@ let spec =
   let doc =
     "Topology to operate on: c | ca | cab | fabric:PRESET (or a bare preset \
      name like ft-100) | fabric:key=value,... | hypercube:D | mesh:R:C | \
-     torus:R:C | ring:N | star:N | chain:N | fat-tree:L:H:S | ccc:D | \
-     shuffle:D | random:SW:H | pendant | lone | stub. See `san_map gen` for \
-     fabric presets."
+     torus:R:C | ring:N | star:N | chain:N | ccc:D | shuffle:D | \
+     random:SW:H | pendant | lone | stub. See `san_map gen` for fabric \
+     presets."
   in
   Arg.(value & opt string "c" & info [ "t"; "topology" ] ~docv:"SPEC" ~doc)
 

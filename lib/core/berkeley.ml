@@ -93,7 +93,17 @@ let explore_service ?expand ?probe_budget ?tick ~policy
   let explorations = ref 0 in
   let probes_sent = ref 0 in
   let trace = ref [] in
-  let turn_order = Probe_order.turn_order ~radix:sv.sv_radix in
+  (* §3.3.3: a probe enters a switch at an effectively random port, so
+     small turns are the likeliest to hit a legal one. Probing +1, -1,
+     +2, -2, ... (never 0) shrinks the model's offset window fastest,
+     which lets the loop below skip turns that are provably illegal:
+     the paper eliminates probes "only when we are sure they will
+     fail". *)
+  let turn_order =
+    Array.init (2 * (sv.sv_radix - 1)) (fun i ->
+        let m = (i / 2) + 1 in
+        if i land 1 = 0 then m else -m)
+  in
   let budget_left () =
     match probe_budget with None -> true | Some b -> !probes_sent < b
   in
@@ -165,10 +175,13 @@ let explore_service ?expand ?probe_budget ?tick ~policy
       for i = 0 to Array.length turn_order - 1 do
         let turn = turn_order.(i) in
         let slot = turn + !shift in
+        (* Skip a slot already wired in the model (the probe would
+           teach nothing) or one no feasible entry-port offset leaves
+           on a real port (the probe is certain to die). *)
         let skip =
-          (check_known && Probe_order.already_known model !c ~slot)
+          (check_known && Model.slot_occupied model !c slot)
           || policy.window_pruning
-             && Probe_order.provably_illegal model !c ~slot
+             && not (Model.window_admits model !c ~slot)
         in
         if (not skip) && probe_pair v turn then begin
           c := Model.canonical model v;
@@ -264,12 +277,6 @@ let explore_service ?expand ?probe_budget ?tick ~policy
   end;
   (!explorations, elapsed.ns, List.rev !trace)
 
-let explore_from ?expand ?probe_budget ?tick ~policy ~depth_used ~record_trace
-    net ~mapper model seeds =
-  explore_service ?expand ?probe_budget ?tick ~policy ~depth_used ~record_trace
-    (service_of_network net ~mapper)
-    model seeds
-
 let finish ~model ~explorations ~elapsed ~depth_used ~trace net =
   let map = Model.export model in
   {
@@ -302,8 +309,10 @@ let run ?(policy = faithful) ?(depth = Oracle) ?(record_trace = false) ?expand
         Model.create ~mapper_name:(Graph.name g mapper) ~radix:(Graph.radix g)
       in
       let explorations, elapsed, trace =
-        explore_from ?expand ?probe_budget ?tick ~policy ~depth_used
-          ~record_trace net ~mapper model
+        explore_service ?expand ?probe_budget ?tick ~policy ~depth_used
+          ~record_trace
+          (service_of_network net ~mapper)
+          model
           [ Model.root_switch model ]
       in
       finish ~model ~explorations ~elapsed ~depth_used ~trace net)

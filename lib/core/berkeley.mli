@@ -153,22 +153,6 @@ val explore_service :
     elapsed ns, trace). Does not prune or export. [probe_budget] and
     [tick] as in {!run}. *)
 
-val explore_from :
-  ?expand:(Route.t -> bool) ->
-  ?probe_budget:int ->
-  ?tick:(probes:int -> frontier:int -> unit) ->
-  policy:policy ->
-  depth_used:int ->
-  record_trace:bool ->
-  Network.t ->
-  mapper:Graph.node ->
-  Model.t ->
-  Model.vid list ->
-  int * float * trace_point list
-(** [explore_service] over [service_of_network]; does not reset
-    network statistics — {!Randomized} uses it to complete a
-    coupon-collected model. *)
-
 val finish :
   model:Model.t ->
   explorations:int ->

@@ -95,7 +95,8 @@ let run ?(policy = Berkeley.faithful) ?(depth = Berkeley.Oracle)
     | None -> ()
   done;
   let bfs_explorations, bfs_elapsed, _ =
-    Berkeley.explore_from ~policy ~depth_used ~record_trace:false net ~mapper
+    Berkeley.explore_service ~policy ~depth_used ~record_trace:false
+      (Berkeley.service_of_network net ~mapper)
       model (List.rev !seeds)
   in
   elapsed := !elapsed +. bfs_elapsed;

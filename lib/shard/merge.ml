@@ -125,9 +125,9 @@ let resolve views =
       in
       go ()
     in
-    (* Freshest-first with deferral on missing anchors; shard counts
-       are small, so the simple requeue loop is fine here (the
-       anchor-indexed fast path lives in Merge_maps.union_all). *)
+    (* Freshest-first with deferral on missing anchors: a pass retries
+       the deferred views while the last one merged something. Shard
+       counts are small, so the simple requeue loop is fine here. *)
     let rec loop pending stuck progressed =
       match (pending, stuck) with
       | [], [] -> ()

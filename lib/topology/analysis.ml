@@ -112,20 +112,6 @@ let farthest_switch_from_hosts g ~ignore =
     in
     Option.map fst best
 
-(* Visiting order is nondecreasing distance, so the runs of equal
-   distance along [queue] are the histogram, already ascending. *)
-let hop_histogram g src =
-  let dist, queue = bfs_arrays g in
-  let tail = bfs_from g ~dist ~queue src in
-  let acc = ref [] in
-  for i = tail - 1 downto 0 do
-    let d = dist.(queue.(i)) in
-    match !acc with
-    | (d', c) :: rest when d' = d -> acc := (d, c + 1) :: rest
-    | _ -> acc := (d, 1) :: !acc
-  done;
-  !acc
-
 (* Weighted link ranking: the telemetry layer scores each wire (by
    occupancy, transit counts, route loads, ...) and this orders them
    hottest first, ties broken by the canonical end pair so post-mortem

@@ -28,9 +28,6 @@ val farthest_switch_from_hosts : Graph.t -> ignore:Graph.node list -> Graph.node
     Ties break towards the smallest node id. [None] if the graph has no
     switch or no non-ignored host. *)
 
-val hop_histogram : Graph.t -> Graph.node -> (int * int) list
-(** [(distance, node-count)] pairs from a source, ascending. *)
-
 val hottest_links :
   Graph.t ->
   weight:(Graph.wire_end * Graph.wire_end -> float) ->

@@ -116,5 +116,3 @@ let diff ~old_map ~new_map =
       | _ -> ())
     (Graph.wires new_map);
   List.rev !changes
-
-let is_unchanged ~old_map ~new_map = diff ~old_map ~new_map = []

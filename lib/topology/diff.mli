@@ -41,5 +41,3 @@ val diff : old_map:Graph.t -> new_map:Graph.t -> change list
     a switch whose every anchor path changed reports as
     removed + added (there is genuinely no evidence it is the same
     anonymous device). *)
-
-val is_unchanged : old_map:Graph.t -> new_map:Graph.t -> bool

@@ -168,20 +168,6 @@ let now_ca () = now [ spec_c; spec_a ]
 
 let now_cab () = now [ spec_c; spec_a; spec_b ]
 
-let fat_tree ?radix ~leaves ~hosts_per_leaf ~spines () =
-  let g = Graph.create ?radix () in
-  let spine_sw =
-    List.init spines (fun i -> Graph.add_switch g ~name:(Printf.sprintf "spine%d" i) ())
-  in
-  for l = 0 to leaves - 1 do
-    let leaf = Graph.add_switch g ~name:(Printf.sprintf "leaf%d" l) () in
-    for h = 0 to hosts_per_leaf - 1 do
-      ignore (attach_host g leaf ~name:(Printf.sprintf "h%d-%d" l h))
-    done;
-    List.iter (fun s -> wire g leaf s) spine_sw
-  done;
-  g
-
 let hypercube ?(radix = 8) ~dim () =
   if dim + 1 > radix then invalid_arg "Generators.hypercube: dim+1 > radix";
   let g = Graph.create ~radix () in

@@ -47,9 +47,6 @@ val now_cab : unit -> Graph.t * handle list
 
 (** {1 Classic and synthetic interconnects} *)
 
-val fat_tree : ?radix:int -> leaves:int -> hosts_per_leaf:int -> spines:int -> unit -> Graph.t
-(** Two-level fat-tree, every leaf wired once to every spine. *)
-
 val hypercube : ?radix:int -> dim:int -> unit -> Graph.t
 (** [2^dim] switches, one host each. Requires [dim + 1 <= radix]. *)
 

@@ -1,6 +1,6 @@
 (* Conflicts are typed so a layer above (San_shard's merger) can
    classify a contradiction and locate the offending evidence in the
-   absorbed map; the string API below is unchanged. *)
+   absorbed map. *)
 type conflict_class =
   | No_anchor
   | Unanchorable
@@ -264,58 +264,3 @@ let union_c a b =
   | exception Conflict c -> Error c
   | exception Invalid_argument m ->
     Error { cls = Structural; detail = m; b_node = None; b_wire = None }
-
-let union a b = Result.map_error (fun c -> c.detail) (union_c a b)
-
-(* Pending maps are indexed by host name so each join is found by a
-   hash lookup as the accumulated anchor set grows, instead of
-   rescanning the whole pending list after every merge. *)
-let union_all = function
-  | [] -> Error "no maps to merge"
-  | first :: rest ->
-    let pending = Array.of_list rest in
-    let n = Array.length pending in
-    let merged = Array.make n false in
-    let queued = Array.make n false in
-    let by_host = Hashtbl.create (max 16 (4 * n)) in
-    Array.iteri
-      (fun i m ->
-        List.iter
-          (fun h -> Hashtbl.add by_host (Graph.name m h) i)
-          (Graph.hosts m))
-      pending;
-    let work = Queue.create () in
-    let acc_hosts = Hashtbl.create 64 in
-    let note_host name =
-      if not (Hashtbl.mem acc_hosts name) then begin
-        Hashtbl.replace acc_hosts name ();
-        List.iter
-          (fun i ->
-            if not queued.(i) then begin
-              queued.(i) <- true;
-              Queue.add i work
-            end)
-          (Hashtbl.find_all by_host name)
-      end
-    in
-    let acc = ref first in
-    let err = ref None in
-    List.iter (fun h -> note_host (Graph.name first h)) (Graph.hosts first);
-    while !err = None && not (Queue.is_empty work) do
-      let i = Queue.take work in
-      if not merged.(i) then
-        match union !acc pending.(i) with
-        | Ok g ->
-          merged.(i) <- true;
-          acc := g;
-          List.iter
-            (fun h -> note_host (Graph.name pending.(i) h))
-            (Graph.hosts pending.(i))
-        | Error e -> err := Some e
-    done;
-    (match !err with
-    | Some e -> Error e
-    | None ->
-      if Array.exists not merged then
-        Error "some partial maps share no anchor with the rest"
-      else Ok !acc)

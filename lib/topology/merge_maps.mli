@@ -11,12 +11,13 @@
     {!Iso} — run as a construction instead of a check.
 
     Maps to be merged must be mutually consistent views of one actual
-    network; contradictions (shifted frames that disagree, two cables
-    on one port, differently named hosts in one position) are reported
-    as errors rather than papered over. A layer that wants to
-    {e resolve} contradictions instead (San_shard's merger) uses
-    {!union_c}, whose typed conflicts classify the contradiction and
-    locate the offending evidence in the absorbed map. *)
+    network; a contradiction (shifted frames that disagree, two cables
+    on one port, differently named hosts in one position) is reported
+    as a typed {!conflict} rather than papered over: it classifies the
+    contradiction and locates the offending evidence in the absorbed
+    map. This module joins two maps; [San_shard.Merge.resolve] folds
+    many views over it, deferring a view until it shares an anchor and
+    resolving each conflict instead of failing. *)
 
 (** How two views contradict each other. *)
 type conflict_class =
@@ -31,7 +32,7 @@ type conflict_class =
 
 type conflict = {
   cls : conflict_class;
-  detail : string;  (** the human-readable message {!union} reports *)
+  detail : string;  (** the human-readable message *)
   b_node : int option;
       (** the absorbed map's offending node, when locatable *)
   b_wire : ((int * int) * (int * int)) option;
@@ -44,17 +45,8 @@ val class_name : conflict_class -> string
 
 val union_c : Graph.t -> Graph.t -> (Graph.t, conflict) result
 (** [union_c a b] merges two partial maps anchored at their shared
-    hosts, reporting failures as typed conflicts located in [b]'s
-    coordinates where possible. *)
-
-val union : Graph.t -> Graph.t -> (Graph.t, string) result
-(** [union a b] merges two partial maps anchored at their shared hosts.
-    Fails if they share no host (nothing pins the correspondence) or if
-    they contradict each other. Nodes of [b] with no connection to a
-    shared anchor are rejected as unanchorable. *)
-
-val union_all : Graph.t list -> (Graph.t, string) result
-(** Merge many partial maps in anchor-discovery order: pending maps
-    are indexed by host name, and each successful merge enqueues
-    exactly the maps sharing a host with the newly absorbed view.
-    Fails when some maps can never be anchored. *)
+    hosts. Fails if they share no host (nothing pins the
+    correspondence) or if they contradict each other; nodes of [b]
+    with no connection to a shared anchor are rejected as
+    unanchorable. A conflict is located in [b]'s coordinates where
+    possible. *)

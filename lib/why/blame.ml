@@ -92,10 +92,6 @@ let link_roots side replay a b =
   | Ok (_, roots) -> roots
   | Error _ -> []
 
-let describe_end g (n, p) =
-  if Graph.is_host g n then Graph.name g n
-  else Printf.sprintf "%s.%d" (Graph.name g n) p
-
 let run ~old_ ~new_ =
   let old_replay = Replay.build old_.b_snap in
   let new_replay = Replay.build new_.b_snap in
@@ -118,7 +114,8 @@ let run ~old_ ~new_ =
       | Switch_removed s | Switch_added s ->
         ("switch " ^ Graph.name g s, switch_roots side replay s)
       | Link_removed (a, b) | Link_added (a, b) ->
-        ( Printf.sprintf "link %s -- %s" (describe_end g a) (describe_end g b),
+        ( Printf.sprintf "link %s -- %s" (Explain.map_end_name g a)
+            (Explain.map_end_name g b),
           link_roots side replay a b )
     in
     let did, note = attribute ~snap:side.b_snap ~other:other.b_snap roots in

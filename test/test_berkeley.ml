@@ -51,8 +51,13 @@ let test_maps_classic_topologies () =
   ignore (assert_iso "hypercube" (Generators.hypercube ~dim:4 ()) "h0");
   ignore
     (assert_iso "fat tree"
-       (Generators.fat_tree ~leaves:4 ~hosts_per_leaf:3 ~spines:2 ())
-       "h0-0")
+       (San_fabric.Fabric.build ~seed:1
+          {
+            San_fabric.Fabric.default with
+            edge_switches = 4;
+            hosts_per_edge = 3;
+          })
+       "h0")
 
 let test_maps_parallel_links () =
   (* Torus with a 2-long dimension has doubled wires. *)
@@ -237,9 +242,17 @@ let radix4_prop =
         && Iso.equal ~map:m ~actual:g ~exclude:(Core_set.separated_set g) ())
 
 let test_radix16_maps () =
-  let g = Generators.fat_tree ~radix:16 ~leaves:6 ~hosts_per_leaf:10 ~spines:4 () in
+  let g =
+    San_fabric.Fabric.build ~seed:1
+      {
+        San_fabric.Fabric.default with
+        radix = 16;
+        edge_switches = 6;
+        hosts_per_edge = 10;
+      }
+  in
   let net = Network.create g in
-  let mapper = Option.get (Graph.host_by_name g "h0-0") in
+  let mapper = Option.get (Graph.host_by_name g "h0") in
   let r = Berkeley.run net ~mapper in
   match r.Berkeley.map with
   | Ok m ->
@@ -308,8 +321,10 @@ let model_invariants_prop =
         Model.create ~mapper_name:(Graph.name g mapper) ~radix:(Graph.radix g)
       in
       let _ =
-        Berkeley.explore_from ~policy:Berkeley.faithful ~depth_used
-          ~record_trace:false net ~mapper model
+        Berkeley.explore_service ~policy:Berkeley.faithful ~depth_used
+          ~record_trace:false
+          (Berkeley.service_of_network net ~mapper)
+          model
           [ Model.root_switch model ]
       in
       let after_explore = Model.check_invariants model in

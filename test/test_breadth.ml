@@ -213,7 +213,14 @@ let test_pipeline_on_classics () =
     [
       ("hypercube", Generators.hypercube ~dim:4 (), "h0");
       ("torus", Generators.torus ~rows:3 ~cols:3 (), "h0-0");
-      ("fat tree", Generators.fat_tree ~leaves:4 ~hosts_per_leaf:4 ~spines:3 (), "h0-0");
+      ( "fat tree",
+        San_fabric.Fabric.build ~seed:1
+          {
+            San_fabric.Fabric.default with
+            edge_switches = 4;
+            hosts_per_edge = 4;
+          },
+        "h0" );
       ("ring", Generators.ring ~switches:6 ~hosts_per_switch:2 (), "h0-0");
     ]
 

@@ -58,10 +58,10 @@ let labels_agree_prop =
 
 let test_union_identical () =
   let g, _ = Generators.now_c () in
-  match Merge_maps.union g g with
+  match Merge_maps.union_c g g with
   | Ok u ->
     Alcotest.(check bool) "self-union isomorphic" true (Iso.equal ~map:u ~actual:g ())
-  | Error e -> Alcotest.failf "self-union failed: %s" e
+  | Error e -> Alcotest.failf "self-union failed: %s" e.Merge_maps.detail
 
 let split_star () =
   (* A hub with two leaf switches, each with hosts; two partial views
@@ -79,11 +79,11 @@ let test_union_overlapping_views () =
     Result.get_ok r.Berkeley.map
   in
   let va = mk_view "h0" and vb = mk_view "h1" in
-  match Merge_maps.union va vb with
+  match Merge_maps.union_c va vb with
   | Ok u ->
     Alcotest.(check bool) "union covers the star" true
       (Graph.num_hosts u = 3 && Graph.num_switches u = 4)
-  | Error e -> Alcotest.failf "union failed: %s" e
+  | Error e -> Alcotest.failf "union failed: %s" e.Merge_maps.detail
 
 let test_union_no_anchor () =
   let g1 = Graph.create () in
@@ -94,9 +94,10 @@ let test_union_no_anchor () =
   let s2 = Graph.add_switch g2 () in
   let h2 = Graph.add_host g2 ~name:"only-in-b" in
   Graph.connect g2 (h2, 0) (s2, 0);
-  match Merge_maps.union g1 g2 with
+  match Merge_maps.union_c g1 g2 with
   | Error e ->
-    Alcotest.(check string) "anchor error" "maps share no host anchor" e
+    Alcotest.(check string) "anchor error" "maps share no host anchor"
+      e.Merge_maps.detail
   | Ok _ -> Alcotest.fail "anchorless union must fail"
 
 let test_union_conflict_detected () =
@@ -118,7 +119,7 @@ let test_union_conflict_detected () =
   Graph.connect b (s1, 1) (s2, 1);
   (* In A, x's switch has y at port 1; in B, x's switch has a switch
      at port 1.  The union must not silently accept both. *)
-  match Merge_maps.union a b with
+  match Merge_maps.union_c a b with
   | Error _ -> ()
   | Ok u ->
     (* If it merged, the map must at least not duplicate hosts. *)
@@ -138,11 +139,11 @@ let test_union_port_shift_tolerance () =
     Graph.connect g (s0, 1 + shift) (s1, 3 + shift);
     g
   in
-  match Merge_maps.union (build 0) (build 4) with
+  match Merge_maps.union_c (build 0) (build 4) with
   | Ok u ->
     Alcotest.(check int) "still two switches" 2 (Graph.num_switches u);
     Alcotest.(check int) "still three wires" 3 (Graph.num_wires u)
-  | Error e -> Alcotest.failf "shifted union failed: %s" e
+  | Error e -> Alcotest.failf "shifted union failed: %s" e.Merge_maps.detail
 
 (* ---------- merge error paths: typed conflicts ---------- *)
 
@@ -242,54 +243,6 @@ let test_union_c_radix_mismatch () =
   ignore
     (check_cls "radix disagreement" Merge_maps.Structural
        (Merge_maps.union_c (mk 4) (mk 8)))
-
-let test_union_all_unanchorable_view () =
-  (* One of three views shares no host with the others: union_all must
-     fail rather than return a map that silently omits it. *)
-  let mk names =
-    let g = Graph.create () in
-    let s = Graph.add_switch g () in
-    List.iteri
-      (fun i name ->
-        let h = Graph.add_host g ~name in
-        Graph.connect g (h, 0) (s, i))
-      names;
-    g
-  in
-  match Merge_maps.union_all [ mk [ "h0"; "h1" ]; mk [ "h1"; "h2" ]; mk [ "h8"; "h9" ] ] with
-  | Error _ -> ()
-  | Ok _ -> Alcotest.fail "union_all with an orphan view must fail"
-
-let test_union_all_ordering () =
-  (* Three views in an order where the middle one shares no anchor
-     with the first until the third is merged. *)
-  let mk hosts_wires =
-    let g = Graph.create () in
-    let sw = Hashtbl.create 4 in
-    List.iter
-      (fun (hname, swname, port) ->
-        let s =
-          match Hashtbl.find_opt sw swname with
-          | Some s -> s
-          | None ->
-            let s = Graph.add_switch g ~name:swname () in
-            Hashtbl.replace sw swname s;
-            s
-        in
-        let h = Graph.add_host g ~name:hname in
-        Graph.connect g (h, 0) (s, port))
-      hosts_wires;
-    (g, sw)
-  in
-  let a, _ = mk [ ("h1", "s", 0); ("h2", "s", 1) ] in
-  let b, _ = mk [ ("h5", "t", 0); ("h6", "t", 1) ] in
-  (* c shares h2 with a and h5 with b and sees the s-t wire. *)
-  let c, csw = mk [ ("h2", "s", 1); ("h5", "t", 0) ] in
-  Graph.connect c (Hashtbl.find csw "s", 5) (Hashtbl.find csw "t", 5);
-  match Merge_maps.union_all [ a; b; c ] with
-  | Ok u ->
-    Alcotest.(check int) "four hosts" 4 (Graph.num_hosts u)
-  | Error e -> Alcotest.failf "union_all failed: %s" e
 
 (* ---------- parallel mapping ---------- *)
 
@@ -773,7 +726,6 @@ let () =
           Alcotest.test_case "no anchor" `Quick test_union_no_anchor;
           Alcotest.test_case "conflict" `Quick test_union_conflict_detected;
           Alcotest.test_case "port shifts" `Quick test_union_port_shift_tolerance;
-          Alcotest.test_case "union_all ordering" `Quick test_union_all_ordering;
           Alcotest.test_case "conflict: no anchor" `Quick test_union_c_no_anchor;
           Alcotest.test_case "conflict: unanchorable" `Quick
             test_union_c_unanchorable_fragment;
@@ -782,8 +734,6 @@ let () =
           Alcotest.test_case "conflict: name clash" `Quick test_union_c_name_clash;
           Alcotest.test_case "conflict: structural" `Quick
             test_union_c_radix_mismatch;
-          Alcotest.test_case "union_all orphan view" `Quick
-            test_union_all_unanchorable_view;
         ] );
       ( "parallel",
         [

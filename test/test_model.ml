@@ -238,22 +238,16 @@ let test_probe_routes_shared () =
   Alcotest.(check (list int)) "root switch route" [] (Model.probe_string m s)
 
 let test_probe_order () =
-  Alcotest.(check (array int)) "alternating magnitudes"
-    [| 1; -1; 2; -2; 3; -3 |]
-    (Array.sub (Probe_order.turn_order ~radix:8) 0 6);
-  Alcotest.(check int) "14 turns for radix 8" 14
-    (Array.length (Probe_order.turn_order ~radix:8));
   let m = Model.create ~mapper_name:"root" ~radix:8 in
   let s = Model.root_switch m in
   ignore (Model.add_switch_vertex m ~parent:s ~turn:7 ~rev_probe:[ 7 ]);
   (* Offset pinned to 0: negative turns provably illegal. The root is
      canonical with frame shift 0, so a turn is its own slot. *)
   Alcotest.(check int) "root frame shift" 0 (Model.frame_shift m s);
-  Alcotest.(check bool) "turn -1 provably illegal" true
-    (Probe_order.provably_illegal m s ~slot:(-1));
-  Alcotest.(check bool) "turn 3 feasible" false
-    (Probe_order.provably_illegal m s ~slot:3);
-  Alcotest.(check bool) "turn 7 known" true (Probe_order.already_known m s ~slot:7)
+  Alcotest.(check bool) "turn -1 provably illegal" false
+    (Model.window_admits m s ~slot:(-1));
+  Alcotest.(check bool) "turn 3 feasible" true (Model.window_admits m s ~slot:3);
+  Alcotest.(check bool) "turn 7 known" true (Model.slot_occupied m s 7)
 
 (* ---------- the model against its reference ---------- *)
 
@@ -410,13 +404,14 @@ let with_ledger f =
 (* The engine's per-turn skip test, turn by turn. *)
 let open_turn_by_turns m v =
   let c = Model.canonical m v and shift = Model.frame_shift m v in
-  Array.exists
+  let radix = Model.radix m in
+  List.exists
     (fun turn ->
       let slot = turn + shift in
-      not
-        (Probe_order.already_known m c ~slot
-        || Probe_order.provably_illegal m c ~slot))
-    (Probe_order.turn_order ~radix:(Model.radix m))
+      turn <> 0
+      && (not (Model.slot_occupied m c slot))
+      && Model.window_admits m c ~slot)
+    (List.init ((2 * radix) - 1) (fun i -> i - (radix - 1)))
 
 (* Before an exploration, and before each probe's answer is recorded,
    the one mask test agrees with testing every turn. *)

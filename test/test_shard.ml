@@ -100,7 +100,10 @@ let test_plan_anchor_pairs () =
     done
 
 let test_plan_clamps () =
-  let g = Generators.fat_tree ~leaves:2 ~hosts_per_leaf:2 ~spines:1 () in
+  let g =
+    Fabric.build ~seed:1
+      { Fabric.default with Fabric.edge_switches = 2; hosts_per_edge = 2 }
+  in
   match Region.plan g ~shards:64 with
   | Error e -> Alcotest.fail e
   | Ok t ->
@@ -186,6 +189,76 @@ let test_stale_resolved () =
       | Error e ->
         Alcotest.fail ("merged map (with stale shard) not iso to solo: " ^ e)))
 
+(* ---------- merge: anchors ---------- *)
+
+let view i m =
+  {
+    Merge.v_idx = i;
+    v_map = m;
+    v_epoch = 0;
+    v_finished_ns = 0.0;
+    v_probe = None;
+    v_mapper = Printf.sprintf "m%d" i;
+  }
+
+(* One switch per name; each host is cabled to its switch at a port. *)
+let hosts_on_switches wiring =
+  let g = Graph.create () in
+  let sw = Hashtbl.create 4 in
+  let switch name =
+    match Hashtbl.find_opt sw name with
+    | Some s -> s
+    | None ->
+      let s = Graph.add_switch g ~name () in
+      Hashtbl.replace sw name s;
+      s
+  in
+  List.iter
+    (fun (host, s, port) ->
+      Graph.connect g (Graph.add_host g ~name:host, 0) (switch s, port))
+    wiring;
+  (g, switch)
+
+let test_merge_drops_orphan () =
+  let one_switch names =
+    fst (hosts_on_switches (List.mapi (fun i h -> (h, "s", i)) names))
+  in
+  let o =
+    Merge.resolve
+      [
+        view 0 (one_switch [ "h0"; "h1" ]);
+        view 1 (one_switch [ "h1"; "h2" ]);
+        view 2 (one_switch [ "h8"; "h9" ]);
+      ]
+  in
+  Alcotest.(check (list int)) "orphan dropped" [ 2 ] o.Merge.dropped_views;
+  (match o.Merge.resolutions with
+  | [ r ] ->
+    Alcotest.(check string) "class" "no-anchor" r.Merge.r_class;
+    Alcotest.(check int) "loser" 2 r.Merge.r_loser;
+    Alcotest.(check string) "action" "dropped-view" r.Merge.r_action
+  | l -> Alcotest.failf "expected one resolution, got %d" (List.length l));
+  match o.Merge.map with
+  | Ok m -> Alcotest.(check int) "anchored views merged" 3 (Graph.num_hosts m)
+  | Error e -> Alcotest.fail e
+
+(* The second view shares no host with the first until the third, which
+   sees the s-t wire, is merged: it is deferred, not dropped. *)
+let test_merge_defers_until_anchored () =
+  let a, _ = hosts_on_switches [ ("h1", "s", 0); ("h2", "s", 1) ] in
+  let b, _ = hosts_on_switches [ ("h5", "t", 0); ("h6", "t", 1) ] in
+  let c, sw = hosts_on_switches [ ("h2", "s", 1); ("h5", "t", 0) ] in
+  Graph.connect c (sw "s", 5) (sw "t", 5);
+  let o = Merge.resolve [ view 0 a; view 1 b; view 2 c ] in
+  Alcotest.(check (list int)) "nothing dropped" [] o.Merge.dropped_views;
+  Alcotest.(check int) "no resolutions" 0 (List.length o.Merge.resolutions);
+  match o.Merge.map with
+  | Ok m ->
+    Alcotest.(check int) "four hosts" 4 (Graph.num_hosts m);
+    Alcotest.(check int) "two switches" 2 (Graph.num_switches m);
+    Alcotest.(check int) "five wires" 5 (Graph.num_wires m)
+  | Error e -> Alcotest.fail e
+
 (* ---------- budgets and accounting ---------- *)
 
 let test_reports_accounting () =
@@ -264,7 +337,12 @@ let () =
           Alcotest.test_case "now-cab x {1,2,4}" `Quick test_agreement_now;
         ] );
       ( "conflicts",
-        [ Alcotest.test_case "stale view resolved" `Quick test_stale_resolved ] );
+        [
+          Alcotest.test_case "stale view resolved" `Quick test_stale_resolved;
+          Alcotest.test_case "orphan view dropped" `Quick test_merge_drops_orphan;
+          Alcotest.test_case "deferred until anchored" `Quick
+            test_merge_defers_until_anchored;
+        ] );
       ( "accounting",
         [
           Alcotest.test_case "reports" `Quick test_reports_accounting;

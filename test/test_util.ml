@@ -126,26 +126,6 @@ let test_alloc_counter () =
          done));
   ignore (Sys.opaque_identity !sink)
 
-let test_fifo_order () =
-  let q = Fifo.create () in
-  Alcotest.(check bool) "empty" true (Fifo.is_empty q);
-  Fifo.add q 1;
-  Fifo.add q 2;
-  Fifo.add q 3;
-  Alcotest.(check int) "length" 3 (Fifo.length q);
-  Alcotest.(check (option int)) "peek" (Some 1) (Fifo.peek q);
-  Alcotest.(check (option int)) "fifo 1" (Some 1) (Fifo.next_element q);
-  Alcotest.(check (option int)) "fifo 2" (Some 2) (Fifo.next_element q);
-  Fifo.add q 4;
-  Alcotest.(check (option int)) "fifo 3" (Some 3) (Fifo.next_element q);
-  Alcotest.(check (option int)) "fifo 4" (Some 4) (Fifo.next_element q);
-  Alcotest.(check (option int)) "drained" None (Fifo.next_element q)
-
-let test_fifo_to_list () =
-  let q = Fifo.create () in
-  List.iter (Fifo.add q) [ "a"; "b"; "c" ];
-  Alcotest.(check (list string)) "to_list order" [ "a"; "b"; "c" ] (Fifo.to_list q)
-
 let test_summary () =
   let s = Summary.of_list [ 1.0; 2.0; 3.0; 4.0 ] in
   Alcotest.(check (float 1e-9)) "min" 1.0 s.Summary.min;
@@ -244,11 +224,6 @@ let () =
             test_arrivals_zero_rate;
         ] );
       ("alloc", [ Alcotest.test_case "counter" `Quick test_alloc_counter ]);
-      ( "fifo",
-        [
-          Alcotest.test_case "order" `Quick test_fifo_order;
-          Alcotest.test_case "to_list" `Quick test_fifo_to_list;
-        ] );
       ( "summary",
         [
           Alcotest.test_case "aggregates" `Quick test_summary;
