@@ -255,6 +255,8 @@ let resolve_load load pattern =
   | None ->
     Error
       (Printf.sprintf "bad load %S: expected worms/host/ms as a number" load)
+  | Some f when not (Float.is_finite f) ->
+    Error (Printf.sprintf "bad load %S: not a finite number" load)
   | Some f when f <= 0.0 -> Ok None
   | Some f -> (
     match San_slo.Load.pattern_of_string pattern with

@@ -128,12 +128,7 @@ let run ?(force_obs = false) ?(shards = 1) ?on_epoch a k =
 let pp_epoch_report (r : Daemon.epoch_report) =
   Format.printf "epoch %3d  %-8s %-13s [%s]  probes %5d  coverage %d/%d%s@."
     r.Daemon.epoch r.Daemon.leader
-    (match r.Daemon.verdict with
-    | Daemon.Cold_start -> "cold-start"
-    | Daemon.Verified -> "verified"
-    | Daemon.Changed d -> Printf.sprintf "changed(%d)" d
-    | Daemon.Backing_off -> "backing-off"
-    | Daemon.Halted -> "halted")
+    (Daemon.verdict_to_string r.Daemon.verdict)
     (String.concat ">" (List.map Daemon.phase_to_string r.Daemon.phases))
     r.Daemon.probes r.Daemon.hosts_covered r.Daemon.hosts_total
     (match r.Daemon.dist with

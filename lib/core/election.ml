@@ -1,18 +1,12 @@
 open San_topology
 open San_simnet
 
-type tuning = {
-  collision_prob_per_loser : float;
-  collision_penalty_ns : float;
-  restart_base_prob : float;
-}
-
-let default_tuning =
-  {
-    collision_prob_per_loser = 1e-3;
-    collision_penalty_ns = 650_000.0;
-    restart_base_prob = 0.25;
-  }
+(* Probability one in-flight probe collides with one active loser's
+   traffic; its cost (timeout plus the retried probe); and the restart
+   probability at 100 contenders, scaled by (contenders/100)². *)
+let collision_prob_per_loser = 1e-3
+let collision_penalty_ns = 650_000.0
+let restart_base_prob = 0.25
 
 type outcome = {
   winner : Graph.node;
@@ -24,7 +18,7 @@ type outcome = {
   map : (Graph.t, string) Stdlib.result;
 }
 
-let run ?policy ?depth ?(tuning = default_tuning) ~rng net =
+let run ~rng net =
   let g = Network.graph net in
   let hosts = Graph.hosts g in
   let winner =
@@ -33,7 +27,7 @@ let run ?policy ?depth ?(tuning = default_tuning) ~rng net =
     | w :: _ -> w
   in
   let contenders = List.length hosts in
-  let r = Berkeley.run ?policy ?depth ~record_trace:true net ~mapper:winner in
+  let r = Berkeley.run ~record_trace:true net ~mapper:winner in
   let base = r.Berkeley.elapsed_ns in
   (* Discovery curve: how many distinct hosts the winner had found by
      each point of its run; a loser stays active (and noisy) until
@@ -62,16 +56,13 @@ let run ?policy ?depth ?(tuning = default_tuning) ~rng net =
     let t = base *. float_of_int k /. float_of_int total_probes in
     let active_losers = max 0 (contenders - hosts_found_at t) in
     let p =
-      1.0
-      -. ((1.0 -. tuning.collision_prob_per_loser) ** float_of_int active_losers)
+      1.0 -. ((1.0 -. collision_prob_per_loser) ** float_of_int active_losers)
     in
     if San_util.Prng.float rng 1.0 < p then
-      collision_extra := !collision_extra +. tuning.collision_penalty_ns
+      collision_extra := !collision_extra +. collision_penalty_ns
   done;
   let restart_extra =
-    let p =
-      tuning.restart_base_prob *. ((float_of_int contenders /. 100.0) ** 2.0)
-    in
+    let p = restart_base_prob *. ((float_of_int contenders /. 100.0) ** 2.0) in
     if San_util.Prng.float rng 1.0 < p then
       (* Refought election: redo between half and twice the work. *)
       base *. (0.5 +. San_util.Prng.float rng 1.5)

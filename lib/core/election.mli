@@ -23,18 +23,6 @@
 open San_topology
 open San_simnet
 
-type tuning = {
-  collision_prob_per_loser : float;
-      (** probability one in-flight probe collides with one active
-          loser's traffic *)
-  collision_penalty_ns : float;  (** timeout plus the retried probe *)
-  restart_base_prob : float;
-      (** restart probability at 100 contenders; scaled by
-          (contenders/100)² below *)
-}
-
-val default_tuning : tuning
-
 type outcome = {
   winner : Graph.node;
   contenders : int;
@@ -45,13 +33,11 @@ type outcome = {
   map : (Graph.t, string) Stdlib.result;
 }
 
-val run :
-  ?policy:Berkeley.policy ->
-  ?depth:Berkeley.depth ->
-  ?tuning:tuning ->
-  rng:San_util.Prng.t ->
-  Network.t ->
-  outcome
+val run : rng:San_util.Prng.t -> Network.t -> outcome
 (** Run one election-mode mapping over all responding hosts of the
     network. The winner (highest node id among hosts) performs the
-    mapping; the extra election costs are sampled from [rng]. *)
+    faithful mapping at the oracle depth; the extra election costs are
+    sampled from [rng]: each probe collides with one active loser's
+    traffic with probability 10⁻³ (costing a 650 µs timeout plus the
+    retried probe), and the election restarts with probability 0.25
+    at 100 contenders, scaled by (contenders/100)². *)

@@ -55,8 +55,8 @@ type mapper = {
   mutable m_probes : int;
 }
 
-let run ?(policy = Berkeley.faithful) ?(depth = Berkeley.Oracle)
-    ?(params = Params.default) ?mappers ?(max_skew_ns = 2e6) ~rng g =
+let run ?mappers ?(max_skew_ns = 2e6) ~rng g =
+  let params = Params.default in
   let hosts =
     match mappers with Some l -> l | None -> Graph.hosts g
   in
@@ -66,13 +66,8 @@ let run ?(policy = Berkeley.faithful) ?(depth = Berkeley.Oracle)
       if not (Graph.is_host g h) then
         invalid_arg "Election_sim.run: mappers must be hosts")
     hosts;
-  let sim = Event_sim.create ~params g in
-  let depth_used =
-    match depth with
-    | Berkeley.Fixed d -> d
-    | Berkeley.Oracle ->
-      Core_set.search_depth g ~root:(List.hd hosts)
-  in
+  let sim = Event_sim.create g in
+  let depth_used = Core_set.search_depth g ~root:(List.hd hosts) in
   let mappers =
     Array.of_list
       (List.mapi
@@ -173,7 +168,8 @@ let run ?(policy = Berkeley.faithful) ?(depth = Berkeley.Oracle)
       }
     in
     let _ =
-      Berkeley.explore_service ~policy ~depth_used ~record_trace:false sv model
+      Berkeley.explore_service ~policy:Berkeley.faithful ~depth_used
+        ~record_trace:false sv model
         [ Model.root_switch model ]
     in
     Model.export model

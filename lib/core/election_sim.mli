@@ -45,15 +45,13 @@ type result = {
 }
 
 val run :
-  ?policy:Berkeley.policy ->
-  ?depth:Berkeley.depth ->
-  ?params:San_simnet.Params.t ->
   ?mappers:Graph.node list ->
   ?max_skew_ns:float ->
   rng:San_util.Prng.t ->
   Graph.t ->
   result
 (** [run ~rng g] elects over [mappers] (default: every host), each
-    starting after an independent exponential skew with mean
-    [max_skew_ns/4] truncated to [max_skew_ns] (default 2 ms —
+    mapping faithfully at the oracle depth under the default timing
+    parameters and starting after an independent exponential skew with
+    mean [max_skew_ns/4] truncated to [max_skew_ns] (default 2 ms —
     daemons woken by a cron-ish tick, not a barrier). *)

@@ -199,7 +199,7 @@ let patch previous ~mapper_m s =
     else Some (patched, lost)
   end
 
-let run ?policy ?depth ?remap net ~mapper ~previous =
+let run ?policy ?remap net ~mapper ~previous =
   let g = Network.graph net in
   Network.reset_stats net;
   let full ~verify_probes ~verify_elapsed ~discrepancies =
@@ -207,7 +207,7 @@ let run ?policy ?depth ?remap net ~mapper ~previous =
       match remap with
       | Some f -> f ~discrepancies
       | None ->
-        let r = Berkeley.run ?policy ?depth net ~mapper in
+        let r = Berkeley.run ?policy net ~mapper in
         (r.Berkeley.map, Berkeley.total_probes r, r.Berkeley.elapsed_ns)
     in
     {

@@ -57,7 +57,6 @@ type result = {
 
 val run :
   ?policy:Berkeley.policy ->
-  ?depth:Berkeley.depth ->
   ?remap:(discrepancies:int -> (Graph.t, string) Stdlib.result * int * float) ->
   Network.t ->
   mapper:Graph.node ->
@@ -68,7 +67,8 @@ val run :
     mapper host is located in [previous] by name; if absent, a full
     remap runs immediately.
 
-    [remap] replaces the built-in solo {!Berkeley} fallback: when a
-    stale map is not patched it is called once and must return
-    [(map, probes, elapsed_ns)]. The daemon uses it to run the
-    fallback over [San_shard]'s concurrent mappers. *)
+    [remap] replaces the built-in solo {!Berkeley} fallback (run
+    under [policy] at the oracle depth): when a stale map is not
+    patched it is called once and must return [(map, probes,
+    elapsed_ns)]. The daemon uses it to run the fallback over
+    [San_shard]'s concurrent mappers. *)

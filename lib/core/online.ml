@@ -10,11 +10,11 @@ type result = {
   sim : Event_sim.stats;
 }
 
-let run ?(policy = Berkeley.faithful) ?(depth = Berkeley.Oracle)
-    ?(params = Params.default) ~traffic_per_ms ~rng g ~mapper =
+let run ~traffic_per_ms ~rng g ~mapper =
   if not (Graph.is_host g mapper) then
     invalid_arg "Online.run: mapper must be a host";
-  let sim = Event_sim.create ~params g in
+  let params = Params.default in
+  let sim = Event_sim.create g in
   let now = ref 0.0 in
   let probes = ref 0 in
   let timeouts = ref 0 in
@@ -102,17 +102,13 @@ let run ?(policy = Berkeley.faithful) ?(depth = Berkeley.Oracle)
       sv_switch_probe;
     }
   in
-  let depth_used =
-    match depth with
-    | Berkeley.Fixed d -> d
-    | Berkeley.Oracle -> Core_set.search_depth g ~root:mapper
-  in
+  let depth_used = Core_set.search_depth g ~root:mapper in
   let model =
     Model.create ~mapper_name:(Graph.name g mapper) ~radix:(Graph.radix g)
   in
   let _, _, _ =
-    Berkeley.explore_service ~policy ~depth_used ~record_trace:false service
-      model
+    Berkeley.explore_service ~policy:Berkeley.faithful ~depth_used
+      ~record_trace:false service model
       [ Model.root_switch model ]
   in
   let map = Model.export model in

@@ -29,15 +29,13 @@ type result = {
 }
 
 val run :
-  ?policy:Berkeley.policy ->
-  ?depth:Berkeley.depth ->
-  ?params:San_simnet.Params.t ->
   traffic_per_ms:float ->
   rng:San_util.Prng.t ->
   Graph.t ->
   mapper:Graph.node ->
   result
-(** [run ~traffic_per_ms ~rng g ~mapper] maps [g] while 4096-byte
+(** [run ~traffic_per_ms ~rng g ~mapper] maps [g] faithfully at the
+    oracle depth, under the default timing parameters, while 4096-byte
     background worms are injected at the given Poisson rate
     ({!San_util.Prng.arrivals}) over routes computed on the actual
     graph.

@@ -10,22 +10,19 @@ type point = {
 
 type order = Sequential | Random of San_util.Prng.t
 
-let sweep ?policy ?depth ?model ?params ~order ~counts g ~mapper =
+let sweep ~order ~counts g ~mapper =
+  (* Practical depth: far enough to reach every switch and probe all
+     its ports — what a deployment configures; the worst-case proof
+     bound Q+D+1 would make daemon-starved runs explore astronomically
+     many replicates. *)
   let depth =
-    match depth with
-    | Some d -> d
-    | None ->
-      (* Practical depth: far enough to reach every switch and probe
-         all its ports — what a deployment configures; the worst-case
-         proof bound Q+D+1 would make daemon-starved runs explore
-         astronomically many replicates. *)
-      let dist = Analysis.bfs_distances g mapper in
-      let ecc =
-        List.fold_left
-          (fun acc s -> if dist.(s) = max_int then acc else max acc dist.(s))
-          0 (Graph.switches g)
-      in
-      Berkeley.Fixed (ecc + 1)
+    let dist = Analysis.bfs_distances g mapper in
+    let ecc =
+      List.fold_left
+        (fun acc s -> if dist.(s) = max_int then acc else max acc dist.(s))
+        0 (Graph.switches g)
+    in
+    Berkeley.Fixed (ecc + 1)
   in
   let hosts = Graph.hosts g in
   let ordered =
@@ -43,10 +40,9 @@ let sweep ?policy ?depth ?model ?params ~order ~counts g ~mapper =
         (fun i h -> if i < count then Hashtbl.replace responding_set h ())
         ordered;
       let net =
-        San_simnet.Network.create ?model ?params
-          ~responding:(Hashtbl.mem responding_set) g
+        San_simnet.Network.create ~responding:(Hashtbl.mem responding_set) g
       in
-      let r = Berkeley.run ?policy ~depth net ~mapper in
+      let r = Berkeley.run ~depth net ~mapper in
       {
         responders = count;
         map_time_ns = r.Berkeley.elapsed_ns;

@@ -30,19 +30,11 @@ type order = Sequential | Random of San_util.Prng.t
     shuffles (the bottom curve). *)
 
 val sweep :
-  ?policy:Berkeley.policy ->
-  ?depth:Berkeley.depth ->
-  ?model:San_simnet.Collision.model ->
-  ?params:San_simnet.Params.t ->
-  order:order ->
-  counts:int list ->
-  Graph.t ->
-  mapper:Graph.node ->
-  point list
-(** [sweep ~order ~counts g ~mapper] runs one mapping per requested
-    responder count. The mapper host always responds and is counted.
-    [depth] defaults to [Fixed (switch-eccentricity of the mapper + 1)]
-    — just deep enough to reach every switch and probe all its ports,
-    the practical setting; the worst-case proof bound [Q+D+1] makes
+  order:order -> counts:int list -> Graph.t -> mapper:Graph.node -> point list
+(** [sweep ~order ~counts g ~mapper] runs one faithful mapping per
+    requested responder count, on a default network. The mapper host
+    always responds and is counted. The depth is [Fixed
+    (switch-eccentricity of the mapper + 1)] — just deep enough to
+    reach every switch and probe all its ports, the practical setting; the worst-case proof bound [Q+D+1] makes
     daemon-starved runs explore astronomically many replicates, which
     no deployment would configure. *)

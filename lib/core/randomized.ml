@@ -57,13 +57,12 @@ let splice model turns consumed name =
   end;
   List.rev !fresh
 
-let run ?(policy = Berkeley.faithful) ?(depth = Berkeley.Oracle)
-    ?(samples = 150) ~rng net ~mapper =
+let run ?(samples = 150) ~rng net ~mapper =
   let g = Network.graph net in
   if not (Graph.is_host g mapper) then
     invalid_arg "Randomized.run: mapper must be a host";
   Network.reset_stats net;
-  let depth_used = Berkeley.resolve_depth net ~mapper depth in
+  let depth_used = Berkeley.resolve_depth net ~mapper Berkeley.Oracle in
   let model =
     Model.create ~mapper_name:(Graph.name g mapper) ~radix:(Graph.radix g)
   in
@@ -95,7 +94,8 @@ let run ?(policy = Berkeley.faithful) ?(depth = Berkeley.Oracle)
     | None -> ()
   done;
   let bfs_explorations, bfs_elapsed, _ =
-    Berkeley.explore_service ~policy ~depth_used ~record_trace:false
+    Berkeley.explore_service ~policy:Berkeley.faithful ~depth_used
+      ~record_trace:false
       (Berkeley.service_of_network net ~mapper)
       model (List.rev !seeds)
   in

@@ -34,13 +34,11 @@ type result = {
 val total_probes : result -> int
 
 val run :
-  ?policy:Berkeley.policy ->
-  ?depth:Berkeley.depth ->
   ?samples:int ->
   rng:San_util.Prng.t ->
   Network.t ->
   mapper:Graph.node ->
   result
 (** [run ~rng net ~mapper] maps with [samples] (default 150) random
-    maximal-depth probes followed by breadth-first completion. Resets
-    the network's statistics. *)
+    maximal-depth probes followed by faithful breadth-first completion,
+    both at the oracle depth. Resets the network's statistics. *)

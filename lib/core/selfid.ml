@@ -10,10 +10,10 @@ type result = {
 
 exception Bad of string
 
-let run ?(params = Params.default) g ~mapper =
+let run g ~mapper =
   if not (Graph.is_host g mapper) then
     invalid_arg "Selfid.run: mapper must be a host";
-  let net = Network.create ~params g in
+  let net = Network.create g in
   let elapsed = ref 0.0 in
   let probes = ref 0 in
   let explorations = ref 0 in

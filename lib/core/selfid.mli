@@ -26,7 +26,6 @@ type result = {
   elapsed_ns : float;
 }
 
-val run :
-  ?params:San_simnet.Params.t -> Graph.t -> mapper:Graph.node -> result
+val run : Graph.t -> mapper:Graph.node -> result
 (** Map with id-carrying loopback probes. Probe costs use the same
-    cost model as every other mapper. *)
+    cost model as every other mapper, under the default parameters. *)

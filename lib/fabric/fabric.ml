@@ -39,13 +39,15 @@ let validate s =
   else if s.levels = 1 && s.edge_switches > 1 then
     err "a 1-level fabric with %d edge switches cannot be connected"
       s.edge_switches
-  else if not (s.oversub > 0.0) then err "oversubscription must be positive"
-  else if s.trim_uplinks < 0.0 || s.trim_uplinks >= 1.0 then
-    err "trim_uplinks must lie in [0,1)"
-  else if s.missing_spines < 0.0 || s.missing_spines >= 1.0 then
-    err "missing_spines must lie in [0,1)"
-  else if s.hetero_radix < 0.0 || s.hetero_radix >= 1.0 then
-    err "hetero_radix must lie in [0,1)"
+  (* Written so that NaN, which fails every comparison, is rejected. *)
+  else if not (s.oversub > 0.0 && Float.is_finite s.oversub) then
+    err "oversubscription %g must be positive and finite" s.oversub
+  else if not (s.trim_uplinks >= 0.0 && s.trim_uplinks < 1.0) then
+    err "trim_uplinks %g must lie in [0,1)" s.trim_uplinks
+  else if not (s.missing_spines >= 0.0 && s.missing_spines < 1.0) then
+    err "missing_spines %g must lie in [0,1)" s.missing_spines
+  else if not (s.hetero_radix >= 0.0 && s.hetero_radix < 1.0) then
+    err "hetero_radix %g must lie in [0,1)" s.hetero_radix
   else Ok ()
 
 (* Per-tier downlink port budget of a tier-l switch (l >= 1); the top

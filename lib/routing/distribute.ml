@@ -145,7 +145,6 @@ let simulate_slices ?(params = San_simnet.Params.default) ?(retries = 2)
          | Error _ -> San_obs.Obs.count "routes.distribute_failures");
       r)
 
-let simulate ?params ?retries ?traffic table ~actual ~leader =
-  let p = plan table in
-  simulate_slices ?params ?retries ?traffic table ~actual ~leader
-    ~slices:(List.map (fun s -> (s.owner, s.bytes)) p.slices)
+let simulate table ~actual ~leader =
+  simulate_slices table ~actual ~leader
+    ~slices:(List.map (fun s -> (s.owner, s.bytes)) (plan table).slices)

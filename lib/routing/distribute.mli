@@ -42,27 +42,6 @@ type report = {
           delta distributor re-targets exactly these next epoch *)
 }
 
-val simulate :
-  ?params:San_simnet.Params.t ->
-  ?retries:int ->
-  ?traffic:float * San_util.Prng.t ->
-  Routes.t ->
-  actual:Graph.t ->
-  leader:Graph.node ->
-  (report, string) result
-(** Deliver every slice from [leader] over the actual network using
-    the worm simulator; hosts are matched by name (the table usually
-    comes from a map). Slices that miss (contention drops) are re-sent
-    in up to [retries] further passes (default 2); slices with no
-    compliant route from the leader, or whose owner is absent from the
-    actual network, are structurally undeliverable and not retried.
-    [traffic] is the background-load model of
-    {!San_simnet.Network.create}: a delivered slice that crossed [h]
-    wires is additionally lost by {!San_simnet.Network.survives}, one
-    draw per delivered worm — so distribution, like probing, contends
-    with live traffic. Fails if the leader is missing from the table's
-    graph. *)
-
 val simulate_slices :
   ?params:San_simnet.Params.t ->
   ?retries:int ->
@@ -72,6 +51,22 @@ val simulate_slices :
   leader:Graph.node ->
   slices:(Graph.node * int) list ->
   (report, string) result
-(** Like {!simulate} but for caller-chosen payloads: one worm per
-    [(owner, bytes)] pair, owners named in the table's graph — the
-    delta distributor ships only changed table slices this way. *)
+(** Deliver one worm per [(owner, bytes)] pair from [leader] over the
+    actual network using the worm simulator; owners are named in the
+    table's graph and matched to the actual network by name (the table
+    usually comes from a map). Slices that miss (contention drops) are
+    re-sent in up to [retries] further passes (default 2); slices with
+    no compliant route from the leader, or whose owner is absent from
+    the actual network, are structurally undeliverable and not retried.
+    [traffic] is the background-load model of
+    {!San_simnet.Network.create}: a delivered slice that crossed [h]
+    wires is additionally lost by {!San_simnet.Network.survives}, one
+    draw per delivered worm — so distribution, like probing, contends
+    with live traffic. Fails if the leader is missing from the table's
+    graph. The delta distributor ships only changed table slices this
+    way. *)
+
+val simulate :
+  Routes.t -> actual:Graph.t -> leader:Graph.node -> (report, string) result
+(** {!simulate_slices} of every slice of {!plan}, with the default
+    parameters, 2 retries and no background traffic. *)

@@ -640,7 +640,7 @@ let compile ?prior t ~cells ~anchor ~dsts ~srcs ~into =
   t.anchor_exits.(anchor) <- pack_exits t;
   !rewalked
 
-let node_path ?rng ?prefer t ~src ~dst =
-  match walk ?rng ?prefer t ~src ~dst with
+let node_path t ~src ~dst =
+  match walk t ~src ~dst with
   | -1 -> None
   | hops -> Some (Array.to_list (Array.sub t.nodes 0 (hops + 1)))

@@ -192,11 +192,6 @@ val compile :
     kept. *)
 
 val node_path :
-  ?rng:San_util.Prng.t ->
-  ?prefer:(Graph.node -> Graph.node -> float) ->
-  t ->
-  src:Graph.node ->
-  dst:Graph.node ->
-  Graph.node list option
-(** The node sequence [src; ...; dst] the compiler walks for the same
-    arguments (with [rng], before its wire draws). *)
+  t -> src:Graph.node -> dst:Graph.node -> Graph.node list option
+(** The node sequence [src; ...; dst] the default (memoised) walk of
+    {!route_into} takes. *)

@@ -23,8 +23,8 @@ type t = {
   scratch : int array; (* one compiled turn string *)
 }
 
-let create ?(cache_limit = 64) ?root ?ignore_hosts ?labeling ?prefer g =
-  let ud = Updown.build ?root ?ignore_hosts ?labeling g in
+let create ?(cache_limit = 64) ?prefer g =
+  let ud = Updown.build g in
   let hosts = Array.of_list (Graph.hosts g) in
   let host_slot = Array.make (Graph.num_nodes g) (-1) in
   Array.iteri (fun slot h -> host_slot.(h) <- slot) hosts;

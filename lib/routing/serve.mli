@@ -32,17 +32,15 @@ type t
 
 val create :
   ?cache_limit:int ->
-  ?root:Graph.node ->
-  ?ignore_hosts:Graph.node list ->
-  ?labeling:Updown.labeling ->
   ?prefer:(Graph.node -> Graph.node -> float) ->
   Graph.t ->
   t
-(** Orient the graph and set up the lazy serving plane; nothing is
-    compiled until the first query. [cache_limit] (default 64,
-    minimum 1) bounds resident per-destination tables, one int per
-    source host each; with the one distance vector the compiler reuses,
-    memory stays O([cache_limit] · hosts + V) plus the pool.
+(** Orient the graph ({!Updown.build}'s default root and labeling) and
+    set up the lazy serving plane; nothing is compiled until the first
+    query. [cache_limit] (default 64, minimum 1) bounds resident
+    per-destination tables, one int per source host each; with the one
+    distance vector the compiler reuses, memory stays
+    O([cache_limit] · hosts + V) plus the pool.
     [prefer u v] is the traffic-awareness hook: a penalty (say,
     measured link heat plus loss) steering equal-cost multipath away
     from hot links. Serving

@@ -63,8 +63,6 @@ type outcome = {
 
 type config = {
   dist_retries : int;
-  backoff_start : int;
-  backoff_max : int;
   params : Params.t;
   policy : Berkeley.policy;
   seed : int;
@@ -77,8 +75,6 @@ type config = {
 let default_config =
   {
     dist_retries = 2;
-    backoff_start = 1;
-    backoff_max = 8;
     params = Params.default;
     policy = Berkeley.faithful;
     seed = 1;
@@ -87,6 +83,11 @@ let default_config =
     load = None;
     slos = [];
   }
+
+(* A failed epoch sleeps this many epochs, doubling after each further
+   failure up to the cap; a Stable epoch resets it. *)
+let backoff_start = 1
+let backoff_max = 8
 
 (* The daemon's whole memory between epochs. *)
 type state = {
@@ -125,7 +126,7 @@ let run ?(config = default_config) ?(schedule = Schedule.empty)
         missing = [];
         phase = Stable;
         leader = None;
-        backoff = config.backoff_start;
+        backoff = backoff_start;
         sleep = 0;
         incident_start = None;
         incident_acc = 0.0;
@@ -133,11 +134,6 @@ let run ?(config = default_config) ?(schedule = Schedule.empty)
     in
     let reports = ref [] in
     let incidents = ref [] in
-    let remaps = ref 0 in
-    let elections = ref 0 in
-    let total_probes = ref 0 in
-    let delta_bytes = ref 0 in
-    let full_bytes = ref 0 in
     (* Flight recorder plumbing: a bounded recording on every
        transition into Degraded and one more at end of run. *)
     let flight ~name ~note ?epoch () =
@@ -170,6 +166,11 @@ let run ?(config = default_config) ?(schedule = Schedule.empty)
         end;
         phases := p :: !phases
       in
+      let back_off () =
+        goto Degraded;
+        st.sleep <- st.backoff;
+        st.backoff <- min (st.backoff * 2) backoff_max
+      in
       (* 1. The world moves, whether the daemon is looking or not. *)
       let events =
         ref
@@ -191,7 +192,6 @@ let run ?(config = default_config) ?(schedule = Schedule.empty)
           st.leader <- Some name;
           if previous <> Some name then begin
             elected := true;
-            incr elections;
             San_obs.Obs.count "daemon.elections";
             events := !events @ [ Printf.sprintf "%s elected leader" name ]
           end));
@@ -274,7 +274,6 @@ let run ?(config = default_config) ?(schedule = Schedule.empty)
           | None ->
             goto Remapping;
             verdict := Cold_start;
-            incr remaps;
             San_obs.Obs.count "daemon.remaps";
             let map, p, ns =
               match remap with
@@ -301,7 +300,6 @@ let run ?(config = default_config) ?(schedule = Schedule.empty)
             | Incremental.Changed d ->
               goto Remapping;
               verdict := Changed d;
-              incr remaps;
               San_obs.Obs.count "daemon.remaps";
               probes := r.Incremental.verify_probes + r.Incremental.remap_probes;
               (match r.Incremental.repair with
@@ -329,9 +327,7 @@ let run ?(config = default_config) ?(schedule = Schedule.empty)
         | Error err ->
           (* Keep the stale map; retry after the backoff. *)
           events := !events @ [ "remap failed: " ^ err ];
-          goto Degraded;
-          st.sleep <- st.backoff;
-          st.backoff <- min (st.backoff * 2) config.backoff_max
+          back_off ()
         | Ok m ->
           let map_changed =
             match !verdict with
@@ -356,9 +352,7 @@ let run ?(config = default_config) ?(schedule = Schedule.empty)
             with
             | Error err ->
               events := !events @ [ "distribution failed: " ^ err ];
-              goto Degraded;
-              st.sleep <- st.backoff;
-              st.backoff <- min (st.backoff * 2) config.backoff_max
+              back_off ()
             | Ok rep ->
               dist_report := Some rep;
               st.installed <- rep.Delta.installed;
@@ -367,20 +361,14 @@ let run ?(config = default_config) ?(schedule = Schedule.empty)
                 List.map
                   (fun n -> Graph.name map_of_table n)
                   rep.Delta.dist.D.missed;
-              delta_bytes := !delta_bytes + rep.Delta.sent_bytes;
-              full_bytes := !full_bytes + rep.Delta.full_sent_bytes;
               San_obs.Obs.count ~by:rep.Delta.sent_bytes "daemon.delta_bytes";
               San_obs.Obs.count ~by:rep.Delta.full_sent_bytes
                 "daemon.full_bytes";
               if st.missing = [] then begin
                 goto Stable;
-                st.backoff <- config.backoff_start
+                st.backoff <- backoff_start
               end
-              else begin
-                goto Degraded;
-                st.sleep <- st.backoff;
-                st.backoff <- min (st.backoff * 2) config.backoff_max
-              end
+              else back_off ()
           end
           else goto Stable));
       (* Close the books on the epoch. *)
@@ -426,7 +414,6 @@ let run ?(config = default_config) ?(schedule = Schedule.empty)
         match st.map with Some m -> Graph.num_hosts m | None -> 0
       in
       let hosts_covered = max 0 (hosts_total - List.length st.missing) in
-      total_probes := !total_probes + !probes;
       San_obs.Obs.count "daemon.epochs";
       San_obs.Obs.count ~by:!probes "daemon.probes";
       if hosts_total > 0 then
@@ -533,17 +520,23 @@ let run ?(config = default_config) ?(schedule = Schedule.empty)
         (Printf.sprintf "end of run after %d epochs, final phase %s" epochs
            (phase_to_string st.phase))
       ~epoch:(epochs - 1) ();
+    let reports = List.rev !reports in
+    let count f = List.length (List.filter f reports) in
+    let sum f = List.fold_left (fun acc r -> acc + f r) 0 reports in
+    let dist_sum f = sum (fun r -> Option.fold ~none:0 ~some:f r.dist) in
     Ok
       {
-        reports = List.rev !reports;
+        reports;
         incidents = List.rev !incidents;
         final_phase = st.phase;
         map = st.map;
-        remaps = !remaps;
-        elections = !elections;
-        total_probes = !total_probes;
-        delta_bytes = !delta_bytes;
-        full_bytes = !full_bytes;
+        remaps =
+          count (fun r ->
+              match r.verdict with Cold_start | Changed _ -> true | _ -> false);
+        elections = count (fun r -> r.elected);
+        total_probes = sum (fun r -> r.probes);
+        delta_bytes = dist_sum (fun rep -> rep.Delta.sent_bytes);
+        full_bytes = dist_sum (fun rep -> rep.Delta.full_sent_bytes);
         slo = San_slo.Slo.status slo;
       }
   end

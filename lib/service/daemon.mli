@@ -18,9 +18,10 @@
     otherwise — (5) recomputes UP*/DOWN* routes, and (6) installs
     them by {e delta} distribution — only changed slices travel
     ({!Delta}). A failed installation (unreachable hosts, worms reset
-    by contention) parks the daemon in [Degraded] with doubling epoch
-    backoff, bounded by the config; the missing hosts are re-targeted
-    when it wakes.
+    by contention) parks the daemon in [Degraded] with an epoch
+    backoff that starts at 1, doubles after each further failure up to
+    8 and resets after a [Stable] epoch; the missing hosts are
+    re-targeted when it wakes.
 
     Every transition emits a {!San_obs.Trace.Daemon_transition} event,
     and convergence (fault detected to routes fully re-installed,
@@ -49,6 +50,9 @@ type verdict =
           full remap (the epoch's events name a patch) *)
   | Backing_off  (** degraded, waiting out the backoff window *)
   | Halted  (** no responding host to lead this epoch *)
+
+val verdict_to_string : verdict -> string
+(** [cold-start], [verified], [changed(N)], [backing-off], [halted]. *)
 
 type incident = {
   detected_epoch : int;
@@ -105,8 +109,6 @@ type outcome = {
 
 type config = {
   dist_retries : int;  (** per-epoch re-send passes for missed slices *)
-  backoff_start : int;  (** epochs to sleep after a failed epoch *)
-  backoff_max : int;  (** cap for the doubling backoff *)
   params : San_simnet.Params.t;
   policy : San_mapper.Berkeley.policy;
   seed : int;  (** drives the schedule's random choices *)
@@ -132,7 +134,7 @@ type config = {
 }
 
 val default_config : config
-(** 2 retries, backoff 1 doubling to 8 epochs, default simulation
+(** 2 retries, default simulation
     parameters, the faithful probe policy, seed 1, solo remaps
     ([shards = 1]), no flight dir, no background load, no SLOs. *)
 

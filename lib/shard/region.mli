@@ -84,15 +84,15 @@ type t = {
 val plan :
   ?seed:int ->
   ?root:Graph.node ->
-  ?mappers:Graph.node list ->
   ?responding:(Graph.node -> bool) ->
   Graph.t ->
   shards:int ->
   (t, string) result
 (** [plan g ~shards] partitions [g] for [shards] concurrent mappers.
     [root] anchors the mapped component and is always one of the
-    chosen mappers (defaults to the first eligible host); [mappers]
-    overrides placement entirely. [responding] restricts both mapper
+    chosen mappers (defaults to the first eligible host); the others
+    are spread evenly over the eligible hosts of its component from a
+    [seed]-drawn offset. [responding] restricts both mapper
     choice and anchor-host designation (silent hosts anchor nothing).
     The shard count is clamped to the eligible hosts of the root's
     component. *)
@@ -106,13 +106,10 @@ val local :
     exploration can hold replicates that had no chance to merge).
     Mode {!Local}, seed 0. [Error] when [k < 1] or [g] has no host. *)
 
-val spread_mappers : ?seed:int -> Graph.t -> count:int -> Graph.node list
-(** [count] distinct hosts spread evenly over the host list. Without
-    [seed] the spread starts at the first host; with [seed] the start
-    offset is drawn from a seeded generator, so repeated placements
-    rotate around the fabric while staying evenly spaced and
-    replayable. [count] is clamped to the host population — the result
-    never repeats a node. *)
+val spread_mappers : Graph.t -> count:int -> Graph.node list
+(** [count] distinct hosts spread evenly over the host list, starting
+    at the first host. [count] is clamped to the host population — the
+    result never repeats a node. *)
 
 val trim : Graph.t -> center:Graph.node -> radius:int -> Graph.t
 (** [trim map ~center ~radius] keeps the trusted core of a local map:

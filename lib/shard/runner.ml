@@ -218,8 +218,8 @@ let execute ?responding ?policy ?params ?traffic ?(epoch = 1) ?stale g
       San_obs.Digest.merge_all (List.map (fun r -> r.s_probe_cost) reports);
   }
 
-let run ?(seed = 0) ?root ?mappers ?responding ?policy ?params ?traffic ?epoch
-    ?stale g ~shards =
+let run ?(seed = 0) ?root ?responding ?policy ?params ?traffic ?epoch ?stale g
+    ~shards =
   Result.map
     (execute ?responding ?policy ?params ?traffic ?epoch ?stale g)
-    (Region.plan ~seed ?root ?mappers ?responding g ~shards)
+    (Region.plan ~seed ?root ?responding g ~shards)

@@ -80,7 +80,6 @@ val execute :
 val run :
   ?seed:int ->
   ?root:Graph.node ->
-  ?mappers:Graph.node list ->
   ?responding:(Graph.node -> bool) ->
   ?policy:San_mapper.Berkeley.policy ->
   ?params:San_simnet.Params.t ->

@@ -52,7 +52,10 @@ type spec = {
 }
 
 let spec ?(pattern = Uniform) ?payload_bytes offered =
-  if offered < 0.0 then invalid_arg "Load.spec: negative offered load";
+  if not (offered >= 0.0 && Float.is_finite offered) then
+    invalid_arg
+      (Printf.sprintf "Load.spec: offered load %g must be finite and >= 0"
+         offered);
   { pattern; offered; payload_bytes }
 
 type report = {

@@ -31,7 +31,7 @@ type spec = {
 
 val spec : ?pattern:pattern -> ?payload_bytes:int -> float -> spec
 (** [spec offered] builds a uniform spec.
-    @raise Invalid_argument on negative load. *)
+    @raise Invalid_argument on a negative or non-finite load. *)
 
 type report = {
   r_pattern : pattern;

@@ -105,7 +105,11 @@ let parse s =
           | Some pct, Some limit when pct > 0.0 && pct < 100.0 -> (
             let quantile = pct /. 100.0 in
             match Option.map float_of_string_opt (Option.map String.trim load_s) with
+            | _ when not (Float.is_finite limit) ->
+              fail "SLO limit %g in %S is not a finite number" limit s
             | Some None -> fail "bad max-load in SLO %S" s
+            | Some (Some max_load) when not (Float.is_finite max_load) ->
+              fail "SLO max-load %g in %S is not a finite number" max_load s
             | None ->
               Ok (objective ~quantile ~metric ~cmp limit)
             | Some (Some max_load) ->

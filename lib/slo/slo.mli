@@ -63,7 +63,8 @@ val objective :
 
 val parse : string -> (objective, string) result
 (** [METRIC:pNN<LIMIT[@MAXLOAD]] (or [>] for lower-bound objectives
-    like coverage), e.g. ["converge:p99<2e8@0.3"]. *)
+    like coverage), e.g. ["converge:p99<2e8@0.3"]. A non-finite
+    limit or max-load is an error. *)
 
 val to_string : objective -> string
 

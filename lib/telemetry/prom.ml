@@ -6,8 +6,6 @@
 
 module Metrics = San_obs.Metrics
 
-let default_prefix = "san_"
-
 let sanitize name =
   String.map
     (fun c ->
@@ -20,10 +18,10 @@ let num f =
   if Float.is_integer f && Float.abs f < 1e15 then Printf.sprintf "%.0f" f
   else Printf.sprintf "%.17g" f
 
-let of_snapshot ?(prefix = default_prefix) (s : Metrics.snapshot) =
+let of_snapshot (s : Metrics.snapshot) =
   let buf = Buffer.create 1024 in
   let add fmt = Printf.ksprintf (Buffer.add_string buf) fmt in
-  let full name = prefix ^ sanitize name in
+  let full name = "san_" ^ sanitize name in
   List.iter
     (fun (name, v) ->
       let n = full name in

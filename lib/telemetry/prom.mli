@@ -5,9 +5,9 @@
     histograms expose as summaries (quantiles 0.5/0.9/0.99 plus
     [_sum]/[_count]) because their geometric bucket boundaries are an
     internal encoding. Names are sanitized to the Prometheus charset
-    and prefixed (default ["san_"]). Pure function to a string. *)
+    and prefixed ["san_"]. Pure function to a string. *)
 
-val of_snapshot : ?prefix:string -> San_obs.Metrics.snapshot -> string
+val of_snapshot : San_obs.Metrics.snapshot -> string
 
 val parse_values : string -> (string * float) list
 (** Parse exposition text back to [(series, value)] pairs ([#] lines

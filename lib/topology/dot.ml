@@ -38,8 +38,8 @@ let to_string ?(graph_name = "network") ?heat g =
   Buffer.add_string buf "}\n";
   Buffer.contents buf
 
-let to_file ?graph_name ?heat g path =
+let to_file ?graph_name g path =
   let oc = open_out path in
   Fun.protect
     ~finally:(fun () -> close_out oc)
-    (fun () -> output_string oc (to_string ?graph_name ?heat g))
+    (fun () -> output_string oc (to_string ?graph_name g))

@@ -14,10 +14,5 @@ val to_string :
     sweep and widened by its utilization in [0,1] — the post-mortem
     fabric heat map. *)
 
-val to_file :
-  ?graph_name:string ->
-  ?heat:(Graph.wire_end * Graph.wire_end -> float) ->
-  Graph.t ->
-  string ->
-  unit
-(** [to_file g path] writes the DOT text to [path]. *)
+val to_file : ?graph_name:string -> Graph.t -> string -> unit
+(** [to_file g path] writes the DOT text (no heat) to [path]. *)

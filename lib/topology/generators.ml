@@ -134,13 +134,13 @@ let build_subcluster g spec =
     utility;
   }
 
-let subcluster ?radix spec =
-  let g = Graph.create ?radix () in
+let subcluster spec =
+  let g = Graph.create () in
   let h = build_subcluster g spec in
   (g, h)
 
-let now ?radix specs =
-  let g = Graph.create ?radix () in
+let now specs =
+  let g = Graph.create () in
   let handles = List.map (build_subcluster g) specs in
   let rec link_chain = function
     | a :: (b :: _ as rest) ->
@@ -184,9 +184,9 @@ let hypercube ?(radix = 8) ~dim () =
   done;
   g
 
-let grid ?(radix = 8) ~rows ~cols ~wrap () =
+let grid ~rows ~cols ~wrap =
   if rows < 1 || cols < 1 then invalid_arg "Generators.mesh: empty grid";
-  let g = Graph.create ~radix () in
+  let g = Graph.create () in
   let sw =
     Array.init rows (fun r ->
         Array.init cols (fun c ->
@@ -203,12 +203,12 @@ let grid ?(radix = 8) ~rows ~cols ~wrap () =
   done;
   g
 
-let mesh ?radix ~rows ~cols () = grid ?radix ~rows ~cols ~wrap:false ()
-let torus ?radix ~rows ~cols () = grid ?radix ~rows ~cols ~wrap:true ()
+let mesh ~rows ~cols () = grid ~rows ~cols ~wrap:false
+let torus ~rows ~cols () = grid ~rows ~cols ~wrap:true
 
-let ring ?radix ~switches ~hosts_per_switch () =
+let ring ~switches ~hosts_per_switch () =
   if switches < 1 then invalid_arg "Generators.ring: need a switch";
-  let g = Graph.create ?radix () in
+  let g = Graph.create () in
   let sw =
     Array.init switches (fun i ->
         Graph.add_switch g ~name:(Printf.sprintf "r%d" i) ())
@@ -221,8 +221,8 @@ let ring ?radix ~switches ~hosts_per_switch () =
   done;
   g
 
-let star ?radix ~leaves () =
-  let g = Graph.create ?radix () in
+let star ~leaves () =
+  let g = Graph.create () in
   let hub = Graph.add_switch g ~name:"hub" () in
   for i = 0 to leaves - 1 do
     let leaf = Graph.add_switch g ~name:(Printf.sprintf "leaf%d" i) () in
@@ -231,10 +231,9 @@ let star ?radix ~leaves () =
   done;
   g
 
-let cube_connected_cycles ?(radix = 8) ~dim () =
+let cube_connected_cycles ~dim () =
   if dim < 3 then invalid_arg "Generators.cube_connected_cycles: dim >= 3";
-  if radix < 4 then invalid_arg "Generators.cube_connected_cycles: radix >= 4";
-  let g = Graph.create ~radix () in
+  let g = Graph.create () in
   let corners = 1 lsl dim in
   let sw =
     Array.init corners (fun w ->
@@ -253,9 +252,9 @@ let cube_connected_cycles ?(radix = 8) ~dim () =
   done;
   g
 
-let shuffle_exchange ?(radix = 8) ~dim () =
+let shuffle_exchange ~dim () =
   if dim < 2 then invalid_arg "Generators.shuffle_exchange: dim >= 2";
-  let g = Graph.create ~radix () in
+  let g = Graph.create () in
   let n = 1 lsl dim in
   let sw =
     Array.init n (fun v -> Graph.add_switch g ~name:(Printf.sprintf "se%d" v) ())
@@ -278,9 +277,9 @@ let shuffle_exchange ?(radix = 8) ~dim () =
   done;
   g
 
-let chain ?radix ~switches () =
+let chain ~switches () =
   if switches < 1 then invalid_arg "Generators.chain: need a switch";
-  let g = Graph.create ?radix () in
+  let g = Graph.create () in
   let sw =
     Array.init switches (fun i ->
         Graph.add_switch g ~name:(Printf.sprintf "c%d" i) ())

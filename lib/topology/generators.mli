@@ -34,7 +34,10 @@ val spec_c : subcluster_spec
     irregularity: spec C's middle leaf switch has two uplinks instead
     of three. *)
 
-val subcluster : ?radix:int -> subcluster_spec -> Graph.t * handle
+val subcluster : subcluster_spec -> Graph.t * handle
+(** One subcluster of 8-port switches ({!Graph.create}'s default radix,
+    as are all generators below but {!hypercube} and
+    {!random_connected}). *)
 
 val now_c : unit -> Graph.t * handle
 (** The C subcluster (the paper's Figure 4 network). *)
@@ -50,32 +53,32 @@ val now_cab : unit -> Graph.t * handle list
 val hypercube : ?radix:int -> dim:int -> unit -> Graph.t
 (** [2^dim] switches, one host each. Requires [dim + 1 <= radix]. *)
 
-val mesh : ?radix:int -> rows:int -> cols:int -> unit -> Graph.t
+val mesh : rows:int -> cols:int -> unit -> Graph.t
 (** 2-D mesh of switches, one host per switch. *)
 
-val torus : ?radix:int -> rows:int -> cols:int -> unit -> Graph.t
+val torus : rows:int -> cols:int -> unit -> Graph.t
 (** 2-D torus; wrap-around on 2-long dimensions yields parallel wires,
     exercising the multigraph paths. *)
 
-val ring : ?radix:int -> switches:int -> hosts_per_switch:int -> unit -> Graph.t
+val ring : switches:int -> hosts_per_switch:int -> unit -> Graph.t
 
-val star : ?radix:int -> leaves:int -> unit -> Graph.t
+val star : leaves:int -> unit -> Graph.t
 (** One hub switch, [leaves] leaf switches with one host each. *)
 
-val cube_connected_cycles : ?radix:int -> dim:int -> unit -> Graph.t
+val cube_connected_cycles : dim:int -> unit -> Graph.t
 (** The cube-connected cycles network (each hypercube corner replaced
     by a [dim]-cycle of degree-3 switches, one host per switch) — one
     of the families the paper's §5.5 citations prove deadlock-free
-    routing for. Requires [dim >= 3] and [radix >= 4]. *)
+    routing for. Requires [dim >= 3]. *)
 
-val shuffle_exchange : ?radix:int -> dim:int -> unit -> Graph.t
+val shuffle_exchange : dim:int -> unit -> Graph.t
 (** The shuffle-exchange network on [2^dim] switches (exchange edges
     flip the low bit; shuffle edges rotate left), one host per switch.
     Self edges at the shuffle's fixed points and shuffle edges that
     coincide with an exchange edge are skipped (simple-graph variant).
     Requires [dim >= 2]. *)
 
-val chain : ?radix:int -> switches:int -> unit -> Graph.t
+val chain : switches:int -> unit -> Graph.t
 (** A line of switches with two hosts on the first switch — the
     hardest case for the mapper (all exploration far from hosts). *)
 

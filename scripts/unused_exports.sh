@@ -3,6 +3,8 @@
 # other file in lib/, bin/, bench/, test/ or examples/ mentions: a name
 # found only in its own .ml and .mli is dead weight in the interface.
 # Exits 1 when any such name is missing from the allow-list below.
+# A value that only test/ mentions is also printed, marked
+# "(test-only)", without failing the run: no program uses it.
 # The scan matches bare words, so an export whose name other code uses
 # for something else passes it.
 # Run from the repository root: sh scripts/unused_exports.sh
@@ -41,11 +43,15 @@ awk -v allow="$allow" '
   }
   {
     mli = $1; v = $2; ml = substr(mli, 1, length(mli) - 1)
-    n = split(files[v], fs, " "); used = 0
-    for (k = 1; k <= n; k++) if (fs[k] != mli && fs[k] != ml) { used = 1; break }
+    n = split(files[v], fs, " "); used = 0; tested = 0
+    for (k = 1; k <= n; k++) {
+      if (fs[k] == mli || fs[k] == ml) continue
+      if (fs[k] ~ /^test\//) tested = 1; else { used = 1; break }
+    }
     if (used) next
     m = mli; sub(/.*\//, "", m); sub(/\.mli$/, "", m)
     name = toupper(substr(m, 1, 1)) substr(m, 2) "." v
+    if (tested) { print mli ": " name " (test-only)"; next }
     if (name in ok) { print mli ": " name " (allowed)"; next }
     print mli ": " name
     bad = 1

@@ -102,7 +102,11 @@ let test_validate_rejects () =
   bad (Fabric.validate { degraded with radix = 1 });
   bad (Fabric.validate { degraded with hosts_per_edge = 16 });
   bad (Fabric.validate { degraded with oversub = 0.0 });
-  bad (Fabric.validate { degraded with trim_uplinks = 1.0 })
+  bad (Fabric.validate { degraded with trim_uplinks = 1.0 });
+  bad (Fabric.validate { degraded with oversub = Float.infinity });
+  bad (Fabric.validate { degraded with trim_uplinks = Float.nan });
+  bad (Fabric.validate { degraded with missing_spines = Float.nan });
+  bad (Fabric.validate { degraded with hetero_radix = Float.nan })
 
 let test_spec_string_roundtrip () =
   List.iter

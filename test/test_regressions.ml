@@ -93,29 +93,6 @@ let test_relabelling_spares_hosted_switches () =
   Alcotest.(check (list int)) "nothing relabelled with hosts everywhere" []
     (San_routing.Updown.relabeled ud)
 
-(* Election collisions must respond to their knob — guards against the
-   tuning silently becoming a no-op. *)
-let test_election_tuning_bites () =
-  let g, _ = Generators.now_c () in
-  let overhead tuning =
-    let samples =
-      List.init 8 (fun i ->
-          let net = San_simnet.Network.create g in
-          let o = Election.run ~tuning ~rng:(San_util.Prng.create (i + 1)) net in
-          o.Election.collision_extra_ns)
-    in
-    (San_util.Summary.of_list samples).San_util.Summary.avg
-  in
-  let low =
-    overhead { Election.default_tuning with collision_prob_per_loser = 1e-6 }
-  in
-  let high =
-    overhead { Election.default_tuning with collision_prob_per_loser = 1e-2 }
-  in
-  Alcotest.(check bool)
-    (Printf.sprintf "collision knob works (%.0f < %.0f)" low high)
-    true (low < high)
-
 (* The documented schema example in Serial's interface must parse. *)
 let test_serial_schema_doc () =
   let text =
@@ -163,7 +140,6 @@ let () =
           Alcotest.test_case "flow requery" `Quick test_flow_requery_stable;
           Alcotest.test_case "relabelling spares hosted" `Quick
             test_relabelling_spares_hosted_switches;
-          Alcotest.test_case "election tuning" `Quick test_election_tuning_bites;
           Alcotest.test_case "serial schema doc" `Quick test_serial_schema_doc;
           qcheck splice_never_corrupts_prop;
         ] );

@@ -1008,6 +1008,12 @@ let test_distribution_retry_attempts () =
     with_retry.Distribute.hosts_missed
     (List.length with_retry.Distribute.missed)
 
+(* Every slice of the table's plan, as [simulate] sends them. *)
+let plan_slices table =
+  List.map
+    (fun s -> (s.Distribute.owner, s.Distribute.bytes))
+    (Distribute.plan table).Distribute.slices
+
 let test_distribution_structural_skip () =
   (* table over three hosts; the actual fabric only knows two of them *)
   let build names =
@@ -1024,7 +1030,10 @@ let test_distribution_structural_skip () =
   let actual = build [ "a"; "b" ] in
   let table = Routes.compute full in
   let leader = Option.get (Graph.host_by_name actual "a") in
-  match Distribute.simulate ~retries:5 table ~actual ~leader with
+  match
+    Distribute.simulate_slices ~retries:5 table ~actual ~leader
+      ~slices:(plan_slices table)
+  with
   | Ok rep ->
     Alcotest.(check int) "b updated" 1 rep.Distribute.hosts_updated;
     Alcotest.(check int) "c unreachable" 1 rep.Distribute.hosts_missed;
@@ -1045,7 +1054,10 @@ let test_distribution_under_traffic () =
   let mapper = Option.get (Graph.host_by_name g "C-util") in
   let table = Routes.compute g in
   let traffic = (0.15, San_util.Prng.create 11) in
-  match Distribute.simulate ~traffic table ~actual:g ~leader:mapper with
+  match
+    Distribute.simulate_slices ~traffic table ~actual:g ~leader:mapper
+      ~slices:(plan_slices table)
+  with
   | Ok rep ->
     Alcotest.(check int) "hosts updated" 31 rep.Distribute.hosts_updated;
     Alcotest.(check int) "attempts" 3 rep.Distribute.attempts;

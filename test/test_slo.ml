@@ -131,7 +131,10 @@ let test_parse_roundtrip () =
       match Slo.parse s with
       | Error _ -> ()
       | Ok _ -> Alcotest.failf "parse %S should have failed" s)
-    [ ""; "converge"; "converge:p0<1"; "bogus:p95<1"; "drop:p95!0.2" ];
+    [
+      ""; "converge"; "converge:p0<1"; "bogus:p95<1"; "drop:p95!0.2";
+      "converge:p99<nan"; "converge:p99<inf"; "converge:p99<1e8@nan";
+    ];
   (* The ship-with defaults round-trip through the grammar too. *)
   List.iter
     (fun o ->
